@@ -28,14 +28,10 @@ import numpy as np
 
 from . import fourier
 from .entire_models import ProductModel, profile_product
-from .interpolation import VanishingFunction, assemble_vanishing_function
+from .interpolation import DensityTooHighError, VanishingFunction, assemble_vanishing_function
 from .sequences import SampledSet, density_fit, split_parity
 from .thresholds import (SQRT2_INV, SQRT3_HALF, gaussian_rate_base, one_sided_threshold,
                          pauli_threshold, split_bound_argmax, weak_pair_threshold)
-
-
-class DensityTooHighError(ValueError):
-    """Sampling set too dense for a counterexample in the requested class."""
 
 
 class ParameterInfeasibleError(ValueError):

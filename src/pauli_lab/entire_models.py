@@ -349,15 +349,6 @@ def sinc_product(count: int = 2000) -> ProductModel:
                         meta={"family": "sinc"})
 
 
-def linear_zero_product(slope: float, count: int = 2000) -> ProductModel:
-    """Plain product with zeros at n/slope (limit n/rho_n = slope)."""
-    n = np.arange(1, count + 1, dtype=float)
-    t2 = slope**2 * float(polygamma(1, count + 1))
-    t4 = slope**4 * float(polygamma(3, count + 1)) / 6.0
-    return ProductModel(zeros=n / slope, tail_t2=t2, tail_t4=t4,
-                        tail_next_zero=float(count + 1) / slope)
-
-
 def gaussian_model(rate: float, amplitude: complex = 1.0, phase: float = 0.0,
                    parity: int = 0) -> ProductModel:
     """Zero-free model c * e^{i phase} * z^parity * e^{-rate pi z^2}."""

@@ -5,6 +5,10 @@ integrands with Gaussian decay the periodized trapezoid rule on a uniform grid
 is spectrally accurate, so the error estimate is heuristic: a Richardson
 difference between node counts plus a tail bound from the fitted decay
 envelope.  Estimates are diagnostics, not certified bounds.
+
+``phase_sum`` is the one place a phase matrix exp(-+2 pi i x t) is formed:
+the transforms here, the interpolation cross matrices, and the assembled
+interpolants all reduce to its quadrature sums.
 """
 
 from __future__ import annotations
@@ -33,20 +37,17 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Window, rule, and budget for the uniform-grid transform."""
+    """Window, node count, and budget for the uniform-grid trapezoid transform."""
 
     half_width: float = 8.0
     nodes: int = 2048
     tolerance: float = 1e-9
-    rule: str = "trapezoid"  # or "endpoint-corrected"
 
     def __post_init__(self) -> None:
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
         if self.nodes % 2 or self.nodes < 16:
             raise ValueError("node count must be even and >= 16")
-        if self.rule not in ("trapezoid", "endpoint-corrected"):
-            raise ValueError(f"unknown rule {self.rule!r}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(-self.half_width, self.half_width, self.nodes + 1)
@@ -54,13 +55,7 @@ class QuadratureSpec:
     def weights(self) -> np.ndarray:
         h = 2.0 * self.half_width / self.nodes
         w = np.full(self.nodes + 1, h)
-        if self.rule == "trapezoid":
-            w[0] = w[-1] = h / 2.0
-        else:
-            # fourth-order Gregory end correction
-            w[0] = w[-1] = h * 3.0 / 8.0
-            w[1] = w[-2] = h * 7.0 / 6.0
-            w[2] = w[-3] = h * 23.0 / 24.0
+        w[0] = w[-1] = h / 2.0
         return w
 
 
@@ -133,6 +128,34 @@ def _tail_bound(x: np.ndarray, fx: np.ndarray) -> float:
     return float(np.exp(log_tail) / (np.pi * env.rate * t_edge))
 
 
+def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool = False,
+              coeffs: np.ndarray | None = None, coarse: bool = False):
+    """Quadrature sums sum_n w_n v(x_n) e^{-+2 pi i x_n t} over spec.grid().
+
+    ``values`` holds node values on ``spec.grid()``, one function per row
+    (shape (nodes+1,) or (k, nodes+1)); each result row holds that function's
+    sums at the ``targets`` (real or complex), with the + sign when
+    ``inverse``.  ``coeffs`` ((k,) or (k, r)) first combines the weighted
+    rows, coeffs.T @ (w * values), so a linear combination costs one phase
+    product.  With ``coarse`` the every-other-node sum (the half-count rule,
+    the Richardson partner) is returned as well, taken from the same matrix.
+    """
+    sign = 2.0j * np.pi if inverse else -2.0j * np.pi
+    # formed in place: one matrix-sized buffer instead of three temporaries,
+    # with bit-for-bit the values of the out-of-place expression
+    phases = np.outer(spec.grid(), targets).astype(complex, copy=False)
+    phases *= sign
+    np.exp(phases, out=phases)
+    weighted = values * spec.weights()
+    if coeffs is not None:
+        weighted = coeffs.T @ weighted
+    fine = weighted @ phases
+    if not coarse:
+        return fine
+    # the half-count trapezoid weights are exactly twice the fine ones
+    return fine, (2.0 * weighted[..., ::2]) @ phases[::2]
+
+
 def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi, inverse: bool = False,
                      strict: bool = False) -> TransformResult:
     """Transform from precomputed node values fx on spec.grid().
@@ -140,17 +163,8 @@ def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi, inverse: bool = F
     Complex frequencies are allowed (the transform of a Gaussian-decaying
     integrand continues analytically off the real axis)."""
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=complex))
-    x = spec.grid()
-    w = spec.weights()
-    sign = 2.0j * np.pi if inverse else -2.0j * np.pi
-    phases = np.exp(sign * np.outer(x, xi_arr))
-    fine = (w * fx) @ phases
-    # coarse pass on every other node for the Richardson estimate
-    coarse_spec = QuadratureSpec(spec.half_width, spec.nodes // 2, spec.tolerance, spec.rule)
-    wc = coarse_spec.weights()
-    coarse = (wc * fx[::2]) @ phases[::2]
-    richardson = np.abs(fine - coarse)
-    err = richardson + _tail_bound(x, fx)
+    fine, coarse = phase_sum(fx, spec, xi_arr, inverse=inverse, coarse=True)
+    err = np.abs(fine - coarse) + _tail_bound(spec.grid(), fx)
     if strict and float(np.max(err)) > spec.tolerance:
         raise ToleranceNotMetError(float(np.max(err)), spec.tolerance)
     return TransformResult(xi=xi_arr, values=fine, error=err)

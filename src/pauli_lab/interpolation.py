@@ -20,6 +20,7 @@ negligible against the solver tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import polygamma
@@ -48,7 +49,7 @@ class NullSpaceEmptyError(RuntimeError):
 
 
 class DensityTooHighError(ValueError):
-    """Requested vanishing set is denser than the decay parameters allow."""
+    """Sampling or vanishing set is denser than the decay parameters allow."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,16 @@ class InterpolationProblem:
     @property
     def mu_weights(self) -> np.ndarray:
         return np.exp(self.weight_b * np.pi * self.mu**2)
+
+    @cached_property
+    def time_columns(self) -> np.ndarray:
+        """Time-side cardinal functions Phi_lam on the time quadrature nodes."""
+        return divided_columns(self.time_gen, self.lam, self.time_quad.grid())
+
+    @cached_property
+    def freq_columns(self) -> np.ndarray:
+        """Frequency-side cardinal functions What_mu on the frequency quadrature nodes."""
+        return divided_columns(self.freq_gen, self.mu, self.freq_quad.grid())
 
     def data_norm(self, alpha: np.ndarray, beta: np.ndarray) -> float:
         """Weighted l1 norm of a data pair on the window."""
@@ -141,6 +152,8 @@ def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray) -> np.
     cancelled-factor path.
     """
     x = np.asarray(x, dtype=complex)
+    if not len(lams):
+        return np.empty((0, len(x)), dtype=complex)
     base = model.values(x)
     out = np.empty((len(lams), len(x)), dtype=complex)
     for j, lam in enumerate(lams):
@@ -154,31 +167,23 @@ def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray) -> np.
     return out
 
 
+def _cross(cols: np.ndarray, quad: fourier.QuadratureSpec, targets: np.ndarray,
+           inverse: bool) -> tuple[np.ndarray, float]:
+    """(len(targets), len(cols)) quadrature matrix and its Richardson difference."""
+    if not len(cols):
+        return np.empty((len(targets), 0), dtype=complex), 0.0
+    fine, coarse = fourier.phase_sum(cols, quad, targets, inverse=inverse, coarse=True)
+    return fine.T, float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
+
+
 def build_cross_matrices(problem: InterpolationProblem) -> CrossMatrices:
     """Dense cross-coupling matrices via shared-base quadrature."""
     p = problem
     # frequency-side basis evaluated in time: inverse transform per mu column
-    xi = p.freq_quad.grid()
-    w_xi = p.freq_quad.weights()
-    what_cols = divided_columns(p.freq_gen, p.mu, xi) if len(p.mu) else np.empty((0, len(xi)))
-    phases_up = np.exp(2.0j * np.pi * np.outer(xi, p.lam))
-    a_fine = ((what_cols * w_xi) @ phases_up).T if len(p.mu) else np.empty((len(p.lam), 0))
-    a_coarse = ((what_cols[:, ::2] * fourier.QuadratureSpec(
-        p.freq_quad.half_width, p.freq_quad.nodes // 2, p.freq_quad.tolerance,
-        p.freq_quad.rule).weights()) @ phases_up[::2]).T if len(p.mu) else a_fine
+    a, a_err = _cross(p.freq_columns, p.freq_quad, p.lam, inverse=True)
     # time-side basis transformed to frequency: forward transform per lambda column
-    x = p.time_quad.grid()
-    w_x = p.time_quad.weights()
-    phi_cols = divided_columns(p.time_gen, p.lam, x) if len(p.lam) else np.empty((0, len(x)))
-    phases_dn = np.exp(-2.0j * np.pi * np.outer(x, p.mu))
-    b_fine = ((phi_cols * w_x) @ phases_dn).T if len(p.lam) else np.empty((len(p.mu), 0))
-    b_coarse = ((phi_cols[:, ::2] * fourier.QuadratureSpec(
-        p.time_quad.half_width, p.time_quad.nodes // 2, p.time_quad.tolerance,
-        p.time_quad.rule).weights()) @ phases_dn[::2]).T if len(p.lam) else b_fine
-    a_err = float(np.max(np.abs(a_fine - a_coarse))) if a_fine.size else 0.0
-    b_err = float(np.max(np.abs(b_fine - b_coarse))) if b_fine.size else 0.0
-    return CrossMatrices(psi_at_lambda=a_fine, phihat_at_mu=b_fine,
-                         psi_error=a_err, phihat_error=b_err)
+    b, b_err = _cross(p.time_columns, p.time_quad, p.mu, inverse=False)
+    return CrossMatrices(psi_at_lambda=a, phihat_at_mu=b, psi_error=a_err, phihat_error=b_err)
 
 
 def weighted_norms(problem: InterpolationProblem, mats: CrossMatrices) -> tuple[float, float]:
@@ -240,54 +245,37 @@ class AssembledInterpolant:
     """Evaluator sum_j alpha_j Phi_{lam_j} + sum_k beta_k Psi_{mu_k}.
 
     The time part evaluates through the generator's cardinal functions; the
-    frequency-side basis enters time evaluation through cached inverse
-    quadrature and contributes its exact cardinal values on the frequency
-    side.
+    frequency-side basis enters time evaluation through inverse quadrature of
+    the problem's node columns and contributes its exact cardinal values on
+    the frequency side (and symmetrically for eval_hat).  Coefficients of
+    shape (n, k) stack k interpolants; values then come back as (points, k).
     """
 
     def __init__(self, problem: InterpolationProblem, alpha: np.ndarray, beta: np.ndarray):
         self.problem = problem
         self.alpha = np.asarray(alpha, dtype=complex)
         self.beta = np.asarray(beta, dtype=complex)
-        self._what_cols = None
-        self._phi_cols = None
-
-    def _what_on_nodes(self) -> np.ndarray:
-        if self._what_cols is None:
-            xi = self.problem.freq_quad.grid()
-            self._what_cols = divided_columns(self.problem.freq_gen, self.problem.mu, xi)
-        return self._what_cols
-
-    def _phi_on_nodes(self) -> np.ndarray:
-        if self._phi_cols is None:
-            x = self.problem.time_quad.grid()
-            self._phi_cols = divided_columns(self.problem.time_gen, self.problem.lam, x)
-        return self._phi_cols
 
     def eval(self, x) -> np.ndarray:
+        p = self.problem
         x_arr = np.atleast_1d(np.asarray(x, dtype=complex))
-        total = np.zeros(len(x_arr), dtype=complex)
-        if len(self.problem.lam):
-            cols = divided_columns(self.problem.time_gen, self.problem.lam, x_arr)
-            total += self.alpha @ cols
-        if len(self.problem.mu):
-            xi = self.problem.freq_quad.grid()
-            w = self.problem.freq_quad.weights()
-            phases = np.exp(2.0j * np.pi * np.outer(xi, x_arr))
-            total += (self.beta @ (self._what_on_nodes() * w)) @ phases
+        total = np.zeros((len(x_arr),) + self.alpha.shape[1:], dtype=complex)
+        if len(p.lam):
+            total += (self.alpha.T @ divided_columns(p.time_gen, p.lam, x_arr)).T
+        if len(p.mu):
+            total += fourier.phase_sum(p.freq_columns, p.freq_quad, x_arr, inverse=True,
+                                       coeffs=self.beta).T
         return total if np.ndim(x) else total[0]
 
     def eval_hat(self, xi) -> np.ndarray:
+        p = self.problem
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=complex))
-        total = np.zeros(len(xi_arr), dtype=complex)
-        if len(self.problem.lam):
-            x = self.problem.time_quad.grid()
-            w = self.problem.time_quad.weights()
-            phases = np.exp(-2.0j * np.pi * np.outer(x, xi_arr))
-            total += (self.alpha @ (self._phi_on_nodes() * w)) @ phases
-        if len(self.problem.mu):
-            cols = divided_columns(self.problem.freq_gen, self.problem.mu, xi_arr)
-            total += self.beta @ cols
+        total = np.zeros((len(xi_arr),) + self.alpha.shape[1:], dtype=complex)
+        if len(p.lam):
+            total += fourier.phase_sum(p.time_columns, p.time_quad, xi_arr,
+                                       coeffs=self.alpha).T
+        if len(p.mu):
+            total += (self.beta.T @ divided_columns(p.freq_gen, p.mu, xi_arr)).T
         return total if np.ndim(xi) else total[0]
 
 
@@ -364,7 +352,7 @@ def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60,
         fresh_nodes = problem.time_quad.nodes + problem.time_quad.nodes // 2
         fresh = fourier.QuadratureSpec(problem.time_quad.half_width + 0.5,
                                        fresh_nodes + fresh_nodes % 2,
-                                       problem.time_quad.tolerance, problem.time_quad.rule)
+                                       problem.time_quad.tolerance)
         hat = fourier.transform(interp.eval, fresh, problem.mu)
         v_freq = float(np.max(np.abs(hat.values - problem.beta)))
     return SolveResult(interpolant=interp, state=state, alpha_total=tot_a[:, 0],
@@ -571,24 +559,9 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
         if aux_count <= n_con:
             raise NullSpaceEmptyError(
                 f"{aux_count} auxiliary functions cannot clear {n_con} interior constraints")
-        rows = []
-        if len(lam_int):
-            p_int = divided_columns(problem.time_gen, problem.lam, lam_int)
-            psi_int = np.zeros((len(problem.mu), len(lam_int)), dtype=complex)
-            if len(problem.mu):
-                xi = problem.freq_quad.grid()
-                w = problem.freq_quad.weights()
-                what_cols = divided_columns(problem.freq_gen, problem.mu, xi)
-                psi_int = (what_cols * w) @ np.exp(2.0j * np.pi * np.outer(xi, lam_int))
-            rows.append(p_int.T @ tot_a + psi_int.T @ tot_b)
-        if len(mu_int):
-            what_int = divided_columns(problem.freq_gen, problem.mu, mu_int) if len(problem.mu) else np.zeros((0, len(mu_int)))
-            x = problem.time_quad.grid()
-            w = problem.time_quad.weights()
-            phi_cols = divided_columns(problem.time_gen, problem.lam, x)
-            phihat_int = (phi_cols * w) @ np.exp(-2.0j * np.pi * np.outer(x, mu_int))
-            rows.append(phihat_int.T @ tot_a + what_int.T @ tot_b)
-        con = np.vstack(rows)
+        # one evaluation of the stacked auxiliary interpolants at the interior points
+        stacked = AssembledInterpolant(problem, tot_a, tot_b)
+        con = np.vstack([stacked.eval(lam_int), stacked.eval_hat(mu_int)])
         _, svals, vh = np.linalg.svd(con)
         if len(svals) >= con.shape[1] and float(svals[-1]) > 1e-8 * float(svals[0]):
             raise NullSpaceEmptyError(

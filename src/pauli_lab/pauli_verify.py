@@ -98,11 +98,6 @@ def h_eval(f, g, z):
     return out if np.ndim(z) else out[0]
 
 
-def htilde_eval(f_hat, g_hat, z):
-    """Frequency-side comparison function, same shape as h_eval."""
-    return h_eval(f_hat, g_hat, z)
-
-
 def sign_retrieval_check(f, g, f_hat, g_hat, lam_points: np.ndarray, mu_points: np.ndarray,
                          time_grid: np.ndarray, freq_grid: np.ndarray,
                          tol: float = 1e-8, witness_factor: float = 10.0) -> dict:

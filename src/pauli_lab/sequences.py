@@ -9,13 +9,11 @@ matches D*r^p up to a bounded remainder, with deterministic seeded jitter.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class InsufficientDataError(ValueError):
-    """Not enough points for the requested measurement."""
+from .fourier import InsufficientDataError
 
 
 class InfeasibleTargetError(ValueError):
@@ -165,10 +163,6 @@ def generate_smooth(spec: SmoothSpec) -> SampledSet:
     return out
 
 
-def counting(gamma: SampledSet, r: float) -> int:
-    return gamma.counting(r)
-
-
 def density_fit(gamma: SampledSet, p: float) -> tuple[float, float]:
     """Least-squares density estimate and boundedness diagnostic.
 
@@ -312,9 +306,3 @@ def augment_to_smooth(gamma: SampledSet, target_density: float, p: float = 2.0) 
         merged.append(-new[::-1] if sign == "-" else new)
     pts = np.unique(np.concatenate(merged))
     return SampledSet(points=pts, zero_side=gamma.zero_side, meta=dict(gamma.meta))
-
-
-def with_meta(gamma: SampledSet, **kwargs) -> SampledSet:
-    meta = dict(gamma.meta)
-    meta.update(kwargs)
-    return replace(gamma, meta=meta)

@@ -57,6 +57,13 @@ class TestConstructVerify:
         assert report["verdicts"]["weak_pair_time"] is False
         assert report["gaps"]["time"] >= 1e-3
 
+    def test_vanishing_density_exit_one(self, tmp_path):
+        # a valid sub-threshold input that the non-weak split cannot host is a
+        # failed check, not a configuration error
+        code = run(["construct", "non-weak", "--A", "0.3", "--D", "0.9", "--seed", "3",
+                    "--out", str(tmp_path / "x.json")])
+        assert code == 1
+
     def test_infeasible_density_exit_one(self, tmp_path):
         code = run(["construct", "freq-matched", "--A", "0.5", "--D", "2.5",
                     "--count", "256", "--out", str(tmp_path / "x.json")])

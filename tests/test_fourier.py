@@ -36,11 +36,6 @@ class TestGaussianOracles:
         true_err = np.abs(res.values - np.exp(-np.pi * XI**2))
         assert np.all(true_err <= res.error + 1e-13)
 
-    def test_endpoint_corrected_rule(self):
-        spec = fourier.QuadratureSpec(half_width=8.0, nodes=2048, rule="endpoint-corrected")
-        res = fourier.transform(lambda x: np.exp(-np.pi * x * x), spec, XI)
-        assert np.max(np.abs(res.values - np.exp(-np.pi * XI**2))) < 1e-10
-
 
 class TestTransformProperties:
     def test_linearity(self):
@@ -92,6 +87,56 @@ class TestTransformProperties:
         spec_xi = fourier.QuadratureSpec(half_width=8.0, nodes=2048)
         back = fourier.transform_values(fwd.values, spec_xi, x_probe, inverse=True)
         assert np.max(np.abs(back.values - f(x_probe))) < 1e-8
+
+
+class TestPhaseSum:
+    """The shared kernel against the explicit dense sums it replaces."""
+
+    SMALL = fourier.QuadratureSpec(half_width=4.0, nodes=64)
+    RNG = np.random.default_rng(5)
+    VALUES = RNG.normal(size=(3, 65)) + 1j * RNG.normal(size=(3, 65))
+
+    @staticmethod
+    def dense(values, spec, t, sign):
+        x, w = spec.grid(), spec.weights()
+        return np.array([[np.sum(w * v * np.exp(sign * 2j * np.pi * x * tk)) for tk in t]
+                         for v in np.atleast_2d(values)])
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("targets", [np.linspace(-2.0, 2.0, 7),
+                                         np.linspace(-2.0, 2.0, 7) + 0.3j])
+    def test_fine_and_coarse_match_dense_sums(self, inverse, targets):
+        sign = 1.0 if inverse else -1.0
+        half = fourier.QuadratureSpec(half_width=4.0, nodes=32)
+        fine, coarse = fourier.phase_sum(self.VALUES, self.SMALL, targets, inverse=inverse,
+                                         coarse=True)
+        assert fine.shape == coarse.shape == (3, 7)
+        scale = np.max(np.abs(fine))
+        ref = self.dense(self.VALUES, self.SMALL, targets, sign)
+        assert np.max(np.abs(fine - ref)) < 1e-13 * scale
+        # the coarse half is the half-count rule on every other node
+        ref = self.dense(self.VALUES[:, ::2], half, targets, sign)
+        assert np.max(np.abs(coarse - ref)) < 1e-13 * scale
+
+    def test_one_row_matches_stacked_row(self):
+        t = np.linspace(-1.0, 1.0, 5)
+        one = fourier.phase_sum(self.VALUES[1], self.SMALL, t)
+        assert one.shape == (5,)
+        stacked = fourier.phase_sum(self.VALUES, self.SMALL, t)
+        assert np.max(np.abs(one - stacked[1])) < 1e-13 * np.max(np.abs(one))
+
+    def test_coefficients_combine_rows(self):
+        t = np.linspace(-1.0, 1.0, 5) + 0.1j
+        coeffs = np.array([[1.0, 0.5j], [-2.0, 0.0], [0.25, 1.0 - 1.0j]])
+        combined = fourier.phase_sum(self.VALUES, self.SMALL, t, inverse=True, coeffs=coeffs)
+        rows = fourier.phase_sum(self.VALUES, self.SMALL, t, inverse=True)
+        assert combined.shape == (2, 5)
+        assert np.max(np.abs(combined - coeffs.T @ rows)) < 1e-13 * np.max(np.abs(rows))
+
+    def test_transform_values_is_the_fine_sum(self):
+        fx = self.VALUES[0]
+        res = fourier.transform_values(fx, self.SMALL, XI)
+        assert np.array_equal(res.values, fourier.phase_sum(fx, self.SMALL, XI.astype(complex)))
 
 
 class TestEnvelopeFit:

@@ -40,6 +40,33 @@ class TestCrossMatrices:
                 j_neg = int(np.argmin(np.abs(mu + mu[j])))
                 assert a[i_neg, j_neg] == pytest.approx(a[i, j], rel=1e-5, abs=1e-9)
 
+    def test_node_columns_shared_and_exact(self, small_problem):
+        p = small_problem
+        assert p.time_columns is p.time_columns
+        assert np.array_equal(p.time_columns,
+                              itp.divided_columns(p.time_gen, p.lam, p.time_quad.grid()))
+        assert np.array_equal(p.freq_columns,
+                              itp.divided_columns(p.freq_gen, p.mu, p.freq_quad.grid()))
+        # a column depends on its own point only, so a narrower window's
+        # columns are rows of the wider one's
+        narrow = p.restricted(float(np.median(np.abs(p.lam))))
+        keep = np.abs(p.lam) > narrow.inner_cut
+        assert np.array_equal(narrow.time_columns, p.time_columns[keep])
+
+    def test_stacked_coefficients_evaluate_each_column(self, small_problem):
+        p = small_problem
+        rng = np.random.default_rng(7)
+        alpha = rng.normal(size=(len(p.lam), 3)) + 1j * rng.normal(size=(len(p.lam), 3))
+        beta = rng.normal(size=(len(p.mu), 3)) + 1j * rng.normal(size=(len(p.mu), 3))
+        stacked = itp.AssembledInterpolant(p, alpha, beta)
+        singles = [itp.AssembledInterpolant(p, alpha[:, j], beta[:, j]) for j in range(3)]
+        pts = np.linspace(-2.5, 2.5, 11)
+        for name in ("eval", "eval_hat"):
+            got = getattr(stacked, name)(pts)
+            want = np.column_stack([getattr(s, name)(pts) for s in singles])
+            assert got.shape == (len(pts), 3)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
     def test_empty_frequency_side(self):
         lam = sym_profile(0.55, seed=1)
         base = itp.make_problem(lam, SampledSet(points=np.empty(0)), None, None,

@@ -109,7 +109,7 @@ class TestComparisonFunctions:
         assert np.max(np.abs(h_vals - phi_psi)) < 1e-12 * max(np.max(np.abs(h_vals)), 1.0)
 
     def test_frequency_side_vanishes_for_matched_pair(self, freq_pair):
-        vals = pv.htilde_eval(freq_pair.f_hat, freq_pair.g_hat, XI)
+        vals = pv.h_eval(freq_pair.f_hat, freq_pair.g_hat, XI)
         assert np.max(np.abs(vals)) < 1e-12
 
     def test_complex_argument_symmetry(self, freq_pair):
