@@ -322,7 +322,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (con.DensityTooHighError, con.ParameterInfeasibleError,
-            itp.NoFeasibleWindowError, itp.SolverFailedError) as exc:
+            itp.NoFeasibleWindowError, itp.SolverFailedError,
+            itp.CarrierPlacementError, itp.NullSpaceEmptyError) as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 1
     except (ValueError, KeyError, OSError) as exc:

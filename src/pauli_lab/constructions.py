@@ -232,14 +232,19 @@ def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None =
 def _pick_headroom(half_density: float, rate_base: float, freq_rate: float,
                    margin: float = 1.1) -> float:
     """Largest eps = 2^-k with half_density * margin < sqrt((base+eps)(1/freq - base - eps))."""
+    need = half_density * margin
+    best = 0.0
     for k in range(1, 44):
         eps = 2.0**-k
         gamma = rate_base + eps
-        arg = gamma * (1.0 / freq_rate - gamma)
-        if arg > 0 and half_density * margin < np.sqrt(arg):
+        bound = np.sqrt(max(gamma * (1.0 / freq_rate - gamma), 0.0))
+        if need < bound:
             return eps
+        best = max(best, float(bound))
     raise ParameterInfeasibleError(
-        f"no decay headroom: half density {half_density:.4f} with rate base {rate_base:.4f}")
+        f"no eps = 2^-k clears the {margin} headroom margin: {margin} x half density "
+        f"{half_density:.4f} = {need:.4f} >= {best:.4f}, the largest "
+        f"sqrt((base + eps)(1/A - base - eps)) at rate base {rate_base:.4f}, A = {freq_rate}")
 
 
 def _measured_half_density(s: SampledSet) -> float:
@@ -293,15 +298,18 @@ def build_time_pair(lam: SampledSet, decay: float, eps: float | None = None,
         try:
             eps = _pick_headroom(d_half / 2.0, gamma_base, decay)
         except ParameterInfeasibleError as exc:
-            # confirm the failure mode: even at the best Gaussian rate the
-            # split parts' transforms decay too slowly for the declared class
+            if d_half < cap:
+                # below the threshold: the headroom margin is what fails
+                raise
+            # confirm the failure mode with the split parts' transform decay
+            # at the best Gaussian rate
             from .asymptotics import fourier_decay_predicate
             even, _ = split_parity(SampledSet(points=lam_sym.positive))
             probe = _extended_model(even.points, d_half / 2.0, gamma_base, 0, 1024)
-            diag = fourier_decay_predicate(probe, decay)
+            rate = fourier_decay_predicate(probe, decay).fitted_rate
             raise DensityTooHighError(
                 f"half density {d_half:.4f} >= threshold {cap:.4f}; frequency "
-                f"envelope rate {diag.fitted_rate:.3f} < {decay}") from exc
+                f"envelope rate {rate:.3f} {'<' if rate < decay else '>='} {decay}") from exc
     gamma = gamma_base + eps
     even, odd = split_parity(SampledSet(points=lam_sym.positive))
     quad = _default_quad(gamma, nodes)

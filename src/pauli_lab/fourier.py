@@ -6,9 +6,12 @@ is spectrally accurate, so the error estimate is heuristic: a Richardson
 difference between node counts plus a tail bound from the fitted decay
 envelope.  Estimates are diagnostics, not certified bounds.
 
-``phase_sum`` is the one place a phase matrix exp(-+2 pi i x t) is formed:
-the transforms here, the interpolation cross matrices, and the assembled
-interpolants all reduce to its quadrature sums.
+``phase_sum`` is the one place a phase sum exp(-+2 pi i x t) is taken: the
+transforms here, the interpolation cross matrices, and the assembled
+interpolants all reduce to its quadrature sums.  Uniform target grids go
+through a chirp-z convolution (Rabiner-Schafer-Rader 1969, Bluestein 1970) in
+O((nodes + targets) log) time and O(nodes + targets) memory; other targets get
+the dense phase matrix, formed in slices of at most ``DENSE_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# bytes of dense phase matrix formed at once: memory stays O(nodes) whatever
+# the number of targets
+DENSE_CHUNK_BYTES = 8 << 20
+# below this many uniform targets the dense sum is faster than the chirp-z FFTs
+CHIRP_MIN_TARGETS = 32
+_SPLITTER = 2.0**27 + 1.0
 
 
 class ToleranceNotMetError(RuntimeError):
@@ -137,23 +147,137 @@ def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool =
     sums at the ``targets`` (real or complex), with the + sign when
     ``inverse``.  ``coeffs`` ((k,) or (k, r)) first combines the weighted
     rows, coeffs.T @ (w * values), so a linear combination costs one phase
-    product.  With ``coarse`` the every-other-node sum (the half-count rule,
-    the Richardson partner) is returned as well, taken from the same matrix.
+    sum.  With ``coarse`` the every-other-node sum (the half-count rule, the
+    Richardson partner) is returned as well, taken in the same pass.
+
+    Real, equally spaced targets (``CHIRP_MIN_TARGETS`` or more) are summed
+    by chirp-z convolution; any other targets by the chunked dense sum.
     """
-    sign = 2.0j * np.pi if inverse else -2.0j * np.pi
-    # formed in place: one matrix-sized buffer instead of three temporaries,
-    # with bit-for-bit the values of the out-of-place expression
-    phases = np.outer(spec.grid(), targets).astype(complex, copy=False)
-    phases *= sign
-    np.exp(phases, out=phases)
+    sign = 1.0 if inverse else -1.0
     weighted = values * spec.weights()
     if coeffs is not None:
         weighted = coeffs.T @ weighted
-    fine = weighted @ phases
-    if not coarse:
-        return fine
-    # the half-count trapezoid weights are exactly twice the fine ones
-    return fine, (2.0 * weighted[..., ::2]) @ phases[::2]
+    rows = weighted
+    if coarse:
+        # the half-count trapezoid weights are exactly twice the fine ones
+        half = np.zeros_like(weighted)
+        half[..., ::2] = 2.0 * weighted[..., ::2]
+        rows = np.stack([weighted, half])
+    t = np.ravel(targets)
+    uniform = _uniform_targets(t)
+    if uniform is None:
+        sums = _dense_sum(rows, spec.grid(), t, sign)
+    else:
+        sums = _chirp_sum(rows, spec, *uniform, sign)
+    return (sums[0], sums[1]) if coarse else sums
+
+
+def _dense_sum(rows: np.ndarray, x: np.ndarray, t: np.ndarray, sign: float) -> np.ndarray:
+    """rows @ exp(sign 2 pi i outer(x, t)), the phase matrix taken in target slices."""
+    out = np.empty(rows.shape[:-1] + (len(t),), dtype=complex)
+    step = max(1, DENSE_CHUNK_BYTES // (16 * len(x)))
+    # every slice is formed in place in one buffer of at most the cap
+    buf = np.empty((len(x), min(step, len(t))), dtype=complex)
+    for start in range(0, len(t), step):
+        part = t[start:start + step]
+        phases = buf[:, :len(part)]
+        np.outer(x, part, out=phases)
+        phases *= sign * 2.0j * np.pi
+        np.exp(phases, out=phases)
+        out[..., start:start + len(part)] = rows @ phases
+    return out
+
+
+def _split(c: float) -> float:
+    """c cut to its high 26 bits (Veltkamp), so that c - _split(c) is exact."""
+    s = c * _SPLITTER
+    return s - (s - c)
+
+
+def _uniform_targets(t: np.ndarray):
+    """(centre index, centre value, step, offsets) of a real equally spaced grid.
+
+    ``offsets`` are the exact deviations t - (t_c + (m - c) step), which must
+    stay within a few ulps of the grid's largest magnitude; complex targets
+    qualify when every imaginary part is zero.  Returns None otherwise.
+    """
+    if len(t) < CHIRP_MIN_TARGETS:
+        return None
+    if np.iscomplexobj(t):
+        if np.any(t.imag != 0.0):
+            return None
+        t = t.real
+    t = t.astype(float, copy=False)
+    step = (t[-1] - t[0]) / (len(t) - 1)
+    if step == 0.0 or not np.isfinite(step):
+        return None
+    c = len(t) // 2
+    t_c = float(t[c])
+    m = np.arange(len(t)) - c
+    # t - t_c as the exact sum s + e (TwoSum); m * step_hi is exact and
+    # cancels s exactly, so only the tiny m * step_lo term is rounded
+    s = t - t_c
+    back = s + t_c
+    e = (t - back) + (back - s - t_c)
+    step_hi = _split(step)
+    offsets = (s - m * step_hi) + (e - m * (step - step_hi))
+    tol = 8.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    if not np.max(np.abs(offsets)) <= tol:
+        return None
+    return c, t_c, float(step), offsets
+
+
+def _turns(k: np.ndarray, a: float, b: float) -> np.ndarray:
+    """k * a * b reduced mod 1 for integer-valued k, |k| < 2**53.
+
+    The product a * b is taken exactly as p + e (Dekker); p splits into a
+    26-bit high half and a low half, and k into multiples of 2**27 and a
+    remainder, so that both high-half products and their reductions are
+    exact and only terms of relative size 2**-26 are rounded.
+    """
+    p = a * b
+    a_hi, b_hi = _split(a), _split(b)
+    e = ((a_hi * b_hi - p) + a_hi * (b - b_hi) + (a - a_hi) * b_hi) + (a - a_hi) * (b - b_hi)
+    hi = _split(p)
+    k_low = np.fmod(k, 2.0**27)
+    return (np.fmod((k - k_low) * hi, 1.0) + np.fmod(k_low * hi, 1.0)
+            + np.fmod(k * ((p - hi) + e), 1.0))
+
+
+def _cis(turns: np.ndarray) -> np.ndarray:
+    return np.exp(2.0j * np.pi * turns)
+
+
+def _chirp_sum(rows: np.ndarray, spec: QuadratureSpec, c: int, t_c: float, dt: float,
+               offsets: np.ndarray, sign: float) -> np.ndarray:
+    """Bluestein's chirp-z form of the sums at the targets t_c + (m - c) dt + offsets.
+
+    With centred node and target indices n, m (x_n = n h) the phase
+    n h (t_c + m dt) splits into a node modulation n h t_c and the chirp
+    n m h dt = (n^2 + m^2 - (m - n)^2) h dt / 2, so the sum over nodes is a
+    linear convolution with exp(-+2 pi i k^2 h dt / 2), taken by FFT along the
+    last axis for every row at once.  Centring keeps |k| <= (nodes + targets)/2,
+    and every phase is reduced exactly in turns before the exponential.  The
+    few-ulp offsets enter to first order through the sums of x_n-weighted rows.
+    The nodes are taken as exactly n h, which spec.grid() rounds.
+    """
+    nodes, count = spec.nodes, len(offsets)
+    h = 2.0 * spec.half_width / nodes
+    n = np.arange(nodes + 1) - nodes // 2
+    m = np.arange(count) - c
+    size = 1 << (nodes + count - 1).bit_length()
+    buf = np.zeros((2,) + rows.shape[:-1] + (size,), dtype=complex)
+    buf[..., :nodes + 1] = rows * _cis(sign * (_turns(n * n, h, dt / 2.0) + _turns(n, h, t_c)))
+    buf[1, ..., :nodes + 1] *= n * h
+    # kernel at the index differences m - n in [-nodes, count - 1], stored
+    # circularly so that the cyclic convolution of length size is the linear one
+    q = np.arange(-nodes, count)
+    k = q + (nodes // 2 - c)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[q] = _cis(-sign * _turns(k * k, h, dt / 2.0))
+    conv = np.fft.ifft(np.fft.fft(buf, axis=-1) * np.fft.fft(kernel), axis=-1)
+    sums = conv[..., :count] * _cis(sign * _turns(m * m, h, dt / 2.0))
+    return sums[0] + sums[1] * (sign * 2.0j * np.pi * offsets)
 
 
 def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi, inverse: bool = False,

@@ -52,6 +52,10 @@ class DensityTooHighError(ValueError):
     """Sampling or vanishing set is denser than the decay parameters allow."""
 
 
+class CarrierPlacementError(RuntimeError):
+    """The window holds too few set points or midgaps for the auxiliary carriers."""
+
+
 @dataclass(frozen=True)
 class InterpolationProblem:
     """Windowed two-sided interpolation data with Gaussian-weighted norms.
@@ -107,7 +111,7 @@ class InterpolationProblem:
     def restricted(self, inner_cut: float) -> "InterpolationProblem":
         keep_l = np.abs(self.lam) > inner_cut
         keep_m = np.abs(self.mu) > inner_cut
-        return InterpolationProblem(
+        sub = InterpolationProblem(
             lam=self.lam[keep_l], mu=self.mu[keep_m],
             alpha=self.alpha[keep_l], beta=self.beta[keep_m],
             weight_a=self.weight_a, weight_b=self.weight_b,
@@ -115,6 +119,12 @@ class InterpolationProblem:
             inner_cut=inner_cut, outer_cut=self.outer_cut,
             time_quad=self.time_quad, freq_quad=self.freq_quad,
         )
+        # each node column depends on its own point only, so columns already
+        # computed carry over as row subsets instead of being recomputed
+        for name, keep in (("time_columns", keep_l), ("freq_columns", keep_m)):
+            if name in self.__dict__:
+                sub.__dict__[name] = self.__dict__[name][keep]
+        return sub
 
 
 @dataclass
@@ -453,13 +463,36 @@ def _carrier_points(lam_pos: np.ndarray, count: int, low: float, high: float) ->
     """
     inside = lam_pos[(lam_pos >= low) & (lam_pos <= high)]
     if len(inside) < 2:
-        raise ValueError(f"need at least 2 set points in [{low:.3g}, {high:.3g}] to host carriers")
+        raise CarrierPlacementError(
+            f"need at least 2 set points in [{low:.3g}, {high:.3g}] to host carriers")
     mids = 0.5 * (inside[:-1] + inside[1:])
     if len(mids) < count:
-        raise ValueError(f"only {len(mids)} midgaps available for {count} carriers")
+        raise CarrierPlacementError(f"only {len(mids)} midgaps available for {count} carriers")
     stride = max(len(mids) // count, 1)
     picks = mids[::stride][:count]
     return np.sort(picks)
+
+
+def _null_combination(con: np.ndarray) -> np.ndarray:
+    """Unit vector of the numerical null space of ``con`` nearest the first carrier.
+
+    The rank counts singular values above 1e-8 of the largest; the result is
+    the normalized projection of the first unit vector onto the remaining
+    right singular directions (of the unit vector with the largest projection
+    when the first has none).  The projector depends only on the null space,
+    not on the basis LAPACK returns for it, so a small change of ``con``
+    moves the combination only slightly whatever the null-space dimension.
+    """
+    _, svals, vh = np.linalg.svd(con)
+    rank = int(np.count_nonzero(svals > 1e-8 * svals[0]))
+    null = vh[rank:]
+    if not len(null):
+        raise NullSpaceEmptyError(
+            f"smallest singular value {float(svals[-1]):.3e} leaves no null combination")
+    reach = np.linalg.norm(null, axis=0)
+    j = 0 if reach[0] > 1e-8 else int(np.argmax(reach))
+    combo = null.conj().T @ null[:, j]
+    return combo / np.linalg.norm(combo)
 
 
 def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
@@ -562,11 +595,7 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
         # one evaluation of the stacked auxiliary interpolants at the interior points
         stacked = AssembledInterpolant(problem, tot_a, tot_b)
         con = np.vstack([stacked.eval(lam_int), stacked.eval_hat(mu_int)])
-        _, svals, vh = np.linalg.svd(con)
-        if len(svals) >= con.shape[1] and float(svals[-1]) > 1e-8 * float(svals[0]):
-            raise NullSpaceEmptyError(
-                f"smallest singular value {float(svals[-1]):.3e} leaves no null combination")
-        combo = vh[-1].conj()
+        combo = _null_combination(con)
         sigma_min = float(np.linalg.norm(con @ combo))
 
     interp = AssembledInterpolant(problem, tot_a @ combo, tot_b @ combo)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,29 @@ class TestConstructVerify:
         code = run(["construct", "non-weak", "--A", "0.3", "--D", "0.9", "--seed", "3",
                     "--out", str(tmp_path / "x.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("decay, density", [("0.5", "1.35"), ("0.7", "0.3")])
+    def test_carrier_placement_exit_one(self, tmp_path, capsys, decay, density):
+        # too few midgaps (A = 0.5) or set points (A = 0.7) for the carriers
+        # on a valid sub-threshold input: a failed check
+        code = run(["construct", "non-weak", "--A", decay, "--D", density, "--seed", "3",
+                    "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("check failed:") and "carriers" in err
+
+    def test_headroom_failure_message_holds(self, tmp_path, capsys):
+        code = run(["construct", "time", "--A", "0.5", "--D", "1.9", "--seed", "3",
+                    "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        found = re.search(r"clears the ([\d.]+) headroom margin: ([\d.]+) x half density "
+                          r"([\d.]+) = ([\d.]+) >= ([\d.]+)", err)
+        assert found, err
+        margin, factor, density, need, best = (float(v) for v in found.groups())
+        assert margin == factor == 1.1
+        assert need == pytest.approx(margin * density, abs=1e-4)
+        assert need >= best
 
     def test_infeasible_density_exit_one(self, tmp_path):
         code = run(["construct", "freq-matched", "--A", "0.5", "--D", "2.5",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,116 @@ class TestPhaseSum:
         fx = self.VALUES[0]
         res = fourier.transform_values(fx, self.SMALL, XI)
         assert np.array_equal(res.values, fourier.phase_sum(fx, self.SMALL, XI.astype(complex)))
+
+
+LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def long_double_sums(values, spec, t, sign):
+    """The quadrature sums in extended precision on the same float grid and targets."""
+    x = spec.grid().astype(np.longdouble)
+    w = spec.weights().astype(np.longdouble)
+    v = np.atleast_2d(values)
+    wv = w * (v.real.astype(np.longdouble) + 1j * v.imag.astype(np.longdouble))
+    phase = np.outer(x, np.asarray(t).real.astype(np.longdouble)) * (sign * 2 * LONG_PI)
+    return wv @ (np.cos(phase) + 1j * np.sin(phase))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended long double")
+class TestUniformPhaseSum:
+    """The chirp-z path for equally spaced real targets."""
+
+    SPEC = fourier.QuadratureSpec(half_width=6.0, nodes=512)
+    X = SPEC.grid()
+    ROWS = np.array([np.exp(-0.5 * np.pi * X**2) * (1 + 0.3 * np.cos(3 * X)),
+                     X * np.exp(-np.pi * X**2) + 1j * np.exp(-0.8 * np.pi * (X - 0.4)**2),
+                     np.exp(-0.6 * np.pi * X**2) * np.sin(5 * X)])
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("targets", [
+        np.linspace(-5.0, 5.0, 301),           # odd count, centred
+        np.linspace(-5.0, 5.0, 300),           # even count
+        np.linspace(4.0, -3.0, 257),           # descending
+        np.linspace(0.3, 7.1, 100),            # off-centre range
+        np.linspace(-2.0, 2.0, 64).astype(complex),  # complex dtype, zero imaginary parts
+    ])
+    def test_fine_and_coarse_against_long_double(self, inverse, targets):
+        sign = 1.0 if inverse else -1.0
+        assert fourier._uniform_targets(np.asarray(targets)) is not None
+        fine, coarse = fourier.phase_sum(self.ROWS, self.SPEC, targets, inverse=inverse,
+                                         coarse=True)
+        ref = long_double_sums(self.ROWS, self.SPEC, targets, sign)
+        half = fourier.QuadratureSpec(half_width=6.0, nodes=256)
+        ref_coarse = long_double_sums(self.ROWS[:, ::2], half, targets, sign)
+        # a few ulps of the sums' scale, where the dense sum also lands
+        scale = float(np.max(np.abs(ref)))
+        assert np.max(np.abs(fine - ref)) < 1.5e-15 * scale
+        assert np.max(np.abs(coarse - ref_coarse)) < 1.5e-15 * scale
+
+    def test_stacked_rows_with_coefficients(self):
+        t = np.linspace(-4.0, 4.0, 161)
+        coeffs = np.array([[1.0, 0.5j], [-2.0, 0.0], [0.25, 1.0 - 1.0j]])
+        combined = fourier.phase_sum(self.ROWS, self.SPEC, t, inverse=True, coeffs=coeffs)
+        ref = coeffs.T @ long_double_sums(self.ROWS, self.SPEC, t, 1.0)
+        assert combined.shape == (2, 161)
+        assert np.max(np.abs(combined - ref)) < 2e-15 * float(np.max(np.abs(ref)))
+        one = fourier.phase_sum(self.ROWS[1], self.SPEC, t)
+        assert one.shape == (161,)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_large_grid_no_worse_than_dense(self, inverse):
+        # the shape of the interpolation solve's verification re-transform:
+        # 4097 nodes to 6145 targets, checked on every 12th target
+        sign = 1.0 if inverse else -1.0
+        spec = fourier.QuadratureSpec(half_width=5.87, nodes=4096)
+        x = spec.grid()
+        fx = np.exp(-0.5 * np.pi * x**2) * (1 + 0.3 * np.cos(3 * x)) + 1j * x * np.exp(-np.pi * x**2)
+        targets = np.linspace(-6.37, 6.37, 6145)
+        fine = fourier.phase_sum(fx, spec, targets, inverse=inverse)[::12]
+        ref = long_double_sums(fx, spec, targets[::12], sign)[0]
+        dense = fourier._dense_sum(fx * spec.weights(), x, targets[::12], sign)
+        err = np.max(np.abs(fine - ref))
+        assert err <= np.max(np.abs(dense - ref))
+        # centred indices and exactly reduced chirp phases each matter here:
+        # without either the error passes 6e-16 of the scale (naive: 2e-14)
+        assert err < 6e-16 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("targets", [
+        np.sqrt(np.arange(1.0, 65.0)),                  # not equally spaced
+        np.linspace(-2.0, 2.0, 64) + 0.3j,              # off the real axis
+        np.linspace(-2.0, 2.0, 64) * (1 + 1e-12 * np.cos(np.arange(64))),  # beyond a few ulps
+        np.array([0.7]),                                # one point
+        np.linspace(-2.0, 2.0, fourier.CHIRP_MIN_TARGETS - 1),  # too few to pay off
+        np.zeros(64),                                   # no spacing
+    ])
+    def test_dense_fallback(self, targets):
+        assert fourier._uniform_targets(np.asarray(targets)) is None
+        got = fourier.phase_sum(self.ROWS, self.SPEC, targets)
+        want = fourier._dense_sum(self.ROWS * self.SPEC.weights(), self.X, targets, -1.0)
+        assert np.array_equal(got, want)
+
+    def test_dense_chunks_match_one_matrix(self, monkeypatch):
+        t = np.sqrt(np.arange(1.0, 41.0)) + 0.1j
+        whole = fourier.phase_sum(self.ROWS, self.SPEC, t, coarse=True)
+        monkeypatch.setattr(fourier, "DENSE_CHUNK_BYTES", 16 * len(self.X) * 3)
+        chunked = fourier.phase_sum(self.ROWS, self.SPEC, t, coarse=True)
+        for a, b in zip(whole, chunked):
+            assert np.max(np.abs(a - b)) < 1e-15 * np.max(np.abs(a))
+
+    def test_memory_stays_linear(self):
+        spec = fourier.QuadratureSpec(half_width=5.87, nodes=4096)
+        fx = np.exp(-0.5 * np.pi * spec.grid()**2).astype(complex)
+        uniform = np.linspace(-6.37, 6.37, 6145)
+        scattered = np.sqrt(np.linspace(0.0, 40.0, 1500))
+        for t in (uniform, scattered):
+            tracemalloc.start()
+            try:
+                fourier.phase_sum(fx, spec, t, inverse=True, coarse=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a full phase matrix would take 4097 x len(t) x 16 bytes (98-403 MB)
+            assert peak < 20e6
 
 
 class TestEnvelopeFit:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,29 @@ class TestCrossMatrices:
         narrow = p.restricted(float(np.median(np.abs(p.lam))))
         keep = np.abs(p.lam) > narrow.inner_cut
         assert np.array_equal(narrow.time_columns, p.time_columns[keep])
+
+    def test_restricted_keeps_computed_columns(self, monkeypatch):
+        lam = sym_profile(0.9, seed=1)
+        mu = sym_profile(0.9, seed=2)
+        base = itp.make_problem(lam, mu, None, None, 0.5, 0.5, 0.0, 3.2, nodes=512)
+        original = itp.divided_columns
+        calls = []
+
+        def counting(model, lams, x):
+            calls.append(len(lams))
+            return original(model, lams, x)
+
+        monkeypatch.setattr(itp, "divided_columns", counting)
+        cut, _ = itp.choose_window_cut(base)
+        problem = base.restricted(cut)
+        itp.build_cross_matrices(problem)
+        # one evaluation per side on the wide window; the cut drops points
+        assert calls == [len(base.mu), len(base.lam)]
+        assert 0 < len(problem.lam) < len(base.lam) and 0 < len(problem.mu) < len(base.mu)
+        assert np.array_equal(problem.time_columns,
+                              original(problem.time_gen, problem.lam, problem.time_quad.grid()))
+        assert np.array_equal(problem.freq_columns,
+                              original(problem.freq_gen, problem.mu, problem.freq_quad.grid()))
 
     def test_stacked_coefficients_evaluate_each_column(self, small_problem):
         p = small_problem
@@ -141,6 +165,28 @@ class TestChooseCut:
 
 
 class TestSolve:
+    def test_memory_linear_in_nodes(self):
+        # the AC-6 problem at 8192 nodes: the verification re-transform alone
+        # would hold a 8193 x 12289 phase matrix (1.6 GB) if formed densely
+        lam = sym_profile(0.8, seed=1)
+        mu = sym_profile(0.8, seed=2)
+        base = itp.make_problem(lam, mu, None, None, 0.5, 0.5, 0.0, 3.2, nodes=8192)
+        cut, _ = itp.choose_window_cut(base)
+        prob = base.restricted(cut)
+        rng = np.random.default_rng(3)
+        alpha = rng.normal(size=len(prob.lam)) + 1j * rng.normal(size=len(prob.lam))
+        beta = rng.normal(size=len(prob.mu)) + 1j * rng.normal(size=len(prob.mu))
+        nrm = prob.data_norm(alpha, beta)
+        prob = dataclasses.replace(prob, alpha=alpha / nrm, beta=beta / nrm)
+        tracemalloc.start()
+        try:
+            res = itp.solve(prob, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert res.verify_time <= 1e-7 and res.verify_freq <= 1e-7
+
     def test_zero_data_one_step(self, small_problem):
         res = itp.solve(small_problem, tol=1e-12)
         assert len(res.state.norms) == 1
@@ -219,6 +265,38 @@ class TestVanishingFunction:
         assert 0 < n_int < 4
         assert vf.constraint_sigma < 1e-8
         assert vf.residual_time < 1e-7 and vf.residual_freq < 1e-7
+
+    def test_null_combination_ignores_basis_choice(self):
+        # a 2 x 4 constraint with singular values 2715 and 31: its null space
+        # is two-dimensional, so the combination must not depend on which
+        # basis of it the SVD happens to return
+        rng = np.random.default_rng(17)
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        con = u @ np.diag([2715.0, 31.0]) @ v[:, :2].conj().T
+        combo = itp._null_combination(con)
+        assert np.linalg.norm(con @ combo) < 1e-12 * 2715.0
+        null = v[:, 2:] @ v[:, 2:].conj().T
+        assert np.max(np.abs(combo - null[:, 0] / np.linalg.norm(null[:, 0]))) < 1e-12
+        for trial in range(5):
+            noise = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+            moved = itp._null_combination(con + 1e-12 * noise)
+            assert np.linalg.norm(moved - combo) <= 1e-10
+        # reordered or recombined constraints have the same null space and
+        # give the same combination
+        for same in (con[::-1], np.array([[1.0, 0.5], [0.2, -1.0]]) @ con):
+            assert np.linalg.norm(itp._null_combination(same) - combo) <= 1e-10
+
+    def test_null_combination_when_first_carrier_is_constrained(self):
+        # the first unit vector lies in the row space: no null vector uses the
+        # first carrier, so the carrier with the largest projection is taken
+        combo = itp._null_combination(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]]))
+        assert np.allclose(np.abs(combo), [0.0, np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
+        assert np.all(np.isfinite(combo))
+
+    def test_null_combination_full_rank_raises(self):
+        with pytest.raises(itp.NullSpaceEmptyError):
+            itp._null_combination(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
     def test_null_space_empty(self):
         # distinct set geometries keep the square constraint system nonsingular;
