@@ -8,7 +8,6 @@ evaluation and a fresh transform.
 """
 
 import argparse
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ def main() -> None:
     alpha = rng.normal(size=len(prob.lam)) + 1j * rng.normal(size=len(prob.lam))
     beta = rng.normal(size=len(prob.mu)) + 1j * rng.normal(size=len(prob.mu))
     nrm = prob.data_norm(alpha, beta)
-    prob = dataclasses.replace(prob, alpha=alpha / nrm, beta=beta / nrm)
+    prob = prob.with_data(alpha / nrm, beta / nrm)
 
     res = itp.solve(prob, tol=cfg.tol)
     print(f"window: {len(prob.lam)} time points, {len(prob.mu)} frequency points")

@@ -9,7 +9,6 @@ configurable: loosening them would change what the suite certifies.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -167,7 +166,7 @@ def ac6() -> AcceptanceRecord:
         alpha = rng.normal(size=len(prob.lam)) + 1j * rng.normal(size=len(prob.lam))
         beta = rng.normal(size=len(prob.mu)) + 1j * rng.normal(size=len(prob.mu))
         nrm = prob.data_norm(alpha, beta)
-        prob = dataclasses.replace(prob, alpha=alpha / nrm, beta=beta / nrm)
+        prob = prob.with_data(alpha / nrm, beta / nrm)
         res = itp.solve(prob, tol=1e-10, max_iter=40)
         max_ratio = max(res.state.ratios) if res.state.ratios else 0.0
         ok = (per_side <= 24 and max_ratio <= 0.55 and res.state.norms[-1] <= 1e-8

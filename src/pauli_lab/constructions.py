@@ -29,7 +29,7 @@ import numpy as np
 from . import fourier
 from .entire_models import ProductModel, profile_product
 from .interpolation import DensityTooHighError, VanishingFunction, assemble_vanishing_function
-from .sequences import SampledSet, density_fit, split_parity
+from .sequences import SampledSet, half_density, split_parity
 from .thresholds import (SQRT2_INV, SQRT3_HALF, gaussian_rate_base, one_sided_threshold,
                          pauli_threshold, split_bound_argmax, weak_pair_threshold)
 
@@ -61,9 +61,6 @@ class ModelEvaluator:
     def eval_hat(self, xi):
         res = fourier.transform_values(self._node_values(), self.quad, xi)
         return res.values if np.ndim(xi) else res.values[0]
-
-    def hat_result(self, xi) -> fourier.TransformResult:
-        return fourier.transform_values(self._node_values(), self.quad, xi)
 
 
 class ScaledEvaluator:
@@ -247,20 +244,11 @@ def _pick_headroom(half_density: float, rate_base: float, freq_rate: float,
         f"sqrt((base + eps)(1/A - base - eps)) at rate base {rate_base:.4f}, A = {freq_rate}")
 
 
-def _measured_half_density(s: SampledSet) -> float:
-    pos = s.positive
-    if len(pos) >= 16:
-        return density_fit(SampledSet(points=np.sort(pos)), 2.0)[0]
-    if len(pos):
-        return len(pos) / float(np.max(pos)) ** 2
-    return 0.0
-
-
 def _null_space_pair(lam: SampledSet, mu: SampledSet, density_cap: float,
                      provenance: dict, nodes: int) -> PairConstruction:
     """g == 0 branch: f is a vanishing interpolant, split evenly so that the
     pair keeps the phi/psi shape (phi = psi = f/2)."""
-    d_max = max(_measured_half_density(lam.symmetrized()), _measured_half_density(mu.symmetrized()))
+    d_max = max(half_density(lam.symmetrized().points), half_density(mu.symmetrized().points))
     if d_max >= density_cap:
         raise DensityTooHighError(f"half density {d_max:.3f} reaches the cap {density_cap:.3f}")
     # free choice of rates here: equal rates s give vanishing bounds
@@ -291,7 +279,7 @@ def build_time_pair(lam: SampledSet, decay: float, eps: float | None = None,
     if not 0.0 < decay < 1.0:
         raise ValueError(f"decay must lie in (0, 1), got {decay}")
     lam_sym = lam.symmetrized()
-    d_half = _measured_half_density(lam_sym)
+    d_half = half_density(lam_sym.points)
     cap = one_sided_threshold(decay) / 2.0
     gamma_base = 1.0 / (2.0 * decay) if decay < SQRT2_INV else decay
     if eps is None:
@@ -360,7 +348,7 @@ def build_frequency_matched_pair(lam: SampledSet, decay: float, eps: float | Non
         return _null_space_pair(lam.symmetrized(), SampledSet(points=np.empty(0)),
                                 pauli_threshold(decay) / 2.0,
                                 {"kind": "frequency_matched", "decay": decay}, nodes)
-    d_half = _measured_half_density(lam)
+    d_half = half_density(lam.points)
     cap = pauli_threshold(decay) / 2.0
     sigma = gaussian_rate_base(decay)
     if eps is None:
@@ -392,7 +380,7 @@ def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,
                                 {"kind": "non_weak", "decay": decay}, nodes)
     cap = weak_pair_threshold(decay) / 2.0
     for name, s in (("time", lam), ("frequency", mu)):
-        d = _measured_half_density(s.symmetrized())
+        d = half_density(s.symmetrized().points)
         if d >= cap:
             raise DensityTooHighError(f"{name} half density {d:.4f} >= threshold {cap:.4f}")
     x_a = split_bound_argmax(decay)

@@ -36,21 +36,6 @@ class NotAZeroError(ValueError):
     """Requested zero is not retained in the model."""
 
 
-def _partial_product(s: np.ndarray, poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """prod (1 - s/pole) over the given poles as (mantissa, log-scale)."""
-    m = np.ones_like(s, dtype=complex)
-    e = np.zeros(s.shape, dtype=float)
-    inv = 1.0 / poles
-    for start in range(0, len(poles), 32):
-        block = poles[start : start + 32]
-        m *= np.prod((block[None, :] - s[:, None]) * inv[None, start : start + 32], axis=1)
-        a = np.abs(m)
-        live = a > 0
-        e[live] += np.log(a[live])
-        m[live] /= a[live]
-    return m, e
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """Model value plus its log-magnitude and truncation error estimate.
@@ -129,9 +114,15 @@ class ProductModel:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _scaled_product(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Product of retained factors as (mantissa, log-scale)."""
-        m = np.ones_like(s, dtype=complex)
+    def _scaled_product(self, s: np.ndarray, skip: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Product of retained factors as (mantissa, log-scale).
+
+        The mantissa is real for real ``s`` and complex otherwise.  ``skip``
+        holds one factor index per point (-1 for none); that factor is taken
+        as exactly 1, which removes a vanishing factor without a second loop.
+        """
+        m = np.ones_like(s)
         e = np.zeros(s.shape, dtype=float)
         poles = self._factor_poles
         n = len(poles)
@@ -144,20 +135,31 @@ class ProductModel:
         mf = m.reshape(-1)
         ef = e.reshape(-1)
         inv = 1.0 / poles
+        if skip is not None:
+            skip = np.broadcast_to(skip, s.shape).reshape(-1)
         for start in range(0, n, chunk):
             block = poles[start : start + chunk]
             # (rho^2 - s)/rho^2 via reciprocal multiply: complex division is not
             # correctly rounded, and retained zeros must cancel to an exact 0
             factors = (block[None, :] - flat[:, None]) * inv[None, start : start + chunk]
+            if skip is not None:
+                rows = np.flatnonzero((skip >= start) & (skip < start + chunk))
+                factors[rows, skip[rows] - start] = 1.0
             mf *= np.prod(factors, axis=1)
             a = np.abs(mf)
             live = a > 0
             ef[live] += np.log(a[live])
-            mf[live] /= a[live]
+            # numpy divides complex by real as a reciprocal multiply; doing so
+            # explicitly keeps real and complex points bit-identical
+            mf[live] *= 1.0 / a[live]
         return mf.reshape(s.shape), ef.reshape(s.shape)
 
-    def _smooth_log(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mantissa factor, log-scale) of amplitude, phase, parity, Gaussian, tail."""
+    def _smooth_log(self, z: np.ndarray, odd_factor: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """(mantissa factor, log-scale) of amplitude, phase, parity, Gaussian, tail.
+
+        ``odd_factor`` replaces z as the parity factor of odd models.
+        """
         u = z * z
         s = self._s_of(z)
         log_scale = -self.gauss_rate * np.pi * np.real(u) - (
@@ -175,12 +177,16 @@ class ProductModel:
             m = m * np.exp(1j * self.phase)
         m = m * self.amplitude
         if self.parity:
-            m = m * z
+            m = m * (z if odd_factor is None else odd_factor)
         return m, log_scale
 
     def eval(self, z) -> EvalResult:
-        """Evaluate the model; accepts scalars or arrays of complex points."""
-        z_arr = np.asarray(z, dtype=complex)
+        """Evaluate the model; accepts scalars or arrays of real or complex points.
+
+        Real points keep the product in real arithmetic; the values are the
+        same as at the points cast to complex.
+        """
+        z_arr = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
         scalar = z_arr.ndim == 0
         z_arr = np.atleast_1d(z_arr)
         s = self._s_of(z_arr)
@@ -235,42 +241,39 @@ class ProductModel:
 
     # -- zeros, derivatives, divided basis ----------------------------------
 
-    def _zero_index(self, lam: float) -> tuple[int, float]:
-        """Index and sign of the retained zero matching lam; raises otherwise."""
-        mag = abs(lam)
-        if len(self.zeros):
-            k = int(np.argmin(np.abs(self.zeros - mag)))
-            if abs(self.zeros[k] - mag) <= 1e-12 * max(1.0, mag):
-                return k, 1.0 if lam >= 0 else -1.0
-        raise NotAZeroError(f"{lam} is not a retained zero of the model")
+    def _zero_index(self, lam: np.ndarray) -> np.ndarray:
+        """Indices of the retained zeros matching |lam|; raises for any other value."""
+        mag = np.abs(lam)
+        z = np.append(self.zeros, np.inf)  # sentinel past the last zero
+        hi = np.minimum(np.searchsorted(z, mag), len(z) - 1)
+        lo = np.maximum(hi - 1, 0)
+        k = np.where(mag - z[lo] <= z[hi] - mag, lo, hi)
+        miss = ~(np.abs(z[k] - mag) <= 1e-12 * np.maximum(1.0, mag))
+        if np.any(miss):
+            raise NotAZeroError(f"{lam[miss][0]} is not a retained zero of the model")
+        return k
 
-    def _eval_excluding(self, skip: int, z: complex) -> complex:
-        """Model value at z with the skip-th product factor removed."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        s = self._s_of(z_arr)
-        poles = np.delete(self._factor_poles, skip)
-        m, e = _partial_product(s, poles)
-        m2, e2 = self._smooth_log(z_arr)
-        return complex((m * m2 * np.exp(e + e2))[0])
+    def derivative_at_zero(self, lam):
+        """Exact product-rule derivative at retained real zeros lam = +-rho_k.
 
-    def derivative_at_zero(self, lam: float) -> complex:
-        """Exact product-rule derivative at a retained real zero lam = +-rho_k.
-
-        For odd models, lam = 0 is also accepted (the z factor vanishes there).
+        Accepts a scalar or an array of zeros; all derivatives come from one
+        pass of the product with each point's vanishing factor skipped.  For
+        odd models, lam = 0 is also accepted (the z factor vanishes there).
         """
-        if lam == 0.0 and self.parity == 1:
-            z0 = np.atleast_1d(np.asarray(0.0, dtype=complex))
-            m, e = self._scaled_product(self._s_of(z0))
-            amp = self.amplitude * (np.exp(1j * self.phase) if self.phase not in (0.0, np.pi) else (1.0 if self.phase == 0.0 else -1.0))
-            return complex(amp * (m * np.exp(e))[0])
-        k, sign = self._zero_index(lam)
-        rho = self.zeros[k]
-        rest = self._eval_excluding(k, sign * rho)
-        if self.quartic:
-            dfactor = -sign * 4.0 / rho
-        else:
-            dfactor = -sign * 2.0 / rho
-        return dfactor * rest
+        lam_arr = np.asarray(lam, dtype=float)
+        flat = np.atleast_1d(lam_arr).ravel()
+        origin = (flat == 0.0) & (self.parity == 1)
+        k = np.full(flat.shape, -1)
+        k[~origin] = self._zero_index(flat[~origin])
+        rho = np.ones(flat.shape)
+        rho[~origin] = self.zeros[k[~origin]]
+        sign = np.where(flat >= 0, 1.0, -1.0)
+        z = np.where(origin, 0.0, sign * rho)
+        m, e = self._scaled_product(self._s_of(z), skip=k)
+        m2, e2 = self._smooth_log(z, odd_factor=np.where(origin, 1.0, z))
+        dfactor = np.where(origin, 1.0, -sign * (4.0 if self.quartic else 2.0) / rho)
+        out = dfactor * (m * m2 * np.exp(e + e2))
+        return complex(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
 
     def divided_basis_eval(self, lam: float, z) -> np.ndarray:
         """Cardinal function model(z) / (model'(lam) * (z - lam)).
@@ -279,9 +282,10 @@ class ProductModel:
         the removable singularity never appears; the result is 1 at lam and 0
         at every other retained zero.
         """
-        k, sign = self._zero_index(lam)
+        k = int(self._zero_index(np.atleast_1d(float(lam)))[0])
         rho = self.zeros[k]
-        z_arr = np.asarray(z, dtype=complex)
+        sign = 1.0 if lam >= 0 else -1.0
+        z_arr = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
         scalar = z_arr.ndim == 0
         z_arr = np.atleast_1d(z_arr)
         u = z_arr * z_arr
@@ -290,9 +294,7 @@ class ProductModel:
         ratio = -(z_arr + sign * rho) * (1.0 / q)
         if self.quartic:
             ratio = ratio * (1.0 + u * (1.0 / q))
-        s = self._s_of(z_arr)
-        poles = np.delete(self._factor_poles, k)
-        m, e = _partial_product(s, poles)
+        m, e = self._scaled_product(self._s_of(z_arr), skip=k)
         m2, e2 = self._smooth_log(z_arr)
         dphi = self.derivative_at_zero(lam)
         out = ratio * m * m2 * np.exp(e + e2) / dphi
@@ -356,7 +358,7 @@ def gaussian_model(rate: float, amplitude: complex = 1.0, phase: float = 0.0,
                         gauss_rate=rate, parity=parity)
 
 
-def profile_tail_sums(half_density: float, retained: int, quartic: bool = True) -> tuple[float, float, float]:
+def profile_tail_sums(half_density: float, retained: int) -> tuple[float, float, float]:
     """Tail sums for the square-root profile continuation rho_m = sqrt(m/D).
 
     For the quartic product the squared-variable poles continue linearly as
@@ -364,16 +366,9 @@ def profile_tail_sums(half_density: float, retained: int, quartic: bool = True) 
     (t2, t4, next_zero).
     """
     n1 = retained + 1
-    if quartic:
-        t2 = half_density**2 * float(polygamma(1, n1))
-        t4 = half_density**4 * float(polygamma(3, n1)) / 6.0
-        nxt = math.sqrt(n1 / half_density)
-    else:
-        # plain product over sqrt-profile zeros has divergent tail sums; the
-        # caller must keep every zero (t2 = t4 = 0, widened error bound)
-        t2 = t4 = 0.0
-        nxt = math.sqrt(n1 / half_density)
-    return t2, t4, nxt
+    t2 = half_density**2 * float(polygamma(1, n1))
+    t4 = half_density**4 * float(polygamma(3, n1)) / 6.0
+    return t2, t4, math.sqrt(n1 / half_density)
 
 
 def profile_product(zeros: np.ndarray, half_density: float, gauss_rate: float = 0.0,
@@ -382,7 +377,7 @@ def profile_product(zeros: np.ndarray, half_density: float, gauss_rate: float = 
     """Quartic model vanishing at +-zeros (and +-i zeros), with the
     square-root-profile continuation supplying the tail sums."""
     zeros = np.asarray(zeros, dtype=float)
-    t2, t4, nxt = profile_tail_sums(half_density, len(zeros), quartic=True)
+    t2, t4, nxt = profile_tail_sums(half_density, len(zeros))
     return ProductModel(zeros=zeros, amplitude=amplitude, phase=phase,
                         gauss_rate=gauss_rate, parity=parity, tail_t2=t2,
                         tail_t4=t4, tail_next_zero=nxt, quartic=True,

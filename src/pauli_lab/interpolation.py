@@ -19,15 +19,15 @@ negligible against the solver tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import polygamma
 
 from . import fourier
-from .entire_models import ProductModel
-from .sequences import SampledSet, density_fit
+from .entire_models import ProductModel, profile_tail_sums
+from .sequences import SampledSet, half_density
 from .thresholds import DecayParams, uniqueness_density_bounds
 
 
@@ -111,20 +111,23 @@ class InterpolationProblem:
     def restricted(self, inner_cut: float) -> "InterpolationProblem":
         keep_l = np.abs(self.lam) > inner_cut
         keep_m = np.abs(self.mu) > inner_cut
-        sub = InterpolationProblem(
-            lam=self.lam[keep_l], mu=self.mu[keep_m],
-            alpha=self.alpha[keep_l], beta=self.beta[keep_m],
-            weight_a=self.weight_a, weight_b=self.weight_b,
-            time_gen=self.time_gen, freq_gen=self.freq_gen,
-            inner_cut=inner_cut, outer_cut=self.outer_cut,
-            time_quad=self.time_quad, freq_quad=self.freq_quad,
-        )
-        # each node column depends on its own point only, so columns already
-        # computed carry over as row subsets instead of being recomputed
+        sub = dataclasses.replace(self, lam=self.lam[keep_l], mu=self.mu[keep_m],
+                                  alpha=self.alpha[keep_l], beta=self.beta[keep_m],
+                                  inner_cut=inner_cut)
+        return self._carry_columns(sub, keep_l, keep_m)
+
+    def with_data(self, alpha: np.ndarray, beta: np.ndarray) -> "InterpolationProblem":
+        """The same window and generators with new target values."""
+        return self._carry_columns(dataclasses.replace(self, alpha=alpha, beta=beta))
+
+    def _carry_columns(self, other: "InterpolationProblem", keep_l=slice(None),
+                       keep_m=slice(None)) -> "InterpolationProblem":
+        # each node column depends on its own point only, not on the data, so
+        # columns already computed carry over as row subsets
         for name, keep in (("time_columns", keep_l), ("freq_columns", keep_m)):
             if name in self.__dict__:
-                sub.__dict__[name] = self.__dict__[name][keep]
-        return sub
+                other.__dict__[name] = self.__dict__[name][keep]
+        return other
 
 
 @dataclass
@@ -156,24 +159,23 @@ class CrossMatrices:
 def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cardinal-function values (len(lams), len(x)) sharing one base evaluation.
 
-    The base model value is divided by (x - lam) * model'(lam) per column; the
-    quotient is well conditioned because the vanishing factor is computed as
-    an exact difference, and nodes colliding with lam fall back to the
-    cancelled-factor path.
+    The base model value is divided by (x - lam) * model'(lam) per column, with
+    all derivatives from one pass; the quotient is well conditioned because
+    the vanishing factor is computed as an exact difference, and nodes
+    colliding with lam fall back to the cancelled-factor path.  Real ``x``
+    stays in real arithmetic.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
     if not len(lams):
         return np.empty((0, len(x)), dtype=complex)
-    base = model.values(x)
-    out = np.empty((len(lams), len(x)), dtype=complex)
-    for j, lam in enumerate(lams):
-        d = model.derivative_at_zero(float(lam))
-        diff = x - lam
-        near = np.abs(diff) < 1e-9
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[j] = base / (diff * d)
-        if np.any(near):
-            out[j, near] = model.divided_basis_eval(float(lam), x[near])
+    lams = np.asarray(lams, dtype=float)
+    diff = x - lams[:, None]
+    out = diff * model.derivative_at_zero(lams)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(model.values(x), out, out=out)
+    near = np.abs(diff) < 1e-9
+    for j in np.flatnonzero(np.any(near, axis=1)):
+        out[j, near[j]] = model.divided_basis_eval(lams[j], x[near[j]])
     return out
 
 
@@ -268,7 +270,7 @@ class AssembledInterpolant:
 
     def eval(self, x) -> np.ndarray:
         p = self.problem
-        x_arr = np.atleast_1d(np.asarray(x, dtype=complex))
+        x_arr = np.atleast_1d(np.asarray(x))
         total = np.zeros((len(x_arr),) + self.alpha.shape[1:], dtype=complex)
         if len(p.lam):
             total += (self.alpha.T @ divided_columns(p.time_gen, p.lam, x_arr)).T
@@ -279,7 +281,7 @@ class AssembledInterpolant:
 
     def eval_hat(self, xi) -> np.ndarray:
         p = self.problem
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=complex))
+        xi_arr = np.atleast_1d(np.asarray(xi))
         total = np.zeros((len(xi_arr),) + self.alpha.shape[1:], dtype=complex)
         if len(p.lam):
             total += fourier.phase_sum(p.time_columns, p.time_quad, xi_arr,
@@ -372,29 +374,15 @@ def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60,
 # -- generator assembly -------------------------------------------------------
 
 
-def _half_density(points: np.ndarray) -> float:
-    pos = np.sort(points[points > 0])
-    if len(pos) >= 16:
-        return density_fit(SampledSet(points=pos), 2.0)[0]
-    if len(pos):
-        return len(pos) / pos[-1] ** 2
-    return 0.0
-
-def _profile_tail_from_last(density: float, last_zero: float) -> tuple[float, float, float]:
-    """Tail sums continuing the sqrt-profile past an arbitrary last zero."""
-    m_next = int(np.floor(density * last_zero**2)) + 1
-    t2 = density**2 * float(polygamma(1, m_next))
-    t4 = density**4 * float(polygamma(3, m_next)) / 6.0
-    return t2, t4, float(np.sqrt(m_next / density))
-
-
 def vanishing_generator(points_pos: np.ndarray, gauss_rate: float,
                         density: float | None = None) -> ProductModel:
     """Gaussian-times-quartic model vanishing at +-points (square-root profile tail)."""
     pts = np.sort(np.asarray(points_pos, dtype=float))
     if density is None:
-        density = _half_density(pts)
-    t2, t4, nxt = _profile_tail_from_last(density, pts[-1]) if len(pts) else (0.0, 0.0, 0.0)
+        density = half_density(pts)
+    # continue the sqrt profile past the last zero, wherever it sits
+    t2, t4, nxt = (profile_tail_sums(density, int(np.floor(density * pts[-1]**2)))
+                   if len(pts) else (0.0, 0.0, 0.0))
     return ProductModel(zeros=pts, gauss_rate=gauss_rate, tail_t2=t2, tail_t4=t4,
                         tail_next_zero=nxt, quartic=True)
 
@@ -513,8 +501,8 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
     """
     lam_sym = lam_set.symmetrized()
     mu_sym = mu_set.symmetrized()
-    d_lam = _half_density(lam_sym.positive)
-    d_mu = _half_density(mu_sym.positive)
+    d_lam = half_density(lam_sym.positive)
+    d_mu = half_density(mu_sym.positive)
     bound_l, bound_m = uniqueness_density_bounds(DecayParams(weight_a, weight_b))
     if d_lam >= density_margin * bound_l or d_mu >= density_margin * bound_m:
         raise DensityTooHighError(

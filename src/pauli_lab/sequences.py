@@ -182,6 +182,17 @@ def density_fit(gamma: SampledSet, p: float) -> tuple[float, float]:
     return d_hat, resid
 
 
+def half_density(points: np.ndarray) -> float:
+    """Density D of n(r) ~ D r^2 on the positive points: the fit at 16 or more,
+    else count / (largest point)^2 (0 when there are none)."""
+    pos = np.sort(points[points > 0])
+    if len(pos) >= 16:
+        return density_fit(SampledSet(points=pos), 2.0)[0]
+    if len(pos):
+        return len(pos) / pos[-1] ** 2
+    return 0.0
+
+
 def separation_check(gamma: SampledSet, p: float, d: float | None = None):
     """Verify (or measure) the separation bound gap >= d * (1 + |gamma_j|)^(1-p).
 

@@ -165,3 +165,119 @@ def test_random_model_zero_fidelity_and_parity(n_zeros, parity, quartic, rate, s
     assert np.all(vals == 0)
     z = rng.uniform(-3, 3, 8) + 1j * rng.uniform(-1, 1, 8)
     assert np.allclose(m.values(-z), (-1.0) ** parity * m.values(z), rtol=1e-12, atol=1e-300)
+
+
+def _real_axis_models():
+    lam = np.sqrt(2.0 * np.arange(1, 1025) / 0.9)
+    plain = np.arange(1.0, 51.0)
+    return {
+        "sinc_tails": em.sinc_product(300),
+        "plain_no_tails_odd": em.ProductModel(zeros=plain, parity=1, amplitude=2.5),
+        "plain_phase_pi": em.ProductModel(zeros=plain, phase=np.pi, gauss_rate=0.3),
+        "quartic_odd": em.profile_product(lam, 0.45, gauss_rate=1.05, parity=1),
+        "quartic_phase": em.profile_product(lam, 0.45, gauss_rate=1.05, amplitude=2.0 - 1.0j,
+                                            phase=0.7),
+        "quartic_no_tails": em.ProductModel(zeros=plain, quartic=True, amplitude=-0.5),
+        "no_zeros": em.gaussian_model(0.8, amplitude=1.5 + 0.5j, phase=0.7, parity=1),
+    }
+
+
+class TestRealAxisPath:
+    @pytest.mark.parametrize("name", sorted(_real_axis_models()))
+    def test_real_points_match_complex_points(self, name):
+        model = _real_axis_models()[name]
+        rng = np.random.default_rng(5)
+        # random points, retained zeros of both signs, the origin, and points
+        # far enough out for the unnormalized value to overflow
+        x = np.concatenate([rng.uniform(-30.0, 30.0, 400), model.zeros[:20], -model.zeros[:20],
+                            [0.0, 1e3, -1e6, 1e6]])
+        real = model.eval(x)
+        cplx = model.eval(x.astype(complex))
+        if name in ("plain_no_tails_odd", "quartic_no_tails"):
+            assert np.any(real.overflow)
+        assert real.value.dtype == complex
+        # equal bit for bit; == also lets an exact zero differ in sign
+        for field in ("value", "log_magnitude", "error_bound", "overflow"):
+            assert np.array_equal(getattr(real, field), getattr(cplx, field)), field
+
+    def test_scaled_product_dtype_follows_points(self, quartic_phi):
+        x = np.linspace(-3.0, 3.0, 7)
+        m_real, e_real = quartic_phi._scaled_product(quartic_phi._s_of(x))
+        m_cplx, e_cplx = quartic_phi._scaled_product(quartic_phi._s_of(x.astype(complex)))
+        assert m_real.dtype == float and m_cplx.dtype == complex
+        assert np.array_equal(m_real, m_cplx.real) and np.array_equal(e_real, e_cplx)
+
+    def test_skip_removes_one_factor(self):
+        m = em.ProductModel(zeros=np.array([1.0, 2.0, 3.0]))
+        s = np.array([0.5, 2.5, 4.0])
+        got, e = m._scaled_product(s, skip=np.array([0, -1, 1]))
+        want = [(1 - 0.5 / 4) * (1 - 0.5 / 9), (1 - 2.5) * (1 - 2.5 / 4) * (1 - 2.5 / 9),
+                (1 - 4.0) * (1 - 4.0 / 9)]
+        assert np.allclose(got * np.exp(e), want, rtol=1e-15)
+        # the point s = 4 sits on the skipped zero and stays nonzero
+        assert got[2] != 0.0
+
+
+PI_LD = 4 * np.arctan(np.longdouble(1))
+
+
+def _derivative_long_double(model, lam):
+    """Product-rule derivative at a retained zero in long-double arithmetic."""
+    p = 4 if model.quartic else 2
+    z = np.longdouble(lam)
+    k = int(np.argmin(np.abs(model.zeros - abs(lam))))
+    poles = np.delete(np.asarray(model.zeros, dtype=np.longdouble), k) ** p
+    s = z**p
+    mag = np.prod(1 - s / poles) * (-np.sign(z) * p / abs(z))
+    mag *= np.exp(-np.longdouble(model.gauss_rate) * PI_LD * z * z
+                  - (s * np.longdouble(model.tail_t2) + s * s * np.longdouble(model.tail_t4) / 2))
+    if model.parity:
+        mag *= z
+    return complex(model.amplitude) * np.exp(1j * model.phase) * float(mag)
+
+
+class TestDerivativeArrays:
+    def test_array_matches_scalar_calls(self, quartic_phi):
+        odd = em.profile_product(quartic_phi.zeros[:300], 0.45, gauss_rate=1.05, parity=1,
+                                 amplitude=2.0 - 1.0j, phase=0.7)
+        for model in (em.sinc_product(300), quartic_phi, odd):
+            lams = np.concatenate([model.zeros[:40], -model.zeros[:40:7]])
+            if model.parity:
+                lams = np.append(lams, 0.0)
+            got = model.derivative_at_zero(lams)
+            want = np.array([model.derivative_at_zero(v) for v in lams])
+            assert got.shape == lams.shape and got.dtype == complex
+            # the chunk size follows the largest point, so the log-scale sums
+            # of one call and of many round differently
+            assert np.allclose(got, want, rtol=1e-13, atol=0)
+            assert model.derivative_at_zero(lams[:1])[0] == want[0]
+            assert isinstance(model.derivative_at_zero(lams[1]), complex)
+
+    def test_array_raises_for_any_non_zero(self, sinc1600):
+        with pytest.raises(em.NotAZeroError, match="2.5"):
+            sinc1600.derivative_at_zero(np.array([1.0, 2.5, 3.0]))
+        with pytest.raises(em.NotAZeroError):
+            sinc1600.derivative_at_zero(np.array([0.0, 1.0]))  # even model
+        with pytest.raises(em.NotAZeroError):
+            em.gaussian_model(1.0).derivative_at_zero(np.array([1.0]))
+
+    def test_origin_of_odd_model_in_array(self):
+        m = em.ProductModel(zeros=np.array([1.0, 2.0]), parity=1, amplitude=1.5, phase=0.7)
+        got = m.derivative_at_zero(np.array([-2.0, 0.0, 1.0]))
+        assert got[1] == pytest.approx(1.5 * np.exp(0.7j), rel=1e-15)
+        assert np.allclose(got, [m.derivative_at_zero(v) for v in (-2.0, 0.0, 1.0)],
+                           rtol=1e-15)
+        bare = em.gaussian_model(0.5, amplitude=2.0, parity=1)
+        assert bare.derivative_at_zero(np.array([0.0]))[0] == 2.0
+
+    def test_generator_derivatives_against_long_double(self):
+        from pauli_lab.interpolation import vanishing_generator
+
+        pts = np.sqrt(np.arange(1, 257) / 0.45)
+        gen = vanishing_generator(pts, 0.5)
+        assert gen.quartic and len(gen.zeros) >= 250
+        inside = gen.zeros[gen.zeros <= 6.0]
+        lams = np.concatenate([inside, -inside])
+        got = gen.derivative_at_zero(lams)
+        want = np.array([_derivative_long_double(gen, v) for v in lams])
+        assert np.max(np.abs(got - want) / np.abs(want)) < 2e-14

@@ -77,6 +77,61 @@ class TestCrossMatrices:
         assert np.array_equal(problem.freq_columns,
                               original(problem.freq_gen, problem.mu, problem.freq_quad.grid()))
 
+    def test_with_data_keeps_computed_columns(self, monkeypatch):
+        from pauli_lab import acceptance
+
+        original = itp.divided_columns
+        node_calls = []
+
+        def counting(model, lams, x):
+            if len(x) == 2049:  # AC-6's node grids, not its verification grid
+                node_calls.append(len(lams))
+            return original(model, lams, x)
+
+        monkeypatch.setattr(itp, "divided_columns", counting)
+        assert acceptance.ac6().passed
+        # once per side for the cut search; the restricted, renormalized
+        # problem reuses those rows
+        assert len(node_calls) == 2
+
+    def test_with_data_sets_only_the_data(self, small_problem):
+        p = small_problem
+        cols = p.time_columns
+        alpha = np.arange(len(p.lam), dtype=complex)
+        beta = np.ones(len(p.mu), dtype=complex)
+        q = p.with_data(alpha, beta)
+        assert q.alpha is alpha and q.beta is beta
+        assert np.array_equal(q.lam, p.lam) and q.time_quad == p.time_quad
+        assert np.array_equal(q.time_columns, cols)
+
+    def test_collision_rows_use_cancelled_factor(self, small_problem):
+        p = small_problem
+        gen, lam = p.time_gen, p.lam
+        grid = p.time_quad.grid()[::64]
+        x = np.concatenate([grid, lam[:3], [lam[0] + 1e-12, lam[1] - 3e-10]])
+        cols = itp.divided_columns(gen, lam, x)
+        hits = 0
+        for j in range(len(lam)):
+            near = np.abs(x - lam[j]) < 1e-9
+            hits += np.count_nonzero(near)
+            if np.any(near):
+                assert np.array_equal(cols[j, near], gen.divided_basis_eval(lam[j], x[near]))
+        assert hits == 5
+        assert cols[0, len(grid)] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(cols[1:3, len(grid)] == 0.0)
+
+    def test_real_points_match_complex_points(self, small_problem):
+        p = small_problem
+        x = np.concatenate([p.time_quad.grid()[::16], p.lam[:4]])
+        assert np.array_equal(itp.divided_columns(p.time_gen, p.lam, x),
+                              itp.divided_columns(p.time_gen, p.lam, x.astype(complex)))
+        rng = np.random.default_rng(3)
+        interp = itp.AssembledInterpolant(p, rng.normal(size=len(p.lam)),
+                                          rng.normal(size=len(p.mu)))
+        for pts in (x, np.linspace(-3.0, 3.0, 64)):  # dense and chirp-z sums
+            assert np.array_equal(interp.eval(pts), interp.eval(pts.astype(complex)))
+            assert np.array_equal(interp.eval_hat(pts), interp.eval_hat(pts.astype(complex)))
+
     def test_stacked_coefficients_evaluate_each_column(self, small_problem):
         p = small_problem
         rng = np.random.default_rng(7)
