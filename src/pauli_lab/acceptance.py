@@ -121,13 +121,14 @@ def ac4() -> AcceptanceRecord:
         lam = generate_smooth(SmoothSpec(p=2.0, density=0.9, count=2048, seed=7, halves="+"))
         pair = con.build_frequency_matched_pair(lam, 0.5)
         pts = np.concatenate([-lam.points[::-1], lam.points])  # every retained +-lambda
-        res_disc = float(np.max(np.abs(np.abs(pair.f(pts)) - np.abs(pair.g(pts)))))
+        res_disc = pv.sup_gap(*pair.fg(pts))
         xi = np.linspace(-4.0, 4.0, 401)
-        gap_freq = float(np.max(np.abs(np.abs(pair.f_hat(xi)) - np.abs(pair.g_hat(xi)))))
+        f_hat, g_hat = pair.fg_hat(xi)
+        gap_freq = pv.sup_gap(f_hat, g_hat)
         x = np.linspace(-4.0, 4.0, 801)
-        witness = float(np.max(np.abs(np.abs(pair.f(x)) - np.abs(pair.g(x)))))
+        witness = pv.sup_gap(*pair.fg(x))
         xh = np.linspace(-6.0, 6.0, 481)
-        hardy = fourier.hardy_check(pair.f(xh), pair.f_hat(xi), 0.5, xh, xi)
+        hardy = fourier.hardy_check(pair.fg(xh)[0], f_hat, 0.5, xh, xi)
         ok = res_disc <= 1e-12 and gap_freq <= 1e-8 and witness >= 1e-3 and hardy.passed
         return ok, (f"discrete {res_disc:.1e}, freq sup {gap_freq:.1e}, "
                     f"time witness {witness:.2e}, hardy={hardy.passed}")
@@ -190,7 +191,6 @@ def ac7() -> AcceptanceRecord:
         mu1, mu2 = split_parity(mu)
         win = 3.3
         classes = {}
-        rot = np.exp(1j * pair.vartheta)
         for name, part, pts in (("phi|lam1", pair.phi, lam1.points),
                                 ("psi|lam2", pair.psi, lam2.points)):
             sel = pts[np.abs(pts) <= win]
@@ -200,12 +200,12 @@ def ac7() -> AcceptanceRecord:
             sel = pts[np.abs(pts) <= win]
             classes[name] = float(np.max(np.abs(part.eval_hat(sel))))
         x = np.linspace(-2.5, 2.5, 401)
-        wt = float(np.max(np.abs(np.abs(pair.f(x)) - np.abs(pair.g(x)))))
-        wf = float(np.max(np.abs(np.abs(pair.f_hat(x)) - np.abs(pair.g_hat(x)))))
+        grid_t, grid_f = pair.fg(x), pair.fg_hat(x)
+        wt, wf = pv.sup_gap(*grid_t), pv.sup_gap(*grid_f)
         lam_w = lam.points[np.abs(lam.points) <= win]
         mu_w = mu.points[np.abs(mu.points) <= win]
-        sign = pv.sign_retrieval_check(pair.f, pair.g, pair.f_hat, pair.g_hat,
-                                       lam_w, mu_w, x, x, tol=1e-5)
+        sign = pv.sign_retrieval_check(pair.fg(lam_w), pair.fg_hat(mu_w), grid_t, grid_f,
+                                       tol=1e-5)
         worst = max(classes.values())
         ok = (worst <= 1e-6 and wt >= 1e-4 and wf >= 1e-4
               and sign["verdict"] == "counterexample persists")
@@ -418,9 +418,10 @@ def _prop_verdict_invariance(rng: np.random.Generator) -> None:
         f = lambda t: np.exp(-rate * np.pi * np.asarray(t) ** 2)
         rot = np.exp(1j * rng.uniform(0, 2 * np.pi))
         g = lambda t: rot * f(t)
-        out = pv.weak_check(f, g, f, g, x, x)
+        vals = (f(x), g(x))
+        out = pv.weak_check(vals, vals)
         assert out["full_pair"]
-        swapped = pv.weak_check(g, f, g, f, x, x)
+        swapped = pv.weak_check(vals[::-1], vals[::-1])
         assert out == swapped
 
 
@@ -433,7 +434,7 @@ def _prop_comparison_real_on_real(rng: np.random.Generator) -> None:
         c2 = complex(*rng.normal(size=2))
         f = lambda t: c1 * np.exp(-np.pi * np.asarray(t, dtype=complex) ** 2)
         g = lambda t: c2 * np.asarray(t, dtype=complex) * np.exp(-0.8 * np.pi * np.asarray(t, dtype=complex) ** 2)
-        vals = pv.h_eval(f, g, x)
+        vals = pv.h_eval(lambda t: (f(t), g(t)), x)
         scale = max(float(np.max(np.abs(vals))), 1.0)
         assert np.max(np.abs(vals.imag)) <= 1e-13 * scale
 
@@ -444,8 +445,9 @@ def _prop_verdict_tol_monotone(rng: np.random.Generator) -> None:
         gap = 10.0 ** rng.uniform(-12, -2)
         f = lambda t: np.exp(-np.pi * np.asarray(t) ** 2)
         g = lambda t: (1.0 + gap) * f(t)
-        loose = pv.weak_check(f, g, f, g, x, x, tol=1e-4)
-        tight = pv.weak_check(f, g, f, g, x, x, tol=1e-10)
+        vals = (f(x), g(x))
+        loose = pv.weak_check(vals, vals, tol=1e-4)
+        tight = pv.weak_check(vals, vals, tol=1e-10)
         for key in ("weak_pair_time", "weak_pair_freq", "full_pair", "weak_pair"):
             if tight[key]:
                 assert loose[key]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import CheckFailedError, __version__
 from . import acceptance as acc
 from . import asymptotics as asy
 from . import constructions as con
@@ -321,9 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (con.DensityTooHighError, con.ParameterInfeasibleError,
-            itp.NoFeasibleWindowError, itp.SolverFailedError,
-            itp.CarrierPlacementError, itp.NullSpaceEmptyError) as exc:
+    except CheckFailedError as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 1
     except (ValueError, KeyError, OSError) as exc:

@@ -26,15 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fourier
+from . import CheckFailedError, fourier
 from .entire_models import ProductModel, profile_product
-from .interpolation import DensityTooHighError, VanishingFunction, assemble_vanishing_function
+from .interpolation import (AssembledInterpolant, DensityTooHighError, InterpolationProblem,
+                            assemble_vanishing_function)
 from .sequences import SampledSet, half_density, split_parity
 from .thresholds import (SQRT2_INV, SQRT3_HALF, gaussian_rate_base, one_sided_threshold,
                          pauli_threshold, split_bound_argmax, weak_pair_threshold)
 
 
-class ParameterInfeasibleError(ValueError):
+class ParameterInfeasibleError(ValueError, CheckFailedError):
     """No decay headroom satisfies the construction inequality."""
 
 
@@ -90,17 +91,15 @@ class PairConstruction:
     def _rot(self) -> complex:
         return np.exp(1j * self.vartheta) if self.vartheta != 0.0 else 1.0 + 0.0j
 
-    def f(self, x):
-        return self.phi.eval(x) + self._rot * self.psi.eval(x)
+    def fg(self, x):
+        """(f, g) at x from one evaluation of each part."""
+        phi, psi = self.phi.eval(x), self._rot * self.psi.eval(x)
+        return phi + psi, phi - psi
 
-    def g(self, x):
-        return self.phi.eval(x) - self._rot * self.psi.eval(x)
-
-    def f_hat(self, xi):
-        return self.phi.eval_hat(xi) + self._rot * self.psi.eval_hat(xi)
-
-    def g_hat(self, xi):
-        return self.phi.eval_hat(xi) - self._rot * self.psi.eval_hat(xi)
+    def fg_hat(self, xi):
+        """(f hat, g hat) at xi from one transform evaluation of each part."""
+        phi, psi = self.phi.eval_hat(xi), self._rot * self.psi.eval_hat(xi)
+        return phi + psi, phi - psi
 
     def to_json(self) -> str:
         def encode(part):
@@ -111,27 +110,26 @@ class PairConstruction:
                 inner = encode(part.base)
                 return {"type": "scaled", "factor_re": float(np.real(part.factor)),
                         "factor_im": float(np.imag(part.factor)), "base": inner}
-            from .interpolation import AssembledInterpolant
-            if isinstance(part, (VanishingFunction, AssembledInterpolant)):
-                ip = part.interpolant if isinstance(part, VanishingFunction) else part
+            if isinstance(part, AssembledInterpolant):
+                p = part.problem
                 return {
                     "type": "interpolant",
-                    "lambda": [float(v) for v in ip.problem.lam],
-                    "mu": [float(v) for v in ip.problem.mu],
-                    "alpha_re": [float(v) for v in ip.alpha.real],
-                    "alpha_im": [float(v) for v in ip.alpha.imag],
-                    "beta_re": [float(v) for v in ip.beta.real],
-                    "beta_im": [float(v) for v in ip.beta.imag],
-                    "weight_a": ip.problem.weight_a,
-                    "weight_b": ip.problem.weight_b,
-                    "inner_cut": ip.problem.inner_cut,
-                    "outer_cut": ip.problem.outer_cut,
-                    "time_quad": {"half_width": ip.problem.time_quad.half_width,
-                                  "nodes": ip.problem.time_quad.nodes},
-                    "freq_quad": {"half_width": ip.problem.freq_quad.half_width,
-                                  "nodes": ip.problem.freq_quad.nodes},
-                    "time_gen": json.loads(ip.problem.time_gen.to_json()),
-                    "freq_gen": json.loads(ip.problem.freq_gen.to_json()),
+                    "lambda": [float(v) for v in p.lam],
+                    "mu": [float(v) for v in p.mu],
+                    "alpha_re": [float(v) for v in part.alpha.real],
+                    "alpha_im": [float(v) for v in part.alpha.imag],
+                    "beta_re": [float(v) for v in part.beta.real],
+                    "beta_im": [float(v) for v in part.beta.imag],
+                    "weight_a": p.weight_a,
+                    "weight_b": p.weight_b,
+                    "inner_cut": p.inner_cut,
+                    "outer_cut": p.outer_cut,
+                    "time_quad": {"half_width": p.time_quad.half_width,
+                                  "nodes": p.time_quad.nodes},
+                    "freq_quad": {"half_width": p.freq_quad.half_width,
+                                  "nodes": p.freq_quad.nodes},
+                    "time_gen": json.loads(p.time_gen.to_json()),
+                    "freq_gen": json.loads(p.freq_gen.to_json()),
                 }
             raise TypeError(f"cannot serialize evaluator {type(part)!r}")
 
@@ -151,7 +149,6 @@ def _decode_evaluator(obj: dict):
         return ScaledEvaluator(_decode_evaluator(obj["base"]),
                                complex(obj["factor_re"], obj["factor_im"]))
     if kind == "interpolant":
-        from .interpolation import AssembledInterpolant, InterpolationProblem
         lam = np.array(obj["lambda"], dtype=float)
         mu = np.array(obj["mu"], dtype=float)
         problem = InterpolationProblem(
@@ -264,7 +261,7 @@ def _null_space_pair(lam: SampledSet, mu: SampledSet, density_cap: float,
                        "carriers": [float(v) for v in func.aux_points],
                        "residual_time": func.residual_time,
                        "residual_freq": func.residual_freq})
-    half = ScaledEvaluator(func, 0.5)
+    half = ScaledEvaluator(func.interpolant, 0.5)
     return PairConstruction(phi=half, psi=half, vartheta=0.0, provenance=provenance)
 
 
@@ -398,15 +395,16 @@ def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,
         return PairConstruction(phi=phi, psi=psi, vartheta=0.0, provenance=provenance)
     lam1, lam2 = split_parity(lam.symmetrized())
     mu1, mu2 = split_parity(mu.symmetrized())
-    phi = assemble_vanishing_function(lam1, mu1, a1, b1, nodes=nodes, tol=tol)
-    psi = assemble_vanishing_function(lam2, mu2, a2, b2, nodes=nodes, tol=tol)
+    vf_phi = assemble_vanishing_function(lam1, mu1, a1, b1, nodes=nodes, tol=tol)
+    vf_psi = assemble_vanishing_function(lam2, mu2, a2, b2, nodes=nodes, tol=tol)
+    phi, psi = vf_phi.interpolant, vf_psi.interpolant
     time_grid = np.linspace(-2.5, 2.5, 201)
     freq_grid = np.linspace(-2.5, 2.5, 201)
     theta = select_phase(phi, psi, time_grid, freq_grid)
     provenance = {"kind": "non_weak", "decay": decay, "rates": [a1, b1, a2, b2],
                   "threshold": cap, "argmax": x_a,
-                  "phi_residuals": [phi.residual_time, phi.residual_freq],
-                  "psi_residuals": [psi.residual_time, psi.residual_freq],
-                  "phi_cut": phi.inner_cut, "psi_cut": psi.inner_cut,
+                  "phi_residuals": [vf_phi.residual_time, vf_phi.residual_freq],
+                  "psi_residuals": [vf_psi.residual_time, vf_psi.residual_freq],
+                  "phi_cut": vf_phi.inner_cut, "psi_cut": vf_psi.inner_cut,
                   "seed": [lam.meta.get("seed"), mu.meta.get("seed")]}
     return PairConstruction(phi=phi, psi=psi, vartheta=theta, provenance=provenance)

@@ -275,19 +275,22 @@ class ProductModel:
         out = dfactor * (m * m2 * np.exp(e + e2))
         return complex(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
 
-    def divided_basis_eval(self, lam: float, z) -> np.ndarray:
+    def divided_basis_eval(self, lam, z):
         """Cardinal function model(z) / (model'(lam) * (z - lam)).
 
         The vanishing factor is cancelled against (z - lam) algebraically, so
         the removable singularity never appears; the result is 1 at lam and 0
-        at every other retained zero.
+        at every other retained zero.  ``lam`` and ``z`` broadcast against
+        each other: every point comes from one pass of the product with its
+        own vanishing factor skipped, and one ``derivative_at_zero`` call.
         """
-        k = int(self._zero_index(np.atleast_1d(float(lam)))[0])
+        scalar = np.ndim(lam) == 0 and np.ndim(z) == 0
+        lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+        z_arr = np.atleast_1d(np.asarray(z, dtype=complex if np.iscomplexobj(z) else float))
+        z_arr = np.broadcast_to(z_arr, np.broadcast_shapes(lam_arr.shape, z_arr.shape))
+        k = self._zero_index(lam_arr)
         rho = self.zeros[k]
-        sign = 1.0 if lam >= 0 else -1.0
-        z_arr = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
-        scalar = z_arr.ndim == 0
-        z_arr = np.atleast_1d(z_arr)
+        sign = np.where(lam_arr >= 0, 1.0, -1.0)
         u = z_arr * z_arr
         q = rho * rho
         # (1 - u/q) / (z -+ rho) = -(z +- rho)/q
@@ -296,8 +299,7 @@ class ProductModel:
             ratio = ratio * (1.0 + u * (1.0 / q))
         m, e = self._scaled_product(self._s_of(z_arr), skip=k)
         m2, e2 = self._smooth_log(z_arr)
-        dphi = self.derivative_at_zero(lam)
-        out = ratio * m * m2 * np.exp(e + e2) / dphi
+        out = ratio * m * m2 * np.exp(e + e2) / self.derivative_at_zero(lam_arr)
         return out[0] if scalar else out
 
     # -- serialization -------------------------------------------------------

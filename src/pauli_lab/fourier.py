@@ -85,10 +85,6 @@ class TransformResult:
     values: np.ndarray
     error: np.ndarray
 
-    @property
-    def max_error(self) -> float:
-        return float(np.max(self.error)) if len(np.atleast_1d(self.error)) else 0.0
-
 
 def envelope_fit(x: np.ndarray, log_mag: np.ndarray, weights: np.ndarray | None = None) -> EnvelopeFit:
     """Weighted least squares of log|f| against -pi*x^2.

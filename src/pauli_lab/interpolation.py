@@ -25,13 +25,13 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fourier
+from . import CheckFailedError, fourier
 from .entire_models import ProductModel, profile_tail_sums
 from .sequences import SampledSet, half_density
 from .thresholds import DecayParams, uniqueness_density_bounds
 
 
-class NoFeasibleWindowError(RuntimeError):
+class NoFeasibleWindowError(RuntimeError, CheckFailedError):
     """No candidate cut achieved contracting cross norms."""
 
     def __init__(self, diagnostics):
@@ -40,19 +40,19 @@ class NoFeasibleWindowError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-class SolverFailedError(RuntimeError):
+class SolverFailedError(RuntimeError, CheckFailedError):
     """Iteration diverged or missed the tolerance within the cap."""
 
 
-class NullSpaceEmptyError(RuntimeError):
+class NullSpaceEmptyError(RuntimeError, CheckFailedError):
     """Interior constraints admit no nonzero annihilating combination."""
 
 
-class DensityTooHighError(ValueError):
+class DensityTooHighError(ValueError, CheckFailedError):
     """Sampling or vanishing set is denser than the decay parameters allow."""
 
 
-class CarrierPlacementError(RuntimeError):
+class CarrierPlacementError(RuntimeError, CheckFailedError):
     """The window holds too few set points or midgaps for the auxiliary carriers."""
 
 
@@ -162,8 +162,8 @@ def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray) -> np.
     The base model value is divided by (x - lam) * model'(lam) per column, with
     all derivatives from one pass; the quotient is well conditioned because
     the vanishing factor is computed as an exact difference, and nodes
-    colliding with lam fall back to the cancelled-factor path.  Real ``x``
-    stays in real arithmetic.
+    colliding with lam fall back to the cancelled-factor path, all of them in
+    one call.  Real ``x`` stays in real arithmetic.
     """
     x = np.asarray(x)
     if not len(lams):
@@ -173,9 +173,9 @@ def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray) -> np.
     out = diff * model.derivative_at_zero(lams)[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(model.values(x), out, out=out)
-    near = np.abs(diff) < 1e-9
-    for j in np.flatnonzero(np.any(near, axis=1)):
-        out[j, near[j]] = model.divided_basis_eval(lams[j], x[near[j]])
+    rows, cols = np.nonzero(np.abs(diff) < 1e-9)
+    if len(rows):
+        out[rows, cols] = model.divided_basis_eval(lams[rows], x[cols])
     return out
 
 
@@ -198,19 +198,16 @@ def build_cross_matrices(problem: InterpolationProblem) -> CrossMatrices:
     return CrossMatrices(psi_at_lambda=a, phihat_at_mu=b, psi_error=a_err, phihat_error=b_err)
 
 
+def _op_norm(mat: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
+    """Weighted-l1 operator norm max_j (w_rows @ |mat|)_j / w_cols_j; 0 if empty."""
+    return float(np.max((w_rows @ np.abs(mat)) / w_cols)) if mat.size else 0.0
+
+
 def weighted_norms(problem: InterpolationProblem, mats: CrossMatrices) -> tuple[float, float]:
     """Weighted-l1 operator norms of the two cross maps."""
     wl = problem.lam_weights
     wm = problem.mu_weights
-    if mats.psi_at_lambda.size:
-        n_a = float(np.max((wl @ np.abs(mats.psi_at_lambda)) / wm))
-    else:
-        n_a = 0.0
-    if mats.phihat_at_mu.size:
-        n_b = float(np.max((wm @ np.abs(mats.phihat_at_mu)) / wl))
-    else:
-        n_b = 0.0
-    return n_a, n_b
+    return _op_norm(mats.psi_at_lambda, wl, wm), _op_norm(mats.phihat_at_mu, wm, wl)
 
 
 def choose_window_cut(problem: InterpolationProblem, candidates=None,
@@ -240,11 +237,9 @@ def choose_window_cut(problem: InterpolationProblem, candidates=None,
             continue
         il = np.abs(p.lam) > cut
         im = np.abs(p.mu) > cut
-        sub_a = mats.psi_at_lambda[np.ix_(il, im)]
-        sub_b = mats.phihat_at_mu[np.ix_(im, il)]
         wl, wm = wl_full[il], wm_full[im]
-        n_a = float(np.max((wl @ np.abs(sub_a)) / wm)) if sub_a.size else 0.0
-        n_b = float(np.max((wm @ np.abs(sub_b)) / wl)) if sub_b.size else 0.0
+        n_a = _op_norm(mats.psi_at_lambda[np.ix_(il, im)], wl, wm)
+        n_b = _op_norm(mats.phihat_at_mu[np.ix_(im, il)], wm, wl)
         diagnostics.append((float(cut), n_a, n_b))
         if n_a < bound and n_b < bound:
             return float(cut), diagnostics
@@ -426,6 +421,8 @@ def make_problem(lam_set: SampledSet, mu_set: SampledSet, alpha_map, beta_map,
 
 @dataclass
 class VanishingFunction:
+    """An assembled vanishing function (``interpolant``) and how it was built."""
+
     interpolant: AssembledInterpolant
     aux_points: np.ndarray
     inner_cut: float
@@ -433,12 +430,6 @@ class VanishingFunction:
     constraint_sigma: float
     residual_time: float
     residual_freq: float
-
-    def eval(self, x):
-        return self.interpolant.eval(x)
-
-    def eval_hat(self, xi):
-        return self.interpolant.eval_hat(xi)
 
 
 def _carrier_points(lam_pos: np.ndarray, count: int, low: float, high: float) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Verdicts on sampled and global modulus agreement, and the comparison
 functions built from a pair.
 
-``f``/``g`` style arguments are callables mapping a point array to complex
-values; a construction's bound methods fit directly.  Verdicts are
+The verdicts take sampled values: each ``*_vals``/``sample_*``/``grid_*``
+argument is an (f, g) pair of arrays on one point set, as a construction's
+``fg`` (time side) and ``fg_hat`` (frequency side) return them, so each
+point set is evaluated once whatever checks read it.  Verdicts are
 deterministic given the tolerances, and every report carries the grids it was
 computed on, since almost-everywhere statements are only ever tested as
 sup-on-grid surrogates.
@@ -45,26 +47,24 @@ class PairReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _sup_gap(f_vals: np.ndarray, g_vals: np.ndarray) -> float:
-    if len(np.atleast_1d(f_vals)) == 0:
-        return 0.0
-    return float(np.max(np.abs(np.abs(f_vals) - np.abs(g_vals))))
+def sup_gap(f_vals: np.ndarray, g_vals: np.ndarray) -> float:
+    """max | |f| - |g| | over sampled values; 0 for an empty sample."""
+    return float(np.max(np.abs(np.abs(f_vals) - np.abs(g_vals)), initial=0.0))
 
 
-def discrete_check(f, g, f_hat, g_hat, lam_points: np.ndarray, mu_points: np.ndarray,
-                   tol: float = 1e-10, validity_radius: float = np.inf):
+def _sq_gap(f_vals: np.ndarray, g_vals: np.ndarray) -> float:
+    """max |f^2 - g^2| over sampled values; 0 for an empty sample."""
+    return float(np.max(np.abs(f_vals ** 2 - g_vals ** 2), initial=0.0))
+
+
+def discrete_check(time_vals, freq_vals, tol: float = 1e-10):
     """Residual maxima of sampled modulus agreement; passes iff both <= tol."""
-    for pts in (lam_points, mu_points):
-        if len(pts) and np.max(np.abs(pts)) > validity_radius:
-            raise EvaluationRangeError(
-                f"sample radius {np.max(np.abs(pts)):.3g} exceeds validity {validity_radius:.3g}")
-    res_t = _sup_gap(f(lam_points), g(lam_points)) if len(lam_points) else 0.0
-    res_f = _sup_gap(f_hat(mu_points), g_hat(mu_points)) if len(mu_points) else 0.0
+    res_t = sup_gap(*time_vals)
+    res_f = sup_gap(*freq_vals)
     return res_t, res_f, bool(res_t <= tol and res_f <= tol)
 
 
-def weak_check(f, g, f_hat, g_hat, time_grid: np.ndarray, freq_grid: np.ndarray,
-               tol: float = 1e-8, witness_factor: float = 10.0) -> dict:
+def weak_check(time_vals, freq_vals, tol: float = 1e-8, witness_factor: float = 10.0) -> dict:
     """Grid-sup verdicts per side.
 
     weak on a side means the grid gap stays below tol; non_weak requires both
@@ -72,8 +72,8 @@ def weak_check(f, g, f_hat, g_hat, time_grid: np.ndarray, freq_grid: np.ndarray,
     the two verdicts an order of magnitude apart so quadrature noise cannot
     flip them.
     """
-    gap_t = _sup_gap(f(time_grid), g(time_grid))
-    gap_f = _sup_gap(f_hat(freq_grid), g_hat(freq_grid))
+    gap_t = sup_gap(*time_vals)
+    gap_f = sup_gap(*freq_vals)
     floor = witness_factor * tol
     return {
         "gap_time": gap_t,
@@ -86,20 +86,20 @@ def weak_check(f, g, f_hat, g_hat, time_grid: np.ndarray, freq_grid: np.ndarray,
     }
 
 
-def h_eval(f, g, z):
+def h_eval(fg, z):
     """H(z) = f(z) conj(f(conj z)) - g(z) conj(g(conj z)).
 
     Real and equal to |f|^2 - |g|^2 on the real line; for a constructed pair
     it equals 4 Re(phi conj(e^{i theta} psi)) there (polarization).
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    zc = np.conj(z_arr)
-    out = f(z_arr) * np.conj(f(zc)) - g(z_arr) * np.conj(g(zc))
+    f, g = fg(z_arr)
+    f_c, g_c = fg(np.conj(z_arr))
+    out = f * np.conj(f_c) - g * np.conj(g_c)
     return out if np.ndim(z) else out[0]
 
 
-def sign_retrieval_check(f, g, f_hat, g_hat, lam_points: np.ndarray, mu_points: np.ndarray,
-                         time_grid: np.ndarray, freq_grid: np.ndarray,
+def sign_retrieval_check(sample_time, sample_freq, grid_time, grid_freq,
                          tol: float = 1e-8, witness_factor: float = 10.0) -> dict:
     """Dichotomy for squared-sample data.
 
@@ -107,13 +107,13 @@ def sign_retrieval_check(f, g, f_hat, g_hat, lam_points: np.ndarray, mu_points: 
     whether the squared identity extends to the grids ("squared identity
     forced") or fails on both ("counterexample persists").
     """
-    sq_t = float(np.max(np.abs(f(lam_points) ** 2 - g(lam_points) ** 2))) if len(lam_points) else 0.0
-    sq_f = float(np.max(np.abs(f_hat(mu_points) ** 2 - g_hat(mu_points) ** 2))) if len(mu_points) else 0.0
+    sq_t = _sq_gap(*sample_time)
+    sq_f = _sq_gap(*sample_freq)
     if sq_t > tol or sq_f > tol:
         raise PreconditionError(
             f"squared samples differ (time {sq_t:.3e}, freq {sq_f:.3e}) beyond tol {tol:.1e}")
-    wit_t = float(np.max(np.abs(f(time_grid) ** 2 - g(time_grid) ** 2)))
-    wit_f = float(np.max(np.abs(f_hat(freq_grid) ** 2 - g_hat(freq_grid) ** 2)))
+    wit_t = _sq_gap(*grid_time)
+    wit_f = _sq_gap(*grid_freq)
     floor = witness_factor * tol
     if wit_t <= tol and wit_f <= tol:
         verdict = "squared identity forced"
@@ -129,11 +129,19 @@ def pair_report(pair, lam_points: np.ndarray, mu_points: np.ndarray,
                 time_grid: np.ndarray, freq_grid: np.ndarray,
                 discrete_tol: float = 1e-10, weak_tol: float = 1e-8,
                 validity_radius: float = np.inf) -> PairReport:
-    """Full verdict bundle for a constructed pair."""
-    res_t, res_f, disc_ok = discrete_check(pair.f, pair.g, pair.f_hat, pair.g_hat,
-                                           lam_points, mu_points, discrete_tol,
-                                           validity_radius)
-    weak = weak_check(pair.f, pair.g, pair.f_hat, pair.g_hat, time_grid, freq_grid, weak_tol)
+    """Full verdict bundle for a constructed pair.
+
+    Each non-empty point set is evaluated once, through ``pair.fg`` or
+    ``pair.fg_hat``; an empty sample set is not evaluated.
+    """
+    for pts in (lam_points, mu_points):
+        if len(pts) and np.max(np.abs(pts)) > validity_radius:
+            raise EvaluationRangeError(
+                f"sample radius {np.max(np.abs(pts)):.3g} exceeds validity {validity_radius:.3g}")
+    res_t, res_f, disc_ok = discrete_check(
+        pair.fg(lam_points) if len(lam_points) else (lam_points, lam_points),
+        pair.fg_hat(mu_points) if len(mu_points) else (mu_points, mu_points), discrete_tol)
+    weak = weak_check(pair.fg(time_grid), pair.fg_hat(freq_grid), weak_tol)
     verdicts = {
         "discrete_pair": disc_ok,
         "weak_pair_time": weak["weak_pair_time"],

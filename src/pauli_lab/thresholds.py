@@ -102,10 +102,6 @@ class SplitDecayParams:
         """T^2 = t(s/eta - t), the squared frequency-side density bound."""
         return self.t * (self.s / self.eta - self.t)
 
-    @property
-    def min_bound_sq(self) -> float:
-        return min(self.time_bound_sq, self.freq_bound_sq)
-
 
 @dataclass(frozen=True)
 class CriticalityVerdict:

@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from pauli_lab import cli
+from pauli_lab import CheckFailedError, cli
+from pauli_lab import constructions as con
+from pauli_lab import interpolation as itp
 from pauli_lab.entire_models import ProductModel, gaussian_model
 
 
@@ -182,3 +184,26 @@ class TestUsageErrors:
         assert cli.max_threads() == 4
         monkeypatch.setenv("PAULI_LAB_THREADS", "junk")
         assert cli.max_threads() == 1
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc", [
+        type("CustomCheckFailed", (CheckFailedError,), {})("custom"),
+        con.DensityTooHighError("density"), con.ParameterInfeasibleError("headroom"),
+        itp.NoFeasibleWindowError([(0.0, 0.7, 0.6)]), itp.SolverFailedError("solver"),
+        itp.CarrierPlacementError("carriers"), itp.NullSpaceEmptyError("null space")])
+    def test_check_failed_exits_one(self, monkeypatch, capsys, exc):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_thresholds", fail)
+        assert run(["thresholds", "--a-grid", "0.1:0.2:0.1"]) == 1
+        assert capsys.readouterr().err == f"check failed: {exc}\n"
+
+    def test_plain_value_error_exits_two(self, monkeypatch, capsys):
+        def fail(args):
+            raise ValueError("bad value")
+
+        monkeypatch.setattr(cli, "cmd_thresholds", fail)
+        assert run(["thresholds", "--a-grid", "0.1:0.2:0.1"]) == 2
+        assert capsys.readouterr().err == "configuration error: bad value\n"

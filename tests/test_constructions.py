@@ -3,10 +3,17 @@ import pytest
 
 from pauli_lab import constructions as con
 from pauli_lab import fourier
+from pauli_lab import pauli_verify as pv
 from pauli_lab.sequences import SampledSet, SmoothSpec, generate_smooth
 
 X_GRID = np.linspace(-3.0, 3.0, 241)
 XI_GRID = np.linspace(-3.0, 3.0, 241)
+
+
+def modulus_gap(vals):
+    """| |f| - |g| | from an (f, g) pair of sampled values."""
+    f, g = vals
+    return np.abs(np.abs(f) - np.abs(g))
 
 
 def half_profile(density, count=512, seed=7, jitter=0.0):
@@ -26,39 +33,101 @@ def nonweak_pair():
     return con.build_nonweak_pair(lam, mu, 0.5, nodes=2048)
 
 
+@pytest.fixture(scope="module")
+def time_pair():
+    lam = generate_smooth(SmoothSpec(p=2.0, density=1.5, count=512, halves="±", seed=5))
+    return con.build_time_pair(lam, 0.5)
+
+
+@pytest.fixture(scope="module")
+def null_space_pair():
+    return con.build_frequency_matched_pair(half_profile(0.8, count=256), 0.95)
+
+
+class TestPairEvaluation:
+    """fg/fg_hat evaluate each part once and give today's f, g values bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["time_pair", "freq_pair", "nonweak_pair"])
+    @pytest.mark.parametrize("vartheta", [None, 0.7])
+    def test_fg_equals_parts_combined(self, kind, vartheta, request):
+        pair = request.getfixturevalue(kind)
+        if vartheta is not None:
+            pair = con.PairConstruction(phi=pair.phi, psi=pair.psi, vartheta=vartheta)
+        rot = np.exp(1j * pair.vartheta) if pair.vartheta != 0.0 else 1.0 + 0.0j
+        x = np.linspace(-2.5, 2.5, 101)
+        for fg, part in ((pair.fg, "eval"), (pair.fg_hat, "eval_hat")):
+            phi = getattr(pair.phi, part)(x)
+            psi = getattr(pair.psi, part)(x)
+            f, g = fg(x)
+            assert np.array_equal(f, phi + rot * psi)
+            assert np.array_equal(g, phi - rot * psi)
+
+    @pytest.mark.parametrize("kind", ["freq_pair", "nonweak_pair"])
+    def test_h_eval_at_complex_points(self, kind, request):
+        base = request.getfixturevalue(kind)
+        pair = con.PairConstruction(phi=base.phi, psi=base.psi, vartheta=0.7)
+        rot = np.exp(0.7j)
+        z = np.array([0.5 + 0.3j, 1.2 - 0.1j, -0.8 + 0.05j])
+
+        def f(w):
+            return pair.phi.eval(w) + rot * pair.psi.eval(w)
+
+        def g(w):
+            return pair.phi.eval(w) - rot * pair.psi.eval(w)
+
+        def h(w):
+            return f(w) * np.conj(f(np.conj(w))) - g(w) * np.conj(g(np.conj(w)))
+
+        assert np.array_equal(pv.h_eval(pair.fg, z), h(z))
+        assert pv.h_eval(pair.fg, z[1]) == h(z[1:2])[0]
+
+    @pytest.mark.parametrize("kind", ["nonweak_pair", "null_space_pair"])
+    def test_parts_keep_their_type_through_json(self, kind, request):
+        pair = request.getfixturevalue(kind)
+        back = con.pair_from_json(pair.to_json())
+        for built, loaded in ((pair.phi, back.phi), (pair.psi, back.psi)):
+            assert type(built) is type(loaded)
+            assert type(getattr(built, "base", None)) is type(getattr(loaded, "base", None))
+        x = np.linspace(-2.5, 2.5, 101)
+        for a, b in zip(pair.fg(x) + pair.fg_hat(x), back.fg(x) + back.fg_hat(x)):
+            assert np.array_equal(a, b)
+
+
 class TestFrequencyMatchedPair:
     def test_discrete_residuals_exact(self, freq_pair):
         lam = half_profile(0.9).points[:256]
         pts = np.concatenate([-lam[::-1], lam])
-        gap = np.abs(np.abs(freq_pair.f(pts)) - np.abs(freq_pair.g(pts)))
+        gap = modulus_gap(freq_pair.fg(pts))
         assert np.max(gap) == 0.0
 
     def test_frequency_moduli_match_everywhere(self, freq_pair):
         xi = np.linspace(-4.0, 4.0, 401)
-        gap = np.abs(np.abs(freq_pair.f_hat(xi)) - np.abs(freq_pair.g_hat(xi)))
+        gap = modulus_gap(freq_pair.fg_hat(xi))
         assert np.max(gap) <= 1e-8
 
     def test_time_witness(self, freq_pair):
-        gap = np.abs(np.abs(freq_pair.f(X_GRID)) - np.abs(freq_pair.g(X_GRID)))
+        gap = modulus_gap(freq_pair.fg(X_GRID))
         assert np.max(gap) >= 1e-3
 
     def test_gaussian_class_membership(self, freq_pair):
         x = np.linspace(-6.0, 6.0, 401)
         xi = np.linspace(-4.0, 4.0, 321)
-        rep = fourier.hardy_check(freq_pair.f(x), freq_pair.f_hat(xi), 0.5, x, xi)
+        rep = fourier.hardy_check(freq_pair.fg(x)[0], freq_pair.fg_hat(xi)[0], 0.5, x, xi)
         assert rep.passed
 
     def test_pair_identities(self, freq_pair):
         # f + g = 2 phi and f - g = 2 e^{i theta} psi as evaluators
         rot = np.exp(1j * freq_pair.vartheta)
-        lhs_sum = freq_pair.f(X_GRID) + freq_pair.g(X_GRID)
-        lhs_diff = freq_pair.f(X_GRID) - freq_pair.g(X_GRID)
+        f, g = freq_pair.fg(X_GRID)
+        lhs_sum = f + g
+        lhs_diff = f - g
         assert np.allclose(lhs_sum, 2 * freq_pair.phi.eval(X_GRID), rtol=1e-12, atol=1e-300)
         assert np.allclose(lhs_diff, 2 * rot * freq_pair.psi.eval(X_GRID), rtol=1e-12, atol=1e-300)
 
     def test_polarization_identity(self, freq_pair):
         rot = np.exp(1j * freq_pair.vartheta)
-        lhs = np.abs(freq_pair.f(X_GRID)) ** 2 - np.abs(freq_pair.g(X_GRID)) ** 2
+        f, g = freq_pair.fg(X_GRID)
+        lhs = np.abs(f) ** 2 - np.abs(g) ** 2
         rhs = 4 * np.real(freq_pair.phi.eval(X_GRID) * np.conj(rot * freq_pair.psi.eval(X_GRID)))
         scale = np.max(np.abs(lhs)) + 1e-300
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
@@ -90,11 +159,11 @@ class TestFrequencyMatchedPair:
         pair = con.build_frequency_matched_pair(half_profile(0.8, count=256), 0.95)
         assert pair.provenance["branch"] == "null_space"
         # g vanishes identically, f vanishes on the set
-        assert np.all(pair.g(X_GRID) == 0)
+        assert np.all(pair.fg(X_GRID)[1] == 0)
         lam = half_profile(0.8, count=256).points
         lam = lam[lam <= 3.0]
-        assert np.max(np.abs(pair.f(np.concatenate([-lam[::-1], lam])))) < 1e-7
-        assert np.max(np.abs(pair.f(X_GRID))) > 1e-3
+        assert np.max(np.abs(pair.fg(np.concatenate([-lam[::-1], lam]))[0])) < 1e-7
+        assert np.max(np.abs(pair.fg(X_GRID)[0])) > 1e-3
 
     @pytest.mark.parametrize("decay,density", [(0.1, 8.0), (0.3, 2.5), (0.82, 0.8)])
     def test_across_decay_range(self, decay, density):
@@ -102,19 +171,19 @@ class TestFrequencyMatchedPair:
         pair = con.build_frequency_matched_pair(lam, decay)
         pts = lam.points[lam.points <= 6.0]
         pts = np.concatenate([-pts[::-1], pts])
-        assert np.max(np.abs(np.abs(pair.f(pts)) - np.abs(pair.g(pts)))) == 0.0
+        assert np.max(modulus_gap(pair.fg(pts))) == 0.0
         xi = np.linspace(-4, 4, 201)
-        assert np.max(np.abs(np.abs(pair.f_hat(xi)) - np.abs(pair.g_hat(xi)))) < 1e-12
+        assert np.max(modulus_gap(pair.fg_hat(xi))) < 1e-12
         xh = np.linspace(-6, 6, 301)
         # drop transform values at the quadrature noise floor before weighting
-        rep = fourier.hardy_check(pair.f(xh), pair.f_hat(xi), decay, xh, xi, floor=1e-13)
+        rep = fourier.hardy_check(pair.fg(xh)[0], pair.fg_hat(xi)[0], decay, xh, xi, floor=1e-13)
         assert rep.passed
 
     def test_serialization_round_trip(self, freq_pair):
         back = con.pair_from_json(freq_pair.to_json())
-        assert np.allclose(back.f(X_GRID), freq_pair.f(X_GRID), rtol=0, atol=0)
+        assert np.allclose(back.fg(X_GRID)[0], freq_pair.fg(X_GRID)[0], rtol=0, atol=0)
         xi = np.linspace(-2, 2, 41)
-        assert np.allclose(back.f_hat(xi), freq_pair.f_hat(xi), rtol=1e-12)
+        assert np.allclose(back.fg_hat(xi)[0], freq_pair.fg_hat(xi)[0], rtol=1e-12)
 
 
 class TestTimePair:
@@ -122,15 +191,15 @@ class TestTimePair:
         lam = generate_smooth(SmoothSpec(p=2.0, density=1.5, count=512, halves="±", seed=5))
         pair = con.build_time_pair(lam, 0.5)
         pts = lam.points[np.abs(lam.points) <= 8.0]
-        gap = np.abs(np.abs(pair.f(pts)) - np.abs(pair.g(pts)))
+        gap = modulus_gap(pair.fg(pts))
         assert np.max(gap) == 0.0
-        assert np.max(np.abs(np.abs(pair.f(X_GRID)) - np.abs(pair.g(X_GRID)))) >= 1e-3
+        assert np.max(modulus_gap(pair.fg(X_GRID))) >= 1e-3
         assert pair.provenance["gamma"] > 1.0
 
     def test_empty_set_pure_gaussians(self):
         pair = con.build_time_pair(SampledSet(points=np.empty(0)), 0.5)
         assert len(pair.phi.model.zeros) == 0 and len(pair.psi.model.zeros) == 0
-        gap = np.max(np.abs(np.abs(pair.f(X_GRID)) - np.abs(pair.g(X_GRID))))
+        gap = np.max(modulus_gap(pair.fg(X_GRID)))
         assert gap > 1e-3
 
     def test_density_too_high(self):
@@ -144,7 +213,7 @@ class TestTimePair:
         pair = con.build_time_pair(lam, 0.5)
         x = np.linspace(-6, 6, 401)
         xi = np.linspace(-4, 4, 321)
-        rep = fourier.hardy_check(pair.f(x), pair.f_hat(xi), 0.5, x, xi)
+        rep = fourier.hardy_check(pair.fg(x)[0], pair.fg_hat(xi)[0], 0.5, x, xi)
         assert rep.passed
 
 
@@ -154,18 +223,18 @@ class TestNonWeakPair:
         mu = generate_smooth(SmoothSpec(p=2.0, density=1.2, count=512, halves="±", seed=4))
         lam_w = lam.points[np.abs(lam.points) <= 3.3]
         mu_w = mu.points[np.abs(mu.points) <= 3.3]
-        rt = np.max(np.abs(np.abs(nonweak_pair.f(lam_w)) - np.abs(nonweak_pair.g(lam_w))))
-        rf = np.max(np.abs(np.abs(nonweak_pair.f_hat(mu_w)) - np.abs(nonweak_pair.g_hat(mu_w))))
+        rt = np.max(modulus_gap(nonweak_pair.fg(lam_w)))
+        rf = np.max(modulus_gap(nonweak_pair.fg_hat(mu_w)))
         assert rt <= 1e-6 and rf <= 1e-6
 
     def test_both_witnesses(self, nonweak_pair):
-        wt = np.max(np.abs(np.abs(nonweak_pair.f(X_GRID)) - np.abs(nonweak_pair.g(X_GRID))))
-        wf = np.max(np.abs(np.abs(nonweak_pair.f_hat(XI_GRID)) - np.abs(nonweak_pair.g_hat(XI_GRID))))
+        wt = np.max(modulus_gap(nonweak_pair.fg(X_GRID)))
+        wf = np.max(modulus_gap(nonweak_pair.fg_hat(XI_GRID)))
         assert wt >= 1e-4 and wf >= 1e-4
 
     def test_gaussian_class_membership(self, nonweak_pair):
         x = np.linspace(-3.2, 3.2, 321)
-        rep = fourier.hardy_check(nonweak_pair.f(x), nonweak_pair.f_hat(x), 0.5, x, x)
+        rep = fourier.hardy_check(nonweak_pair.fg(x)[0], nonweak_pair.fg_hat(x)[0], 0.5, x, x)
         assert rep.passed
 
     def test_split_rates_recorded(self, nonweak_pair):
@@ -184,8 +253,8 @@ class TestNonWeakPair:
         assert pair.provenance["branch"] == "vacuous"
         rates = pair.provenance["rates"]
         assert rates[0] != rates[1]
-        wt = np.max(np.abs(np.abs(pair.f(X_GRID)) - np.abs(pair.g(X_GRID))))
-        wf = np.max(np.abs(np.abs(pair.f_hat(XI_GRID)) - np.abs(pair.g_hat(XI_GRID))))
+        wt = np.max(modulus_gap(pair.fg(X_GRID)))
+        wf = np.max(modulus_gap(pair.fg_hat(XI_GRID)))
         assert wt > 1e-3 and wf > 1e-3
 
     def test_null_space_branch_high_decay(self):
@@ -193,12 +262,12 @@ class TestNonWeakPair:
         mu = generate_smooth(SmoothSpec(p=2.0, density=0.55, count=384, halves="±", seed=9))
         pair = con.build_nonweak_pair(lam, mu, 0.9, nodes=2048)
         assert pair.provenance["branch"] == "null_space"
-        assert np.all(pair.g(X_GRID) == 0)
+        assert np.all(pair.fg(X_GRID)[1] == 0)
         lam_w = lam.points[np.abs(lam.points) <= 3.0]
         mu_w = mu.points[np.abs(mu.points) <= 3.0]
-        assert np.max(np.abs(pair.f(lam_w))) < 1e-6
-        assert np.max(np.abs(pair.f_hat(mu_w))) < 1e-6
-        assert np.max(np.abs(pair.f(X_GRID))) > 1e-3
+        assert np.max(np.abs(pair.fg(lam_w)[0])) < 1e-6
+        assert np.max(np.abs(pair.fg_hat(mu_w)[0])) < 1e-6
+        assert np.max(np.abs(pair.fg(X_GRID)[0])) > 1e-3
 
 
 class _Wrap:

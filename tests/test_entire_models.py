@@ -92,6 +92,31 @@ class TestDividedBasis:
         assert quartic_phi.divided_basis_eval(lam[1], lam[4]) == 0.0
         assert quartic_phi.divided_basis_eval(-lam[2], -lam[2]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_arrays_match_scalar_calls(self, sinc1600, quartic_phi):
+        for model in (sinc1600, quartic_phi):
+            lams = model.zeros[[0, 3, 9, 40]] * np.array([1.0, -1.0, 1.0, -1.0])
+            z = np.array([lams[0], lams[1] + 1e-11, 0.37, -5.5, 2.0 + 0.4j])
+            got = model.divided_basis_eval(lams[:, None], z)
+            want = np.array([[model.divided_basis_eval(v, w) for w in z] for v in lams])
+            assert got.shape == (4, 5)
+            # one pass chunks the product by the largest point, so single
+            # calls round differently
+            assert np.allclose(got, want, rtol=1e-13, atol=0)
+            pairwise = model.divided_basis_eval(lams, z[:4])
+            assert np.allclose(pairwise, np.diag(want), rtol=1e-13, atol=0)
+            row = model.divided_basis_eval(lams[2], z)
+            assert np.array_equal(row, model.divided_basis_eval(lams[2:3], z))
+
+    def test_scalar_in_scalar_out(self, quartic_phi):
+        lam = quartic_phi.zeros[1]
+        assert np.ndim(quartic_phi.divided_basis_eval(lam, 0.5)) == 0
+        assert quartic_phi.divided_basis_eval(lam, np.array([0.5])).shape == (1,)
+        assert quartic_phi.divided_basis_eval(np.array([lam]), 0.5).shape == (1,)
+
+    def test_array_raises_for_any_non_zero(self, sinc1600):
+        with pytest.raises(em.NotAZeroError, match="2.5"):
+            sinc1600.divided_basis_eval(np.array([1.0, 2.5]), np.array([0.3, 0.4]))
+
 
 class TestModelInvariants:
     def test_parity_symmetry(self, quartic_phi):

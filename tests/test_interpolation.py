@@ -6,6 +6,7 @@ import pytest
 
 from pauli_lab import fourier, hermite
 from pauli_lab import interpolation as itp
+from pauli_lab.entire_models import ProductModel
 from pauli_lab.sequences import SampledSet, SmoothSpec, generate_smooth, split_parity
 
 
@@ -119,6 +120,23 @@ class TestCrossMatrices:
         assert hits == 5
         assert cols[0, len(grid)] == pytest.approx(1.0, abs=1e-12)
         assert np.all(cols[1:3, len(grid)] == 0.0)
+
+    def test_collision_rows_take_one_call(self, small_problem, monkeypatch):
+        gen, lam = small_problem.time_gen, small_problem.lam
+        calls = []
+        original = ProductModel.divided_basis_eval
+
+        def counting(model, lams, z):
+            calls.append(np.size(lams))
+            return original(model, lams, z)
+
+        monkeypatch.setattr(ProductModel, "divided_basis_eval", counting)
+        cols = itp.divided_columns(gen, lam, lam)
+        assert calls == [len(lam)]
+        assert np.allclose(np.diag(cols), 1.0, rtol=0, atol=1e-12)
+        assert np.all(cols[~np.eye(len(lam), dtype=bool)] == 0.0)
+        single = np.array([original(gen, v, v) for v in lam])
+        assert np.allclose(np.diag(cols), single, rtol=1e-13, atol=0)
 
     def test_real_points_match_complex_points(self, small_problem):
         p = small_problem
@@ -300,15 +318,15 @@ class TestVanishingFunction:
         vf = itp.assemble_vanishing_function(lam1, mu1, 0.5, 0.5, nodes=2048)
         assert vf.residual_time < 1e-8
         assert vf.residual_freq < 1e-8
-        assert np.max(np.abs(vf.eval(vf.aux_points))) == pytest.approx(1.0, abs=1e-8)
+        assert np.max(np.abs(vf.interpolant.eval(vf.aux_points))) == pytest.approx(1.0, abs=1e-8)
 
     def test_real_even(self, split_sets):
         lam1, mu1 = split_sets
         vf = itp.assemble_vanishing_function(lam1, mu1, 0.5, 0.5, nodes=2048)
         x = np.linspace(0.1, 2.5, 17)
-        vals = vf.eval(x)
+        vals = vf.interpolant.eval(x)
         assert np.max(np.abs(vals.imag)) < 1e-9 * np.max(np.abs(vals))
-        assert np.max(np.abs(vals - vf.eval(-x))) < 1e-7
+        assert np.max(np.abs(vals - vf.interpolant.eval(-x))) < 1e-7
 
     def test_null_space_path(self, split_sets):
         lam1, mu1 = split_sets
@@ -378,11 +396,11 @@ class TestVanishingFunction:
         vf = itp.assemble_vanishing_function(lam1, mu1, 0.5, 0.5, nodes=2048)
         spec = fourier.QuadratureSpec(half_width=10.0, nodes=4096)
         x, w = spec.grid(), spec.weights()
-        vals = vf.eval(x)
+        vals = vf.interpolant.eval(x)
         scale = np.max(np.abs(vals))
         coeffs = hermite.project(vals / scale, x, w, 40)
         mu_check = mu1.symmetrized().points
         mu_check = mu_check[np.abs(mu_check) <= 2.6]
         via_hermite = hermite.series_hat(coeffs, mu_check)
-        direct = vf.eval_hat(mu_check) / scale
+        direct = vf.interpolant.eval_hat(mu_check) / scale
         assert np.max(np.abs(via_hermite - direct)) < 1e-4
