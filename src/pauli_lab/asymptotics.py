@@ -95,7 +95,7 @@ def indicator_estimate(model: ProductModel, theta: float, r_grid: np.ndarray | N
     """Estimate the ray growth rate of the model at angle theta."""
     order2 = _is_order2_in_z(model)
     if r_grid is None:
-        r_max = 0.92 * min(model.validity_radius(1e-6), 12.0 if order2 else 40.0)
+        r_max = 0.92 * (12.0 if order2 else 40.0)
         r_lo = max(0.08 * r_max, 0.5)
         if _on_zero_ray(model, theta, order2):
             # gap midpoints carry the product's envelope between the log dips

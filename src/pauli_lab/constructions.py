@@ -39,7 +39,7 @@ class ParameterInfeasibleError(ValueError, CheckFailedError):
     """No decay headroom satisfies the construction inequality."""
 
 
-class DegeneratePhaseError(ValueError):
+class DegeneratePhaseError(ValueError, CheckFailedError):
     """Phase selection impossible: the cross product vanishes on the grid."""
 
 
@@ -266,7 +266,7 @@ def _null_space_pair(lam: SampledSet, mu: SampledSet, density_cap: float,
 
 
 def build_time_pair(lam: SampledSet, decay: float, eps: float | None = None,
-                    nodes: int = 2048, model_count: int = 2048) -> PairConstruction:
+                    nodes: int = 2048) -> PairConstruction:
     """Pair with matching moduli at every point of a two-sided time set.
 
     The set is symmetrized, parity-split outward per half-line; the even part
@@ -290,7 +290,7 @@ def build_time_pair(lam: SampledSet, decay: float, eps: float | None = None,
             # at the best Gaussian rate
             from .asymptotics import fourier_decay_predicate
             even, _ = split_parity(SampledSet(points=lam_sym.positive))
-            probe = _extended_model(even.points, d_half / 2.0, gamma_base, 0, 1024)
+            probe = _extended_model(even.points, d_half / 2.0, gamma_base, 0)
             rate = fourier_decay_predicate(probe, decay).fitted_rate
             raise DensityTooHighError(
                 f"half density {d_half:.4f} >= threshold {cap:.4f}; frequency "
@@ -298,8 +298,8 @@ def build_time_pair(lam: SampledSet, decay: float, eps: float | None = None,
     gamma = gamma_base + eps
     even, odd = split_parity(SampledSet(points=lam_sym.positive))
     quad = _default_quad(gamma, nodes)
-    phi = ModelEvaluator(_extended_model(even.points, d_half / 2.0, gamma, 0, model_count), quad)
-    psi = ModelEvaluator(_extended_model(odd.points, d_half / 2.0, gamma, 1, model_count), quad)
+    phi = ModelEvaluator(_extended_model(even.points, d_half / 2.0, gamma, 0), quad)
+    psi = ModelEvaluator(_extended_model(odd.points, d_half / 2.0, gamma, 1), quad)
     time_grid = np.linspace(-3.0, 3.0, 241)
     theta = select_phase(phi, psi, time_grid)
     provenance = {"kind": "time_pair", "decay": decay, "eps": eps, "gamma": gamma,
@@ -309,27 +309,19 @@ def build_time_pair(lam: SampledSet, decay: float, eps: float | None = None,
 
 
 def _extended_model(zeros_pos: np.ndarray, half_density: float, gamma: float,
-                    parity: int, model_count: int) -> ProductModel:
-    """Quartic model on the given zeros, extended along the square-root profile
-    continuation up to model_count zeros for tail-rule accuracy.
+                    parity: int) -> ProductModel:
+    """Quartic model on the given zeros, continued exactly along the
+    square-root profile past the last one (see ``profile_product``).
 
     An empty zero list yields the pure Gaussian (times the parity factor)."""
     zeros_pos = np.sort(np.asarray(zeros_pos, dtype=float))
-    n_have = len(zeros_pos)
-    if n_have == 0:
+    if len(zeros_pos) == 0:
         return ProductModel(zeros=np.empty(0), gauss_rate=gamma, parity=parity)
-    if n_have >= model_count:
-        return profile_product(zeros_pos[:model_count], half_density, gauss_rate=gamma,
-                               parity=parity)
-    m = np.arange(n_have + 1, model_count + 1, dtype=float)
-    extension = np.sqrt(m / half_density)
-    extension = extension[extension > zeros_pos[-1] * (1.0 + 1e-12)]
-    zeros = np.concatenate([zeros_pos, extension])
-    return profile_product(zeros, half_density, gauss_rate=gamma, parity=parity)
+    return profile_product(zeros_pos, half_density, gauss_rate=gamma, parity=parity)
 
 
 def build_frequency_matched_pair(lam: SampledSet, decay: float, eps: float | None = None,
-                                 nodes: int = 2048, model_count: int = 2048) -> PairConstruction:
+                                 nodes: int = 2048) -> PairConstruction:
     """Pair whose frequency moduli agree everywhere, sampled moduli agree at
     +-lambda, and time moduli differ.
 
@@ -353,8 +345,8 @@ def build_frequency_matched_pair(lam: SampledSet, decay: float, eps: float | Non
     gamma = sigma + eps
     even, odd = split_parity(SampledSet(points=lam.positive))
     quad = _default_quad(gamma, nodes)
-    phi = ModelEvaluator(_extended_model(even.points, d_half / 2.0, gamma, 0, model_count), quad)
-    psi = ModelEvaluator(_extended_model(odd.points, d_half / 2.0, gamma, 1, model_count), quad)
+    phi = ModelEvaluator(_extended_model(even.points, d_half / 2.0, gamma, 0), quad)
+    psi = ModelEvaluator(_extended_model(odd.points, d_half / 2.0, gamma, 1), quad)
     provenance = {"kind": "frequency_matched", "decay": decay, "eps": eps, "gamma": gamma,
                   "half_density": d_half, "threshold": cap,
                   "seed": lam.meta.get("seed"), "count": len(lam.points)}

@@ -1,7 +1,7 @@
-"""Gaussian-times-canonical-product models with controlled truncation.
+"""Gaussian-times-canonical-product models with exact Gamma-function tails.
 
-A model is c * e^{i theta} * z^sigma * e^{-gamma pi z^2} * P(z), where P is a
-truncated even product over prescribed positive zeros.  Two product kinds are
+A model is c * e^{i theta} * z^sigma * e^{-gamma pi z^2} * P(z), where P is an
+even product over prescribed positive zeros.  Two product kinds are
 supported:
 
 * plain:   P(z) = prod (1 - z^2/rho_n^2), zeros at +-rho_n (sinc family);
@@ -12,9 +12,12 @@ variable: writing w = z^2, it is a plain product in w with zeros rho_n^2, which
 is how the constructions put prescribed real zeros on functions of order two
 without giving up a convergent product.
 
-Truncation is handled by a second-order log correction built from the tail
-sums of the analytically specified zero continuation; the reported error bound
-is the first omitted tail order.  Evaluation is carried out in a scaled
+Past its retained zeros a product may continue regularly from m0 on, at
+rho_m = sqrt(m/D) (quartic) or rho_m = m/D (plain).  In the product variable
+w = D z^2 (quartic) or w = D z (plain) that continuation is exactly
+prod_{m >= m0} (1 - w^2/m^2) = Gamma(m0)^2 / (Gamma(m0 - w) Gamma(m0 + w))
+(DLMF 5.8.5): a Hurwitz-zeta series near the origin, log-Gamma beyond, so the
+only error is rounding.  Evaluation is carried out in a scaled
 mantissa/log-magnitude representation so that retained zeros evaluate to an
 exact 0 and Gaussian factors spanning hundreds of orders of magnitude never
 overflow.
@@ -25,9 +28,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.special import polygamma
+from scipy.special import gammaln, gammasgn, loggamma, zeta
 
 LOG_HUGE = 700.0  # conservative double-precision overflow threshold for exp
 
@@ -38,7 +42,7 @@ class NotAZeroError(ValueError):
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Model value plus its log-magnitude and truncation error estimate.
+    """Model value plus its log-magnitude and rounding error estimate.
 
     ``log_magnitude`` is the natural log of |value| (-inf at exact zeros) and
     stays meaningful when ``overflow`` marks points where the value itself is
@@ -55,12 +59,10 @@ class EvalResult:
 class ProductModel:
     """Entire function c * e^{i*phase} * z^parity * e^{-gauss_rate*pi*z^2} * product.
 
-    ``zeros`` are the retained positive zeros, strictly increasing.  The tail
-    sums describe the omitted continuation in the product's own squared
-    variable: with R_n = rho_n^2 (plain) or rho_n^4 (quartic),
-    tail_t2 = sum_tail 1/R_n and tail_t4 = sum_tail 1/R_n^2.
-    ``tail_next_zero`` is the first omitted rho of the continuation (0 if
-    unknown).
+    ``zeros`` are the retained positive zeros, strictly increasing.  A
+    ``tail_start`` m0 > 0 continues the product past them with the factors
+    (1 - w^2/m^2), m >= m0, in w = tail_scale * z^2 (quartic) or
+    tail_scale * z (plain); m0 = 0 means a finite product.
     """
 
     zeros: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -68,9 +70,8 @@ class ProductModel:
     phase: float = 0.0
     gauss_rate: float = 0.0
     parity: int = 0
-    tail_t2: float = 0.0
-    tail_t4: float = 0.0
-    tail_next_zero: float = 0.0
+    tail_start: int = 0
+    tail_scale: float = 1.0
     quartic: bool = False
     meta: dict = field(default_factory=dict, compare=False)
 
@@ -83,8 +84,8 @@ class ProductModel:
             raise ValueError(f"parity must be 0 or 1, got {self.parity}")
         if self.gauss_rate < 0:
             raise ValueError("gauss_rate must be >= 0")
-        if not (0 <= self.tail_t2 < math.inf and 0 <= self.tail_t4 < math.inf):
-            raise ValueError("tail sums must be nonnegative and finite")
+        if self.tail_start < 0 or (self.tail_start and not 0 < self.tail_scale < np.inf):
+            raise ValueError("tail_start must be >= 0, and a tail's scale positive and finite")
 
     # -- internal squared-variable data ------------------------------------
 
@@ -99,18 +100,44 @@ class ProductModel:
         u = z * z
         return u * u if self.quartic else u
 
-    @property
-    def _next_pole(self) -> float:
-        rho = self.tail_next_zero
-        if rho <= 0:
-            if len(self.zeros) >= 2:
-                rho = 2.0 * self.zeros[-1] - self.zeros[-2]
-            elif len(self.zeros) == 1:
-                rho = 2.0 * self.zeros[-1]
-            else:
-                return math.inf
-        q = rho * rho
-        return q * q if self.quartic else q
+    @cached_property
+    def _tail_series(self) -> np.ndarray:
+        """Coefficients zeta(2k, m0)/k, k = 30..1, of -log(tail)/w^2 in powers
+        of w^2; 30 terms reach rounding level for |w| <= m0/2."""
+        k = np.arange(30, 0, -1)
+        return zeta(2.0 * k, self.tail_start) / k
+
+    def _log_tail(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+        """(log, sign) of prod_{m >= m0} (1 - w^2/m^2).
+
+        The log is real for real ``w``; off the real axis its imaginary part
+        is the tail's phase.  On the real axis (imaginary part exactly 0, in
+        either dtype) the tail's sign is returned apart, 0 at its zeros.
+        """
+        m0 = self.tail_start
+        far = np.abs(w) > 0.5 * m0
+        near = np.where(far, 0.0, w * w)
+        # term k is below (m0 + 1) q^k, q = |w|^2/m0^2 <= 1/4: stop where that
+        # falls under 1e-17; with its factor 1/(k(2k - 1)) counted, 30 terms
+        # reach 1e-17 at q = 1/4 for any m0 below 40000
+        q = max(float(np.max(np.abs(near), initial=0.0)) / m0**2, 1e-300)
+        terms = min(30, max(1, math.ceil(math.log(1e-17 / (m0 + 1)) / math.log(q))))
+        out = -near * np.polyval(self._tail_series[-terms:], near)
+        if not np.any(far):
+            return out, 1.0
+        wf = w[far]
+        axis = np.imag(wf) == 0.0
+        x = np.real(wf[axis])
+        log_far = np.empty_like(wf)
+        log_far[axis] = 2.0 * gammaln(m0) - gammaln(m0 - x) - gammaln(m0 + x)
+        off = wf[~axis]
+        log_far[~axis] = 2.0 * gammaln(m0) - loggamma(m0 - off) - loggamma(m0 + off)
+        sign_far = np.ones(wf.shape)
+        # gammasgn is nan at the poles, which are the tail's zeros
+        sign_far[axis] = np.nan_to_num(gammasgn(m0 - x) * gammasgn(m0 + x))
+        sign = np.ones(w.shape)
+        out[far], sign[far] = log_far, sign_far
+        return out, sign
 
     # -- evaluation ----------------------------------------------------------
 
@@ -161,14 +188,14 @@ class ProductModel:
         ``odd_factor`` replaces z as the parity factor of odd models.
         """
         u = z * z
-        s = self._s_of(z)
-        log_scale = -self.gauss_rate * np.pi * np.real(u) - (
-            np.real(s) * self.tail_t2 + np.real(s * s) * self.tail_t4 / 2.0
-        )
-        arg = -self.gauss_rate * np.pi * np.imag(u) - (
-            np.imag(s) * self.tail_t2 + np.imag(s * s) * self.tail_t4 / 2.0
-        )
-        m = np.exp(1j * arg)
+        log_scale = -self.gauss_rate * np.pi * np.real(u)
+        arg = -self.gauss_rate * np.pi * np.imag(u)
+        sign = 1.0
+        if self.tail_start:
+            tail, sign = self._log_tail(self.tail_scale * (u if self.quartic else z))
+            log_scale = log_scale + np.real(tail)
+            arg = arg + np.imag(tail)
+        m = np.exp(1j * arg) * sign
         if self.phase == 0.0:
             pass
         elif self.phase == np.pi:
@@ -189,8 +216,7 @@ class ProductModel:
         z_arr = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
         scalar = z_arr.ndim == 0
         z_arr = np.atleast_1d(z_arr)
-        s = self._s_of(z_arr)
-        m, e = self._scaled_product(s)
+        m, e = self._scaled_product(self._s_of(z_arr))
         m2, e2 = self._smooth_log(z_arr)
         m = m * m2
         e = e + e2
@@ -203,22 +229,10 @@ class ProductModel:
         if np.any(overflow):
             value = value.copy()
             value[overflow] = np.inf + 0.0j
-        err = self._truncation_bound(s) + 5e-16 * max(len(self.zeros), 1)
+        err = np.full(log_mag.shape, 5e-16 * max(len(self.zeros), 1))
         if scalar:
             return EvalResult(value[0], log_mag[0], err[0], overflow[0])
         return EvalResult(value, log_mag, err, overflow)
-
-    def _truncation_bound(self, s: np.ndarray) -> np.ndarray:
-        """Relative error from the first omitted tail order."""
-        a = np.abs(s)
-        nxt = self._next_pole
-        if self.tail_t4 > 0 and np.isfinite(nxt):
-            t6 = self.tail_t4 / nxt
-            return a**3 * t6 / 3.0
-        if self.tail_t2 == 0.0 and self.tail_t4 == 0.0 and np.isfinite(nxt):
-            # no tail supplied: widened bound, size of the first omitted log term
-            return a / nxt
-        return np.zeros_like(a)
 
     def values(self, z) -> np.ndarray:
         """Plain complex values (overflow points become inf)."""
@@ -227,17 +241,6 @@ class ProductModel:
     def log_abs(self, z) -> np.ndarray:
         """log |model(z)|; -inf at exact zeros, finite even where exp overflows."""
         return self.eval(z).log_magnitude
-
-    def validity_radius(self, tol: float = 1e-10) -> float:
-        """Largest |z| at which the third-order tail term stays below 0.1*tol."""
-        nxt = self._next_pole
-        if not np.isfinite(nxt):
-            return math.inf
-        if self.tail_t4 > 0:
-            s_max = (0.3 * tol * nxt / self.tail_t4) ** (1.0 / 3.0)
-        else:
-            s_max = 0.1 * tol * nxt
-        return float(s_max ** (0.25 if self.quartic else 0.5))
 
     # -- zeros, derivatives, divided basis ----------------------------------
 
@@ -307,7 +310,6 @@ class ProductModel:
     def to_json(self) -> str:
         meta = dict(self.meta)
         meta["quartic"] = bool(self.quartic)
-        meta["tail_next_zero"] = float(self.tail_next_zero)
         payload = {
             "c_re": float(np.real(self.amplitude)),
             "c_im": float(np.imag(self.amplitude)),
@@ -315,8 +317,8 @@ class ProductModel:
             "gamma": float(self.gauss_rate),
             "sigma": int(self.parity),
             "zeros": [float(x) for x in self.zeros],
-            "T2": float(self.tail_t2),
-            "T4": float(self.tail_t4),
+            "tail_start": int(self.tail_start),
+            "tail_scale": float(self.tail_scale),
             "meta": meta,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -324,18 +326,20 @@ class ProductModel:
     @classmethod
     def from_json(cls, text: str) -> "ProductModel":
         obj = json.loads(text)
+        for key in ("T2", "T4"):
+            if key in obj:
+                raise ValueError(f"model JSON carries the truncated-tail key {key!r} of the "
+                                 "old format; rebuild the pair with `construct`")
         meta = dict(obj.get("meta", {}))
         quartic = bool(meta.pop("quartic", False))
-        tail_next = float(meta.pop("tail_next_zero", 0.0))
         return cls(
             zeros=np.array(obj["zeros"], dtype=float),
             amplitude=complex(obj["c_re"], obj["c_im"]),
             phase=float(obj["theta"]),
             gauss_rate=float(obj["gamma"]),
             parity=int(obj["sigma"]),
-            tail_t2=float(obj["T2"]),
-            tail_t4=float(obj["T4"]),
-            tail_next_zero=tail_next,
+            tail_start=int(obj["tail_start"]),
+            tail_scale=float(obj["tail_scale"]),
             quartic=quartic,
             meta=meta,
         )
@@ -345,12 +349,9 @@ class ProductModel:
 
 
 def sinc_product(count: int = 2000) -> ProductModel:
-    """Truncated product with zeros at the positive integers: sin(pi z)/(pi z)."""
+    """sin(pi z)/(pi z): ``count`` retained integer zeros and the exact tail."""
     n = np.arange(1, count + 1, dtype=float)
-    t2 = float(polygamma(1, count + 1))
-    t4 = float(polygamma(3, count + 1)) / 6.0
-    return ProductModel(zeros=n, tail_t2=t2, tail_t4=t4, tail_next_zero=float(count + 1),
-                        meta={"family": "sinc"})
+    return ProductModel(zeros=n, tail_start=count + 1, meta={"family": "sinc"})
 
 
 def gaussian_model(rate: float, amplitude: complex = 1.0, phase: float = 0.0,
@@ -360,27 +361,28 @@ def gaussian_model(rate: float, amplitude: complex = 1.0, phase: float = 0.0,
                         gauss_rate=rate, parity=parity)
 
 
-def profile_tail_sums(half_density: float, retained: int) -> tuple[float, float, float]:
-    """Tail sums for the square-root profile continuation rho_m = sqrt(m/D).
+def profile_tail_start(last: float, half_density: float, first: int = 1) -> int:
+    """First m >= ``first`` whose profile zero sqrt(m/D) lies past ``last``.
 
-    For the quartic product the squared-variable poles continue linearly as
-    m/D, so the tail sums have polygamma closed forms.  Returns
-    (t2, t4, next_zero).
+    The margin of 1e-12 keeps the tail's first zero off a last zero that sits
+    on the profile itself, where floor(D last^2) + 1 can round to that zero's
+    own index.
     """
-    n1 = retained + 1
-    t2 = half_density**2 * float(polygamma(1, n1))
-    t4 = half_density**4 * float(polygamma(3, n1)) / 6.0
-    return t2, t4, math.sqrt(n1 / half_density)
+    last = last * (1.0 + 1e-12)
+    m = max(first, int(half_density * last * last))
+    while np.sqrt(m / half_density) <= last:
+        m += 1
+    return m
 
 
 def profile_product(zeros: np.ndarray, half_density: float, gauss_rate: float = 0.0,
                     parity: int = 0, amplitude: complex = 1.0, phase: float = 0.0,
                     meta: dict | None = None) -> ProductModel:
-    """Quartic model vanishing at +-zeros (and +-i zeros), with the
-    square-root-profile continuation supplying the tail sums."""
+    """Quartic model vanishing at +-zeros (and +-i zeros), continued exactly
+    along the square-root profile sqrt(m/D) from the first m >= len(zeros) + 1
+    whose zero lies past the last given one."""
     zeros = np.asarray(zeros, dtype=float)
-    t2, t4, nxt = profile_tail_sums(half_density, len(zeros))
+    start = profile_tail_start(zeros[-1] if len(zeros) else 0.0, half_density, len(zeros) + 1)
     return ProductModel(zeros=zeros, amplitude=amplitude, phase=phase,
-                        gauss_rate=gauss_rate, parity=parity, tail_t2=t2,
-                        tail_t4=t4, tail_next_zero=nxt, quartic=True,
-                        meta=meta or {})
+                        gauss_rate=gauss_rate, parity=parity, tail_start=start,
+                        tail_scale=half_density, quartic=True, meta=meta or {})

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import CheckFailedError, fourier
-from .entire_models import ProductModel, profile_tail_sums
+from .entire_models import ProductModel, profile_tail_start
 from .sequences import SampledSet, half_density
 from .thresholds import DecayParams, uniqueness_density_bounds
 
@@ -376,10 +376,9 @@ def vanishing_generator(points_pos: np.ndarray, gauss_rate: float,
     if density is None:
         density = half_density(pts)
     # continue the sqrt profile past the last zero, wherever it sits
-    t2, t4, nxt = (profile_tail_sums(density, int(np.floor(density * pts[-1]**2)))
-                   if len(pts) else (0.0, 0.0, 0.0))
-    return ProductModel(zeros=pts, gauss_rate=gauss_rate, tail_t2=t2, tail_t4=t4,
-                        tail_next_zero=nxt, quartic=True)
+    start = profile_tail_start(pts[-1], density) if len(pts) else 0
+    return ProductModel(zeros=pts, gauss_rate=gauss_rate, tail_start=start,
+                        tail_scale=density, quartic=True)
 
 
 def default_quads(weight_rate: float, outer_radius: float,

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class EvaluationRangeError(ValueError):
-    """A sample point lies outside the evaluators' validity radius."""
+from . import CheckFailedError
 
 
-class PreconditionError(ValueError):
+class PreconditionError(ValueError, CheckFailedError):
     """Input data violates the check's stated precondition."""
 
 
@@ -127,17 +125,12 @@ def sign_retrieval_check(sample_time, sample_freq, grid_time, grid_freq,
 
 def pair_report(pair, lam_points: np.ndarray, mu_points: np.ndarray,
                 time_grid: np.ndarray, freq_grid: np.ndarray,
-                discrete_tol: float = 1e-10, weak_tol: float = 1e-8,
-                validity_radius: float = np.inf) -> PairReport:
+                discrete_tol: float = 1e-10, weak_tol: float = 1e-8) -> PairReport:
     """Full verdict bundle for a constructed pair.
 
     Each non-empty point set is evaluated once, through ``pair.fg`` or
     ``pair.fg_hat``; an empty sample set is not evaluated.
     """
-    for pts in (lam_points, mu_points):
-        if len(pts) and np.max(np.abs(pts)) > validity_radius:
-            raise EvaluationRangeError(
-                f"sample radius {np.max(np.abs(pts)):.3g} exceeds validity {validity_radius:.3g}")
     res_t, res_f, disc_ok = discrete_check(
         pair.fg(lam_points) if len(lam_points) else (lam_points, lam_points),
         pair.fg_hat(mu_points) if len(mu_points) else (mu_points, mu_points), discrete_tol)

@@ -7,6 +7,7 @@ import pytest
 from pauli_lab import CheckFailedError, cli
 from pauli_lab import constructions as con
 from pauli_lab import interpolation as itp
+from pauli_lab import pauli_verify as pv
 from pauli_lab.entire_models import ProductModel, gaussian_model
 
 
@@ -126,6 +127,19 @@ class TestModelTools:
         back = ProductModel.from_json(model_file.read_text())
         assert back.gauss_rate == 1.0
 
+    def test_verify_rejects_truncated_tail_pair(self, tmp_path, capsys):
+        # a time pair written before the exact tails: models carry T2/T4
+        model = ('{"T2": 0.0001, "T4": 1e-12, "c_im": 0.0, "c_re": 1.0, "gamma": 1.0, '
+                 '"meta": {"quartic": true, "tail_next_zero": 2.5}, "sigma": 0, "theta": 0.0, '
+                 '"zeros": [1.0, 2.0]}')
+        part = f'{{"type": "product_model", "model": {model}, "quad": {{"half_width": 4.0, "nodes": 64}}}}'
+        path = tmp_path / "old.json"
+        path.write_text(f'{{"phi": {part}, "psi": {part}, "vartheta": 0.0, '
+                        '"provenance": {"kind": "time_pair"}}')
+        assert run(["verify", "--pair", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "'T2'" in err and "construct" in err
+
 
 class TestInterp:
     def test_run_writes_artifacts(self, tmp_path):
@@ -191,7 +205,8 @@ class TestExitCodes:
         type("CustomCheckFailed", (CheckFailedError,), {})("custom"),
         con.DensityTooHighError("density"), con.ParameterInfeasibleError("headroom"),
         itp.NoFeasibleWindowError([(0.0, 0.7, 0.6)]), itp.SolverFailedError("solver"),
-        itp.CarrierPlacementError("carriers"), itp.NullSpaceEmptyError("null space")])
+        itp.CarrierPlacementError("carriers"), itp.NullSpaceEmptyError("null space"),
+        con.DegeneratePhaseError("phase"), pv.PreconditionError("squared samples")])
     def test_check_failed_exits_one(self, monkeypatch, capsys, exc):
         def fail(args):
             raise exc

@@ -38,8 +38,23 @@ class TestSincOracle:
         vals = sinc1600.values(np.array([3.0, -3.0, 1200.0]))
         assert np.all(vals == 0)
 
-    def test_validity_radius_covers_test_disk(self, sinc1600):
-        assert sinc1600.validity_radius(1e-10) > 9.9
+    def test_exact_tails_agree_within_error_bound(self, sinc1600):
+        rng = np.random.default_rng(11)
+        r = 10.0 * np.sqrt(rng.uniform(0.0, 1.0, 400))
+        z = r * np.exp(1j * rng.uniform(0, 2 * np.pi, 400))
+        z = np.concatenate([z, np.linspace(-10.0, 10.0, 201) + 0.25])
+        small = em.sinc_product(300).eval(z)
+        big = sinc1600.eval(z)
+        bound = small.error_bound + big.error_bound
+        assert np.all(np.abs(small.log_magnitude - big.log_magnitude) <= bound)
+        assert np.all(np.abs(small.value - big.value) <= bound * np.abs(big.value))
+
+    def test_tail_zeros_exact(self):
+        # past the retained zeros the integers are zeros of the exact tail
+        m = em.sinc_product(300)
+        vals = m.values(np.array([301.0, -302.0, 1000.0, 301.0 + 0j]))
+        assert np.all(vals == 0)
+        assert np.all(np.isneginf(m.log_abs(np.array([301.0, -1000.0]))))
 
 
 class TestDerivatives:
@@ -118,6 +133,64 @@ class TestDividedBasis:
             sinc1600.divided_basis_eval(np.array([1.0, 2.5]), np.array([0.3, 0.4]))
 
 
+class TestSinIdentity:
+    """A pure square-root profile product is sin(pi w)/(pi w), w = D z^2.
+
+    The reference is computed in long double.  Test points keep away from the
+    zeros, where log|f| would instead measure the rounding of the retained
+    zeros themselves.
+    """
+
+    D = 0.45
+
+    def _profile(self, count):
+        return em.profile_product(np.sqrt(np.arange(1, count + 1) / self.D), self.D,
+                                  gauss_rate=0.5)
+
+    def _exact_log_abs(self, z):
+        z = np.asarray(z, dtype=np.clongdouble)
+        w = np.longdouble(self.D) * z * z
+        pw = PI_LD * w
+        ratio = np.where(w == 0, 1, np.sin(pw) / np.where(w == 0, 1, pw))
+        return (np.log(np.abs(ratio)) - np.longdouble(0.5) * PI_LD * (z * z).real).astype(float)
+
+    def _real_points(self, radius):
+        # the middle of every gap between zeros, w in k + [0.35, 0.65]
+        w = (np.arange(0.0, self.D * radius**2)[:, None] + np.array([0.35, 0.5, 0.65])).ravel()
+        x = np.sqrt(w / self.D)
+        x = x[x <= radius]
+        return np.concatenate([x, -x, [0.0]])
+
+    def _ray_points(self, radius):
+        r = np.linspace(0.1, radius, 300)
+        z = np.concatenate([r * np.exp(1j * t) for t in (0.05, 0.3, np.pi / 4, 1.1, 1.5, 2.6)])
+        w = self.D * z * z
+        return z[np.abs(w - np.round(w.real)) > 0.05]
+
+    def _max_error(self, model, z):
+        return np.max(np.abs(model.log_abs(z) - self._exact_log_abs(z)))
+
+    def test_real_axis(self):
+        assert self._max_error(self._profile(2048), self._real_points(12.0)) <= 1e-13
+
+    def test_complex_rays(self):
+        assert self._max_error(self._profile(2048), self._ray_points(6.0)) <= 1e-13
+
+    def test_log_gamma_branch(self):
+        # m0 = 17: the tail leaves its series for |w| > 8.5, i.e. |z| > 4.35;
+        # there the log-Gamma terms, up to ~300 in size, cancel
+        model = self._profile(16)
+        assert self._max_error(model, self._real_points(12.0)) <= 3e-13
+        assert self._max_error(model, self._ray_points(9.0)) <= 3e-13
+
+    def test_retained_zeros_exact(self):
+        profile = self._profile(2048)
+        lam = profile.zeros[[0, 5, 200, 2047]]
+        assert np.all(profile.values(np.concatenate([lam, -lam, 1j * lam])) == 0)
+        gen = em.ProductModel(zeros=lam, tail_start=2049, tail_scale=self.D, quartic=True)
+        assert np.all(gen.values(np.concatenate([lam, -lam])) == 0)
+
+
 class TestModelInvariants:
     def test_parity_symmetry(self, quartic_phi):
         z = np.array([0.3 + 0.2j, 1.7 - 0.4j, 2.5])
@@ -169,14 +242,23 @@ class TestSerialization:
         back = em.ProductModel.from_json(text)
         assert np.array_equal(back.zeros, quartic_phi.zeros)
         assert back.quartic == quartic_phi.quartic
-        assert back.tail_t2 == quartic_phi.tail_t2
+        assert (back.tail_start, back.tail_scale) == (quartic_phi.tail_start, quartic_phi.tail_scale)
         z = np.array([0.4 + 0.1j, 2.2])
         assert np.allclose(back.values(z), quartic_phi.values(z), rtol=0, atol=0)
 
     def test_schema_fields(self, sinc1600):
         import json
         obj = json.loads(sinc1600.to_json())
-        assert set(obj) == {"c_re", "c_im", "theta", "gamma", "sigma", "zeros", "T2", "T4", "meta"}
+        assert set(obj) == {"c_re", "c_im", "theta", "gamma", "sigma", "zeros", "tail_start",
+                            "tail_scale", "meta"}
+        assert (obj["tail_start"], obj["tail_scale"]) == (1601, 1.0)
+
+    def test_old_truncated_tail_format_rejected(self):
+        old = ('{"T2": 0.0001, "T4": 1e-12, "c_im": 0.0, "c_re": 1.0, "gamma": 0.5, '
+               '"meta": {"quartic": true, "tail_next_zero": 2.5}, "sigma": 0, "theta": 0.0, '
+               '"zeros": [1.0, 2.0]}')
+        with pytest.raises(ValueError, match="'T2'.*construct"):
+            em.ProductModel.from_json(old)
 
 
 @given(st.integers(2, 10), st.sampled_from([0, 1]), st.booleans(),
@@ -246,6 +328,20 @@ class TestRealAxisPath:
 PI_LD = 4 * np.arctan(np.longdouble(1))
 
 
+def _log_tail_long_double(model, w):
+    """-sum_k zeta(2k, m0) w^(2k)/k in long double; each zeta(2k, m0) is a
+    direct sum up to M plus the Euler-Maclaurin remainder at M."""
+    big = 10**4
+    m = np.arange(model.tail_start, big, dtype=np.longdouble)
+    M = np.longdouble(big)
+    log_tail = np.longdouble(0)
+    for k in range(1, 31):
+        zeta = (np.sum(m ** (-2 * k)) + M ** (1 - 2 * k) / (2 * k - 1) + M ** (-2 * k) / 2
+                + k * M ** (-2 * k - 1) / 6)
+        log_tail -= zeta * w ** (2 * k) / k
+    return log_tail
+
+
 def _derivative_long_double(model, lam):
     """Product-rule derivative at a retained zero in long-double arithmetic."""
     p = 4 if model.quartic else 2
@@ -254,8 +350,9 @@ def _derivative_long_double(model, lam):
     poles = np.delete(np.asarray(model.zeros, dtype=np.longdouble), k) ** p
     s = z**p
     mag = np.prod(1 - s / poles) * (-np.sign(z) * p / abs(z))
+    w = np.longdouble(model.tail_scale) * (z * z if model.quartic else z)
     mag *= np.exp(-np.longdouble(model.gauss_rate) * PI_LD * z * z
-                  - (s * np.longdouble(model.tail_t2) + s * s * np.longdouble(model.tail_t4) / 2))
+                  + _log_tail_long_double(model, w))
     if model.parity:
         mag *= z
     return complex(model.amplitude) * np.exp(1j * model.phase) * float(mag)
@@ -301,6 +398,9 @@ class TestDerivativeArrays:
         pts = np.sqrt(np.arange(1, 257) / 0.45)
         gen = vanishing_generator(pts, 0.5)
         assert gen.quartic and len(gen.zeros) >= 250
+        # the set lies on the profile: D*last^2 rounds to 255.99999999999997,
+        # and the tail starts past the last point, not on it
+        assert gen.tail_start == 257
         inside = gen.zeros[gen.zeros <= 6.0]
         lams = np.concatenate([inside, -inside])
         got = gen.derivative_at_zero(lams)

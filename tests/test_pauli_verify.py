@@ -54,11 +54,6 @@ class TestDiscreteCheck:
         rt, rf, ok = pv.discrete_check(freq_pair.fg(pts), (np.empty(0), np.empty(0)), tol=1e-10)
         assert ok and rt == 0.0
 
-    def test_range_guard(self):
-        pair = con.PairConstruction(phi=_ConstEval(1.0), psi=_ConstEval(0.0), vartheta=0.0)
-        with pytest.raises(pv.EvaluationRangeError):
-            pv.pair_report(pair, np.array([50.0]), np.empty(0), X, XI, validity_radius=10.0)
-
 
 class TestWeakCheck:
     def test_global_phase_full_pair(self):
