@@ -4,8 +4,8 @@ The order-2 indicator of a model is estimated as the slope of log|value|
 against r^2 along the ray, using the upper envelope of windowed slopes (a
 limsup is a sup of tail behaviour, so the max over sliding sub-windows is the
 faithful finite-data surrogate; a single global fit would be dragged down by
-oscillation dips near zero rays).  Rays through retained zeros are masked with
-shrinking exclusion disks of radius c/(1 + rho).
+oscillation dips near zero rays).  Rays through zeros, the tail's included, are
+masked with shrinking exclusion disks of radius c/(1 + rho).
 
 Order convention: Gaussian-bearing, quartic, or odd models are order-2 objects
 of z and are sampled at z = r e^{i theta} with abscissa r^2.  A plain pure
@@ -66,8 +66,8 @@ def _measured_separation(zeros: np.ndarray) -> float:
     return float(np.min(gaps * (1.0 + zeros[:-1])))
 
 
-def _on_zero_ray(model: ProductModel, theta: float, order2: bool) -> bool:
-    if len(model.zeros) == 0:
+def _on_zero_ray(model: ProductModel, zeros: np.ndarray, theta: float, order2: bool) -> bool:
+    if len(zeros) == 0:
         return False
     zero_angles = [0.0, np.pi]
     if order2 and model.quartic:
@@ -77,15 +77,15 @@ def _on_zero_ray(model: ProductModel, theta: float, order2: bool) -> bool:
                for a in zero_angles)
 
 
-def _zero_ray_mask(model: ProductModel, theta: float, r: np.ndarray, order2: bool,
-                   mask_constant: float | None) -> np.ndarray:
+def _zero_ray_mask(model: ProductModel, zeros: np.ndarray, theta: float, r: np.ndarray,
+                   order2: bool, mask_constant: float | None) -> np.ndarray:
     """True where the node is kept; excludes disk neighbourhoods of zeros on the ray."""
     keep = np.ones(len(r), dtype=bool)
-    if not _on_zero_ray(model, theta, order2):
+    if not _on_zero_ray(model, zeros, theta, order2):
         return keep
     # half the measured separation keeps the exclusion disks disjoint
-    c = mask_constant if mask_constant is not None else 0.5 * _measured_separation(model.zeros)
-    for rho in model.zeros:
+    c = mask_constant if mask_constant is not None else 0.5 * _measured_separation(zeros)
+    for rho in zeros:
         keep &= np.abs(r - rho) >= c / (1.0 + rho)
     return keep
 
@@ -94,18 +94,20 @@ def indicator_estimate(model: ProductModel, theta: float, r_grid: np.ndarray | N
                        mask_constant: float | None = None, windows: int = 6) -> IndicatorEstimate:
     """Estimate the ray growth rate of the model at angle theta."""
     order2 = _is_order2_in_z(model)
+    r_max = 0.92 * (12.0 if order2 else 40.0) if r_grid is None else np.max(r_grid, initial=0.0)
+    # one unit past the grid covers the exclusion disks of zeros just beyond it
+    zeros = model.zeros_upto(r_max + 1.0)
     if r_grid is None:
-        r_max = 0.92 * (12.0 if order2 else 40.0)
         r_lo = max(0.08 * r_max, 0.5)
-        if _on_zero_ray(model, theta, order2):
+        if _on_zero_ray(model, zeros, theta, order2):
             # gap midpoints carry the product's envelope between the log dips
-            zs = model.zeros[(model.zeros > r_lo) & (model.zeros < r_max)]
+            zs = zeros[(zeros > r_lo) & (zeros < r_max)]
             mids = 0.5 * (zs[:-1] + zs[1:]) if len(zs) >= 9 else np.empty(0)
             r_grid = mids if len(mids) >= 8 else np.linspace(r_lo, r_max, 320)
         else:
             r_grid = np.linspace(r_lo, r_max, 320)
     r = np.asarray(r_grid, dtype=float)
-    keep = _zero_ray_mask(model, theta, r, order2, mask_constant)
+    keep = _zero_ray_mask(model, zeros, theta, r, order2, mask_constant)
     pts = r * np.exp(1j * theta)
     y = model.log_abs(pts)
     keep &= np.isfinite(y)

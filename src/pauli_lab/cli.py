@@ -11,6 +11,7 @@ passed, 1 a check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -41,7 +42,7 @@ def max_threads() -> int:
 
 def _config_hash(args: argparse.Namespace) -> str:
     # output destinations are excluded so identical runs stay byte-identical
-    skip = {"func", "out", "out_dir"}
+    skip = {"out", "out_dir"}
     payload = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     digest = hashlib.sha256(repr(payload).encode()).hexdigest()
     return digest[:12]
@@ -246,7 +247,9 @@ def cmd_acceptance(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; ``main`` looks the subcommand up by name."""
     parser = argparse.ArgumentParser(prog="pauli-lab",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -254,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="threshold table over a decay-rate grid")
     p.add_argument("--a-grid", required=True, help="start:stop:step, inclusive stop")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("gen-seq", help="generate a power-profile sampling sequence")
     p.add_argument("--p", type=float, default=2.0)
@@ -264,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--halves", default="+", choices=["+", "-", "±"])
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen_seq)
 
     p = sub.add_parser("construct", help="build a counterexample pair")
     p.add_argument("kind", choices=["time", "freq-matched", "non-weak"])
@@ -276,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", default=None, help="CSV set for the time side")
     p.add_argument("--mu", default=None, help="CSV set for the frequency side")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="verdicts for a constructed pair")
     p.add_argument("--pair", required=True)
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-discrete", type=float, default=1e-8)
     p.add_argument("--tol-weak", type=float, default=1e-6)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ft", help="numerical transform of a serialized model")
     p.add_argument("--model", required=True)
@@ -294,33 +293,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-width", type=float, default=8.0)
     p.add_argument("--nodes", type=int, default=2048)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ft)
 
     p = sub.add_parser("indicator", help="ray growth estimates of a serialized model")
     p.add_argument("--model", required=True)
     p.add_argument("--theta", required=True, help="start:stop:step (radians)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_indicator)
 
     p = sub.add_parser("interp", help="run a windowed interpolation problem")
     p.add_argument("--problem", required=True, help="problem JSON")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--samples", type=int, default=257)
-    p.set_defaults(func=cmd_interp)
 
     p = sub.add_parser("acceptance", help="run the acceptance suite")
     p.add_argument("--only", default=None, help="comma-separated criterion names")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_acceptance)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CheckFailedError as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 1

@@ -107,12 +107,13 @@ class ProductModel:
         k = np.arange(30, 0, -1)
         return zeta(2.0 * k, self.tail_start) / k
 
-    def _log_tail(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-        """(log, sign) of prod_{m >= m0} (1 - w^2/m^2).
+    def _log_tail(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | float, np.ndarray]:
+        """(log, sign, size) of prod_{m >= m0} (1 - w^2/m^2).
 
         The log is real for real ``w``; off the real axis its imaginary part
         is the tail's phase.  On the real axis (imaginary part exactly 0, in
         either dtype) the tail's sign is returned apart, 0 at its zeros.
+        ``size``, the magnitude of the summed terms, sets the log's rounding.
         """
         m0 = self.tail_start
         far = np.abs(w) > 0.5 * m0
@@ -123,21 +124,23 @@ class ProductModel:
         q = max(float(np.max(np.abs(near), initial=0.0)) / m0**2, 1e-300)
         terms = min(30, max(1, math.ceil(math.log(1e-17 / (m0 + 1)) / math.log(q))))
         out = -near * np.polyval(self._tail_series[-terms:], near)
+        size = np.abs(out)
         if not np.any(far):
-            return out, 1.0
+            return out, 1.0, size
         wf = w[far]
         axis = np.imag(wf) == 0.0
         x = np.real(wf[axis])
-        log_far = np.empty_like(wf)
-        log_far[axis] = 2.0 * gammaln(m0) - gammaln(m0 - x) - gammaln(m0 + x)
+        lo, hi = np.empty_like(wf), np.empty_like(wf)
+        lo[axis], hi[axis] = gammaln(m0 - x), gammaln(m0 + x)
         off = wf[~axis]
-        log_far[~axis] = 2.0 * gammaln(m0) - loggamma(m0 - off) - loggamma(m0 + off)
+        lo[~axis], hi[~axis] = loggamma(m0 - off), loggamma(m0 + off)
         sign_far = np.ones(wf.shape)
         # gammasgn is nan at the poles, which are the tail's zeros
         sign_far[axis] = np.nan_to_num(gammasgn(m0 - x) * gammasgn(m0 + x))
         sign = np.ones(w.shape)
-        out[far], sign[far] = log_far, sign_far
-        return out, sign
+        out[far], sign[far] = 2.0 * gammaln(m0) - lo - hi, sign_far
+        size[far] = 2.0 * gammaln(m0) + np.abs(lo) + np.abs(hi)
+        return out, sign, size
 
     # -- evaluation ----------------------------------------------------------
 
@@ -182,19 +185,21 @@ class ProductModel:
         return mf.reshape(s.shape), ef.reshape(s.shape)
 
     def _smooth_log(self, z: np.ndarray, odd_factor: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """(mantissa factor, log-scale) of amplitude, phase, parity, Gaussian, tail.
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mantissa factor, log-scale, log-term size) of amplitude, phase, parity, Gaussian, tail.
 
         ``odd_factor`` replaces z as the parity factor of odd models.
         """
         u = z * z
         log_scale = -self.gauss_rate * np.pi * np.real(u)
         arg = -self.gauss_rate * np.pi * np.imag(u)
+        size = self.gauss_rate * np.pi * np.abs(u)
         sign = 1.0
         if self.tail_start:
-            tail, sign = self._log_tail(self.tail_scale * (u if self.quartic else z))
+            tail, sign, tail_size = self._log_tail(self.tail_scale * (u if self.quartic else z))
             log_scale = log_scale + np.real(tail)
             arg = arg + np.imag(tail)
+            size = size + tail_size
         m = np.exp(1j * arg) * sign
         if self.phase == 0.0:
             pass
@@ -205,7 +210,7 @@ class ProductModel:
         m = m * self.amplitude
         if self.parity:
             m = m * (z if odd_factor is None else odd_factor)
-        return m, log_scale
+        return m, log_scale, size
 
     def eval(self, z) -> EvalResult:
         """Evaluate the model; accepts scalars or arrays of real or complex points.
@@ -217,7 +222,10 @@ class ProductModel:
         scalar = z_arr.ndim == 0
         z_arr = np.atleast_1d(z_arr)
         m, e = self._scaled_product(self._s_of(z_arr))
-        m2, e2 = self._smooth_log(z_arr)
+        m2, e2, size = self._smooth_log(z_arr)
+        # rounding: half an ulp per retained factor, and a few ulps of each
+        # log term summed into the scale, where terms of that size cancel
+        err = 5e-16 * max(len(self.zeros), 1) + 1e-15 * (np.abs(e) + size)
         m = m * m2
         e = e + e2
         with np.errstate(divide="ignore"):
@@ -229,7 +237,6 @@ class ProductModel:
         if np.any(overflow):
             value = value.copy()
             value[overflow] = np.inf + 0.0j
-        err = np.full(log_mag.shape, 5e-16 * max(len(self.zeros), 1))
         if scalar:
             return EvalResult(value[0], log_mag[0], err[0], overflow[0])
         return EvalResult(value, log_mag, err, overflow)
@@ -243,6 +250,15 @@ class ProductModel:
         return self.eval(z).log_magnitude
 
     # -- zeros, derivatives, divided basis ----------------------------------
+
+    def zeros_upto(self, radius: float) -> np.ndarray:
+        """All retained zeros merged with the tail's positive zeros up to ``radius``."""
+        if not self.tail_start:
+            return self.zeros
+        top = self.tail_scale * (radius * radius if self.quartic else radius)
+        m = np.arange(self.tail_start, math.floor(top) + 1, dtype=float)
+        rho = np.sqrt(m / self.tail_scale) if self.quartic else m / self.tail_scale
+        return np.union1d(self.zeros, rho[rho <= radius])
 
     def _zero_index(self, lam: np.ndarray) -> np.ndarray:
         """Indices of the retained zeros matching |lam|; raises for any other value."""
@@ -273,7 +289,7 @@ class ProductModel:
         sign = np.where(flat >= 0, 1.0, -1.0)
         z = np.where(origin, 0.0, sign * rho)
         m, e = self._scaled_product(self._s_of(z), skip=k)
-        m2, e2 = self._smooth_log(z, odd_factor=np.where(origin, 1.0, z))
+        m2, e2, _ = self._smooth_log(z, odd_factor=np.where(origin, 1.0, z))
         dfactor = np.where(origin, 1.0, -sign * (4.0 if self.quartic else 2.0) / rho)
         out = dfactor * (m * m2 * np.exp(e + e2))
         return complex(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
@@ -301,7 +317,7 @@ class ProductModel:
         if self.quartic:
             ratio = ratio * (1.0 + u * (1.0 / q))
         m, e = self._scaled_product(self._s_of(z_arr), skip=k)
-        m2, e2 = self._smooth_log(z_arr)
+        m2, e2, _ = self._smooth_log(z_arr)
         out = ratio * m * m2 * np.exp(e + e2) / self.derivative_at_zero(lam_arr)
         return out[0] if scalar else out
 

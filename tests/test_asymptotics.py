@@ -51,6 +51,21 @@ class TestIndicatorEstimate:
             assert abs(ep.h_hat - em_.h_hat) <= 2 * max(ep.residual + ep.spread,
                                                         em_.residual + em_.spread) + 1e-12
 
+    @pytest.mark.parametrize("theta", [0.0, np.pi])
+    def test_tail_zeros_masked_like_retained(self, theta):
+        # past its 20 retained zeros the product's exact tail vanishes on the
+        # integers; the grid and mask must see those zeros too
+        short = asy.indicator_estimate(sinc_product(20), theta)
+        full = asy.indicator_estimate(sinc_product(4000), theta)
+        assert short.window == full.window and short.n_masked == full.n_masked
+        assert short.h_hat == pytest.approx(full.h_hat, abs=1e-9)
+        assert short.residual == pytest.approx(full.residual, abs=1e-9)
+        zeros = np.sqrt(np.arange(1, 2049) / HALF_DENSITY)
+        short = asy.indicator_estimate(profile_product(zeros[:16], HALF_DENSITY, 0.5), theta)
+        full = asy.indicator_estimate(profile_product(zeros, HALF_DENSITY, 0.5), theta)
+        assert short.window == full.window
+        assert short.h_hat == pytest.approx(full.h_hat, abs=1e-9)
+
     def test_all_masked(self):
         m = sinc_product(50)
         with pytest.raises(asy.AllMaskedError):

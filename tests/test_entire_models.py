@@ -49,6 +49,13 @@ class TestSincOracle:
         assert np.all(np.abs(small.log_magnitude - big.log_magnitude) <= bound)
         assert np.all(np.abs(small.value - big.value) <= bound * np.abs(big.value))
 
+    def test_zeros_upto_merges_tail(self):
+        assert np.array_equal(em.sinc_product(20).zeros_upto(25.5), np.arange(1.0, 26.0))
+        assert np.array_equal(em.sinc_product(30).zeros_upto(25.5), np.arange(1.0, 31.0))
+        # m0 = 3: the profile continues at sqrt(3/D), sqrt(4/D), ...
+        profile = em.profile_product(np.array([1.0, 2.0]), 0.5)
+        assert np.allclose(profile.zeros_upto(3.0), [1.0, 2.0, np.sqrt(6.0), np.sqrt(8.0)])
+
     def test_tail_zeros_exact(self):
         # past the retained zeros the integers are zeros of the exact tail
         m = em.sinc_product(300)
@@ -182,6 +189,14 @@ class TestSinIdentity:
         model = self._profile(16)
         assert self._max_error(model, self._real_points(12.0)) <= 3e-13
         assert self._max_error(model, self._ray_points(9.0)) <= 3e-13
+
+    def test_error_bound_covers_log_gamma_branch(self):
+        model = self._profile(16)
+        for z in (self._real_points(12.0), self._ray_points(12.0)):
+            res = model.eval(z)
+            assert np.all(np.abs(res.log_magnitude - self._exact_log_abs(z)) <= res.error_bound)
+            # the bound counts the rounding of the cancelling log terms, no more
+            assert np.max(res.error_bound) <= 1e-12
 
     def test_retained_zeros_exact(self):
         profile = self._profile(2048)
