@@ -223,8 +223,8 @@ def ac8() -> AcceptanceRecord:
         sigma = th.gaussian_rate_base(0.5)
         eps = con._pick_headroom(d_full / 2.0, sigma, 0.5)
         gamma = sigma + eps
-        lam = np.sqrt(2.0 * np.arange(1, 2049) / d_full)
-        phi = profile_product(lam, d_full / 2.0, gauss_rate=gamma)
+        # every zero sqrt(m/D) of the profile comes from the exact tail
+        phi = profile_product(np.empty(0), d_full / 2.0, gauss_rate=gamma)
         worst_rel = 0.0
         estimates = []
         for theta, tol in ((0.0, 0.05), (np.pi / 8, 0.05), (np.pi / 4, 0.05),
@@ -402,8 +402,7 @@ def _prop_gaussian_indicator(rng: np.random.Generator) -> None:
 
 def _prop_indicator_symmetry(rng: np.random.Generator) -> None:
     d_full = 0.9
-    phi = profile_product(np.sqrt(2.0 * np.arange(1, 1025) / d_full), d_full / 2,
-                          gauss_rate=1.0)
+    phi = profile_product(np.empty(0), d_full / 2, gauss_rate=1.0)
     for _ in range(100):
         theta = rng.uniform(0.2, np.pi - 0.2)
         ep = asy.indicator_estimate(phi, theta)

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import fourier
 from .entire_models import ProductModel
-from .sequences import SampledSet, density_fit
 
 
 class AllMaskedError(ValueError):
@@ -78,21 +77,26 @@ def _on_zero_ray(model: ProductModel, zeros: np.ndarray, theta: float, order2: b
 
 
 def _zero_ray_mask(model: ProductModel, zeros: np.ndarray, theta: float, r: np.ndarray,
-                   order2: bool, mask_constant: float | None) -> np.ndarray:
+                   order2: bool) -> np.ndarray:
     """True where the node is kept; excludes disk neighbourhoods of zeros on the ray."""
     keep = np.ones(len(r), dtype=bool)
     if not _on_zero_ray(model, zeros, theta, order2):
         return keep
     # half the measured separation keeps the exclusion disks disjoint
-    c = mask_constant if mask_constant is not None else 0.5 * _measured_separation(zeros)
+    c = 0.5 * _measured_separation(zeros)
     for rho in zeros:
         keep &= np.abs(r - rho) >= c / (1.0 + rho)
     return keep
 
 
-def indicator_estimate(model: ProductModel, theta: float, r_grid: np.ndarray | None = None,
-                       mask_constant: float | None = None, windows: int = 6) -> IndicatorEstimate:
-    """Estimate the ray growth rate of the model at angle theta."""
+def indicator_estimate(model: ProductModel, theta: float,
+                       r_grid: np.ndarray | None = None) -> IndicatorEstimate:
+    """Estimate the ray growth rate of the model at angle theta.
+
+    Without ``r_grid`` the ray is sampled out to 0.92 * 12 (order 2) or
+    0.92 * 40, at the zeros' gap midpoints on a zero ray; the slope is the
+    upper envelope over 6 half-overlapping sub-windows of the abscissa.
+    """
     order2 = _is_order2_in_z(model)
     r_max = 0.92 * (12.0 if order2 else 40.0) if r_grid is None else np.max(r_grid, initial=0.0)
     # one unit past the grid covers the exclusion disks of zeros just beyond it
@@ -107,7 +111,7 @@ def indicator_estimate(model: ProductModel, theta: float, r_grid: np.ndarray | N
         else:
             r_grid = np.linspace(r_lo, r_max, 320)
     r = np.asarray(r_grid, dtype=float)
-    keep = _zero_ray_mask(model, zeros, theta, r, order2, mask_constant)
+    keep = _zero_ray_mask(model, zeros, theta, r, order2)
     pts = r * np.exp(1j * theta)
     y = model.log_abs(pts)
     keep &= np.isfinite(y)
@@ -119,6 +123,7 @@ def indicator_estimate(model: ProductModel, theta: float, r_grid: np.ndarray | N
 
     # sliding windows over the abscissa range, upper envelope of fitted slopes
     lo, hi = float(np.min(t)), float(np.max(t))
+    windows = 6
     width = (hi - lo) * 2.0 / (windows + 1)
     slopes, resids = [], []
     for k in range(windows):
@@ -140,16 +145,17 @@ def indicator_estimate(model: ProductModel, theta: float, r_grid: np.ndarray | N
                              abscissa="r^2" if order2 else "r", spread=spread)
 
 
-def trig_convexity_check(estimates: list[IndicatorEstimate], p: float = 2.0,
-                         slack: float = 1e-9) -> tuple[bool, float]:
-    """Sine-interpolation convexity over all sampled angle triples.
+def trig_convexity_check(estimates: list[IndicatorEstimate]) -> tuple[bool, float]:
+    """Order-2 sine-interpolation convexity over all sampled angle triples.
 
     Estimate uncertainties are propagated through the interpolation
     coefficients, so nearly-degenerate spans (where the sine denominator
     vanishes and would amplify noise without bound) do not produce spurious
     violations; spans with denominator below 0.05 are skipped outright.
-    Returns (ok, worst violation beyond the allowance).
+    Returns (ok, worst violation beyond the allowance, which includes a
+    slack of 1e-9).
     """
+    p, slack = 2.0, 1e-9
     est = sorted(estimates, key=lambda e: e.theta)
     worst = -np.inf
     n = len(est)
@@ -180,41 +186,36 @@ def measured_zero_plane_density(model: ProductModel) -> float:
 
     For a quartic model with zeros following sqrt(m/D) the squared-variable
     zeros are linear with slope D, which is the coefficient multiplying
-    pi*|sin 2 theta| in the model's indicator.
+    pi*|sin 2 theta| in the model's indicator.  The fit runs over every zero,
+    the tail's included, up to the last retained zero or 12, whichever is
+    farther.
     """
-    if len(model.zeros) < 4:
+    zeros = model.zeros_upto(max(model.zeros[-1] if len(model.zeros) else 0.0, 12.0))
+    if len(zeros) < 4:
         return 0.0
-    w = model.zeros**2 if model.quartic else model.zeros
+    w = zeros**2 if model.quartic else zeros
     idx = np.arange(1, len(w) + 1, dtype=float)
     design = np.column_stack([w, np.ones_like(w)])
     coef, *_ = np.linalg.lstsq(design, idx, rcond=None)
     return float(coef[0])
 
 
-def zero_density_indicator_check(model: ProductModel, density: float | None = None,
-                                 p: float = 2.0, theta_grid: np.ndarray | None = None,
-                                 r_grid: np.ndarray | None = None,
-                                 slack: float = 0.05) -> tuple[bool, float]:
-    """Check D pi sin(p theta) + h(0) cos(p theta) <= max{h(theta), h(-theta)}.
+def zero_density_indicator_check(model: ProductModel, density: float) -> tuple[bool, float]:
+    """Check D pi sin(2 theta) + h(0) cos(2 theta) <= max{h(theta), h(-theta)}.
 
-    ``density`` is the positive-real-zero density of the model with respect to
-    exponent p (measured from the zeros if omitted).  Returns (ok, margin):
-    margin is the worst slack-adjusted gap, nonnegative iff the inequality
-    held at every sampled angle.
+    ``density`` is D, the density of the model's positive real zeros in the
+    squared variable.  The check runs at 13 angles over [0, pi/2] with an
+    allowance of the three estimates' uncertainties plus 5% of max(1, |rhs|).
+    Returns (ok, margin): margin is the worst allowance-adjusted gap,
+    nonnegative iff the inequality held at every sampled angle.
     """
-    if density is None:
-        if len(model.zeros) >= 16:
-            density = density_fit(SampledSet(points=model.zeros), p)[0]
-        else:
-            density = 0.0
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, np.pi / p, 13)
-    h0 = indicator_estimate(model, 0.0, r_grid=r_grid)
+    p, slack = 2.0, 0.05
+    h0 = indicator_estimate(model, 0.0)
     margin = np.inf
     ok = True
-    for th in np.asarray(theta_grid, dtype=float):
-        hp_est = indicator_estimate(model, th, r_grid=r_grid)
-        hm_est = indicator_estimate(model, -th, r_grid=r_grid)
+    for th in np.linspace(0.0, np.pi / p, 13):
+        hp_est = indicator_estimate(model, th)
+        hm_est = indicator_estimate(model, -th)
         lhs = density * np.pi * np.sin(p * th) + h0.h_hat * np.cos(p * th)
         rhs = max(hp_est.h_hat, hm_est.h_hat)
         allowance = h0.uncertainty + hp_est.uncertainty + hm_est.uncertainty + slack * max(1.0, abs(rhs))
@@ -224,16 +225,14 @@ def zero_density_indicator_check(model: ProductModel, density: float | None = No
     return bool(ok), float(margin)
 
 
-def fourier_decay_predicate(model: ProductModel, claimed_rate: float,
-                            quad: fourier.QuadratureSpec | None = None,
-                            n_xi: int = 48) -> DecayPredicateResult:
+def fourier_decay_predicate(model: ProductModel, claimed_rate: float) -> DecayPredicateResult:
     """Fit the frequency-side Gaussian envelope rate and compare to a claim.
 
     The model's time decay is its Gaussian rate a and its indicator carries
     m pi |sin 2 theta| from the zeros; the transfer threshold is
     m* = sqrt(a (1/b - a)).  The transform is evaluated on a geometric range
-    of frequencies, an upper envelope per bin suppresses oscillation dips, and
-    the fitted rate decides the predicate.
+    of 48 frequencies, an upper envelope per bin suppresses oscillation dips,
+    and the fitted rate decides the predicate.
     """
     a = model.gauss_rate
     if a <= 0:
@@ -243,12 +242,11 @@ def fourier_decay_predicate(model: ProductModel, claimed_rate: float,
     threshold = np.sqrt(arg) if arg > 0 else 0.0
     expected = m < threshold
 
-    if quad is None:
-        t_win = float(np.sqrt(15.0 * np.log(10.0) / (a * np.pi))) + 1.0
-        quad = fourier.QuadratureSpec(half_width=t_win, nodes=4096, tolerance=1e-6)
+    t_win = float(np.sqrt(15.0 * np.log(10.0) / (a * np.pi))) + 1.0
+    quad = fourier.QuadratureSpec(half_width=t_win, nodes=4096)
     rate_guess = a / (a * a + m * m)
     xi_max = float(np.sqrt(30.0 / (np.pi * rate_guess)))
-    xi = np.linspace(0.3, xi_max, n_xi)
+    xi = np.linspace(0.3, xi_max, 48)
     res = fourier.transform(model.values, quad, xi)
     mags = np.abs(res.values)
     usable = mags > 30.0 * np.maximum(res.error, 1e-300)

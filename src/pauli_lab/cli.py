@@ -64,9 +64,11 @@ def _parse_range(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
-        raise SystemExit(2) from exc
+        raise ValueError(f"range {spec!r} is not start:stop:step") from exc
+    if not np.all(np.isfinite([start, stop, step])):
+        raise ValueError(f"range {spec!r} needs finite values")
     if step <= 0:
-        raise SystemExit(2)
+        raise ValueError(f"range {spec!r} needs a positive step")
     n = int(np.floor((stop - start) / step + 0.5)) + 1
     return start + step * np.arange(n)
 

@@ -172,20 +172,21 @@ def _decode_evaluator(obj: dict):
 
 
 def pair_from_json(text: str) -> PairConstruction:
+    """The pair ``PairConstruction.to_json`` wrote; identical parts decode to
+    one shared evaluator, as ``_null_space_pair`` built them."""
     obj = json.loads(text)
-    return PairConstruction(phi=_decode_evaluator(obj["phi"]),
-                            psi=_decode_evaluator(obj["psi"]),
-                            vartheta=float(obj["vartheta"]),
+    phi = _decode_evaluator(obj["phi"])
+    psi = phi if obj["psi"] == obj["phi"] else _decode_evaluator(obj["psi"])
+    return PairConstruction(phi=phi, psi=psi, vartheta=float(obj["vartheta"]),
                             provenance=dict(obj.get("provenance", {})))
 
 
-def _default_quad(gauss_rate: float, nodes: int = 2048) -> fourier.QuadratureSpec:
+def _default_quad(gauss_rate: float, nodes: int) -> fourier.QuadratureSpec:
     half_width = float(np.sqrt(40.0 / (gauss_rate * np.pi)))
-    return fourier.QuadratureSpec(half_width=half_width, nodes=nodes, tolerance=1e-8)
+    return fourier.QuadratureSpec(half_width=half_width, nodes=nodes)
 
 
-def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None = None,
-                 n_sweep: int = 64) -> float:
+def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None = None) -> float:
     """Rotation angle giving a robust witness that both non-identities hold.
 
     Maximizes, over the rotation, the smaller of the two grid witnesses
@@ -202,6 +203,7 @@ def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None =
         rot = np.exp(-1j * theta)
         return min(float(np.max(np.abs(np.real(rot * c)))) for c in cross)
 
+    n_sweep = 64
     candidates = np.concatenate([[0.0], np.linspace(0.0, 2 * np.pi, n_sweep, endpoint=False)])
     values = [score(t) for t in candidates]
     best = int(np.argmax(values))
@@ -223,9 +225,9 @@ def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None =
     return float(theta)
 
 
-def _pick_headroom(half_density: float, rate_base: float, freq_rate: float,
-                   margin: float = 1.1) -> float:
-    """Largest eps = 2^-k with half_density * margin < sqrt((base+eps)(1/freq - base - eps))."""
+def _pick_headroom(half_density: float, rate_base: float, freq_rate: float) -> float:
+    """Largest eps = 2^-k with half_density * 1.1 < sqrt((base+eps)(1/freq - base - eps))."""
+    margin = 1.1
     need = half_density * margin
     best = 0.0
     for k in range(1, 44):
@@ -265,8 +267,7 @@ def _null_space_pair(lam: SampledSet, mu: SampledSet, density_cap: float,
     return PairConstruction(phi=half, psi=half, vartheta=0.0, provenance=provenance)
 
 
-def build_time_pair(lam: SampledSet, decay: float, eps: float | None = None,
-                    nodes: int = 2048) -> PairConstruction:
+def build_time_pair(lam: SampledSet, decay: float) -> PairConstruction:
     """Pair with matching moduli at every point of a two-sided time set.
 
     The set is symmetrized, parity-split outward per half-line; the even part
@@ -279,25 +280,24 @@ def build_time_pair(lam: SampledSet, decay: float, eps: float | None = None,
     d_half = half_density(lam_sym.points)
     cap = one_sided_threshold(decay) / 2.0
     gamma_base = 1.0 / (2.0 * decay) if decay < SQRT2_INV else decay
-    if eps is None:
-        try:
-            eps = _pick_headroom(d_half / 2.0, gamma_base, decay)
-        except ParameterInfeasibleError as exc:
-            if d_half < cap:
-                # below the threshold: the headroom margin is what fails
-                raise
-            # confirm the failure mode with the split parts' transform decay
-            # at the best Gaussian rate
-            from .asymptotics import fourier_decay_predicate
-            even, _ = split_parity(SampledSet(points=lam_sym.positive))
-            probe = _extended_model(even.points, d_half / 2.0, gamma_base, 0)
-            rate = fourier_decay_predicate(probe, decay).fitted_rate
-            raise DensityTooHighError(
-                f"half density {d_half:.4f} >= threshold {cap:.4f}; frequency "
-                f"envelope rate {rate:.3f} {'<' if rate < decay else '>='} {decay}") from exc
+    try:
+        eps = _pick_headroom(d_half / 2.0, gamma_base, decay)
+    except ParameterInfeasibleError as exc:
+        if d_half < cap:
+            # below the threshold: the headroom margin is what fails
+            raise
+        # confirm the failure mode with the split parts' transform decay
+        # at the best Gaussian rate
+        from .asymptotics import fourier_decay_predicate
+        even, _ = split_parity(SampledSet(points=lam_sym.positive))
+        probe = _extended_model(even.points, d_half / 2.0, gamma_base, 0)
+        rate = fourier_decay_predicate(probe, decay).fitted_rate
+        raise DensityTooHighError(
+            f"half density {d_half:.4f} >= threshold {cap:.4f}; frequency "
+            f"envelope rate {rate:.3f} {'<' if rate < decay else '>='} {decay}") from exc
     gamma = gamma_base + eps
     even, odd = split_parity(SampledSet(points=lam_sym.positive))
-    quad = _default_quad(gamma, nodes)
+    quad = _default_quad(gamma, 2048)
     phi = ModelEvaluator(_extended_model(even.points, d_half / 2.0, gamma, 0), quad)
     psi = ModelEvaluator(_extended_model(odd.points, d_half / 2.0, gamma, 1), quad)
     time_grid = np.linspace(-3.0, 3.0, 241)
@@ -320,8 +320,7 @@ def _extended_model(zeros_pos: np.ndarray, half_density: float, gamma: float,
     return profile_product(zeros_pos, half_density, gauss_rate=gamma, parity=parity)
 
 
-def build_frequency_matched_pair(lam: SampledSet, decay: float, eps: float | None = None,
-                                 nodes: int = 2048) -> PairConstruction:
+def build_frequency_matched_pair(lam: SampledSet, decay: float) -> PairConstruction:
     """Pair whose frequency moduli agree everywhere, sampled moduli agree at
     +-lambda, and time moduli differ.
 
@@ -336,15 +335,14 @@ def build_frequency_matched_pair(lam: SampledSet, decay: float, eps: float | Non
     if decay >= SQRT3_HALF:
         return _null_space_pair(lam.symmetrized(), SampledSet(points=np.empty(0)),
                                 pauli_threshold(decay) / 2.0,
-                                {"kind": "frequency_matched", "decay": decay}, nodes)
+                                {"kind": "frequency_matched", "decay": decay}, 2048)
     d_half = half_density(lam.points)
     cap = pauli_threshold(decay) / 2.0
     sigma = gaussian_rate_base(decay)
-    if eps is None:
-        eps = _pick_headroom(d_half / 2.0, sigma, decay)
+    eps = _pick_headroom(d_half / 2.0, sigma, decay)
     gamma = sigma + eps
     even, odd = split_parity(SampledSet(points=lam.positive))
-    quad = _default_quad(gamma, nodes)
+    quad = _default_quad(gamma, 2048)
     phi = ModelEvaluator(_extended_model(even.points, d_half / 2.0, gamma, 0), quad)
     psi = ModelEvaluator(_extended_model(odd.points, d_half / 2.0, gamma, 1), quad)
     provenance = {"kind": "frequency_matched", "decay": decay, "eps": eps, "gamma": gamma,
@@ -354,7 +352,7 @@ def build_frequency_matched_pair(lam: SampledSet, decay: float, eps: float | Non
 
 
 def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,
-                       nodes: int = 4096, tol: float = 1e-9) -> PairConstruction:
+                       nodes: int = 4096) -> PairConstruction:
     """Pair matching sampled moduli on both sets while both global moduli differ.
 
     Splits each set by parity; each part pair (time, frequency) is wiped out
@@ -387,8 +385,8 @@ def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,
         return PairConstruction(phi=phi, psi=psi, vartheta=0.0, provenance=provenance)
     lam1, lam2 = split_parity(lam.symmetrized())
     mu1, mu2 = split_parity(mu.symmetrized())
-    vf_phi = assemble_vanishing_function(lam1, mu1, a1, b1, nodes=nodes, tol=tol)
-    vf_psi = assemble_vanishing_function(lam2, mu2, a2, b2, nodes=nodes, tol=tol)
+    vf_phi = assemble_vanishing_function(lam1, mu1, a1, b1, nodes=nodes)
+    vf_psi = assemble_vanishing_function(lam2, mu2, a2, b2, nodes=nodes)
     phi, psi = vf_phi.interpolant, vf_psi.interpolant
     time_grid = np.linspace(-2.5, 2.5, 201)
     freq_grid = np.linspace(-2.5, 2.5, 201)

@@ -392,8 +392,8 @@ def profile_tail_start(last: float, half_density: float, first: int = 1) -> int:
 
 
 def profile_product(zeros: np.ndarray, half_density: float, gauss_rate: float = 0.0,
-                    parity: int = 0, amplitude: complex = 1.0, phase: float = 0.0,
-                    meta: dict | None = None) -> ProductModel:
+                    parity: int = 0, amplitude: complex = 1.0,
+                    phase: float = 0.0) -> ProductModel:
     """Quartic model vanishing at +-zeros (and +-i zeros), continued exactly
     along the square-root profile sqrt(m/D) from the first m >= len(zeros) + 1
     whose zero lies past the last given one."""
@@ -401,4 +401,4 @@ def profile_product(zeros: np.ndarray, half_density: float, gauss_rate: float = 
     start = profile_tail_start(zeros[-1] if len(zeros) else 0.0, half_density, len(zeros) + 1)
     return ProductModel(zeros=zeros, amplitude=amplitude, phase=phase,
                         gauss_rate=gauss_rate, parity=parity, tail_start=start,
-                        tail_scale=half_density, quartic=True, meta=meta or {})
+                        tail_scale=half_density, quartic=True)

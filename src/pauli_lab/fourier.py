@@ -28,15 +28,6 @@ CHIRP_MIN_TARGETS = 32
 _SPLITTER = 2.0**27 + 1.0
 
 
-class ToleranceNotMetError(RuntimeError):
-    """Quadrature error estimate exceeded the requested tolerance."""
-
-    def __init__(self, achieved: float, requested: float):
-        super().__init__(f"quadrature error estimate {achieved:.3e} exceeds tolerance {requested:.3e}")
-        self.achieved = achieved
-        self.requested = requested
-
-
 class DegenerateFitError(ValueError):
     """Envelope regression has a rank-deficient design."""
 
@@ -47,11 +38,11 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Window, node count, and budget for the uniform-grid trapezoid transform."""
+    """Window [-half_width, half_width] and node count of the uniform-grid
+    trapezoid transform."""
 
     half_width: float = 8.0
     nodes: int = 2048
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.half_width <= 0:
@@ -86,8 +77,8 @@ class TransformResult:
     error: np.ndarray
 
 
-def envelope_fit(x: np.ndarray, log_mag: np.ndarray, weights: np.ndarray | None = None) -> EnvelopeFit:
-    """Weighted least squares of log|f| against -pi*x^2.
+def envelope_fit(x: np.ndarray, log_mag: np.ndarray) -> EnvelopeFit:
+    """Least squares of log|f| against -pi*x^2.
 
     Non-finite samples are dropped (callers mask zeros beforehand).  Raises
     when fewer than 8 finite samples remain or when the x^2 design column is
@@ -97,15 +88,13 @@ def envelope_fit(x: np.ndarray, log_mag: np.ndarray, weights: np.ndarray | None 
     y = np.asarray(log_mag, dtype=float)
     finite = np.isfinite(y)
     x, y = x[finite], y[finite]
-    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)[finite]
     if len(x) < 8:
         raise InsufficientDataError(f"need >= 8 finite samples, got {len(x)}")
     col = -np.pi * x * x
     if np.std(col) < 1e-12 * max(1.0, np.max(np.abs(col))):
         raise DegenerateFitError("x^2 design column has near-zero variance")
     design = np.column_stack([np.ones_like(col), col])
-    sw = np.sqrt(w)
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     fit = design @ coef
     resid = float(np.max(np.abs(fit - y)))
     return EnvelopeFit(rate=float(coef[1]), intercept=float(coef[0]), residual=resid,
@@ -276,8 +265,7 @@ def _chirp_sum(rows: np.ndarray, spec: QuadratureSpec, c: int, t_c: float, dt: f
     return sums[0] + sums[1] * (sign * 2.0j * np.pi * offsets)
 
 
-def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi, inverse: bool = False,
-                     strict: bool = False) -> TransformResult:
+def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi, inverse: bool = False) -> TransformResult:
     """Transform from precomputed node values fx on spec.grid().
 
     Complex frequencies are allowed (the transform of a Gaussian-decaying
@@ -285,20 +273,17 @@ def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi, inverse: bool = F
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=complex))
     fine, coarse = phase_sum(fx, spec, xi_arr, inverse=inverse, coarse=True)
     err = np.abs(fine - coarse) + _tail_bound(spec.grid(), fx)
-    if strict and float(np.max(err)) > spec.tolerance:
-        raise ToleranceNotMetError(float(np.max(err)), spec.tolerance)
     return TransformResult(xi=xi_arr, values=fine, error=err)
 
 
-def transform(f, spec: QuadratureSpec, xi, inverse: bool = False, strict: bool = False) -> TransformResult:
-    """Numerical Fourier transform of an evaluator f over [-T, T].
+def transform(f, spec: QuadratureSpec, xi) -> TransformResult:
+    """Numerical forward Fourier transform of an evaluator f over [-T, T].
 
-    ``f`` must accept an ndarray of points and return complex values.  With
-    ``strict`` the transform raises when its own error estimate misses the
-    spec tolerance.
+    ``f`` must accept an ndarray of points and return complex values; the
+    result carries an error estimate per frequency.
     """
     fx = np.asarray(f(spec.grid()), dtype=complex)
-    return transform_values(fx, spec, xi, inverse=inverse, strict=strict)
+    return transform_values(fx, spec, xi)
 
 
 @dataclass(frozen=True)

@@ -335,16 +335,14 @@ def _iterate(problem: InterpolationProblem, mats: CrossMatrices, alpha0: np.ndar
     return tot_a, tot_b, states
 
 
-def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60,
-          mats: CrossMatrices | None = None) -> SolveResult:
+def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60) -> SolveResult:
     """Run the contraction iteration and independently verify the interpolant.
 
     Verification re-evaluates the assembled function at the time points and
     re-transforms it with a finer fresh quadrature at the frequency points,
     bypassing the iteration's own matrices.
     """
-    if mats is None:
-        mats = build_cross_matrices(problem)
+    mats = build_cross_matrices(problem)
     tot_a, tot_b, states = _iterate(problem, mats, problem.alpha, problem.beta, tol, max_iter)
     state = states[0]
     if state.diverged or not state.converged:
@@ -358,8 +356,7 @@ def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60,
     if len(problem.mu):
         fresh_nodes = problem.time_quad.nodes + problem.time_quad.nodes // 2
         fresh = fourier.QuadratureSpec(problem.time_quad.half_width + 0.5,
-                                       fresh_nodes + fresh_nodes % 2,
-                                       problem.time_quad.tolerance)
+                                       fresh_nodes + fresh_nodes % 2)
         hat = fourier.transform(interp.eval, fresh, problem.mu)
         v_freq = float(np.max(np.abs(hat.values - problem.beta)))
     return SolveResult(interpolant=interp, state=state, alpha_total=tot_a[:, 0],
@@ -385,7 +382,7 @@ def default_quads(weight_rate: float, outer_radius: float,
                   nodes: int = 4096) -> fourier.QuadratureSpec:
     """Window wide enough that the weighted integrand tail is below rounding."""
     half_width = float(np.sqrt(outer_radius**2 + 38.0 / (weight_rate * np.pi)))
-    return fourier.QuadratureSpec(half_width=half_width, nodes=nodes, tolerance=1e-6)
+    return fourier.QuadratureSpec(half_width=half_width, nodes=nodes)
 
 
 def make_problem(lam_set: SampledSet, mu_set: SampledSet, alpha_map, beta_map,
@@ -476,10 +473,8 @@ def _null_combination(con: np.ndarray) -> np.ndarray:
 def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
                                 weight_a: float, weight_b: float,
                                 aux_count: int | None = None,
-                                outer_radius: float | None = None,
                                 min_inner_cut: float = 0.0,
-                                tol: float = 1e-9, nodes: int = 4096,
-                                density_margin: float = 1.0) -> VanishingFunction:
+                                nodes: int = 4096) -> VanishingFunction:
     """Nonzero function vanishing on the time set with transform vanishing on
     the frequency set (within tolerance on the checked window).
 
@@ -494,14 +489,13 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
     d_lam = half_density(lam_sym.positive)
     d_mu = half_density(mu_sym.positive)
     bound_l, bound_m = uniqueness_density_bounds(DecayParams(weight_a, weight_b))
-    if d_lam >= density_margin * bound_l or d_mu >= density_margin * bound_m:
+    if d_lam >= bound_l or d_mu >= bound_m:
         raise DensityTooHighError(
             f"densities ({d_lam:.3f}, {d_mu:.3f}) reach the vanishing bounds "
             f"({bound_l:.3f}, {bound_m:.3f}) for rates ({weight_a}, {weight_b})")
 
-    if outer_radius is None:
-        # keep the weighted quadrature noise floor well under the tolerance
-        outer_radius = float(np.sqrt(18.0 / (np.pi * max(weight_a, weight_b))))
+    # keep the weighted quadrature noise floor well under the tolerance
+    outer_radius = float(np.sqrt(18.0 / (np.pi * max(weight_a, weight_b))))
     lam_pos = lam_sym.positive
 
     # carriers and interior counts depend on the cut; iterate to consistency,
@@ -555,7 +549,7 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
     for j, v in enumerate(aux):
         rhs_a[np.isclose(np.abs(problem.lam), v, rtol=1e-12), j] = 1.0
     rhs_b = np.zeros((len(problem.mu), aux_count), dtype=complex)
-    tot_a, tot_b, states = _iterate(problem, mats, rhs_a, rhs_b, tol, max_iter=60)
+    tot_a, tot_b, states = _iterate(problem, mats, rhs_a, rhs_b, tol=1e-9, max_iter=60)
     if any(s.diverged or not s.converged for s in states):
         raise SolverFailedError("contraction failed for the auxiliary Kronecker data")
 

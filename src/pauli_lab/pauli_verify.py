@@ -62,17 +62,16 @@ def discrete_check(time_vals, freq_vals, tol: float = 1e-10):
     return res_t, res_f, bool(res_t <= tol and res_f <= tol)
 
 
-def weak_check(time_vals, freq_vals, tol: float = 1e-8, witness_factor: float = 10.0) -> dict:
+def weak_check(time_vals, freq_vals, tol: float = 1e-8) -> dict:
     """Grid-sup verdicts per side.
 
     weak on a side means the grid gap stays below tol; non_weak requires both
-    sides to exceed the separated witness floor witness_factor * tol, keeping
-    the two verdicts an order of magnitude apart so quadrature noise cannot
-    flip them.
+    sides to reach the witness floor 10 * tol, keeping the two verdicts an
+    order of magnitude apart so quadrature noise cannot flip them.
     """
     gap_t = sup_gap(*time_vals)
     gap_f = sup_gap(*freq_vals)
-    floor = witness_factor * tol
+    floor = 10.0 * tol
     return {
         "gap_time": gap_t,
         "gap_freq": gap_f,
@@ -98,12 +97,13 @@ def h_eval(fg, z):
 
 
 def sign_retrieval_check(sample_time, sample_freq, grid_time, grid_freq,
-                         tol: float = 1e-8, witness_factor: float = 10.0) -> dict:
+                         tol: float = 1e-8) -> dict:
     """Dichotomy for squared-sample data.
 
     Requires f^2 = g^2 on the samples (both sides) within tol; then reports
     whether the squared identity extends to the grids ("squared identity
-    forced") or fails on both ("counterexample persists").
+    forced") or fails on both by at least 10 * tol ("counterexample
+    persists").
     """
     sq_t = _sq_gap(*sample_time)
     sq_f = _sq_gap(*sample_freq)
@@ -112,7 +112,7 @@ def sign_retrieval_check(sample_time, sample_freq, grid_time, grid_freq,
             f"squared samples differ (time {sq_t:.3e}, freq {sq_f:.3e}) beyond tol {tol:.1e}")
     wit_t = _sq_gap(*grid_time)
     wit_f = _sq_gap(*grid_freq)
-    floor = witness_factor * tol
+    floor = 10.0 * tol
     if wit_t <= tol and wit_f <= tol:
         verdict = "squared identity forced"
     elif wit_t >= floor and wit_f >= floor:

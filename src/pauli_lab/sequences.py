@@ -1,7 +1,7 @@
 """Sampling sequences: generation, counting, density fits, parity splits.
 
 Sets here are finite, strictly increasing real sequences split into a
-nonpositive and a nonnegative half-line.  The generators produce power-profile
+negative and a nonnegative half-line.  The generators produce power-profile
 sequences gamma_j = ((j + theta_j)/D)^(1/p) whose counting function n(r)
 matches D*r^p up to a bounded remainder, with deterministic seeded jitter.
 """
@@ -22,14 +22,13 @@ class InfeasibleTargetError(ValueError):
 
 @dataclass(frozen=True)
 class SampledSet:
-    """Finite strictly increasing real sequence with declared half-lines.
+    """Finite strictly increasing real sequence split into half-lines.
 
-    ``zero_side`` says which half-line owns the point 0 when present ("+" by
-    default); all other points belong to the half matching their sign.
+    ``negative`` holds the points below 0 and ``positive`` the rest: the
+    point 0, when present, belongs to the nonnegative half.
     """
 
     points: np.ndarray
-    zero_side: str = "+"
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -39,27 +38,21 @@ class SampledSet:
             raise ValueError("points must be one-dimensional")
         if len(pts) > 1 and not np.all(np.diff(pts) > 0):
             raise ValueError("points must be strictly increasing")
-        if self.zero_side not in ("+", "-"):
-            raise ValueError(f"zero_side must be '+' or '-', got {self.zero_side!r}")
 
     def __len__(self) -> int:
         return len(self.points)
 
     @property
     def negative(self) -> np.ndarray:
-        if self.zero_side == "-":
-            return self.points[self.points <= 0]
         return self.points[self.points < 0]
 
     @property
     def positive(self) -> np.ndarray:
-        if self.zero_side == "-":
-            return self.points[self.points > 0]
         return self.points[self.points >= 0]
 
     def half(self, sign: str) -> "SampledSet":
         pts = self.negative if sign == "-" else self.positive
-        return SampledSet(points=pts, zero_side=self.zero_side, meta=dict(self.meta))
+        return SampledSet(points=pts, meta=dict(self.meta))
 
     def counting(self, r: float) -> int:
         """Number of points with |gamma| < r (open disk)."""
@@ -70,12 +63,12 @@ class SampledSet:
     def symmetrized(self) -> "SampledSet":
         """The union of the set with its mirror image, deduplicated."""
         pts = np.unique(np.concatenate([self.points, -self.points]))
-        return SampledSet(points=pts, zero_side=self.zero_side, meta=dict(self.meta))
+        return SampledSet(points=pts, meta=dict(self.meta))
 
     def restricted(self, r_min: float, r_max: float) -> "SampledSet":
         """Points with r_min < |gamma| <= r_max."""
         m = (np.abs(self.points) > r_min) & (np.abs(self.points) <= r_max)
-        return SampledSet(points=self.points[m], zero_side=self.zero_side, meta=dict(self.meta))
+        return SampledSet(points=self.points[m], meta=dict(self.meta))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -123,7 +116,6 @@ class SmoothSpec:
     jitter: float = 0.0
     seed: int = 0
     halves: str = "+"
-    separation: float | None = None
 
     def __post_init__(self) -> None:
         if self.p < 1:
@@ -132,7 +124,7 @@ class SmoothSpec:
             raise ValueError(f"density must be positive, got {self.density}")
         if not 0 <= self.jitter < 0.5:
             raise ValueError(f"jitter must lie in [0, 1/2), got {self.jitter}")
-        if self.halves not in ("+", "-", "±", "+-", "-+"):
+        if self.halves not in ("+", "-", "±"):
             raise ValueError(f"halves must be '+', '-' or '±', got {self.halves!r}")
 
 
@@ -150,17 +142,13 @@ def generate_smooth(spec: SmoothSpec) -> SampledSet:
         return ((j + theta) / spec.density) ** (1.0 / spec.p)
 
     parts = []
-    if spec.halves in ("-", "±", "+-", "-+"):
+    if spec.halves in ("-", "±"):
         parts.append(-half_points()[::-1])
-    if spec.halves in ("+", "±", "+-", "-+"):
+    if spec.halves in ("+", "±"):
         parts.append(half_points())
     pts = np.concatenate(parts)
     meta = {"p": spec.p, "D": spec.density, "seed": spec.seed, "jitter": spec.jitter}
-    out = SampledSet(points=pts, meta=meta)
-    if spec.separation is not None and not separation_check(out, spec.p, spec.separation):
-        raise ValueError(
-            f"drawn sequence violates the declared separation constant {spec.separation}")
-    return out
+    return SampledSet(points=pts, meta=meta)
 
 
 def density_fit(gamma: SampledSet, p: float) -> tuple[float, float]:
@@ -228,8 +216,8 @@ def split_parity(gamma: SampledSet) -> tuple[SampledSet, SampledSet]:
     odd = np.sort(np.concatenate(odd_parts))
     meta = dict(gamma.meta)
     return (
-        SampledSet(points=even, zero_side=gamma.zero_side, meta=meta),
-        SampledSet(points=odd, zero_side=gamma.zero_side, meta=meta),
+        SampledSet(points=even, meta=meta),
+        SampledSet(points=odd, meta=meta),
     )
 
 
@@ -274,7 +262,7 @@ def thin_to_smooth(gamma: SampledSet, target_density: float, p: float = 2.0) -> 
         chosen = outward[idx]
         kept.append(-chosen[::-1] if sign == "-" else chosen)
     pts = np.unique(np.concatenate(kept)) if kept else np.empty(0)
-    return SampledSet(points=pts, zero_side=gamma.zero_side, meta=dict(gamma.meta))
+    return SampledSet(points=pts, meta=dict(gamma.meta))
 
 
 def augment_to_smooth(gamma: SampledSet, target_density: float, p: float = 2.0) -> SampledSet:
@@ -316,4 +304,4 @@ def augment_to_smooth(gamma: SampledSet, target_density: float, p: float = 2.0) 
         new = new[new <= r_max]
         merged.append(-new[::-1] if sign == "-" else new)
     pts = np.unique(np.concatenate(merged))
-    return SampledSet(points=pts, zero_side=gamma.zero_side, meta=dict(gamma.meta))
+    return SampledSet(points=pts, meta=dict(gamma.meta))

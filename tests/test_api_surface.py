@@ -1,0 +1,127 @@
+"""Every option of the public API is set by some caller.
+
+A defaulted parameter that no call sets is dead API: one value is ever used,
+yet each such option doubles the configurations the tests would have to
+cover.  This scan parses ``src/pauli_lab``, ``scripts/`` and ``perfbench/``
+and fails on a defaulted parameter of a public function or method, or a
+defaulted field of a public frozen dataclass, that no call there sets by
+keyword or position.  ``KEPT`` lists the options that stay all the same,
+each with its reason, and must name only options that are still unset.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pauli_lab"
+CALLER_DIRS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+
+KEPT = {
+    # tests reach a path that production also reaches through these
+    "interpolation.choose_window_cut": {"bound"},
+    "interpolation.assemble_vanishing_function": {"aux_count", "min_inner_cut"},
+    "fourier.hardy_check": {"floor"},
+    "fourier.transform_values": {"inverse"},
+    "asymptotics.indicator_estimate": {"r_grid"},
+    # ProductModel fields, which its JSON format carries
+    "entire_models.gaussian_model": {"amplitude", "phase", "parity"},
+    "entire_models.profile_product": {"amplitude", "phase"},
+    # the density-proportional split of the threshold-reach work may use these
+    "thresholds.classify_pair": {"bound", "window"},
+    "sequences.thin_to_smooth": {"p"},
+    "sequences.augment_to_smooth": {"p"},
+    # the separation bound is checked (with d) and measured (without) by tests
+    "sequences.separation_check": {"d"},
+}
+
+
+def _python_files():
+    for directory in CALLER_DIRS:
+        yield from sorted(directory.rglob("*.py"))
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        if isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "dataclass":
+            return any(kw.arg == "frozen" and getattr(kw.value, "value", False)
+                       for kw in dec.keywords)
+    return False
+
+
+def _defaulted(args: ast.arguments, skip_first: bool) -> list[tuple[str, int | None]]:
+    """(name, positional index or None for keyword-only) of each defaulted parameter."""
+    positional = args.posonlyargs + args.args
+    offset = 1 if skip_first else 0
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _options() -> dict[tuple[str, str], list[tuple[str, int | None]]]:
+    """(module, callable name) -> its defaulted parameters, for the public API."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found[(module, node.name)] = _defaulted(node.args, skip_first=False)
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    found[(module, item.name)] = _defaulted(item.args, skip_first=not static)
+            if _is_frozen_dataclass(node):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)]
+                found[(module, node.name)] = [(f.target.id, i) for i, f in enumerate(fields)
+                                              if f.value is not None]
+    return found
+
+
+def _calls() -> dict[str, list[tuple[int, set, bool]]]:
+    """Callee name -> (positional count, keyword names, unpacks anything) per call."""
+    calls: dict[str, list] = {}
+    for path in _python_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(kw.arg is None for kw in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {kw.arg for kw in node.keywords}, unpacks))
+    return calls
+
+
+def _unset_options() -> dict[str, set]:
+    calls = _calls()
+    unset: dict[str, set] = {}
+    for (module, name), params in _options().items():
+        for param, index in params:
+            if any(unpacks or param in keywords or (index is not None and n_pos > index)
+                   for n_pos, keywords, unpacks in calls.get(name, ())):
+                continue
+            unset.setdefault(f"{module}.{name}", set()).add(param)
+    return unset
+
+
+def test_every_option_is_set_by_a_caller():
+    unset = _unset_options()
+    dead = {name: sorted(params - KEPT.get(name, set()))
+            for name, params in unset.items() if params - KEPT.get(name, set())}
+    assert not dead, f"options no caller sets (use the value, or add to KEPT): {dead}"
+
+
+def test_kept_options_are_still_unset():
+    unset = _unset_options()
+    stale = {name: sorted(params - unset.get(name, set()))
+             for name, params in KEPT.items() if params - unset.get(name, set())}
+    assert not stale, f"KEPT names options that a caller sets or that are gone: {stale}"

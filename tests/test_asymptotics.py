@@ -69,8 +69,7 @@ class TestIndicatorEstimate:
     def test_all_masked(self):
         m = sinc_product(50)
         with pytest.raises(asy.AllMaskedError):
-            asy.indicator_estimate(m, 0.0, r_grid=np.array([1.0, 2.0, 3.0]),
-                                   mask_constant=10.0)
+            asy.indicator_estimate(m, 0.0, r_grid=np.array([1.0, 2.0, 3.0]))
 
 
 class TestTrigConvexity:
@@ -109,6 +108,13 @@ class TestZeroDensityIndicator:
 
     def test_measured_density_close(self, quartic_phi):
         assert asy.measured_zero_plane_density(quartic_phi) == pytest.approx(HALF_DENSITY, rel=1e-6)
+
+    def test_measured_density_counts_tail_zeros(self):
+        # three retained zeros on the profile; the exact tail carries the rest
+        short = profile_product(np.sqrt(np.arange(1, 4) / HALF_DENSITY), HALF_DENSITY, 0.5)
+        assert asy.measured_zero_plane_density(short) == pytest.approx(HALF_DENSITY, rel=1e-12)
+        tail = profile_product(np.empty(0), 0.7, 0.5)
+        assert asy.measured_zero_plane_density(tail) == pytest.approx(tail.tail_scale, rel=1e-12)
 
     def test_zero_free_gaussian(self):
         ok, margin = asy.zero_density_indicator_check(gaussian_model(1.0), density=0.0)

@@ -188,10 +188,16 @@ class TestUsageErrors:
             cli.main([])
         assert err.value.code == 2
 
-    def test_bad_range(self):
-        with pytest.raises(SystemExit) as err:
-            cli.main(["thresholds", "--a-grid", "nonsense"])
-        assert err.value.code == 2
+    def test_bad_range(self, capsys):
+        assert run(["thresholds", "--a-grid", "nonsense"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: range 'nonsense' is not start:stop:step\n")
+        assert run(["thresholds", "--a-grid", "0.1:0.5:0"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: range '0.1:0.5:0' needs a positive step\n")
+        assert run(["thresholds", "--a-grid", "0:inf:0.1"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: range '0:inf:0.1' needs finite values\n")
 
     def test_threads_env(self, monkeypatch):
         monkeypatch.setenv("PAULI_LAB_THREADS", "4")

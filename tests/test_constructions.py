@@ -85,6 +85,8 @@ class TestPairEvaluation:
     def test_parts_keep_their_type_through_json(self, kind, request):
         pair = request.getfixturevalue(kind)
         back = con.pair_from_json(pair.to_json())
+        # a null-space pair's two parts stay one evaluator
+        assert (back.phi is back.psi) == (pair.phi is pair.psi) == (kind == "null_space_pair")
         for built, loaded in ((pair.phi, back.phi), (pair.psi, back.psi)):
             assert type(built) is type(loaded)
             assert type(getattr(built, "base", None)) is type(getattr(loaded, "base", None))

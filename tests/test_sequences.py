@@ -64,10 +64,8 @@ class TestSampledSet:
             assert s.counting(g) == k - 1
 
     def test_zero_side(self):
-        s = seq.SampledSet(points=np.array([-1.0, 0.0, 2.0]), zero_side="+")
+        s = seq.SampledSet(points=np.array([-1.0, 0.0, 2.0]))
         assert 0.0 in s.positive and 0.0 not in s.negative
-        t = seq.SampledSet(points=np.array([-1.0, 0.0, 2.0]), zero_side="-")
-        assert 0.0 in t.negative and 0.0 not in t.positive
 
     def test_csv_round_trip(self):
         s = profile(count=20, jitter=0.1, seed=3)
