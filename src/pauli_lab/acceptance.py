@@ -187,26 +187,22 @@ def ac7() -> AcceptanceRecord:
         lam = generate_smooth(SmoothSpec(p=2.0, density=1.2, count=512, halves="±", seed=3))
         mu = generate_smooth(SmoothSpec(p=2.0, density=1.2, count=512, halves="±", seed=4))
         pair = con.build_nonweak_pair(lam, mu, 0.5, nodes=2048)
-        lam1, lam2 = split_parity(lam)
-        mu1, mu2 = split_parity(mu)
         win = 3.3
-        classes = {}
-        for name, part, pts in (("phi|lam1", pair.phi, lam1.points),
-                                ("psi|lam2", pair.psi, lam2.points)):
-            sel = pts[np.abs(pts) <= win]
-            classes[name] = float(np.max(np.abs(part.eval(sel))))
-        for name, part, pts in (("phihat|mu1", pair.phi, mu1.points),
-                                ("psihat|mu2", pair.psi, mu2.points)):
-            sel = pts[np.abs(pts) <= win]
-            classes[name] = float(np.max(np.abs(part.eval_hat(sel))))
+        lam_w = lam.points[np.abs(lam.points) <= win]
+        mu_w = mu.points[np.abs(mu.points) <= win]
+        # each part once on the whole window sets; phi vanishes on the even
+        # parity class (lam1, mu1), psi on the odd one
+        phi_t, psi_t = pair.phi.eval(lam_w), pair.psi.eval(lam_w)
+        phi_f, psi_f = pair.phi.eval_hat(mu_w), pair.psi.eval_hat(mu_w)
+        in_lam1 = np.isin(lam_w, split_parity(lam)[0].points)
+        in_mu1 = np.isin(mu_w, split_parity(mu)[0].points)
+        worst = max(float(np.max(np.abs(v))) for v in (phi_t[in_lam1], psi_t[~in_lam1],
+                                                       phi_f[in_mu1], psi_f[~in_mu1]))
         x = np.linspace(-2.5, 2.5, 401)
         grid_t, grid_f = pair.fg(x), pair.fg_hat(x)
         wt, wf = pv.sup_gap(*grid_t), pv.sup_gap(*grid_f)
-        lam_w = lam.points[np.abs(lam.points) <= win]
-        mu_w = mu.points[np.abs(mu.points) <= win]
-        sign = pv.sign_retrieval_check(pair.fg(lam_w), pair.fg_hat(mu_w), grid_t, grid_f,
-                                       tol=1e-5)
-        worst = max(classes.values())
+        sign = pv.sign_retrieval_check(pair.combine(phi_t, psi_t), pair.combine(phi_f, psi_f),
+                                       grid_t, grid_f, tol=1e-5)
         ok = (worst <= 1e-6 and wt >= 1e-4 and wf >= 1e-4
               and sign["verdict"] == "counterexample persists")
         return ok, (f"residual classes max {worst:.1e}, witnesses ({wt:.2e}, {wf:.2e}), "

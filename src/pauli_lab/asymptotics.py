@@ -22,6 +22,7 @@ import numpy as np
 
 from . import fourier
 from .entire_models import ProductModel
+from .sequences import SampledSet, separation_check
 
 
 class AllMaskedError(ValueError):
@@ -58,13 +59,6 @@ def _is_order2_in_z(model: ProductModel) -> bool:
     return bool(model.quartic or model.gauss_rate != 0.0 or model.parity != 0)
 
 
-def _measured_separation(zeros: np.ndarray) -> float:
-    if len(zeros) < 2:
-        return 0.5
-    gaps = np.diff(zeros)
-    return float(np.min(gaps * (1.0 + zeros[:-1])))
-
-
 def _on_zero_ray(model: ProductModel, zeros: np.ndarray, theta: float, order2: bool) -> bool:
     if len(zeros) == 0:
         return False
@@ -83,7 +77,7 @@ def _zero_ray_mask(model: ProductModel, zeros: np.ndarray, theta: float, r: np.n
     if not _on_zero_ray(model, zeros, theta, order2):
         return keep
     # half the measured separation keeps the exclusion disks disjoint
-    c = 0.5 * _measured_separation(zeros)
+    c = 0.5 * (separation_check(SampledSet(points=zeros), 2.0) if len(zeros) >= 2 else 0.5)
     for rho in zeros:
         keep &= np.abs(r - rho) >= c / (1.0 + rho)
     return keep

@@ -64,20 +64,6 @@ class ModelEvaluator:
         return res.values if np.ndim(xi) else res.values[0]
 
 
-class ScaledEvaluator:
-    """Constant multiple of another evaluator."""
-
-    def __init__(self, base, factor: complex):
-        self.base = base
-        self.factor = factor
-
-    def eval(self, z):
-        return self.factor * self.base.eval(z)
-
-    def eval_hat(self, xi):
-        return self.factor * self.base.eval_hat(xi)
-
-
 @dataclass
 class PairConstruction:
     """f = phi + e^{i vartheta} psi and g = phi - e^{i vartheta} psi."""
@@ -91,25 +77,26 @@ class PairConstruction:
     def _rot(self) -> complex:
         return np.exp(1j * self.vartheta) if self.vartheta != 0.0 else 1.0 + 0.0j
 
-    def fg(self, x):
-        """(f, g) at x from one evaluation of each part."""
-        phi, psi = self.phi.eval(x), self._rot * self.psi.eval(x)
+    def combine(self, phi, psi):
+        """(f, g) from the values of phi and psi at the same points."""
+        psi = self._rot * psi
         return phi + psi, phi - psi
 
+    def fg(self, x):
+        """(f, g) at x from one evaluation of each distinct part."""
+        phi = self.phi.eval(x)
+        return self.combine(phi, phi if self.psi is self.phi else self.psi.eval(x))
+
     def fg_hat(self, xi):
-        """(f hat, g hat) at xi from one transform evaluation of each part."""
-        phi, psi = self.phi.eval_hat(xi), self._rot * self.psi.eval_hat(xi)
-        return phi + psi, phi - psi
+        """(f hat, g hat) at xi from one transform evaluation of each distinct part."""
+        phi = self.phi.eval_hat(xi)
+        return self.combine(phi, phi if self.psi is self.phi else self.psi.eval_hat(xi))
 
     def to_json(self) -> str:
         def encode(part):
             if isinstance(part, ModelEvaluator):
                 return {"type": "product_model", "model": json.loads(part.model.to_json()),
                         "quad": {"half_width": part.quad.half_width, "nodes": part.quad.nodes}}
-            if isinstance(part, ScaledEvaluator):
-                inner = encode(part.base)
-                return {"type": "scaled", "factor_re": float(np.real(part.factor)),
-                        "factor_im": float(np.imag(part.factor)), "base": inner}
             if isinstance(part, AssembledInterpolant):
                 p = part.problem
                 return {
@@ -145,9 +132,6 @@ def _decode_evaluator(obj: dict):
         quad = fourier.QuadratureSpec(half_width=obj["quad"]["half_width"],
                                       nodes=obj["quad"]["nodes"])
         return ModelEvaluator(model, quad)
-    if kind == "scaled":
-        return ScaledEvaluator(_decode_evaluator(obj["base"]),
-                               complex(obj["factor_re"], obj["factor_im"]))
     if kind == "interpolant":
         lam = np.array(obj["lambda"], dtype=float)
         mu = np.array(obj["mu"], dtype=float)
@@ -168,7 +152,7 @@ def _decode_evaluator(obj: dict):
         alpha = np.array(obj["alpha_re"]) + 1j * np.array(obj["alpha_im"])
         beta = np.array(obj["beta_re"]) + 1j * np.array(obj["beta_im"])
         return AssembledInterpolant(problem, alpha, beta)
-    raise ValueError(f"unknown evaluator type {kind!r}")
+    raise ValueError(f"unknown evaluator type {kind!r}; rebuild the pair with `construct`")
 
 
 def pair_from_json(text: str) -> PairConstruction:
@@ -246,7 +230,7 @@ def _pick_headroom(half_density: float, rate_base: float, freq_rate: float) -> f
 def _null_space_pair(lam: SampledSet, mu: SampledSet, density_cap: float,
                      provenance: dict, nodes: int) -> PairConstruction:
     """g == 0 branch: f is a vanishing interpolant, split evenly so that the
-    pair keeps the phi/psi shape (phi = psi = f/2)."""
+    pair keeps the phi/psi shape (phi = psi = f/2, one shared part)."""
     d_max = max(half_density(lam.symmetrized().points), half_density(mu.symmetrized().points))
     if d_max >= density_cap:
         raise DensityTooHighError(f"half density {d_max:.3f} reaches the cap {density_cap:.3f}")
@@ -263,49 +247,46 @@ def _null_space_pair(lam: SampledSet, mu: SampledSet, density_cap: float,
                        "carriers": [float(v) for v in func.aux_points],
                        "residual_time": func.residual_time,
                        "residual_freq": func.residual_freq})
-    half = ScaledEvaluator(func.interpolant, 0.5)
+    f = func.interpolant
+    # halving the coefficients is exact, so f = phi + psi bit for bit
+    half = AssembledInterpolant(f.problem, 0.5 * f.alpha, 0.5 * f.beta)
     return PairConstruction(phi=half, psi=half, vartheta=0.0, provenance=provenance)
 
 
-def build_time_pair(lam: SampledSet, decay: float) -> PairConstruction:
-    """Pair with matching moduli at every point of a two-sided time set.
+def _product_pair(points: SampledSet, decay: float, cap: float, rate_base: float,
+                  provenance: dict) -> PairConstruction:
+    """Product-model parts of a symmetric (time) or half-line (frequency-matched) set.
 
-    The set is symmetrized, parity-split outward per half-line; the even part
-    carries the zeros of the even factor, the odd part (plus the origin) the
-    zeros of the odd factor.
+    The nonnegative points are parity-split outward; the even part carries
+    the zeros of the even factor, the odd part those of the odd factor, both
+    at the Gaussian rate ``rate_base`` plus the headroom.  At or above
+    ``cap`` a failed headroom search is reported as the density reaching
+    the threshold, with the even part's measured transform decay.
     """
-    if not 0.0 < decay < 1.0:
-        raise ValueError(f"decay must lie in (0, 1), got {decay}")
-    lam_sym = lam.symmetrized()
-    d_half = half_density(lam_sym.points)
-    cap = one_sided_threshold(decay) / 2.0
-    gamma_base = 1.0 / (2.0 * decay) if decay < SQRT2_INV else decay
+    d_half = half_density(points.points)
+    even, odd = split_parity(SampledSet(points=points.positive))
     try:
-        eps = _pick_headroom(d_half / 2.0, gamma_base, decay)
+        eps = _pick_headroom(d_half / 2.0, rate_base, decay)
     except ParameterInfeasibleError as exc:
         if d_half < cap:
             # below the threshold: the headroom margin is what fails
             raise
-        # confirm the failure mode with the split parts' transform decay
-        # at the best Gaussian rate
+        # confirm the failure mode with the even part's transform decay at
+        # the best Gaussian rate; the digits printed keep the comparison true
         from .asymptotics import fourier_decay_predicate
-        even, _ = split_parity(SampledSet(points=lam_sym.positive))
-        probe = _extended_model(even.points, d_half / 2.0, gamma_base, 0)
+        probe = _extended_model(even.points, d_half / 2.0, rate_base, 0)
         rate = fourier_decay_predicate(probe, decay).fitted_rate
         raise DensityTooHighError(
             f"half density {d_half:.4f} >= threshold {cap:.4f}; frequency "
-            f"envelope rate {rate:.3f} {'<' if rate < decay else '>='} {decay}") from exc
-    gamma = gamma_base + eps
-    even, odd = split_parity(SampledSet(points=lam_sym.positive))
+            f"envelope rate {rate!r} {'<' if rate < decay else '>='} {decay}") from exc
+    gamma = rate_base + eps
     quad = _default_quad(gamma, 2048)
     phi = ModelEvaluator(_extended_model(even.points, d_half / 2.0, gamma, 0), quad)
     psi = ModelEvaluator(_extended_model(odd.points, d_half / 2.0, gamma, 1), quad)
-    time_grid = np.linspace(-3.0, 3.0, 241)
-    theta = select_phase(phi, psi, time_grid)
-    provenance = {"kind": "time_pair", "decay": decay, "eps": eps, "gamma": gamma,
-                  "half_density": d_half, "threshold": cap,
-                  "seed": lam.meta.get("seed"), "count": len(lam_sym.points)}
-    return PairConstruction(phi=phi, psi=psi, vartheta=theta, provenance=provenance)
+    provenance.update({"decay": decay, "eps": eps, "gamma": gamma, "half_density": d_half,
+                       "threshold": cap, "seed": points.meta.get("seed"),
+                       "count": len(points.points)})
+    return PairConstruction(phi=phi, psi=psi, vartheta=0.0, provenance=provenance)
 
 
 def _extended_model(zeros_pos: np.ndarray, half_density: float, gamma: float,
@@ -320,6 +301,21 @@ def _extended_model(zeros_pos: np.ndarray, half_density: float, gamma: float,
     return profile_product(zeros_pos, half_density, gauss_rate=gamma, parity=parity)
 
 
+def build_time_pair(lam: SampledSet, decay: float) -> PairConstruction:
+    """Pair with matching moduli at every point of a two-sided time set.
+
+    The set is symmetrized and split as in ``_product_pair``; the rotation
+    is the ``select_phase`` angle on [-3, 3].
+    """
+    if not 0.0 < decay < 1.0:
+        raise ValueError(f"decay must lie in (0, 1), got {decay}")
+    rate_base = 1.0 / (2.0 * decay) if decay < SQRT2_INV else decay
+    pair = _product_pair(lam.symmetrized(), decay, one_sided_threshold(decay) / 2.0, rate_base,
+                         {"kind": "time_pair"})
+    pair.vartheta = select_phase(pair.phi, pair.psi, np.linspace(-3.0, 3.0, 241))
+    return pair
+
+
 def build_frequency_matched_pair(lam: SampledSet, decay: float) -> PairConstruction:
     """Pair whose frequency moduli agree everywhere, sampled moduli agree at
     +-lambda, and time moduli differ.
@@ -332,23 +328,12 @@ def build_frequency_matched_pair(lam: SampledSet, decay: float) -> PairConstruct
         raise ValueError(f"decay must lie in (0, 1), got {decay}")
     if np.any(lam.points < 0):
         raise ValueError("frequency-matched construction expects a set on [0, inf)")
-    if decay >= SQRT3_HALF:
-        return _null_space_pair(lam.symmetrized(), SampledSet(points=np.empty(0)),
-                                pauli_threshold(decay) / 2.0,
-                                {"kind": "frequency_matched", "decay": decay}, 2048)
-    d_half = half_density(lam.points)
     cap = pauli_threshold(decay) / 2.0
-    sigma = gaussian_rate_base(decay)
-    eps = _pick_headroom(d_half / 2.0, sigma, decay)
-    gamma = sigma + eps
-    even, odd = split_parity(SampledSet(points=lam.positive))
-    quad = _default_quad(gamma, 2048)
-    phi = ModelEvaluator(_extended_model(even.points, d_half / 2.0, gamma, 0), quad)
-    psi = ModelEvaluator(_extended_model(odd.points, d_half / 2.0, gamma, 1), quad)
-    provenance = {"kind": "frequency_matched", "decay": decay, "eps": eps, "gamma": gamma,
-                  "half_density": d_half, "threshold": cap,
-                  "seed": lam.meta.get("seed"), "count": len(lam.points)}
-    return PairConstruction(phi=phi, psi=psi, vartheta=0.0, provenance=provenance)
+    if decay >= SQRT3_HALF:
+        return _null_space_pair(lam.symmetrized(), SampledSet(points=np.empty(0)), cap,
+                                {"kind": "frequency_matched", "decay": decay}, 2048)
+    return _product_pair(lam, decay, cap, gaussian_rate_base(decay),
+                         {"kind": "frequency_matched"})
 
 
 def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,

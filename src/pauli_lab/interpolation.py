@@ -500,15 +500,13 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
 
     # carriers and interior counts depend on the cut; iterate to consistency,
     # shifting the carriers outward when a placement spoils the window norms
-    requested_aux = aux_count
     aux_low = max(min_inner_cut + 1e-6, 0.0)
-    need = requested_aux if requested_aux is not None else 1
-    last_window_error = None
+    need = aux_count if aux_count is not None else 1
+    freq_gen = vanishing_generator(mu_sym.positive, weight_b, density=d_mu)
     for _ in range(6):
         aux = _carrier_points(lam_pos, need, aux_low, 0.98 * outer_radius)
         zeros_time = np.sort(np.concatenate([lam_pos, aux]))
         time_gen = vanishing_generator(zeros_time, weight_a, density=d_lam)
-        freq_gen = vanishing_generator(mu_sym.positive, weight_b, density=d_mu)
         lam_win_set = SampledSet(points=np.unique(np.concatenate([lam_sym.points, aux, -aux])))
         base = make_problem(lam_win_set, mu_sym, None, None, weight_a, weight_b,
                             inner_cut=0.0, outer_radius=outer_radius,
@@ -518,10 +516,11 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
         radii = np.unique(np.abs(np.concatenate([base.lam, base.mu])))
         mids = 0.5 * (radii[:-1] + radii[1:]) if len(radii) > 1 else np.array([])
         candidates = np.concatenate([[min_inner_cut], mids[(mids < cut_cap) & (mids >= min_inner_cut)]])
+        window_error = None
         try:
             cut, diagnostics = choose_window_cut(base, candidates=candidates, criterion="product")
         except NoFeasibleWindowError as exc:
-            last_window_error = exc
+            window_error = exc
             shifted = lam_pos[lam_pos > float(np.min(aux))]
             if len(shifted) < need + 1:
                 raise
@@ -529,19 +528,21 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
             continue
         n_int = int(np.count_nonzero((lam_sym.points > 0) & (lam_sym.points <= cut)) +
                     np.count_nonzero((mu_sym.points > 0) & (mu_sym.points <= cut)))
-        if requested_aux is not None:
+        if aux_count is not None:
             # an explicit carrier budget is binding; shortfalls surface later
             # as an empty null space
             break
         target = n_int + 2 if n_int else 1
-        if need >= target and (need > n_int or n_int == 0):
+        if need >= target:
             break
-        need = max(target, n_int + 1)
+        need = target
         aux_low = max(aux_low, cut + 1e-6)
     else:
-        if last_window_error is not None:
-            raise last_window_error
-    aux_count = need
+        # only a failure of the last placement is final; after a window was
+        # found, a carrier shortfall surfaces as an empty null space
+        if window_error is not None:
+            raise window_error
+    aux_count = len(aux)
     problem = base.restricted(cut)
 
     mats = build_cross_matrices(problem)

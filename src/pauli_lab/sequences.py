@@ -181,12 +181,11 @@ def half_density(points: np.ndarray) -> float:
     return 0.0
 
 
-def separation_check(gamma: SampledSet, p: float, d: float | None = None):
-    """Verify (or measure) the separation bound gap >= d * (1 + |gamma_j|)^(1-p).
+def separation_check(gamma: SampledSet, p: float) -> float:
+    """Largest d for which the separation bound gap >= d * (1 + |gamma_j|)^(1-p) holds.
 
     Per half-line in outward order, using the inner point of each gap as the
-    weight.  With ``d`` given, returns a bool; with ``d=None`` (measuring
-    mode), returns the largest d for which the bound holds.
+    weight; inf when no half-line holds two points.
     """
     measured = np.inf
     for half in (gamma.negative, gamma.positive):
@@ -196,9 +195,7 @@ def separation_check(gamma: SampledSet, p: float, d: float | None = None):
         gaps = np.diff(outward)
         weights = (1.0 + outward[:-1]) ** (p - 1.0)
         measured = min(measured, float(np.min(gaps * weights)))
-    if d is None:
-        return measured
-    return bool(measured >= d)
+    return measured
 
 
 def split_parity(gamma: SampledSet) -> tuple[SampledSet, SampledSet]:

@@ -45,6 +45,13 @@ def test_ac7_non_weak_pair():
     _assert_record(acc.ac7())
 
 
+def test_ac7_evaluates_each_part_once_per_point_set(interpolant_calls):
+    # construction 4 + 4, then each part once on the window sets and once
+    # on the witness grid
+    assert acc.ac7().passed
+    assert interpolant_calls == {"eval": 8, "eval_hat": 8}
+
+
 def test_ac8_indicator_properties():
     _assert_record(acc.ac8())
 

@@ -32,8 +32,6 @@ KEPT = {
     "thresholds.classify_pair": {"bound", "window"},
     "sequences.thin_to_smooth": {"p"},
     "sequences.augment_to_smooth": {"p"},
-    # the separation bound is checked (with d) and measured (without) by tests
-    "sequences.separation_check": {"d"},
 }
 
 

@@ -91,6 +91,29 @@ class TestConstructVerify:
         assert need == pytest.approx(margin * density, abs=1e-4)
         assert need >= best
 
+    @pytest.mark.parametrize("kind, density", [("time", "2.1"), ("freq-matched", "2.5")])
+    def test_supercritical_message_holds(self, tmp_path, capsys, kind, density):
+        code = run(["construct", kind, "--A", "0.5", "--D", density, "--seed", "3",
+                    "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        found = re.search(r"half density ([\d.]+) >= threshold ([\d.]+); frequency "
+                          r"envelope rate ([\d.e-]+) (<|>=) ([\d.]+)", err)
+        assert found, err
+        half, cap, rate, op, decay = found.groups()
+        assert float(half) >= float(cap)
+        assert (float(rate) < float(decay)) == (op == "<")
+
+    def test_null_space_verify_evaluates_the_shared_part_once(self, tmp_path,
+                                                                interpolant_calls):
+        pair_file = tmp_path / "pair.json"
+        assert run(["construct", "freq-matched", "--A", "0.9", "--D", "0.5", "--seed", "3",
+                    "--out", str(pair_file)]) == 0
+        interpolant_calls.update(eval=0, eval_hat=0)
+        assert run(["verify", "--pair", str(pair_file), "--out", str(tmp_path / "r.json")]) == 0
+        # the retained set and the time grid, then the frequency grid
+        assert interpolant_calls == {"eval": 2, "eval_hat": 1}
+
     def test_infeasible_density_exit_one(self, tmp_path):
         code = run(["construct", "freq-matched", "--A", "0.5", "--D", "2.5",
                     "--count", "256", "--out", str(tmp_path / "x.json")])
@@ -139,6 +162,17 @@ class TestModelTools:
         assert run(["verify", "--pair", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "'T2'" in err and "construct" in err
+
+    def test_verify_rejects_scaled_part(self, tmp_path, capsys):
+        # a null-space pair written while its parts were stored as f/2 wrappers
+        part = '{"type": "scaled", "factor_re": 0.5, "factor_im": 0.0, "base": {}}'
+        path = tmp_path / "old.json"
+        path.write_text(f'{{"phi": {part}, "psi": {part}, "vartheta": 0.0, '
+                        '"provenance": {"kind": "frequency_matched", "branch": "null_space"}}')
+        assert run(["verify", "--pair", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "'scaled'" in err
+        assert "rebuild the pair with `construct`" in err
 
 
 class TestInterp:

@@ -4,6 +4,7 @@ import pytest
 from pauli_lab import constructions as con
 from pauli_lab import fourier
 from pauli_lab import pauli_verify as pv
+from pauli_lab.interpolation import DensityTooHighError
 from pauli_lab.sequences import SampledSet, SmoothSpec, generate_smooth
 
 X_GRID = np.linspace(-3.0, 3.0, 241)
@@ -47,7 +48,7 @@ def null_space_pair():
 class TestPairEvaluation:
     """fg/fg_hat evaluate each part once and give today's f, g values bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["time_pair", "freq_pair", "nonweak_pair"])
+    @pytest.mark.parametrize("kind", ["time_pair", "freq_pair", "nonweak_pair", "null_space_pair"])
     @pytest.mark.parametrize("vartheta", [None, 0.7])
     def test_fg_equals_parts_combined(self, kind, vartheta, request):
         pair = request.getfixturevalue(kind)
@@ -89,7 +90,6 @@ class TestPairEvaluation:
         assert (back.phi is back.psi) == (pair.phi is pair.psi) == (kind == "null_space_pair")
         for built, loaded in ((pair.phi, back.phi), (pair.psi, back.psi)):
             assert type(built) is type(loaded)
-            assert type(getattr(built, "base", None)) is type(getattr(loaded, "base", None))
         x = np.linspace(-2.5, 2.5, 101)
         for a, b in zip(pair.fg(x) + pair.fg_hat(x), back.fg(x) + back.fg_hat(x)):
             assert np.array_equal(a, b)
@@ -154,8 +154,13 @@ class TestFrequencyMatchedPair:
             con.build_frequency_matched_pair(two_sided, 0.5)
 
     def test_infeasible_density(self):
-        with pytest.raises(con.ParameterInfeasibleError):
+        # above the cap the density is named as the reason, as for the time pair
+        with pytest.raises(DensityTooHighError, match=r"half density 2\.5000 >= threshold 2\.0000"):
             con.build_frequency_matched_pair(half_profile(2.5), 0.5)
+
+    def test_headroom_fails_below_cap(self):
+        with pytest.raises(con.ParameterInfeasibleError, match="headroom margin"):
+            con.build_frequency_matched_pair(half_profile(1.9), 0.5)
 
     def test_null_space_branch(self):
         pair = con.build_frequency_matched_pair(half_profile(0.8, count=256), 0.95)

@@ -384,6 +384,24 @@ class TestVanishingFunction:
             itp.assemble_vanishing_function(lam1, mu1, 0.5, 0.5, aux_count=2,
                                             min_inner_cut=1.4, nodes=2048)
 
+    def test_only_the_last_window_failure_is_final(self, split_sets, monkeypatch):
+        # the first placement finds no window, the later ones find ever wider
+        # cuts, so the carriers never catch up with the interior constraints:
+        # the shortfall is an empty null space, not the first window failure
+        calls = []
+
+        def growing_cuts(problem, candidates, **kwargs):
+            calls.append(len(candidates))
+            if len(calls) == 1:
+                raise itp.NoFeasibleWindowError([(0.0, 1.0, 1.0)])
+            return float(candidates[min(len(calls) - 1, len(candidates) - 1)]), []
+
+        monkeypatch.setattr(itp, "choose_window_cut", growing_cuts)
+        lam1, mu1 = split_sets
+        with pytest.raises(itp.NullSpaceEmptyError):
+            itp.assemble_vanishing_function(lam1, mu1, 0.2, 0.2, nodes=2048)
+        assert len(calls) == 6
+
     def test_density_too_high(self):
         lam = sym_profile(1.0, seed=9)
         mu = sym_profile(1.0, seed=10)
