@@ -143,6 +143,8 @@ def _check_radius(pair) -> float:
 
 
 def cmd_verify(args) -> int:
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be >= 1, got {args.grid_points}")
     pair = con.pair_from_json(Path(args.pair).read_text())
     lam = np.array(pair.provenance.get("lambda_points", []), dtype=float)
     mu = np.array(pair.provenance.get("mu_points", []), dtype=float)

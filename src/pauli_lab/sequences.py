@@ -16,10 +16,6 @@ import numpy as np
 from .fourier import InsufficientDataError
 
 
-class InfeasibleTargetError(ValueError):
-    """Thinning/augmentation target not reachable from the measured density."""
-
-
 @dataclass(frozen=True)
 class SampledSet:
     """Finite strictly increasing real sequence split into half-lines.
@@ -49,10 +45,6 @@ class SampledSet:
     @property
     def positive(self) -> np.ndarray:
         return self.points[self.points >= 0]
-
-    def half(self, sign: str) -> "SampledSet":
-        pts = self.negative if sign == "-" else self.positive
-        return SampledSet(points=pts, meta=dict(self.meta))
 
     def counting(self, r: float) -> int:
         """Number of points with |gamma| < r (open disk)."""
@@ -122,6 +114,8 @@ class SmoothSpec:
             raise ValueError(f"exponent p must be >= 1, got {self.p}")
         if self.density <= 0:
             raise ValueError(f"density must be positive, got {self.density}")
+        if self.count < 0:
+            raise ValueError(f"count must be >= 0, got {self.count}")
         if not 0 <= self.jitter < 0.5:
             raise ValueError(f"jitter must lie in [0, 1/2), got {self.jitter}")
         if self.halves not in ("+", "-", "±"):
@@ -216,89 +210,3 @@ def split_parity(gamma: SampledSet) -> tuple[SampledSet, SampledSet]:
         SampledSet(points=even, meta=meta),
         SampledSet(points=odd, meta=meta),
     )
-
-
-def _measured_half_densities(gamma: SampledSet, p: float) -> dict:
-    out = {}
-    for sign in ("-", "+"):
-        half = gamma.half(sign)
-        if len(half) >= 16:
-            out[sign] = density_fit(half, p)[0]
-        elif len(half) > 0:
-            # crude fallback for short halves: endpoint count ratio
-            r = np.max(np.abs(half.points))
-            out[sign] = len(half) / r**p if r > 0 else 0.0
-    return out
-
-
-def thin_to_smooth(gamma: SampledSet, target_density: float, p: float = 2.0) -> SampledSet:
-    """Subset with per-half density ~ target_density, keeping outward order.
-
-    Keeps indices round(m / ratio) per half-line; identity when the target
-    matches the measured density.
-    """
-    if target_density <= 0:
-        raise InfeasibleTargetError("target density must be positive")
-    densities = _measured_half_densities(gamma, p)
-    kept = []
-    for sign in ("-", "+"):
-        half = gamma.half(sign)
-        if len(half) == 0:
-            continue
-        d_meas = densities[sign]
-        ratio = target_density / d_meas
-        if ratio > 1.0 + 1e-9:
-            raise InfeasibleTargetError(
-                f"half {sign}: measured density {d_meas:.6g} below target {target_density:.6g}"
-            )
-        ratio = min(ratio, 1.0)
-        outward = np.sort(np.abs(half.points))
-        n = len(outward)
-        m = np.arange(1, int(np.floor(n * ratio)) + 1, dtype=float)
-        idx = np.unique(np.clip(np.round(m / ratio).astype(int), 1, n)) - 1
-        chosen = outward[idx]
-        kept.append(-chosen[::-1] if sign == "-" else chosen)
-    pts = np.unique(np.concatenate(kept)) if kept else np.empty(0)
-    return SampledSet(points=pts, meta=dict(gamma.meta))
-
-
-def augment_to_smooth(gamma: SampledSet, target_density: float, p: float = 2.0) -> SampledSet:
-    """Superset with per-half density ~ target_density.
-
-    Merges a half-step-offset power profile for the missing density and nudges
-    any new point that lands too close to an existing one.
-    """
-    densities = _measured_half_densities(gamma, p)
-    merged = [gamma.points]
-    for sign in ("-", "+"):
-        half = gamma.half(sign)
-        if len(half) == 0:
-            continue
-        d_meas = densities[sign]
-        d_add = target_density - d_meas
-        if d_add < -1e-9 * target_density:
-            raise InfeasibleTargetError(
-                f"half {sign}: measured density {d_meas:.6g} above target {target_density:.6g}"
-            )
-        if d_add <= 0:
-            continue
-        outward = np.sort(np.abs(half.points))
-        r_max = outward[-1]
-        count = int(np.floor(d_add * r_max**p - 0.5))
-        if count < 1:
-            continue
-        m = np.arange(1, count + 1, dtype=float)
-        new = ((m - 0.5) / d_add) ** (1.0 / p)
-        # nudge collisions away by a fraction of the local target spacing
-        for i, c in enumerate(new):
-            spacing = 1.0 / (p * target_density * max(c, 1e-9) ** (p - 1.0))
-            guard = 0.2 * spacing
-            for _ in range(4):
-                dist = np.min(np.abs(outward - new[i]))
-                if dist >= guard:
-                    break
-                new[i] += 0.45 * spacing
-        new = new[new <= r_max]
-        merged.append(-new[::-1] if sign == "-" else new)
-    pts = np.unique(np.concatenate(merged))
-    return SampledSet(points=pts, meta=dict(gamma.meta))

@@ -1,12 +1,16 @@
-"""Every option of the public API is set by some caller.
+"""Every public name and every option of the public API has a caller.
 
-A defaulted parameter that no call sets is dead API: one value is ever used,
-yet each such option doubles the configurations the tests would have to
-cover.  This scan parses ``src/pauli_lab``, ``scripts/`` and ``perfbench/``
-and fails on a defaulted parameter of a public function or method, or a
+A public function, class or method that nothing outside the tests reaches is
+dead API, and so is a defaulted parameter that no call sets: one value is
+ever used, yet each such option doubles the configurations the tests would
+have to cover.  These scans parse ``src/pauli_lab``, ``scripts/`` and
+``perfbench/``.  The first fails on a public top-level function or class, or
+a public method of a public class, that no name or attribute there refers
+to; ``UNCALLED`` lists the exceptions, each with its reason.  The second
+fails on a defaulted parameter of a public function or method, or a
 defaulted field of a public frozen dataclass, that no call there sets by
-keyword or position.  ``KEPT`` lists the options that stay all the same,
-each with its reason, and must name only options that are still unset.
+keyword or position; ``KEPT`` lists the options that stay all the same,
+each with its reason.  Both lists must name only entries that still apply.
 """
 
 from __future__ import annotations
@@ -28,10 +32,16 @@ KEPT = {
     # ProductModel fields, which its JSON format carries
     "entire_models.gaussian_model": {"amplitude", "phase", "parity"},
     "entire_models.profile_product": {"amplitude", "phase"},
-    # the density-proportional split of the threshold-reach work may use these
-    "thresholds.classify_pair": {"bound", "window"},
-    "sequences.thin_to_smooth": {"p"},
-    "sequences.augment_to_smooth": {"p"},
+}
+
+UNCALLED = {
+    # main dispatches to each subcommand by its name
+    *(f"cli.cmd_{command}" for command in ("thresholds", "gen_seq", "construct", "verify",
+                                           "ft", "indicator", "interp", "acceptance")),
+    # the independent transform route that the transform tests compare against
+    "hermite.project", "hermite.series", "hermite.series_hat",
+    # the contraction certificate the cross-matrix and window-cut tests measure
+    "interpolation.weighted_norms",
 }
 
 
@@ -123,3 +133,46 @@ def test_kept_options_are_still_unset():
     stale = {name: sorted(params - unset.get(name, set()))
              for name, params in KEPT.items() if params - unset.get(name, set())}
     assert not stale, f"KEPT names options that a caller sets or that are gone: {stale}"
+
+
+def _public_names() -> set[str]:
+    """module.name of each public top-level function or class, and
+    module.Class.method of each public method of a public class."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found.add(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found |= {f"{module}.{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+    return found
+
+
+def _referenced() -> set[str]:
+    """Every identifier read as a name or an attribute by the callers."""
+    names = set()
+    for path in _python_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _uncalled() -> set[str]:
+    referenced = _referenced()
+    return {name for name in _public_names() if name.rsplit(".", 1)[1] not in referenced}
+
+
+def test_every_public_name_has_a_caller():
+    dead = sorted(_uncalled() - UNCALLED)
+    assert not dead, f"public names no caller reaches (use them, delete them, or add to UNCALLED): {dead}"
+
+
+def test_uncalled_names_are_still_uncalled():
+    stale = sorted(UNCALLED - _uncalled())
+    assert not stale, f"UNCALLED names entries that a caller reaches or that are gone: {stale}"

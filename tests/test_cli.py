@@ -233,6 +233,24 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             "configuration error: range '0:inf:0.1' needs finite values\n")
 
+    @pytest.mark.parametrize("argv, count", [
+        (["gen-seq", "--count", "-3"], -3),
+        (["construct", "time", "--A", "0.5", "--count", "-4"], -4)])
+    def test_negative_count(self, tmp_path, capsys, argv, count):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: count must be >= 0, got {count}\n")
+        assert not out.exists()
+
+    def test_zero_grid_points(self, tmp_path, capsys):
+        pair_file = tmp_path / "pair.json"
+        assert run(["construct", "time", "--A", "0.5", "--count", "64",
+                    "--out", str(pair_file)]) == 0
+        assert run(["verify", "--pair", str(pair_file), "--grid-points", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --grid-points must be >= 1, got 0\n")
+
     def test_threads_env(self, monkeypatch):
         monkeypatch.setenv("PAULI_LAB_THREADS", "4")
         assert cli.max_threads() == 4

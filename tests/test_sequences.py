@@ -154,37 +154,6 @@ class TestSplitParity:
         assert seq.density_fit(odd, 2.0)[0] == pytest.approx(0.5, rel=0.02)
 
 
-class TestThinAugment:
-    def test_thin_keeps_every_other(self):
-        s = profile(density=2.0, count=400)
-        thinned = seq.thin_to_smooth(s, 1.0)
-        assert np.allclose(thinned.points, np.sqrt(np.arange(1, 201)), rtol=1e-12)
-        d_hat, _ = seq.density_fit(thinned, 2.0)
-        assert d_hat == pytest.approx(1.0, rel=0.02)
-
-    def test_thin_identity(self):
-        s = profile(density=1.0, count=128)
-        d_meas, _ = seq.density_fit(s, 2.0)
-        same = seq.thin_to_smooth(s, d_meas)
-        assert np.array_equal(same.points, s.points)
-
-    def test_thin_infeasible(self):
-        with pytest.raises(seq.InfeasibleTargetError):
-            seq.thin_to_smooth(profile(density=0.5, count=64), 1.0)
-
-    def test_augment(self):
-        s = profile(density=0.5, count=200)
-        grown = seq.augment_to_smooth(s, 1.0)
-        assert set(s.points).issubset(set(grown.points))
-        d_hat, _ = seq.density_fit(grown, 2.0)
-        assert d_hat == pytest.approx(1.0, rel=0.02)
-        assert seq.separation_check(grown, 2.0) > 0.0
-
-    def test_augment_infeasible(self):
-        with pytest.raises(seq.InfeasibleTargetError):
-            seq.augment_to_smooth(profile(density=2.0, count=64), 1.0)
-
-
 class TestSpacingStatistic:
     def test_tail_mean_half_inverse_density(self):
         for density in (0.5, 1.0, 2.0):

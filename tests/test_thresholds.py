@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pauli_lab import thresholds as th
-from pauli_lab.sequences import SampledSet, SmoothSpec, generate_smooth
 
 # frozen from a 50-digit decimal evaluation of the closed forms
 C2_AT_THIRD = 3.771236166328253  # 8*sqrt(2)/3
@@ -64,6 +63,17 @@ class TestClosedForms:
         assert th.gaussian_rate_base(0.75) == pytest.approx(0.75, abs=1e-14)
         with pytest.raises(th.DomainError):
             th.gaussian_rate_base(0.9)
+
+    def test_cross_assignment_reaches_bound(self):
+        # optimal split for small A: (a1, b1) = (A, x_A/A), (a2, b2) swapped
+        for a_dec in (0.2, 0.25, 0.3, 0.45, 0.6):
+            x_a = th.split_bound_argmax(a_dec)
+            a1, a2, b1, b2 = a_dec, x_a / a_dec, x_a / a_dec, a_dec
+            target = (th.weak_pair_threshold(a_dec) / 2) ** 2
+            s_bound = np.sqrt(a1 * (1 / b1 - a1)) + np.sqrt(a2 * (1 / b2 - a2))
+            t_bound = np.sqrt(b1 * (1 / a1 - b1)) + np.sqrt(b2 * (1 / a2 - b2))
+            assert s_bound**2 == pytest.approx(target, rel=1e-12)
+            assert t_bound**2 == pytest.approx(target, rel=1e-12)
 
 
 class TestWeakBoundOracle:
@@ -137,25 +147,6 @@ class TestUniquenessBounds:
             th.DecayParams(1.2, 1.0)
 
 
-class TestSplitDecayParams:
-    def test_derived_quantities(self):
-        sp = th.SplitDecayParams(a1=0.5, a2=0.5, b1=0.5, b2=0.5)
-        assert sp.s == pytest.approx(1.0)
-        assert sp.x == pytest.approx(0.25)
-        assert sp.time_bound_sq == pytest.approx(1.0 * (1.0 / 0.25 - 1.0))
-
-    def test_cross_assignment_reaches_bound(self):
-        # optimal split for small A: (a1, b1) = (A, x_A/A), (a2, b2) swapped
-        for a_dec in (0.2, 0.25, 0.3, 0.45, 0.6):
-            x_a = th.split_bound_argmax(a_dec)
-            sp = th.SplitDecayParams(a1=a_dec, a2=x_a / a_dec, b1=x_a / a_dec, b2=a_dec)
-            target = (th.weak_pair_threshold(a_dec) / 2) ** 2
-            s_bound = np.sqrt(sp.a1 * (1 / sp.b1 - sp.a1)) + np.sqrt(sp.a2 * (1 / sp.b2 - sp.a2))
-            t_bound = np.sqrt(sp.b1 * (1 / sp.a1 - sp.b1)) + np.sqrt(sp.b2 * (1 / sp.a2 - sp.b2))
-            assert s_bound**2 == pytest.approx(target, rel=1e-12)
-            assert t_bound**2 == pytest.approx(target, rel=1e-12)
-
-
 class TestSplitOptimizationOracle:
     @staticmethod
     def _neg_bound(v, a_dec):
@@ -182,56 +173,3 @@ class TestSplitOptimizationOracle:
             best = max(best, -res.fun)
         assert best <= target * (1 + 1e-9)
         assert best == pytest.approx(target, rel=1e-6)
-
-
-class TestHolderPair:
-    def test_validation(self):
-        th.HolderPair(2.0, 2.0)
-        th.HolderPair(3.0, 1.5)
-        with pytest.raises(th.DomainError):
-            th.HolderPair(2.0, 2.1)
-        with pytest.raises(th.DomainError):
-            th.HolderPair(1.0, 2.0)
-
-
-class TestClassifyPair:
-    def _sym_profile(self, density, count=512):
-        return generate_smooth(SmoothSpec(p=2.0, density=density, count=count, halves="±"))
-
-    def test_supercritical(self):
-        s = self._sym_profile(2.0)
-        verdict = th.classify_pair(s, s, th.HolderPair(2.0, 2.0))
-        assert verdict.label == "supercritical"
-        for inf_e, sup_e, margin in verdict.statistics.values():
-            assert 0.2 < inf_e <= sup_e < 0.3
-            assert sup_e == pytest.approx(0.25, abs=0.01)
-
-    def test_integer_lattice_never_supercritical(self):
-        n = np.arange(1, 601, dtype=float)
-        lattice = SampledSet(points=np.concatenate([-n[::-1], n]))
-        verdict = th.classify_pair(lattice, lattice, th.HolderPair(2.0, 2.0), bound=0.5)
-        assert verdict.label == "subcritical"
-        verdict_big = th.classify_pair(lattice, lattice, th.HolderPair(2.0, 2.0), bound=100.0)
-        assert verdict_big.label != "supercritical"
-
-    def test_critical_is_indeterminate(self):
-        s = self._sym_profile(1.0)
-        verdict = th.classify_pair(s, s, th.HolderPair(2.0, 2.0), bound=0.5)
-        assert verdict.label == "indeterminate"
-
-    def test_insufficient_data(self):
-        s = self._sym_profile(1.0, count=32)
-        with pytest.raises(ValueError):
-            th.classify_pair(s, s, th.HolderPair(2.0, 2.0), window=64)
-
-    def test_general_exponents(self):
-        # quartic-profile statistic tends to 1/(p D); with p = 4 and q = 4/3
-        # the combined statistic 0.25^(1/4) * 0.75^(3/4) ~ 0.57 sits above 1/2
-        lam = generate_smooth(SmoothSpec(p=4.0, density=1.0, count=512, halves="±"))
-        mu = generate_smooth(SmoothSpec(p=4.0 / 3.0, density=1.0, count=512, halves="±"))
-        verdict = th.classify_pair(lam, mu, th.HolderPair(4.0, 4.0 / 3.0), bound=0.5)
-        assert verdict.label == "subcritical"
-        for key in ("lambda-", "lambda+"):
-            assert verdict.statistics[key][1] == pytest.approx(0.25, abs=0.01)
-        for key in ("mu-", "mu+"):
-            assert verdict.statistics[key][1] == pytest.approx(0.75, abs=0.01)
