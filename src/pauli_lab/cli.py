@@ -143,12 +143,18 @@ def _check_radius(pair) -> float:
 
 
 def cmd_verify(args) -> int:
-    if args.grid_points < 1:
-        raise ValueError(f"--grid-points must be >= 1, got {args.grid_points}")
+    # the sup-on-grid verdicts need two distinct grid points, and the
+    # discrete checks at least the points inside a positive radius
+    if args.grid_points < 2:
+        raise ValueError(f"--grid-points must be >= 2, got {args.grid_points}")
+    if not args.grid_radius > 0:
+        raise ValueError(f"--grid-radius must be > 0, got {args.grid_radius}")
+    if args.radius is not None and not args.radius > 0:
+        raise ValueError(f"--radius must be > 0, got {args.radius}")
     pair = con.pair_from_json(Path(args.pair).read_text())
     lam = np.array(pair.provenance.get("lambda_points", []), dtype=float)
     mu = np.array(pair.provenance.get("mu_points", []), dtype=float)
-    radius = args.radius if args.radius else _check_radius(pair)
+    radius = _check_radius(pair) if args.radius is None else args.radius
     kind = pair.provenance.get("kind", "")
     if kind == "frequency_matched":
         lam = np.unique(np.concatenate([-lam, lam]))

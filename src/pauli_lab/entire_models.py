@@ -151,6 +151,11 @@ class ProductModel:
         The mantissa is real for real ``s`` and complex otherwise.  ``skip``
         holds one factor index per point (-1 for none); that factor is taken
         as exactly 1, which removes a vanishing factor without a second loop.
+
+        Each chunk's factors are laid out points-major, (chunk, points), in
+        one buffer, so every factor is one vectorised multiply across the
+        points; the reduction multiplies each point's factors in index order,
+        as a row-wise product would.
         """
         m = np.ones_like(s)
         e = np.zeros(s.shape, dtype=float)
@@ -167,15 +172,18 @@ class ProductModel:
         inv = 1.0 / poles
         if skip is not None:
             skip = np.broadcast_to(skip, s.shape).reshape(-1)
+        buffer = np.empty((min(chunk, n), flat.size), dtype=flat.dtype)
         for start in range(0, n, chunk):
-            block = poles[start : start + chunk]
+            stop = min(start + chunk, n)
+            factors = buffer[: stop - start]
             # (rho^2 - s)/rho^2 via reciprocal multiply: complex division is not
             # correctly rounded, and retained zeros must cancel to an exact 0
-            factors = (block[None, :] - flat[:, None]) * inv[None, start : start + chunk]
+            np.subtract(poles[start:stop, None], flat[None, :], out=factors)
+            factors *= inv[start:stop, None]
             if skip is not None:
-                rows = np.flatnonzero((skip >= start) & (skip < start + chunk))
-                factors[rows, skip[rows] - start] = 1.0
-            mf *= np.prod(factors, axis=1)
+                cols = np.flatnonzero((skip >= start) & (skip < stop))
+                factors[skip[cols] - start, cols] = 1.0
+            mf *= np.prod(factors, axis=0)
             a = np.abs(mf)
             live = a > 0
             ef[live] += np.log(a[live])
@@ -221,7 +229,11 @@ class ProductModel:
         z_arr = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
         scalar = z_arr.ndim == 0
         z_arr = np.atleast_1d(z_arr)
-        m, e = self._scaled_product(self._s_of(z_arr))
+        # one product row per distinct s: a row depends only on its own s and
+        # on the chunk size, which max|s| fixes, so +-x share it bit for bit
+        s, back = np.unique(self._s_of(z_arr).reshape(-1), return_inverse=True)
+        m, e = self._scaled_product(s)
+        m, e = m[back].reshape(z_arr.shape), e[back].reshape(z_arr.shape)
         m2, e2, size = self._smooth_log(z_arr)
         # rounding: half an ulp per retained factor, and a few ulps of each
         # log term summed into the scale, where terms of that size cancel
@@ -288,7 +300,10 @@ class ProductModel:
         rho[~origin] = self.zeros[k[~origin]]
         sign = np.where(flat >= 0, 1.0, -1.0)
         z = np.where(origin, 0.0, sign * rho)
-        m, e = self._scaled_product(self._s_of(z), skip=k)
+        # +-lam share both s and the skipped factor: one product row per zero
+        skip, first, back = np.unique(k, return_index=True, return_inverse=True)
+        m, e = self._scaled_product(self._s_of(z[first]), skip=skip)
+        m, e = m[back], e[back]
         m2, e2, _ = self._smooth_log(z, odd_factor=np.where(origin, 1.0, z))
         dfactor = np.where(origin, 1.0, -sign * (4.0 if self.quartic else 2.0) / rho)
         out = dfactor * (m * m2 * np.exp(e + e2))

@@ -243,13 +243,45 @@ class TestUsageErrors:
             f"configuration error: count must be >= 0, got {count}\n")
         assert not out.exists()
 
-    def test_zero_grid_points(self, tmp_path, capsys):
-        pair_file = tmp_path / "pair.json"
+    @pytest.fixture(scope="class")
+    def time_pair(self, tmp_path_factory):
+        pair_file = tmp_path_factory.mktemp("pair") / "pair.json"
         assert run(["construct", "time", "--A", "0.5", "--count", "64",
                     "--out", str(pair_file)]) == 0
-        assert run(["verify", "--pair", str(pair_file), "--grid-points", "0"]) == 2
+        return pair_file
+
+    def test_zero_grid_points(self, time_pair, capsys):
+        assert run(["verify", "--pair", str(time_pair), "--grid-points", "0"]) == 2
         assert capsys.readouterr().err == (
-            "configuration error: --grid-points must be >= 1, got 0\n")
+            "configuration error: --grid-points must be >= 2, got 0\n")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid-points", "1", "must be >= 2, got 1"),
+        ("--grid-radius", "0", "must be > 0, got 0.0"),
+        ("--grid-radius", "-3", "must be > 0, got -3.0"),
+        ("--radius", "0", "must be > 0, got 0.0"),
+        ("--radius", "-1", "must be > 0, got -1.0"),
+        ("--radius", "nan", "must be > 0, got nan")])
+    def test_degenerate_sampling_rejected(self, time_pair, tmp_path, capsys, flag, value,
+                                          message):
+        # each of these once exited 0 with passing verdicts from no points,
+        # or from one grid point
+        out = tmp_path / "report.json"
+        assert run(["verify", "--pair", str(time_pair), flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {flag} {message}\n"
+        assert not out.exists()
+
+    def test_coarsest_grid_misses_the_gap(self, time_pair, tmp_path):
+        # the verdicts check the sup on the sampled grid only: the two points
+        # +-3 miss the gap that the default 301-point grid finds
+        verdicts = {}
+        for points in ("2", "301"):
+            out = tmp_path / f"report_{points}.json"
+            assert run(["verify", "--pair", str(time_pair), "--grid-points", points,
+                        "--out", str(out)]) == 0
+            verdicts[points] = json.loads(out.read_text())["verdicts"]
+        assert verdicts["2"]["full_pair"] and verdicts["2"]["weak_pair_time"]
+        assert not verdicts["301"]["full_pair"] and not verdicts["301"]["weak_pair_time"]
 
     def test_threads_env(self, monkeypatch):
         monkeypatch.setenv("PAULI_LAB_THREADS", "4")

@@ -340,6 +340,135 @@ class TestRealAxisPath:
         assert got[2] != 0.0
 
 
+def _chunk_size(poles, s):
+    worst = 1.0 + float(np.max(np.abs(s))) / poles[0]
+    return int(np.clip(200.0 / max(np.log10(worst), 1.0), 4, 64))
+
+
+def _row_major_product(model, s, skip=None):
+    """Reference product loop: each chunk's factors as a fresh (points, chunk)
+    block, reduced along its rows."""
+    poles = model._factor_poles
+    m = np.ones_like(s)
+    e = np.zeros(s.shape)
+    if not len(poles):
+        return m, e
+    chunk = _chunk_size(poles, s)
+    inv = 1.0 / poles
+    if skip is not None:
+        skip = np.broadcast_to(skip, s.shape)
+    for start in range(0, len(poles), chunk):
+        block = poles[start : start + chunk]
+        factors = (block[None, :] - s[:, None]) * inv[None, start : start + chunk]
+        if skip is not None:
+            rows = np.flatnonzero((skip >= start) & (skip < start + chunk))
+            factors[rows, skip[rows] - start] = 1.0
+        m *= np.prod(factors, axis=1)
+        a = np.abs(m)
+        live = a > 0
+        e[live] += np.log(a[live])
+        m[live] *= 1.0 / a[live]
+    return m, e
+
+
+class TestPointsMajorProduct:
+    @pytest.mark.parametrize("quartic, radius, chunk", [(False, 3.0, 64), (True, 3.0, 64),
+                                                        (True, 12.0, 36)])
+    @pytest.mark.parametrize("n", [5, 36, 64, 128, 150])
+    def test_matches_row_major_loop(self, quartic, radius, chunk, n):
+        model = em.ProductModel(zeros=0.5 * np.arange(1, n + 1), quartic=quartic)
+        on = model.zeros[model.zeros <= radius]
+        x = np.concatenate([np.linspace(-radius, radius, 2001), on, -on])
+        s = model._s_of(x)
+        assert _chunk_size(model._factor_poles, s) == chunk
+        # no skip, then skipped factors on both sides of each chunk edge
+        edges = [k for c in range(chunk, n, chunk) for k in (c - 1, c)]
+        for skip in (None, np.resize(np.array([-1, 0, n - 1] + edges), x.shape)):
+            got = model._scaled_product(s, skip)
+            want = _row_major_product(model, s, skip)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        # complex points multiply elementwise, not in a reduce loop: the same
+        # factors, rounded apart in the last bits
+        z = x * np.exp(0.3j)
+        (m, e), (m_ref, e_ref) = model._scaled_product(model._s_of(z)), _row_major_product(
+            model, model._s_of(z))
+        assert np.allclose(m * np.exp(e - e_ref), m_ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(_real_axis_models()))
+    def test_eval_matches_row_major_loop(self, name, monkeypatch):
+        model = _real_axis_models()[name]
+        x = np.linspace(-20.0, 20.0, 4001)
+        got = model.eval(x)
+        monkeypatch.setattr(em.ProductModel, "_scaled_product", _row_major_product)
+        want = model.eval(x)
+        for field in ("value", "log_magnitude", "error_bound", "overflow"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    @pytest.mark.parametrize("model", [
+        em.ProductModel(zeros=np.arange(1.0, 51.0), parity=1, amplitude=2.5, gauss_rate=0.3),
+        em.ProductModel(zeros=np.arange(1.0, 51.0), quartic=True, phase=0.7)])
+    def test_mirrored_and_repeated_points(self, model):
+        # up to |x| = 5 every point alone takes the full 64-factor chunk, so
+        # one point evaluates to the same bits as inside the grid
+        x = np.linspace(0.0, 5.0, 41)
+        grid = np.concatenate([x, -x, x[::-1], model.zeros[:5], -model.zeros[:5]])
+        got = model.eval(grid)
+        for field in ("value", "log_magnitude", "error_bound"):
+            alone = [getattr(model.eval(v), field) for v in grid]
+            assert np.array_equal(getattr(got, field), alone), field
+
+    def test_mirrored_and_repeated_points_with_tail(self):
+        model = em.profile_product(np.sqrt(np.arange(1, 301) / 0.45), 0.45, gauss_rate=1.05,
+                                   parity=1, amplitude=2.0 - 1.0j)
+        x = np.linspace(0.0, 12.0, 301)
+        grid = np.concatenate([x, -x[::-1], x[::3], -x[::7]])
+        got = model.eval(grid)
+        rng = np.random.default_rng(3)
+        order = rng.permutation(len(grid))
+        # the same points in another order: the same largest point, so the
+        # same chunk size and tail series
+        shuffled = model.eval(grid[order])
+        for field in ("value", "log_magnitude", "error_bound"):
+            assert np.array_equal(getattr(got, field)[order], getattr(shuffled, field)), field
+        assert np.array_equal(got.value[: len(x)], -got.value[2 * len(x) - 1 : len(x) - 1 : -1])
+
+    def test_one_product_row_per_distinct_s(self, quartic_phi, monkeypatch):
+        from pauli_lab.fourier import QuadratureSpec
+
+        rows = []
+        product = em.ProductModel._scaled_product
+
+        def counting(self, s, skip=None):
+            rows.append(s.size)
+            return product(self, s, skip)
+
+        monkeypatch.setattr(em.ProductModel, "_scaled_product", counting)
+        quartic_phi.eval(QuadratureSpec(9.0, 4096).grid())
+        assert rows == [2049]
+        rows.clear()
+        lams = np.concatenate([quartic_phi.zeros[:20], -quartic_phi.zeros[:20]])
+        quartic_phi.derivative_at_zero(lams)
+        assert rows == [20]
+
+    def test_memory_one_chunk_buffer(self):
+        import tracemalloc
+
+        lam = np.sqrt(2.0 * np.arange(1, 513) / 0.9)
+        model = em.profile_product(lam, 0.45, gauss_rate=1.05)
+        x = np.linspace(-3.0, 3.0, 6147)
+        model.eval(x[:10])
+        tracemalloc.start()
+        try:
+            model.eval(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below one 64-factor chunk over every point (3.1 MB); a fresh
+        # (points, chunk) block and its product per chunk peak at 9.7 MB
+        assert peak < 64 * x.size * x.itemsize
+
+
 PI_LD = 4 * np.arctan(np.longdouble(1))
 
 
