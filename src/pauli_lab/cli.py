@@ -143,8 +143,7 @@ def _check_radius(pair) -> float:
 
 
 def cmd_verify(args) -> int:
-    # the sup-on-grid verdicts need two distinct grid points, and the
-    # discrete checks at least the points inside a positive radius
+    # the sup-on-grid verdicts need two distinct grid points
     if args.grid_points < 2:
         raise ValueError(f"--grid-points must be >= 2, got {args.grid_points}")
     if not args.grid_radius > 0:
@@ -158,8 +157,13 @@ def cmd_verify(args) -> int:
     kind = pair.provenance.get("kind", "")
     if kind == "frequency_matched":
         lam = np.unique(np.concatenate([-lam, lam]))
+    points = np.abs(np.concatenate([lam, mu]))
     lam = lam[np.abs(lam) <= radius]
     mu = mu[np.abs(mu) <= radius]
+    # a pair with points checked at none of them would pass vacuously
+    if points.size and not lam.size + mu.size:
+        raise ValueError(f"--radius {radius} keeps none of the pair's {points.size} points; "
+                         f"the nearest is at |x| = {float(points.min())!r}")
     grid = np.linspace(-args.grid_radius, args.grid_radius, args.grid_points)
     report = pv.pair_report(pair, lam, mu, grid, grid,
                             discrete_tol=args.tol_discrete, weak_tol=args.tol_weak)

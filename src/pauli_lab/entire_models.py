@@ -229,11 +229,7 @@ class ProductModel:
         z_arr = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
         scalar = z_arr.ndim == 0
         z_arr = np.atleast_1d(z_arr)
-        # one product row per distinct s: a row depends only on its own s and
-        # on the chunk size, which max|s| fixes, so +-x share it bit for bit
-        s, back = np.unique(self._s_of(z_arr).reshape(-1), return_inverse=True)
-        m, e = self._scaled_product(s)
-        m, e = m[back].reshape(z_arr.shape), e[back].reshape(z_arr.shape)
+        m, e = self._scaled_product(self._s_of(z_arr))
         m2, e2, size = self._smooth_log(z_arr)
         # rounding: half an ulp per retained factor, and a few ulps of each
         # log term summed into the scale, where terms of that size cancel
@@ -300,10 +296,7 @@ class ProductModel:
         rho[~origin] = self.zeros[k[~origin]]
         sign = np.where(flat >= 0, 1.0, -1.0)
         z = np.where(origin, 0.0, sign * rho)
-        # +-lam share both s and the skipped factor: one product row per zero
-        skip, first, back = np.unique(k, return_index=True, return_inverse=True)
-        m, e = self._scaled_product(self._s_of(z[first]), skip=skip)
-        m, e = m[back], e[back]
+        m, e = self._scaled_product(self._s_of(z), skip=k)
         m2, e2, _ = self._smooth_log(z, odd_factor=np.where(origin, 1.0, z))
         dfactor = np.where(origin, 1.0, -sign * (4.0 if self.quartic else 2.0) / rho)
         out = dfactor * (m * m2 * np.exp(e + e2))

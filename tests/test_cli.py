@@ -271,17 +271,21 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"configuration error: {flag} {message}\n"
         assert not out.exists()
 
-    def test_coarsest_grid_misses_the_gap(self, time_pair, tmp_path):
-        # the verdicts check the sup on the sampled grid only: the two points
-        # +-3 miss the gap that the default 301-point grid finds
-        verdicts = {}
-        for points in ("2", "301"):
-            out = tmp_path / f"report_{points}.json"
-            assert run(["verify", "--pair", str(time_pair), "--grid-points", points,
-                        "--out", str(out)]) == 0
-            verdicts[points] = json.loads(out.read_text())["verdicts"]
-        assert verdicts["2"]["full_pair"] and verdicts["2"]["weak_pair_time"]
-        assert not verdicts["301"]["full_pair"] and not verdicts["301"]["weak_pair_time"]
+    def test_radius_inside_the_first_point_rejected(self, time_pair, tmp_path, capsys):
+        # a positive radius below the pair's smallest |point| leaves nothing
+        # to check; the pass it gave was vacuous
+        points = np.abs(json.loads(time_pair.read_text())["provenance"]["lambda_points"])
+        out = tmp_path / "report.json"
+        assert run(["verify", "--pair", str(time_pair), "--radius", "0.5",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: --radius 0.5 keeps none of the pair's {points.size} "
+            f"points; the nearest is at |x| = {float(points.min())!r}\n")
+        assert not out.exists()
+        assert points.min() > 0.5
+        assert run(["verify", "--pair", str(time_pair), "--radius", repr(float(points.min())),
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["grids"]["lambda_count"] == 2
 
     def test_threads_env(self, monkeypatch):
         monkeypatch.setenv("PAULI_LAB_THREADS", "4")
