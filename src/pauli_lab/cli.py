@@ -184,7 +184,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ft(args) -> int:
-    model = ProductModel.from_json(Path(args.model).read_text())
+    model = ProductModel.from_dict(json.loads(Path(args.model).read_text()))
     xi = _parse_range(args.xi)
     spec = fourier.QuadratureSpec(half_width=args.half_width, nodes=args.nodes)
     res = fourier.transform(model.values, spec, xi)
@@ -196,7 +196,7 @@ def cmd_ft(args) -> int:
 
 
 def cmd_indicator(args) -> int:
-    model = ProductModel.from_json(Path(args.model).read_text())
+    model = ProductModel.from_dict(json.loads(Path(args.model).read_text()))
     thetas = _parse_range(args.theta)
     lines = [_provenance_line(args, 0), "theta,h_hat,residual,window_lo,window_hi\n"]
     for theta in thetas:

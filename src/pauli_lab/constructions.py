@@ -95,7 +95,7 @@ class PairConstruction:
     def to_json(self) -> str:
         def encode(part):
             if isinstance(part, ModelEvaluator):
-                return {"type": "product_model", "model": json.loads(part.model.to_json()),
+                return {"type": "product_model", "model": part.model.to_dict(),
                         "quad": {"half_width": part.quad.half_width, "nodes": part.quad.nodes}}
             if isinstance(part, AssembledInterpolant):
                 p = part.problem
@@ -115,8 +115,8 @@ class PairConstruction:
                                   "nodes": p.time_quad.nodes},
                     "freq_quad": {"half_width": p.freq_quad.half_width,
                                   "nodes": p.freq_quad.nodes},
-                    "time_gen": json.loads(p.time_gen.to_json()),
-                    "freq_gen": json.loads(p.freq_gen.to_json()),
+                    "time_gen": p.time_gen.to_dict(),
+                    "freq_gen": p.freq_gen.to_dict(),
                 }
             raise TypeError(f"cannot serialize evaluator {type(part)!r}")
 
@@ -128,7 +128,7 @@ class PairConstruction:
 def _decode_evaluator(obj: dict):
     kind = obj["type"]
     if kind == "product_model":
-        model = ProductModel.from_json(json.dumps(obj["model"]))
+        model = ProductModel.from_dict(obj["model"])
         quad = fourier.QuadratureSpec(half_width=obj["quad"]["half_width"],
                                       nodes=obj["quad"]["nodes"])
         return ModelEvaluator(model, quad)
@@ -141,8 +141,8 @@ def _decode_evaluator(obj: dict):
             alpha=np.zeros(len(lam), dtype=complex),
             beta=np.zeros(len(mu), dtype=complex),
             weight_a=float(obj["weight_a"]), weight_b=float(obj["weight_b"]),
-            time_gen=ProductModel.from_json(json.dumps(obj["time_gen"])),
-            freq_gen=ProductModel.from_json(json.dumps(obj["freq_gen"])),
+            time_gen=ProductModel.from_dict(obj["time_gen"]),
+            freq_gen=ProductModel.from_dict(obj["freq_gen"]),
             inner_cut=float(obj["inner_cut"]), outer_cut=float(obj["outer_cut"]),
             time_quad=fourier.QuadratureSpec(half_width=obj["time_quad"]["half_width"],
                                              nodes=obj["time_quad"]["nodes"]),

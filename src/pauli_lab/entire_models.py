@@ -25,7 +25,6 @@ overflow.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -302,14 +301,15 @@ class ProductModel:
         out = dfactor * (m * m2 * np.exp(e + e2))
         return complex(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
 
-    def divided_basis_eval(self, lam, z):
+    def divided_basis_eval(self, lam, z, deriv):
         """Cardinal function model(z) / (model'(lam) * (z - lam)).
 
         The vanishing factor is cancelled against (z - lam) algebraically, so
         the removable singularity never appears; the result is 1 at lam and 0
-        at every other retained zero.  ``lam`` and ``z`` broadcast against
-        each other: every point comes from one pass of the product with its
-        own vanishing factor skipped, and one ``derivative_at_zero`` call.
+        at every other retained zero.  ``deriv`` holds model'(lam), as
+        ``derivative_at_zero`` gives it.  ``lam``, ``z`` and ``deriv``
+        broadcast against each other: every point comes from one pass of the
+        product with its own vanishing factor skipped.
         """
         scalar = np.ndim(lam) == 0 and np.ndim(z) == 0
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -326,15 +326,16 @@ class ProductModel:
             ratio = ratio * (1.0 + u * (1.0 / q))
         m, e = self._scaled_product(self._s_of(z_arr), skip=k)
         m2, e2, _ = self._smooth_log(z_arr)
-        out = ratio * m * m2 * np.exp(e + e2) / self.derivative_at_zero(lam_arr)
+        out = ratio * m * m2 * np.exp(e + e2) / deriv
         return out[0] if scalar else out
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The model's JSON object, as pair and model files store it."""
         meta = dict(self.meta)
         meta["quartic"] = bool(self.quartic)
-        payload = {
+        return {
             "c_re": float(np.real(self.amplitude)),
             "c_im": float(np.imag(self.amplitude)),
             "theta": float(self.phase),
@@ -345,11 +346,10 @@ class ProductModel:
             "tail_scale": float(self.tail_scale),
             "meta": meta,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ProductModel":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "ProductModel":
+        """The model ``to_dict`` described, from its parsed JSON object."""
         for key in ("T2", "T4"):
             if key in obj:
                 raise ValueError(f"model JSON carries the truncated-tail key {key!r} of the "

@@ -93,14 +93,29 @@ class InterpolationProblem:
         return np.exp(self.weight_b * np.pi * self.mu**2)
 
     @cached_property
+    def time_derivs(self) -> np.ndarray:
+        """Time generator derivatives at the window points lam."""
+        return self.time_gen.derivative_at_zero(self.lam)
+
+    @cached_property
+    def freq_derivs(self) -> np.ndarray:
+        """Frequency generator derivatives at the window points mu."""
+        return self.freq_gen.derivative_at_zero(self.mu)
+
+    @cached_property
     def time_columns(self) -> np.ndarray:
         """Time-side cardinal functions Phi_lam on the time quadrature nodes."""
-        return divided_columns(self.time_gen, self.lam, self.time_quad.grid())
+        return divided_columns(self.time_gen, self.lam, self.time_quad.grid(), self.time_derivs)
 
     @cached_property
     def freq_columns(self) -> np.ndarray:
         """Frequency-side cardinal functions What_mu on the frequency quadrature nodes."""
-        return divided_columns(self.freq_gen, self.mu, self.freq_quad.grid())
+        return divided_columns(self.freq_gen, self.mu, self.freq_quad.grid(), self.freq_derivs)
+
+    @cached_property
+    def cross(self) -> "CrossMatrices":
+        """The window's cross-coupling matrices."""
+        return build_cross_matrices(self)
 
     def data_norm(self, alpha: np.ndarray, beta: np.ndarray) -> float:
         """Weighted l1 norm of a data pair on the window."""
@@ -114,19 +129,28 @@ class InterpolationProblem:
         sub = dataclasses.replace(self, lam=self.lam[keep_l], mu=self.mu[keep_m],
                                   alpha=self.alpha[keep_l], beta=self.beta[keep_m],
                                   inner_cut=inner_cut)
-        return self._carry_columns(sub, keep_l, keep_m)
+        return self._carry(sub, keep_l, keep_m)
 
     def with_data(self, alpha: np.ndarray, beta: np.ndarray) -> "InterpolationProblem":
         """The same window and generators with new target values."""
-        return self._carry_columns(dataclasses.replace(self, alpha=alpha, beta=beta))
+        return self._carry(dataclasses.replace(self, alpha=alpha, beta=beta))
 
-    def _carry_columns(self, other: "InterpolationProblem", keep_l=slice(None),
-                       keep_m=slice(None)) -> "InterpolationProblem":
-        # each node column depends on its own point only, not on the data, so
-        # columns already computed carry over as row subsets
-        for name, keep in (("time_columns", keep_l), ("freq_columns", keep_m)):
-            if name in self.__dict__:
-                other.__dict__[name] = self.__dict__[name][keep]
+    def _carry(self, other: "InterpolationProblem", keep_l=slice(None),
+               keep_m=slice(None)) -> "InterpolationProblem":
+        # a derivative or node column depends on its own point only, and a
+        # cross entry on its own pair of points, none on the data: what is
+        # already computed carries over as row subsets and submatrices
+        cached = self.__dict__
+        for name, keep in (("time_derivs", keep_l), ("freq_derivs", keep_m),
+                           ("time_columns", keep_l), ("freq_columns", keep_m)):
+            if name in cached:
+                other.__dict__[name] = cached[name][keep]
+        if "cross" in cached:
+            # the Richardson errors stay the wider window's, which bound the kept entries'
+            mats = cached["cross"]
+            other.__dict__["cross"] = dataclasses.replace(
+                mats, psi_at_lambda=mats.psi_at_lambda[keep_l][:, keep_m],
+                phihat_at_mu=mats.phihat_at_mu[keep_m][:, keep_l])
         return other
 
 
@@ -156,11 +180,12 @@ class CrossMatrices:
     phihat_error: float
 
 
-def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray) -> np.ndarray:
+def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray,
+                    derivs: np.ndarray) -> np.ndarray:
     """Cardinal-function values (len(lams), len(x)) sharing one base evaluation.
 
     The base model value is divided by (x - lam) * model'(lam) per column, with
-    all derivatives from one pass; the quotient is well conditioned because
+    ``derivs`` holding model'(lams); the quotient is well conditioned because
     the vanishing factor is computed as an exact difference, and nodes
     colliding with lam fall back to the cancelled-factor path, all of them in
     one call.  Real ``x`` stays in real arithmetic.
@@ -170,12 +195,12 @@ def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray) -> np.
         return np.empty((0, len(x)), dtype=complex)
     lams = np.asarray(lams, dtype=float)
     diff = x - lams[:, None]
-    out = diff * model.derivative_at_zero(lams)[:, None]
+    out = diff * derivs[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(model.values(x), out, out=out)
     rows, cols = np.nonzero(np.abs(diff) < 1e-9)
     if len(rows):
-        out[rows, cols] = model.divided_basis_eval(lams[rows], x[cols])
+        out[rows, cols] = model.divided_basis_eval(lams[rows], x[cols], derivs[rows])
     return out
 
 
@@ -203,13 +228,6 @@ def _op_norm(mat: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
     return float(np.max((w_rows @ np.abs(mat)) / w_cols)) if mat.size else 0.0
 
 
-def weighted_norms(problem: InterpolationProblem, mats: CrossMatrices) -> tuple[float, float]:
-    """Weighted-l1 operator norms of the two cross maps."""
-    wl = problem.lam_weights
-    wm = problem.mu_weights
-    return _op_norm(mats.psi_at_lambda, wl, wm), _op_norm(mats.phihat_at_mu, wm, wl)
-
-
 def choose_window_cut(problem: InterpolationProblem, candidates=None,
                       bound: float = 0.5, criterion: str = "each") -> tuple[float, list]:
     """Smallest inner cut whose measured cross norms certify contraction.
@@ -220,12 +238,12 @@ def choose_window_cut(problem: InterpolationProblem, candidates=None,
     so its two-step ratio is governed by the product of the one-sided norms;
     requiring each below 1/2 is sufficient but not necessary.
 
-    Matrices are assembled once on the widest window; candidate cuts reuse
-    them as submatrices.  Raises NoFeasibleWindowError with the measured
-    norms when nothing contracts.
+    The problem's own cross matrices serve every candidate cut as
+    submatrices.  Raises NoFeasibleWindowError with the measured norms when
+    nothing contracts.
     """
     p = problem
-    mats = build_cross_matrices(p)
+    mats = p.cross
     radii = np.unique(np.abs(np.concatenate([p.lam, p.mu]))) if len(p.lam) + len(p.mu) else np.array([])
     if candidates is None:
         mids = 0.5 * (radii[:-1] + radii[1:]) if len(radii) > 1 else np.array([])
@@ -268,7 +286,7 @@ class AssembledInterpolant:
         x_arr = np.atleast_1d(np.asarray(x))
         total = np.zeros((len(x_arr),) + self.alpha.shape[1:], dtype=complex)
         if len(p.lam):
-            total += (self.alpha.T @ divided_columns(p.time_gen, p.lam, x_arr)).T
+            total += (self.alpha.T @ divided_columns(p.time_gen, p.lam, x_arr, p.time_derivs)).T
         if len(p.mu):
             total += fourier.phase_sum(p.freq_columns, p.freq_quad, x_arr, inverse=True,
                                        coeffs=self.beta).T
@@ -282,7 +300,7 @@ class AssembledInterpolant:
             total += fourier.phase_sum(p.time_columns, p.time_quad, xi_arr,
                                        coeffs=self.alpha).T
         if len(p.mu):
-            total += (self.beta.T @ divided_columns(p.freq_gen, p.mu, xi_arr)).T
+            total += (self.beta.T @ divided_columns(p.freq_gen, p.mu, xi_arr, p.freq_derivs)).T
         return total if np.ndim(xi) else total[0]
 
 
@@ -296,9 +314,11 @@ class SolveResult:
     verify_freq: float
 
 
-def _iterate(problem: InterpolationProblem, mats: CrossMatrices, alpha0: np.ndarray,
-             beta0: np.ndarray, tol: float, max_iter: int):
-    """Shared contraction loop for stacked right-hand sides."""
+def _iterate(problem: InterpolationProblem, alpha0: np.ndarray, beta0: np.ndarray,
+             tol: float, max_iter: int):
+    """Shared contraction loop for stacked right-hand sides, on the problem's
+    own cross matrices."""
+    mats = problem.cross
     alpha = np.atleast_2d(np.asarray(alpha0, dtype=complex).T).T
     beta = np.atleast_2d(np.asarray(beta0, dtype=complex).T).T
     n_rhs = alpha.shape[1]
@@ -342,8 +362,7 @@ def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60)
     re-transforms it with a finer fresh quadrature at the frequency points,
     bypassing the iteration's own matrices.
     """
-    mats = build_cross_matrices(problem)
-    tot_a, tot_b, states = _iterate(problem, mats, problem.alpha, problem.beta, tol, max_iter)
+    tot_a, tot_b, states = _iterate(problem, problem.alpha, problem.beta, tol, max_iter)
     state = states[0]
     if state.diverged or not state.converged:
         raise SolverFailedError(
@@ -545,12 +564,11 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
     aux_count = len(aux)
     problem = base.restricted(cut)
 
-    mats = build_cross_matrices(problem)
     rhs_a = np.zeros((len(problem.lam), aux_count), dtype=complex)
     for j, v in enumerate(aux):
         rhs_a[np.isclose(np.abs(problem.lam), v, rtol=1e-12), j] = 1.0
     rhs_b = np.zeros((len(problem.mu), aux_count), dtype=complex)
-    tot_a, tot_b, states = _iterate(problem, mats, rhs_a, rhs_b, tol=1e-9, max_iter=60)
+    tot_a, tot_b, states = _iterate(problem, rhs_a, rhs_b, tol=1e-9, max_iter=60)
     if any(s.diverged or not s.converged for s in states):
         raise SolverFailedError("contraction failed for the auxiliary Kronecker data")
 

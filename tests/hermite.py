@@ -1,9 +1,9 @@
 """Hermite functions normalized as eigenfunctions of the e^{-2 pi i x xi} transform.
 
 psi_k(x) = (2 pi)^(1/4) phi_k(sqrt(2 pi) x), where phi_k are the standard
-orthonormal Hermite functions; then psi_hat_k = (-i)^k psi_k.  Used as an
-independent route to frequency-side values: project in time, multiply
-coefficients by (-i)^k, evaluate in frequency.
+orthonormal Hermite functions; then psi_hat_k = (-i)^k psi_k.  The transform
+tests use them as an independent route to frequency-side values: project in
+time, multiply coefficients by (-i)^k, evaluate in frequency.
 """
 
 from __future__ import annotations

@@ -38,10 +38,6 @@ UNCALLED = {
     # main dispatches to each subcommand by its name
     *(f"cli.cmd_{command}" for command in ("thresholds", "gen_seq", "construct", "verify",
                                            "ft", "indicator", "interp", "acceptance")),
-    # the independent transform route that the transform tests compare against
-    "hermite.project", "hermite.series", "hermite.series_hat",
-    # the contraction certificate the cross-matrix and window-cut tests measure
-    "interpolation.weighted_norms",
 }
 
 

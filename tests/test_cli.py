@@ -124,7 +124,7 @@ class TestModelTools:
     @pytest.fixture()
     def model_file(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(gaussian_model(1.0).to_json())
+        path.write_text(json.dumps(gaussian_model(1.0).to_dict(), indent=2, sort_keys=True))
         return path
 
     def test_ft_oracle(self, tmp_path, model_file):
@@ -147,7 +147,7 @@ class TestModelTools:
             assert h_hat == pytest.approx(-np.pi * np.cos(2 * theta), abs=1e-8)
 
     def test_model_json_round_trip(self, model_file):
-        back = ProductModel.from_json(model_file.read_text())
+        back = ProductModel.from_dict(json.loads(model_file.read_text()))
         assert back.gauss_rate == 1.0
 
     def test_verify_rejects_truncated_tail_pair(self, tmp_path, capsys):

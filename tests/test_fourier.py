@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauli_lab import fourier, hermite
+from pauli_lab import fourier
 from pauli_lab.entire_models import gaussian_model
+
+import hermite
 
 SPEC = fourier.QuadratureSpec(half_width=8.0, nodes=2048)
 XI = np.linspace(-4.0, 4.0, 81)

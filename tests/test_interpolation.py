@@ -1,18 +1,27 @@
 import dataclasses
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from pauli_lab import fourier, hermite
+from pauli_lab import fourier
 from pauli_lab import interpolation as itp
 from pauli_lab.entire_models import ProductModel
 from pauli_lab.sequences import SampledSet, SmoothSpec, generate_smooth, split_parity
+
+import hermite
 
 
 def sym_profile(density, count=512, seed=0, jitter=0.0):
     return generate_smooth(SmoothSpec(p=2.0, density=density, count=count,
                                       jitter=jitter, seed=seed, halves="±"))
+
+
+def weighted_norms(problem, mats):
+    """Weighted-l1 operator norms of the two cross maps, the contraction certificate."""
+    wl, wm = problem.lam_weights, problem.mu_weights
+    return itp._op_norm(mats.psi_at_lambda, wl, wm), itp._op_norm(mats.phihat_at_mu, wm, wl)
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +55,11 @@ class TestCrossMatrices:
         p = small_problem
         assert p.time_columns is p.time_columns
         assert np.array_equal(p.time_columns,
-                              itp.divided_columns(p.time_gen, p.lam, p.time_quad.grid()))
+                              itp.divided_columns(p.time_gen, p.lam, p.time_quad.grid(),
+                                                  p.time_gen.derivative_at_zero(p.lam)))
         assert np.array_equal(p.freq_columns,
-                              itp.divided_columns(p.freq_gen, p.mu, p.freq_quad.grid()))
+                              itp.divided_columns(p.freq_gen, p.mu, p.freq_quad.grid(),
+                                                  p.freq_gen.derivative_at_zero(p.mu)))
         # a column depends on its own point only, so a narrower window's
         # columns are rows of the wider one's
         narrow = p.restricted(float(np.median(np.abs(p.lam))))
@@ -62,9 +73,9 @@ class TestCrossMatrices:
         original = itp.divided_columns
         calls = []
 
-        def counting(model, lams, x):
+        def counting(model, lams, x, derivs):
             calls.append(len(lams))
-            return original(model, lams, x)
+            return original(model, lams, x, derivs)
 
         monkeypatch.setattr(itp, "divided_columns", counting)
         cut, _ = itp.choose_window_cut(base)
@@ -74,9 +85,11 @@ class TestCrossMatrices:
         assert calls == [len(base.mu), len(base.lam)]
         assert 0 < len(problem.lam) < len(base.lam) and 0 < len(problem.mu) < len(base.mu)
         assert np.array_equal(problem.time_columns,
-                              original(problem.time_gen, problem.lam, problem.time_quad.grid()))
+                              original(problem.time_gen, problem.lam, problem.time_quad.grid(),
+                                       problem.time_gen.derivative_at_zero(problem.lam)))
         assert np.array_equal(problem.freq_columns,
-                              original(problem.freq_gen, problem.mu, problem.freq_quad.grid()))
+                              original(problem.freq_gen, problem.mu, problem.freq_quad.grid(),
+                                       problem.freq_gen.derivative_at_zero(problem.mu)))
 
     def test_with_data_keeps_computed_columns(self, monkeypatch):
         from pauli_lab import acceptance
@@ -84,16 +97,78 @@ class TestCrossMatrices:
         original = itp.divided_columns
         node_calls = []
 
-        def counting(model, lams, x):
+        def counting(model, lams, x, derivs):
             if len(x) == 2049:  # AC-6's node grids, not its verification grid
                 node_calls.append(len(lams))
-            return original(model, lams, x)
+            return original(model, lams, x, derivs)
+
+        build = itp.build_cross_matrices
+        builds = []
+
+        def counting_build(problem):
+            builds.append((len(problem.lam), len(problem.mu)))
+            return build(problem)
+
+        derivative = ProductModel.derivative_at_zero
+        derivs = []
+
+        def counting_derivative(model, lam):
+            derivs.append(np.size(lam))
+            return derivative(model, lam)
 
         monkeypatch.setattr(itp, "divided_columns", counting)
+        monkeypatch.setattr(itp, "build_cross_matrices", counting_build)
+        monkeypatch.setattr(ProductModel, "derivative_at_zero", counting_derivative)
         assert acceptance.ac6().passed
         # once per side for the cut search; the restricted, renormalized
         # problem reuses those rows
         assert len(node_calls) == 2
+        # the cross matrices are built once, on the wide window of the cut
+        # search, and the solve reads their submatrices
+        assert len(builds) == 1
+        # one derivative pass per side for the wide window's points, which
+        # the node columns, the solve's evaluations and its collisions share
+        assert sorted(derivs) == sorted(builds[0])
+
+    @pytest.mark.parametrize("nodes", [512, 2048])
+    def test_carried_quantities_match_fresh_ones(self, nodes):
+        for seed in range(1, 7):
+            d_lam, d_mu = np.random.default_rng(seed).uniform(0.55, 0.95, 2)
+            base = itp.make_problem(sym_profile(d_lam), sym_profile(d_mu), None, None,
+                                    0.5, 0.5, 0.0, 3.2, nodes=nodes)
+            chosen, _ = itp.choose_window_cut(base)
+            for cut in (chosen, float(np.median(np.abs(base.lam)))):
+                sub = base.restricted(cut)
+                assert 0 < len(sub.lam) and 0 < len(sub.mu)
+                fresh = dataclasses.replace(sub)  # a copy without any cached quantity
+                assert not {"cross", "time_derivs", "freq_derivs"} & set(vars(fresh))
+                want = itp.build_cross_matrices(fresh)
+                # the same sums over the kept rows and columns; BLAS blocking
+                # may differ with the matrix shape and move the last bits
+                for got_m, want_m, got_err, want_err in (
+                        (sub.cross.psi_at_lambda, want.psi_at_lambda,
+                         sub.cross.psi_error, want.psi_error),
+                        (sub.cross.phihat_at_mu, want.phihat_at_mu,
+                         sub.cross.phihat_error, want.phihat_error)):
+                    assert got_m.shape == want_m.shape
+                    scale = np.max(np.abs(want_m))
+                    assert np.max(np.abs(got_m - want_m)) <= 1e-14 * scale
+                    # the wide window's Richardson difference covers the kept entries
+                    assert got_err >= want_err - 1e-14 * scale
+                assert np.array_equal(sub.time_derivs, fresh.time_derivs)
+                assert np.array_equal(sub.freq_derivs, fresh.freq_derivs)
+
+    def test_every_cached_quantity_is_carried(self, small_problem):
+        cached = [name for name, attr in vars(itp.InterpolationProblem).items()
+                  if isinstance(attr, cached_property)]
+        assert {"cross", "time_derivs", "freq_derivs", "time_columns", "freq_columns"} <= set(cached)
+        p = small_problem
+        for name in cached:
+            getattr(p, name)
+        cut = float(np.median(np.abs(p.lam)))
+        data = (np.ones(len(p.lam), dtype=complex), np.zeros(len(p.mu), dtype=complex))
+        for q in (p.restricted(cut), p.with_data(*data)):
+            assert set(cached) <= set(vars(q)), "a cached quantity was dropped"
 
     def test_with_data_sets_only_the_data(self, small_problem):
         p = small_problem
@@ -110,13 +185,15 @@ class TestCrossMatrices:
         gen, lam = p.time_gen, p.lam
         grid = p.time_quad.grid()[::64]
         x = np.concatenate([grid, lam[:3], [lam[0] + 1e-12, lam[1] - 3e-10]])
-        cols = itp.divided_columns(gen, lam, x)
+        derivs = gen.derivative_at_zero(lam)
+        cols = itp.divided_columns(gen, lam, x, derivs)
         hits = 0
         for j in range(len(lam)):
             near = np.abs(x - lam[j]) < 1e-9
             hits += np.count_nonzero(near)
             if np.any(near):
-                assert np.array_equal(cols[j, near], gen.divided_basis_eval(lam[j], x[near]))
+                assert np.array_equal(cols[j, near],
+                                      gen.divided_basis_eval(lam[j], x[near], derivs[j]))
         assert hits == 5
         assert cols[0, len(grid)] == pytest.approx(1.0, abs=1e-12)
         assert np.all(cols[1:3, len(grid)] == 0.0)
@@ -126,23 +203,24 @@ class TestCrossMatrices:
         calls = []
         original = ProductModel.divided_basis_eval
 
-        def counting(model, lams, z):
+        def counting(model, lams, z, derivs):
             calls.append(np.size(lams))
-            return original(model, lams, z)
+            return original(model, lams, z, derivs)
 
         monkeypatch.setattr(ProductModel, "divided_basis_eval", counting)
-        cols = itp.divided_columns(gen, lam, lam)
+        cols = itp.divided_columns(gen, lam, lam, gen.derivative_at_zero(lam))
         assert calls == [len(lam)]
         assert np.allclose(np.diag(cols), 1.0, rtol=0, atol=1e-12)
         assert np.all(cols[~np.eye(len(lam), dtype=bool)] == 0.0)
-        single = np.array([original(gen, v, v) for v in lam])
+        single = np.array([original(gen, v, v, gen.derivative_at_zero(v)) for v in lam])
         assert np.allclose(np.diag(cols), single, rtol=1e-13, atol=0)
 
     def test_real_points_match_complex_points(self, small_problem):
         p = small_problem
         x = np.concatenate([p.time_quad.grid()[::16], p.lam[:4]])
-        assert np.array_equal(itp.divided_columns(p.time_gen, p.lam, x),
-                              itp.divided_columns(p.time_gen, p.lam, x.astype(complex)))
+        assert np.array_equal(itp.divided_columns(p.time_gen, p.lam, x, p.time_derivs),
+                              itp.divided_columns(p.time_gen, p.lam, x.astype(complex),
+                                                  p.time_derivs))
         rng = np.random.default_rng(3)
         interp = itp.AssembledInterpolant(p, rng.normal(size=len(p.lam)),
                                           rng.normal(size=len(p.mu)))
@@ -188,9 +266,8 @@ class TestCrossMatrices:
         prob = dataclasses.replace(
             base, lam=base.lam[keep_l], mu=base.mu[keep_m],
             alpha=np.array([1.0 + 0j]), beta=np.array([0.0 + 0j]))
-        mats = itp.build_cross_matrices(prob)
-        n_a, n_b = itp.weighted_norms(prob, mats)
-        tot_a, tot_b, states = itp._iterate(prob, mats, prob.alpha, prob.beta, 1e-14, 12)
+        n_a, n_b = weighted_norms(prob, prob.cross)
+        tot_a, tot_b, states = itp._iterate(prob, prob.alpha, prob.beta, 1e-14, 12)
         norms = states[0].norms
         # kappa_3/kappa_1 is exactly the product of the two weighted 1x1 norms
         assert norms[2] / norms[0] == pytest.approx(n_a * n_b, rel=1e-10)
@@ -226,7 +303,7 @@ class TestChooseCut:
         for c in cuts:
             sub = base.restricted(c)
             sub_m = itp.build_cross_matrices(sub)
-            norms.append(max(itp.weighted_norms(sub, sub_m)))
+            norms.append(max(weighted_norms(sub, sub_m)))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_infeasible_raises(self):
