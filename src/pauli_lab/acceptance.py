@@ -129,9 +129,9 @@ def ac4() -> AcceptanceRecord:
         witness = pv.sup_gap(*pair.fg(x))
         xh = np.linspace(-6.0, 6.0, 481)
         hardy = fourier.hardy_check(pair.fg(xh)[0], f_hat, 0.5, xh, xi)
-        ok = res_disc <= 1e-12 and gap_freq <= 1e-8 and witness >= 1e-3 and hardy.passed
+        ok = res_disc <= 1e-12 and gap_freq <= 1e-8 and witness >= 1e-3 and hardy
         return ok, (f"discrete {res_disc:.1e}, freq sup {gap_freq:.1e}, "
-                    f"time witness {witness:.2e}, hardy={hardy.passed}")
+                    f"time witness {witness:.2e}, hardy={hardy}")
     return _record("AC-4 frequency-matched pair", body)
 
 

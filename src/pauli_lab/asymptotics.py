@@ -36,7 +36,6 @@ class IndicatorEstimate:
     residual: float
     window: tuple
     n_masked: int = 0
-    abscissa: str = "r^2"
     spread: float = 0.0  # slope spread across sub-windows; an uncertainty proxy
 
     @property
@@ -49,10 +48,6 @@ class DecayPredicateResult:
     passes: bool
     expected_pass: bool
     fitted_rate: float
-    claimed_rate: float
-    density: float
-    gauss_rate: float
-    threshold_density: float
 
 
 def _is_order2_in_z(model: ProductModel) -> bool:
@@ -135,8 +130,7 @@ def indicator_estimate(model: ProductModel, theta: float,
     best = int(np.argmax(slopes))
     spread = float(np.max(slopes) - np.min(slopes))
     return IndicatorEstimate(theta=float(theta), h_hat=slopes[best], residual=resids[best],
-                             window=(lo, hi), n_masked=n_masked,
-                             abscissa="r^2" if order2 else "r", spread=spread)
+                             window=(lo, hi), n_masked=n_masked, spread=spread)
 
 
 def trig_convexity_check(estimates: list[IndicatorEstimate]) -> tuple[bool, float]:
@@ -264,5 +258,4 @@ def fourier_decay_predicate(model: ProductModel, claimed_rate: float) -> DecayPr
             by.append(np.log(mag_u[sel][j]))
     fit = fourier.envelope_fit(np.array(bx), np.array(by))
     return DecayPredicateResult(passes=bool(fit.rate >= claimed_rate), expected_pass=bool(expected),
-                                fitted_rate=fit.rate, claimed_rate=float(claimed_rate),
-                                density=m, gauss_rate=a, threshold_density=float(threshold))
+                                fitted_rate=fit.rate)

@@ -44,14 +44,12 @@ class EvalResult:
     """Model value plus its log-magnitude and rounding error estimate.
 
     ``log_magnitude`` is the natural log of |value| (-inf at exact zeros) and
-    stays meaningful when ``overflow`` marks points where the value itself is
-    not representable.
+    stays finite where the value itself is not representable and reads inf.
     """
 
     value: np.ndarray
     log_magnitude: np.ndarray
     error_bound: np.ndarray
-    overflow: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -245,8 +243,8 @@ class ProductModel:
             value = value.copy()
             value[overflow] = np.inf + 0.0j
         if scalar:
-            return EvalResult(value[0], log_mag[0], err[0], overflow[0])
-        return EvalResult(value, log_mag, err, overflow)
+            return EvalResult(value[0], log_mag[0], err[0])
+        return EvalResult(value, log_mag, err)
 
     def values(self, z) -> np.ndarray:
         """Plain complex values (overflow points become inf)."""

@@ -45,8 +45,8 @@ class QuadratureSpec:
     nodes: int = 2048
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.nodes % 2 or self.nodes < 16:
             raise ValueError("node count must be even and >= 16")
 
@@ -66,13 +66,10 @@ class EnvelopeFit:
 
     rate: float
     intercept: float
-    residual: float
-    window: tuple
 
 
 @dataclass(frozen=True)
 class TransformResult:
-    xi: np.ndarray
     values: np.ndarray
     error: np.ndarray
 
@@ -95,10 +92,7 @@ def envelope_fit(x: np.ndarray, log_mag: np.ndarray) -> EnvelopeFit:
         raise DegenerateFitError("x^2 design column has near-zero variance")
     design = np.column_stack([np.ones_like(col), col])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fit = design @ coef
-    resid = float(np.max(np.abs(fit - y)))
-    return EnvelopeFit(rate=float(coef[1]), intercept=float(coef[0]), residual=resid,
-                       window=(float(np.min(np.abs(x))), float(np.max(np.abs(x)))))
+    return EnvelopeFit(rate=float(coef[1]), intercept=float(coef[0]))
 
 
 def _tail_bound(x: np.ndarray, fx: np.ndarray) -> float:
@@ -124,7 +118,7 @@ def _tail_bound(x: np.ndarray, fx: np.ndarray) -> float:
 
 
 def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool = False,
-              coeffs: np.ndarray | None = None, coarse: bool = False):
+              coeffs: np.ndarray | None = None):
     """Quadrature sums sum_n w_n v(x_n) e^{-+2 pi i x_n t} over spec.grid().
 
     ``values`` holds node values on ``spec.grid()``, one function per row
@@ -132,8 +126,7 @@ def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool =
     sums at the ``targets`` (real or complex), with the + sign when
     ``inverse``.  ``coeffs`` ((k,) or (k, r)) first combines the weighted
     rows, coeffs.T @ (w * values), so a linear combination costs one phase
-    sum.  With ``coarse`` the every-other-node sum (the half-count rule, the
-    Richardson partner) is returned as well, taken in the same pass.
+    sum.
 
     Real, equally spaced targets (``CHIRP_MIN_TARGETS`` or more) are summed
     by chirp-z convolution; any other targets by the chunked dense sum.
@@ -142,19 +135,11 @@ def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool =
     weighted = values * spec.weights()
     if coeffs is not None:
         weighted = coeffs.T @ weighted
-    rows = weighted
-    if coarse:
-        # the half-count trapezoid weights are exactly twice the fine ones
-        half = np.zeros_like(weighted)
-        half[..., ::2] = 2.0 * weighted[..., ::2]
-        rows = np.stack([weighted, half])
     t = np.ravel(targets)
     uniform = _uniform_targets(t)
     if uniform is None:
-        sums = _dense_sum(rows, spec.grid(), t, sign)
-    else:
-        sums = _chirp_sum(rows, spec, *uniform, sign)
-    return (sums[0], sums[1]) if coarse else sums
+        return _dense_sum(weighted, spec.grid(), t, sign)
+    return _chirp_sum(weighted, spec, *uniform, sign)
 
 
 def _dense_sum(rows: np.ndarray, x: np.ndarray, t: np.ndarray, sign: float) -> np.ndarray:
@@ -269,11 +254,16 @@ def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi, inverse: bool = F
     """Transform from precomputed node values fx on spec.grid().
 
     Complex frequencies are allowed (the transform of a Gaussian-decaying
-    integrand continues analytically off the real axis)."""
+    integrand continues analytically off the real axis).  The error is the
+    Richardson difference against the half-count rule, which takes every
+    other node at twice the weight, summed in the same pass, plus the tail
+    bound."""
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=complex))
-    fine, coarse = phase_sum(fx, spec, xi_arr, inverse=inverse, coarse=True)
+    half = np.zeros_like(fx)
+    half[::2] = 2.0 * fx[::2]
+    fine, coarse = phase_sum(np.stack([fx, half]), spec, xi_arr, inverse=inverse)
     err = np.abs(fine - coarse) + _tail_bound(spec.grid(), fx)
-    return TransformResult(xi=xi_arr, values=fine, error=err)
+    return TransformResult(values=fine, error=err)
 
 
 def transform(f, spec: QuadratureSpec, xi) -> TransformResult:
@@ -286,37 +276,26 @@ def transform(f, spec: QuadratureSpec, xi) -> TransformResult:
     return transform_values(fx, spec, xi)
 
 
-@dataclass(frozen=True)
-class HardyReport:
-    passed: bool
-    time_ok: bool
-    freq_ok: bool
-    sup_time: float
-    sup_freq: float
-
-
-def _side_check(grid: np.ndarray, vals: np.ndarray, rate: float,
-                floor: float) -> tuple[bool, float]:
-    """Sup of |f| e^{rate pi x^2} with a stabilization test on the outer third."""
+def _side_check(grid: np.ndarray, vals: np.ndarray, rate: float, floor: float) -> bool:
+    """Whether the sup of |f| e^{rate pi x^2} is finite and stabilizes before the outer third."""
     mags = np.abs(vals)
     keep = mags > floor
     if np.count_nonzero(keep) < 6:
-        return False, float("inf")
+        return False
     order = np.argsort(np.abs(grid[keep]))
     r = np.abs(grid[keep])[order]
     with np.errstate(divide="ignore"):
         stat_log = np.log(mags[keep])[order] + rate * np.pi * r * r
     if not np.all(stat_log < np.inf):
-        return False, float("inf")
+        return False
     running = np.maximum.accumulate(stat_log)
     cut = int(2 * len(r) / 3)
-    stabilized = running[-1] <= running[cut] + 1e-12
-    return bool(stabilized), float(np.exp(running[-1]))
+    return bool(running[-1] <= running[cut] + 1e-12)
 
 
 def hardy_check(f_vals: np.ndarray, fhat_vals: np.ndarray, rate: float,
                 x_grid: np.ndarray, xi_grid: np.ndarray,
-                floor: float = 0.0) -> HardyReport:
+                floor: float = 0.0) -> bool:
     """Empirical Gaussian-class membership test at the given rate.
 
     Passes iff both weighted statistics are finite and attain their running
@@ -325,7 +304,5 @@ def hardy_check(f_vals: np.ndarray, fhat_vals: np.ndarray, rate: float,
     noise on the transform side cannot masquerade as growth; it defaults to
     keeping everything.
     """
-    t_ok, sup_t = _side_check(np.asarray(x_grid), np.asarray(f_vals), rate, floor)
-    f_ok, sup_f = _side_check(np.asarray(xi_grid), np.asarray(fhat_vals), rate, floor)
-    return HardyReport(passed=t_ok and f_ok, time_ok=t_ok, freq_ok=f_ok,
-                       sup_time=sup_t, sup_freq=sup_f)
+    return (_side_check(np.asarray(x_grid), np.asarray(f_vals), rate, floor)
+            and _side_check(np.asarray(xi_grid), np.asarray(fhat_vals), rate, floor))

@@ -146,11 +146,9 @@ class InterpolationProblem:
             if name in cached:
                 other.__dict__[name] = cached[name][keep]
         if "cross" in cached:
-            # the Richardson errors stay the wider window's, which bound the kept entries'
             mats = cached["cross"]
-            other.__dict__["cross"] = dataclasses.replace(
-                mats, psi_at_lambda=mats.psi_at_lambda[keep_l][:, keep_m],
-                phihat_at_mu=mats.phihat_at_mu[keep_m][:, keep_l])
+            other.__dict__["cross"] = CrossMatrices(mats.psi_at_lambda[keep_l][:, keep_m],
+                                                    mats.phihat_at_mu[keep_m][:, keep_l])
         return other
 
 
@@ -176,8 +174,6 @@ class CrossMatrices:
 
     psi_at_lambda: np.ndarray
     phihat_at_mu: np.ndarray
-    psi_error: float
-    phihat_error: float
 
 
 def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray,
@@ -205,22 +201,22 @@ def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray,
 
 
 def _cross(cols: np.ndarray, quad: fourier.QuadratureSpec, targets: np.ndarray,
-           inverse: bool) -> tuple[np.ndarray, float]:
-    """(len(targets), len(cols)) quadrature matrix and its Richardson difference."""
+           inverse: bool) -> np.ndarray:
+    """(len(targets), len(cols)) quadrature matrix of the columns at the targets."""
     if not len(cols):
-        return np.empty((len(targets), 0), dtype=complex), 0.0
-    fine, coarse = fourier.phase_sum(cols, quad, targets, inverse=inverse, coarse=True)
-    return fine.T, float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
+        return np.empty((len(targets), 0), dtype=complex)
+    return fourier.phase_sum(cols, quad, targets, inverse=inverse).T
 
 
 def build_cross_matrices(problem: InterpolationProblem) -> CrossMatrices:
-    """Dense cross-coupling matrices via shared-base quadrature."""
+    """Dense cross-coupling matrices via shared-base quadrature (``solve``
+    checks the interpolant on a fresh, finer quadrature)."""
     p = problem
-    # frequency-side basis evaluated in time: inverse transform per mu column
-    a, a_err = _cross(p.freq_columns, p.freq_quad, p.lam, inverse=True)
-    # time-side basis transformed to frequency: forward transform per lambda column
-    b, b_err = _cross(p.time_columns, p.time_quad, p.mu, inverse=False)
-    return CrossMatrices(psi_at_lambda=a, phihat_at_mu=b, psi_error=a_err, phihat_error=b_err)
+    return CrossMatrices(
+        # frequency-side basis evaluated in time: inverse transform per mu column
+        psi_at_lambda=_cross(p.freq_columns, p.freq_quad, p.lam, inverse=True),
+        # time-side basis transformed to frequency: forward transform per lambda column
+        phihat_at_mu=_cross(p.time_columns, p.time_quad, p.mu, inverse=False))
 
 
 def _op_norm(mat: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
@@ -308,8 +304,6 @@ class AssembledInterpolant:
 class SolveResult:
     interpolant: AssembledInterpolant
     state: IterationState
-    alpha_total: np.ndarray
-    beta_total: np.ndarray
     verify_time: float
     verify_freq: float
 
@@ -378,8 +372,7 @@ def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60)
                                        fresh_nodes + fresh_nodes % 2)
         hat = fourier.transform(interp.eval, fresh, problem.mu)
         v_freq = float(np.max(np.abs(hat.values - problem.beta)))
-    return SolveResult(interpolant=interp, state=state, alpha_total=tot_a[:, 0],
-                       beta_total=tot_b[:, 0], verify_time=v_time, verify_freq=v_freq)
+    return SolveResult(interpolant=interp, state=state, verify_time=v_time, verify_freq=v_freq)
 
 
 # -- generator assembly -------------------------------------------------------
@@ -441,7 +434,6 @@ class VanishingFunction:
     interpolant: AssembledInterpolant
     aux_points: np.ndarray
     inner_cut: float
-    states: list
     constraint_sigma: float
     residual_time: float
     residual_freq: float
@@ -595,5 +587,5 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
     check_m = mu_sym.points[np.abs(mu_sym.points) <= outer_radius]
     res_f = float(np.max(np.abs(interp.eval_hat(check_m)))) if len(check_m) else 0.0
     return VanishingFunction(interpolant=interp, aux_points=aux, inner_cut=cut,
-                             states=states, constraint_sigma=sigma_min,
+                             constraint_sigma=sigma_min,
                              residual_time=res_t, residual_freq=res_f)

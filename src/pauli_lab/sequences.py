@@ -110,10 +110,10 @@ class SmoothSpec:
     halves: str = "+"
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"exponent p must be >= 1, got {self.p}")
-        if self.density <= 0:
-            raise ValueError(f"density must be positive, got {self.density}")
+        if not 1 <= self.p < np.inf:
+            raise ValueError(f"exponent p must be finite and >= 1, got {self.p}")
+        if not 0 < self.density < np.inf:
+            raise ValueError(f"density must be positive and finite, got {self.density}")
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
         if not 0 <= self.jitter < 0.5:

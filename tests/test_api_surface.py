@@ -10,7 +10,12 @@ to; ``UNCALLED`` lists the exceptions, each with its reason.  The second
 fails on a defaulted parameter of a public function or method, or a
 defaulted field of a public frozen dataclass, that no call there sets by
 keyword or position; ``KEPT`` lists the options that stay all the same,
-each with its reason.  Both lists must name only entries that still apply.
+each with its reason.  The third fails on a public field of a public
+dataclass that no attribute load there reads: a result field that nothing
+reads is computed for nobody.  ``FIELDS_KEPT`` lists the exceptions, each
+with its reason.  A scan by name cannot tell classes apart, so a field that
+shares its name with a read attribute of another class passes it.  All
+three lists must name only entries that still apply.
 """
 
 from __future__ import annotations
@@ -172,3 +177,56 @@ def test_every_public_name_has_a_caller():
 def test_uncalled_names_are_still_uncalled():
     stale = sorted(UNCALLED - _uncalled())
     assert not stale, f"UNCALLED names entries that a caller reaches or that are gone: {stale}"
+
+
+FIELDS_KEPT = {
+    # diagnostics that the run trace and the sharpness curves (ROADMAP items 4 and 6) report
+    "interpolation.VanishingFunction.constraint_sigma":
+        "the null combination's residual sigma_min, a sharpness-curve margin",
+    "asymptotics.IndicatorEstimate.n_masked":
+        "the zero-exclusion count, a trace diagnostic of the indicator sweeps",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(getattr(dec, "func", dec), "id", None) == "dataclass"
+               for dec in node.decorator_list)
+
+
+def _public_fields() -> set[str]:
+    """module.Class.field of each public field of a public dataclass."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_") or not _is_dataclass(node):
+                continue
+            found |= {f"{module}.{node.name}.{item.target.id}" for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and not item.target.id.startswith("_")}
+    return found
+
+
+def _attribute_loads() -> set[str]:
+    """Every attribute name that the callers read."""
+    names = set()
+    for path in _python_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def _unread_fields() -> set[str]:
+    loads = _attribute_loads()
+    return {name for name in _public_fields() if name.rsplit(".", 1)[1] not in loads}
+
+
+def test_every_result_field_is_read():
+    dead = sorted(_unread_fields() - set(FIELDS_KEPT))
+    assert not dead, f"fields no caller reads (read them, delete them, or add to FIELDS_KEPT): {dead}"
+
+
+def test_kept_fields_are_still_unread():
+    stale = sorted(set(FIELDS_KEPT) - _unread_fields())
+    assert not stale, f"FIELDS_KEPT names fields that a caller reads or that are gone: {stale}"

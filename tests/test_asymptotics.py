@@ -24,7 +24,8 @@ class TestIndicatorEstimate:
         s = sinc_product(4000)
         est = asy.indicator_estimate(s, np.pi / 2)
         assert est.h_hat == pytest.approx(np.pi, rel=0.02)
-        assert est.abscissa == "r"
+        # a plain product is sampled as an object of its own squared variable
+        assert not asy._is_order2_in_z(s)
 
     def test_sinc_family_oblique(self):
         s = sinc_product(4000)
@@ -126,7 +127,6 @@ class TestDecayPredicate:
         res = asy.fourier_decay_predicate(gaussian_model(1.0), 0.5)
         assert res.passes and res.expected_pass
         assert res.fitted_rate == pytest.approx(1.0, abs=0.01)
-        assert res.threshold_density == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("density,lo,hi", [(0.7, 0.47, 1.0), (1.0, 0.0, 0.45)])
     def test_sharpness_experiment(self, density, lo, hi):

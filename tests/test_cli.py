@@ -176,16 +176,17 @@ class TestModelTools:
 
 
 class TestInterp:
+    PROBLEM = {
+        "lambda": [-2.0, -1.4142, -1.0, 1.0, 1.4142, 2.0],
+        "mu": [-1.7, -1.2, 1.2, 1.7],
+        "alpha": {"1.0": [1.0, 0.0], "-1.0": [1.0, 0.0]},
+        "weight_a": 0.5, "weight_b": 0.5,
+        "outer_radius": 2.5, "nodes": 1024,
+    }
+
     def test_run_writes_artifacts(self, tmp_path):
-        problem = {
-            "lambda": [-2.0, -1.4142, -1.0, 1.0, 1.4142, 2.0],
-            "mu": [-1.7, -1.2, 1.2, 1.7],
-            "alpha": {"1.0": [1.0, 0.0], "-1.0": [1.0, 0.0]},
-            "weight_a": 0.5, "weight_b": 0.5,
-            "outer_radius": 2.5, "nodes": 1024,
-        }
         cfg = tmp_path / "problem.json"
-        cfg.write_text(json.dumps(problem))
+        cfg.write_text(json.dumps(self.PROBLEM))
         out_dir = tmp_path / "run"
         assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 0
         hist = (out_dir / "residual_history.csv").read_text().splitlines()
@@ -200,6 +201,22 @@ class TestInterp:
                                    "weight_b": 0.5, "outer_radius": 2.0,
                                    "bogus": 1}))
         assert run(["interp", "--problem", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("weight_a", 0), ("weight_b", -0.5), ("weight_a", float("nan")), ("weight_b", "0.5"),
+        ("tol", -1), ("tol", 0.0), ("tol", float("inf"))])
+    def test_bad_rate_or_tolerance_rejected(self, tmp_path, capsys, monkeypatch, key, value):
+        # weight_a 0 once escaped as a ZeroDivisionError, and tol -1 exited 1
+        # after 60 steps of a converging iteration
+        monkeypatch.setattr(itp, "make_problem",
+                            lambda *args, **kwargs: pytest.fail("computed before the check"))
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps({**self.PROBLEM, key: value}))
+        out_dir = tmp_path / "run"
+        assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {key} must be positive and finite, got {value!r}\n")
+        assert not out_dir.exists()
 
 
 class TestAcceptanceCommand:
@@ -241,6 +258,25 @@ class TestUsageErrors:
         assert run(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"configuration error: count must be >= 0, got {count}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ft", "--xi=0:1:0.5", "--half-width", "nan"], "half_width must be positive and finite, got nan"),
+        (["ft", "--xi=0:1:0.5", "--half-width", "inf"], "half_width must be positive and finite, got inf"),
+        (["gen-seq", "--density", "nan"], "density must be positive and finite, got nan"),
+        (["gen-seq", "--density", "inf"], "density must be positive and finite, got inf"),
+        (["gen-seq", "--p", "nan"], "exponent p must be finite and >= 1, got nan"),
+        (["gen-seq", "--p", "inf"], "exponent p must be finite and >= 1, got inf")])
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys, argv, message):
+        # each of these once exited 0 with rows of nan, or exited 2 with a
+        # message about the generated points instead of the parameter
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(gaussian_model(1.0).to_dict()))
+        if argv[0] == "ft":
+            argv = argv + ["--model", str(model)]
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
     @pytest.fixture(scope="class")
