@@ -207,8 +207,26 @@ def cmd_indicator(args) -> int:
     return 0
 
 
+def _interp_data(entries, points: np.ndarray, key: str, set_name: str) -> dict:
+    """Data values by point from an ``alpha``/``beta`` object of [re, im] pairs."""
+    if not isinstance(entries, dict):
+        raise ValueError(f"{key} must be an object of point: [re, im], got {entries!r}")
+    data = {}
+    for k, v in entries.items():
+        point = float(k)
+        if point not in points:
+            raise ValueError(f"{key} key {k!r} is not a point of {set_name}")
+        if not (isinstance(v, list) and len(v) == 2
+                and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
+            raise ValueError(f"{key}[{k!r}] must be [re, im], two numbers, got {v!r}")
+        data[point] = complex(v[0], v[1])
+    return data
+
+
 def cmd_interp(args) -> int:
     cfg = json.loads(Path(args.problem).read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError(f"the problem file must hold a JSON object, got {cfg!r}")
     allowed = {"lambda", "mu", "alpha", "beta", "weight_a", "weight_b",
                "inner_cut", "outer_radius", "nodes", "tol"}
     unknown = set(cfg) - allowed
@@ -219,19 +237,26 @@ def cmd_interp(args) -> int:
     for key, value in (("weight_a", cfg["weight_a"]), ("weight_b", cfg["weight_b"]), ("tol", tol)):
         if not (isinstance(value, (int, float)) and 0 < value < np.inf):
             raise ValueError(f"{key} must be positive and finite, got {value!r}")
+    nodes = cfg.get("nodes", 2048)
+    if not isinstance(nodes, int) or isinstance(nodes, bool):
+        raise ValueError(f"nodes must be an integer, got {nodes!r}")
     lam = SampledSet(points=np.array(cfg["lambda"], dtype=float))
     mu = SampledSet(points=np.array(cfg["mu"], dtype=float))
-    alpha = {float(k): complex(v[0], v[1]) for k, v in cfg.get("alpha", {}).items()}
-    beta = {float(k): complex(v[0], v[1]) for k, v in cfg.get("beta", {}).items()}
+    alpha = _interp_data(cfg.get("alpha", {}), lam.points, "alpha", "lambda")
+    beta = _interp_data(cfg.get("beta", {}), mu.points, "beta", "mu")
     base = itp.make_problem(lam, mu,
                             (lambda v: alpha.get(float(v), 0.0)) if alpha else None,
                             (lambda v: beta.get(float(v), 0.0)) if beta else None,
                             cfg["weight_a"], cfg["weight_b"],
-                            cfg.get("inner_cut", 0.0), cfg["outer_radius"],
-                            nodes=cfg.get("nodes", 2048))
+                            cfg.get("inner_cut", 0.0), cfg["outer_radius"], nodes=nodes)
     cut, _ = itp.choose_window_cut(base)
     problem = base.restricted(cut)
     res = itp.solve(problem, tol=tol)
+    # a NaN gap fails too
+    if not (res.verify_time <= itp.REEVAL_GAP_TOL and res.verify_freq <= itp.REEVAL_GAP_TOL):
+        raise CheckFailedError(
+            f"the interpolant misses its data: re-evaluation gaps {res.verify_time:.3g} (time) "
+            f"and {res.verify_freq:.3g} (frequency), bound {itp.REEVAL_GAP_TOL:g}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     hist = [_provenance_line(args, 0), "step,norm,ratio\n"]

@@ -21,6 +21,14 @@ only error is rounding.  Evaluation is carried out in a scaled
 mantissa/log-magnitude representation so that retained zeros evaluate to an
 exact 0 and Gaussian factors spanning hundreds of orders of magnitude never
 overflow.
+
+A call multiplies out only the retained factors (1 - s/R_n) within its reach,
+R_n < 4 max|s| in s = z^2 (plain) or z^4 (quartic); those are the only ones
+that can vanish.  The retained factors past the reach enter together through
+one log power series in t = s/R_{n0}, |t| <= 1/4, the rule the regular tail
+uses near the origin, so a call costs about (near zeros + series terms) x
+points.  Calls with fewer points or far zeros than series terms multiply every
+factor out.
 """
 
 from __future__ import annotations
@@ -86,7 +94,7 @@ class ProductModel:
 
     # -- internal squared-variable data ------------------------------------
 
-    @property
+    @cached_property
     def _factor_poles(self) -> np.ndarray:
         """R_n in the factor (1 - s/R_n); computed as nested squares so that
         evaluation at a retained zero cancels bitwise."""
@@ -141,6 +149,48 @@ class ProductModel:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _far_log(self, s: np.ndarray, top: float, skip: np.ndarray | None
+                 ) -> tuple[int, np.ndarray | None]:
+        """(n0, log of prod_{n >= n0} (1 - s/R_n)) for the factors beyond the points' reach.
+
+        n0 is the first factor with R_n >= 4 ``top`` (``top`` = max |s|),
+        raised past every skip index.  With t = s/R_{n0} and r_n = R_{n0}/R_n
+        <= 1 the log is -sum_j t^j c_j, c_j = sum_{n >= n0} r_n^j / j, the
+        |q| <= 1/4 power-series rule of the regular tail.  Term j is below
+        N q^j for the N far factors and q = max |t|; the series stops where
+        that falls under 1e-17.  It costs N x terms for the coefficients and
+        points x terms for the sum, against N x points for the factors, so it
+        is taken only when both N and the points outnumber the terms; else
+        the log is None and n0 is the factor count.
+        """
+        poles = self._factor_poles
+        n = len(poles)
+        n0 = int(np.searchsorted(poles, 4.0 * top))
+        if skip is not None:
+            n0 = max(n0, int(skip.max(initial=-1)) + 1)
+        far = n - n0
+        if far < 2 or s.size < 2:
+            return n, None
+        q = max(top / poles[n0], 1e-300)
+        terms = max(1, math.ceil(math.log(1e-17 / far) / math.log(q)))
+        if min(far, s.size) <= terms:
+            return n, None
+        r = poles[n0] / poles[n0:]
+        power = r.copy()
+        coeffs = np.empty(terms)
+        for j in range(terms):
+            if j:
+                power *= r
+            coeffs[j] = power.sum() / (j + 1)
+        # Horner in t, scaled by a reciprocal multiply like the factors
+        t = s * (1.0 / poles[n0])
+        acc = np.full_like(t, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc *= t
+            acc += c
+        acc *= -t
+        return n0, acc
+
     def _scaled_product(self, s: np.ndarray, skip: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Product of retained factors as (mantissa, log-scale).
@@ -149,26 +199,28 @@ class ProductModel:
         holds one factor index per point (-1 for none); that factor is taken
         as exactly 1, which removes a vanishing factor without a second loop.
 
-        Each chunk's factors are laid out points-major, (chunk, points), in
-        one buffer, so every factor is one vectorised multiply across the
-        points; the reduction multiplies each point's factors in index order,
-        as a row-wise product would.
+        Factors within the points' reach (``_far_log``'s n0) are multiplied
+        out: each chunk's factors are laid out points-major, (chunk, points),
+        in one buffer, so every factor is one vectorised multiply across the
+        points, and the reduction multiplies each point's factors in index
+        order, as a row-wise product would.  The factors beyond it enter
+        through their log series.
         """
         m = np.ones_like(s)
         e = np.zeros(s.shape, dtype=float)
         poles = self._factor_poles
-        n = len(poles)
-        if n == 0:
+        if len(poles) == 0:
             return m, e
-        # chunk size keeps each partial product far from overflow
-        worst = 1.0 + float(np.max(np.abs(s))) / poles[0] if s.size else 1.0
-        chunk = int(np.clip(200.0 / max(np.log10(worst), 1.0), 4, 64))
         flat = s.reshape(-1)
+        top = float(np.abs(flat).max(initial=0.0))
+        # chunk size keeps each partial product far from overflow
+        chunk = int(min(max(200.0 / max(np.log10(1.0 + top / poles[0]), 1.0), 4), 64))
         mf = m.reshape(-1)
         ef = e.reshape(-1)
         inv = 1.0 / poles
         if skip is not None:
             skip = np.broadcast_to(skip, s.shape).reshape(-1)
+        n, far_log = self._far_log(flat, top, skip)
         buffer = np.empty((min(chunk, n), flat.size), dtype=flat.dtype)
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
@@ -187,6 +239,11 @@ class ProductModel:
             # numpy divides complex by real as a reciprocal multiply; doing so
             # explicitly keeps real and complex points bit-identical
             mf[live] *= 1.0 / a[live]
+        if far_log is not None:
+            # a retained zero's log-scale stops where its mantissa vanished
+            np.add(ef, far_log.real, out=ef, where=mf != 0)
+            if np.iscomplexobj(far_log):
+                mf *= np.exp(1j * far_log.imag)
         return mf.reshape(s.shape), ef.reshape(s.shape)
 
     def _smooth_log(self, z: np.ndarray, odd_factor: np.ndarray | None = None

@@ -31,6 +31,11 @@ from .sequences import SampledSet, half_density
 from .thresholds import DecayParams, uniqueness_density_bounds
 
 
+# largest re-evaluation gap (``SolveResult.verify_time``/``verify_freq``) of a
+# solve that reproduces its data; AC-6 and ``interp`` both hold a solve to it
+REEVAL_GAP_TOL = 1e-7
+
+
 class NoFeasibleWindowError(RuntimeError, CheckFailedError):
     """No candidate cut achieved contracting cross norms."""
 

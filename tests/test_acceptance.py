@@ -5,6 +5,8 @@ criterion.  Tolerances live in the acceptance module and are not adjustable
 from here.
 """
 
+import re
+
 import pytest
 
 from pauli_lab import acceptance as acc
@@ -35,6 +37,15 @@ def test_ac4_frequency_matched_pair():
 
 def test_ac5_decay_threshold_crossover():
     _assert_record(acc.ac5())
+
+
+def test_ac5_detail_reports_closed_form():
+    # each fitted rate beside b(m) = a/(a^2 + m^2), a = 0.5, and its deviation
+    rows = re.findall(r"m=([\d.]+): ([\d.]+) \(b ([\d.]+), ([+-][\d.]+)\)", acc.ac5().detail)
+    assert [float(m) for m, *_ in rows] == [0.6, 0.7, 0.866, 1.0, 1.1]
+    for m, rate, closed, dev in rows:
+        assert float(closed) == round(0.5 / (0.25 + float(m) ** 2), 3)
+        assert abs(float(rate) - float(closed) - float(dev)) <= 1.5e-3
 
 
 def test_ac6_contraction_interpolation():

@@ -218,6 +218,49 @@ class TestInterp:
             f"configuration error: {key} must be positive and finite, got {value!r}\n")
         assert not out_dir.exists()
 
+    # alpha 1 on lambda +-1, +-2 and beta 0.5 on mu +-1.7: at 64 nodes the
+    # quadrature is too coarse for the frequency data, at 1024 it is not
+    GAPS = {
+        "lambda": [-2.0, -1.0, 1.0, 2.0], "mu": [-1.7, 1.7],
+        "alpha": {"-2.0": [1, 0], "-1.0": [1, 0], "1.0": [1, 0], "2.0": [1, 0]},
+        "beta": {"-1.7": [0.5, 0], "1.7": [0.5, 0]},
+        "weight_a": 0.5, "weight_b": 0.5, "outer_radius": 2.5,
+    }
+
+    def test_failed_reevaluation_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps({**self.GAPS, "nodes": 64}))
+        out_dir = tmp_path / "run"
+        assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        gaps = re.search(r"gaps (\S+) \(time\) and (\S+) \(frequency\), bound 1e-07", err)
+        assert err.startswith("check failed:") and gaps
+        assert float(gaps[1]) <= itp.REEVAL_GAP_TOL < float(gaps[2])
+        assert not out_dir.exists()
+        cfg.write_text(json.dumps({**self.GAPS, "nodes": 1024}))
+        assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 0
+
+    @pytest.mark.parametrize("change, message", [
+        ({"alpha": {"1.5": [1.0, 0.0]}}, "alpha key '1.5' is not a point of lambda"),
+        ({"beta": {"1.0": [1.0, 0.0]}}, "beta key '1.0' is not a point of mu"),
+        ({"alpha": {"1.0": [1.0]}}, "alpha['1.0'] must be [re, im], two numbers, got [1.0]"),
+        ({"nodes": 1e9}, "nodes must be an integer, got 1000000000.0"),
+    ], ids=["alpha-key", "beta-key", "entry", "nodes"])
+    def test_malformed_problem_rejected(self, tmp_path, capsys, change, message):
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps({**self.PROBLEM, **change}))
+        out_dir = tmp_path / "run"
+        assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_problem_not_an_object_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "problem.json"
+        cfg.write_text("3")
+        assert run(["interp", "--problem", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: the problem file must hold a JSON object, got 3\n")
+
 
 class TestAcceptanceCommand:
     def test_fast_subset(self, tmp_path, capsys):

@@ -327,6 +327,19 @@ class TestRealAxisPath:
         for field in ("value", "log_magnitude", "error_bound"):
             assert np.array_equal(getattr(real, field), getattr(cplx, field)), field
 
+    @pytest.mark.parametrize("name", ["quartic_odd", "quartic_phase", "sinc_tails"])
+    def test_real_points_match_complex_points_within_reach(self, name):
+        # without the far-out points the factors past 4 max|s| enter through
+        # the log series, whose real and complex sums must agree bit for bit
+        model = _real_axis_models()[name]
+        x = np.concatenate([np.random.default_rng(5).uniform(-30.0, 30.0, 400),
+                            model.zeros[:20], -model.zeros[:20], [0.0]])
+        s = model._s_of(x)
+        assert model._far_log(s, float(np.max(s)), None)[1] is not None
+        real, cplx = model.eval(x), model.eval(x.astype(complex))
+        for field in ("value", "log_magnitude", "error_bound"):
+            assert np.array_equal(getattr(real, field), getattr(cplx, field)), field
+
     def test_scaled_product_dtype_follows_points(self, quartic_phi):
         x = np.linspace(-3.0, 3.0, 7)
         m_real, e_real = quartic_phi._scaled_product(quartic_phi._s_of(x))
@@ -351,8 +364,9 @@ def _chunk_size(poles, s):
 
 
 def _row_major_product(model, s, skip=None):
-    """Reference product loop: each chunk's factors as a fresh (points, chunk)
-    block, reduced along its rows."""
+    """Reference product loop: the factors within the call's reach as a fresh
+    (points, chunk) block per chunk, reduced along its rows; the factors
+    beyond it through the model's own log series."""
     poles = model._factor_poles
     m = np.ones_like(s)
     e = np.zeros(s.shape)
@@ -362,17 +376,22 @@ def _row_major_product(model, s, skip=None):
     inv = 1.0 / poles
     if skip is not None:
         skip = np.broadcast_to(skip, s.shape)
-    for start in range(0, len(poles), chunk):
-        block = poles[start : start + chunk]
-        factors = (block[None, :] - s[:, None]) * inv[None, start : start + chunk]
+    n, far_log = model._far_log(s, float(np.max(np.abs(s))), skip)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        factors = (poles[None, start:stop] - s[:, None]) * inv[None, start:stop]
         if skip is not None:
-            rows = np.flatnonzero((skip >= start) & (skip < start + chunk))
+            rows = np.flatnonzero((skip >= start) & (skip < stop))
             factors[rows, skip[rows] - start] = 1.0
         m *= np.prod(factors, axis=1)
         a = np.abs(m)
         live = a > 0
         e[live] += np.log(a[live])
         m[live] *= 1.0 / a[live]
+    if far_log is not None:
+        np.add(e, far_log.real, out=e, where=m != 0)
+        if np.iscomplexobj(far_log):
+            m *= np.exp(1j * far_log.imag)
     return m, e
 
 
@@ -386,9 +405,14 @@ class TestPointsMajorProduct:
         x = np.concatenate([np.linspace(-radius, radius, 2001), on, -on])
         s = model._s_of(x)
         assert _chunk_size(model._factor_poles, s) == chunk
-        # no skip, then skipped factors on both sides of each chunk edge
+        # the far factors enter through their log series in the wider calls
+        if n >= 128:
+            assert model._far_log(s, float(np.max(s)), None)[1] is not None
+        # no skip, skipped factors within the reach, then on both sides of
+        # each chunk edge and at the last factor, which moves the reach past it
         edges = [k for c in range(chunk, n, chunk) for k in (c - 1, c)]
-        for skip in (None, np.resize(np.array([-1, 0, n - 1] + edges), x.shape)):
+        for skip in (None, np.resize(np.array([-1, 0, min(3, n - 1)]), x.shape),
+                     np.resize(np.array([-1, 0, n - 1] + edges), x.shape)):
             got = model._scaled_product(s, skip)
             want = _row_major_product(model, s, skip)
             for g, w in zip(got, want):
@@ -414,14 +438,26 @@ class TestPointsMajorProduct:
         em.ProductModel(zeros=np.arange(1.0, 51.0), parity=1, amplitude=2.5, gauss_rate=0.3),
         em.ProductModel(zeros=np.arange(1.0, 51.0), quartic=True, phase=0.7)])
     def test_mirrored_and_repeated_points(self, model):
-        # up to |x| = 5 every point alone takes the full 64-factor chunk, so
-        # one point evaluates to the same bits as inside the grid
         x = np.linspace(0.0, 5.0, 41)
         grid = np.concatenate([x, -x, x[::-1], model.zeros[:5], -model.zeros[:5]])
         got = model.eval(grid)
-        for field in ("value", "log_magnitude", "error_bound"):
-            alone = [getattr(model.eval(v), field) for v in grid]
-            assert np.array_equal(getattr(got, field), alone), field
+        # within one call a point's row depends only on its own s
+        sign = (-1.0) ** model.parity
+        assert np.array_equal(got.value[41:82], sign * got.value[:41])
+        assert np.array_equal(got.value[82:123], got.value[40::-1])
+        for field in ("log_magnitude", "error_bound"):
+            part = getattr(got, field)
+            assert np.array_equal(part[41:82], part[:41]), field
+            assert np.array_equal(part[82:123], part[40::-1]), field
+        assert np.all(got.value[123:] == 0)
+        # a point alone multiplies every factor out, while the grid sends the
+        # factors past 4 max|s| through the series: they agree to rounding
+        s = model._s_of(grid)
+        assert model._far_log(s, float(np.max(s)), None)[1] is not None
+        alone = [model.eval(v) for v in grid]
+        for field, atol in (("value", 0.0), ("log_magnitude", 1e-13), ("error_bound", 0.0)):
+            want = [getattr(r, field) for r in alone]
+            assert np.allclose(getattr(got, field), want, rtol=1e-13, atol=atol), field
 
     def test_mirrored_and_repeated_points_with_tail(self):
         model = em.profile_product(np.sqrt(np.arange(1, 301) / 0.45), 0.45, gauss_rate=1.05,
@@ -457,6 +493,81 @@ class TestPointsMajorProduct:
         assert peak < (64 + 16) * x.size * x.itemsize
 
 
+def _series_models():
+    return {"plain": em.ProductModel(zeros=0.7 * np.arange(1, 601)),
+            "quartic": em.ProductModel(zeros=np.sqrt(np.arange(1, 513) / 0.45), quartic=True)}
+
+
+class TestFarFactorSeries:
+    """The factors past 4 max|s| enter through one log series."""
+
+    @pytest.mark.parametrize("name", sorted(_series_models()))
+    @pytest.mark.parametrize("off_axis", [False, True])
+    def test_product_against_long_double(self, name, off_axis):
+        model = _series_models()[name]
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-6.0, 6.0, 2000)
+        if off_axis:
+            z = np.abs(z) * np.exp(1j * rng.uniform(0.05, np.pi / 4 - 0.05, z.size))
+        on = model.zeros[model.zeros <= 6.0]
+        z = np.concatenate([z, on, -on])
+        s = model._s_of(z)
+        n0, far_log = model._far_log(s, float(np.max(np.abs(s))), None)
+        assert far_log is not None and n0 < len(model.zeros) // 10
+        m, e = model._scaled_product(s)
+        # the product of the same s in long double; the rounding of s = z^2
+        # or z^4 itself is the caller's
+        want = np.ones(s.shape, dtype=np.clongdouble if off_axis else np.longdouble)
+        for pole in model._factor_poles.astype(np.longdouble):
+            want *= 1 - s.astype(want.dtype) / pole
+        assert np.all(m[-2 * len(on):] == 0)
+        got, want = (m * np.exp(e))[: -2 * len(on)], want[: -2 * len(on)]
+        rel = (np.abs(got - want) / np.abs(want)).astype(float)
+        assert np.max(rel) < 2e-14 and np.median(rel) < 1.5e-15
+
+    def test_derivatives_against_long_double(self):
+        quartic = em.profile_product(np.sqrt(np.arange(1, 513) / 0.45), 0.45, gauss_rate=0.3,
+                                     parity=1, amplitude=2.0 - 1.0j, phase=0.7)
+        for model, radius in ((em.sinc_product(600), 40.0), (quartic, 8.0)):
+            inside = model.zeros[model.zeros <= radius]
+            lams = np.concatenate([inside, -inside])
+            s = model._s_of(lams)
+            assert model._far_log(s, float(np.max(s)), np.arange(len(lams)) % len(inside))[1] \
+                is not None
+            got = model.derivative_at_zero(lams)
+            want = _derivatives_long_double(model, lams)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 2e-14
+
+    def test_divided_basis_skip_past_reach(self):
+        # every factor past the reach of z in [-5, 5] but lam's own: the reach
+        # moves past lam's index and the rest enter through the series
+        model = em.ProductModel(zeros=np.arange(1.0, 401.0), parity=1, amplitude=1.5, phase=0.3)
+        lam = np.array([[151.0], [-151.0], [2.0]])
+        z = np.concatenate([np.linspace(-5.0, 5.0, 201) + 0.013, np.arange(-5.0, 6.0)])
+        n0, far_log = model._far_log(model._s_of(np.broadcast_to(z, (3, z.size))), 25.0,
+                                     np.array([[150], [150], [1]]))
+        assert n0 == 151 and far_log is not None
+        got = model.divided_basis_eval(lam, z, model.derivative_at_zero(lam))
+        # f(z) / (f'(lam) (z - lam)) in long double; amplitude and phase cancel
+        ld = np.longdouble
+        poles = np.arange(1, 401, dtype=ld) ** 2
+        zl = z.astype(ld)
+        f = zl * np.prod(1 - zl[:, None] ** 2 / poles, axis=1)
+        for row, v in zip(got, lam[:, 0]):
+            k = int(abs(v)) - 1
+            lv = ld(v)
+            deriv = lv * np.prod(1 - lv**2 / np.delete(poles, k)) * (-2 / lv)
+            want = np.ones_like(f)
+            off = zl != lv
+            want[off] = f[off] / (deriv * (zl[off] - lv))
+            zero = (zl != lv) & (zl == np.round(zl)) & (zl != 0)
+            # the cardinal function vanishes at every other retained zero
+            assert np.all(row[zero] == 0)
+            live = ~zero & (want != 0)
+            rel = (np.abs(row[live] - want[live]) / np.abs(want[live])).astype(float)
+            assert np.max(rel) < 5e-14, v
+
+
 PI_LD = 4 * np.arctan(np.longdouble(1))
 
 
@@ -474,20 +585,22 @@ def _log_tail_long_double(model, w):
     return log_tail
 
 
-def _derivative_long_double(model, lam):
-    """Product-rule derivative at a retained zero in long-double arithmetic."""
+def _derivatives_long_double(model, lams):
+    """Product-rule derivatives at retained zeros in long-double arithmetic."""
     p = 4 if model.quartic else 2
-    z = np.longdouble(lam)
-    k = int(np.argmin(np.abs(model.zeros - abs(lam))))
-    poles = np.delete(np.asarray(model.zeros, dtype=np.longdouble), k) ** p
-    s = z**p
-    mag = np.prod(1 - s / poles) * (-np.sign(z) * p / abs(z))
+    z = np.asarray(lams, dtype=np.longdouble)
     w = np.longdouble(model.tail_scale) * (z * z if model.quartic else z)
-    mag *= np.exp(-np.longdouble(model.gauss_rate) * PI_LD * z * z
-                  + _log_tail_long_double(model, w))
-    if model.parity:
-        mag *= z
-    return complex(model.amplitude) * np.exp(1j * model.phase) * float(mag)
+    smooth = np.exp(-np.longdouble(model.gauss_rate) * PI_LD * z * z
+                    + _log_tail_long_double(model, w))
+    poles = np.asarray(model.zeros, dtype=np.longdouble) ** p
+    out = []
+    for zk, smooth_k in zip(z, smooth):
+        k = int(np.argmin(np.abs(model.zeros - abs(float(zk)))))
+        mag = np.prod(1 - zk**p / np.delete(poles, k)) * (-np.sign(zk) * p / abs(zk)) * smooth_k
+        if model.parity:
+            mag *= zk
+        out.append(complex(model.amplitude) * np.exp(1j * model.phase) * float(mag))
+    return np.array(out)
 
 
 class TestDerivativeArrays:
@@ -501,8 +614,8 @@ class TestDerivativeArrays:
             got = model.derivative_at_zero(lams)
             want = np.array([model.derivative_at_zero(v) for v in lams])
             assert got.shape == lams.shape and got.dtype == complex
-            # the chunk size follows the largest point, so the log-scale sums
-            # of one call and of many round differently
+            # the chunk size and the reach of the multiplied-out factors
+            # follow the largest point, so one call and many round differently
             assert np.allclose(got, want, rtol=1e-13, atol=0)
             assert model.derivative_at_zero(lams[:1])[0] == want[0]
             assert isinstance(model.derivative_at_zero(lams[1]), complex)
@@ -536,5 +649,5 @@ class TestDerivativeArrays:
         inside = gen.zeros[gen.zeros <= 6.0]
         lams = np.concatenate([inside, -inside])
         got = gen.derivative_at_zero(lams)
-        want = np.array([_derivative_long_double(gen, v) for v in lams])
+        want = _derivatives_long_double(gen, lams)
         assert np.max(np.abs(got - want) / np.abs(want)) < 2e-14
