@@ -78,28 +78,24 @@ def _zero_ray_mask(model: ProductModel, zeros: np.ndarray, theta: float, r: np.n
     return keep
 
 
-def indicator_estimate(model: ProductModel, theta: float,
-                       r_grid: np.ndarray | None = None) -> IndicatorEstimate:
+def indicator_estimate(model: ProductModel, theta: float) -> IndicatorEstimate:
     """Estimate the ray growth rate of the model at angle theta.
 
-    Without ``r_grid`` the ray is sampled out to 0.92 * 12 (order 2) or
-    0.92 * 40, at the zeros' gap midpoints on a zero ray; the slope is the
-    upper envelope over 6 half-overlapping sub-windows of the abscissa.
+    The ray is sampled out to 0.92 * 12 (order 2) or 0.92 * 40, at the zeros'
+    gap midpoints on a zero ray; the slope is the upper envelope over 6
+    half-overlapping sub-windows of the abscissa.
     """
     order2 = _is_order2_in_z(model)
-    r_max = 0.92 * (12.0 if order2 else 40.0) if r_grid is None else np.max(r_grid, initial=0.0)
+    r_max = 0.92 * (12.0 if order2 else 40.0)
     # one unit past the grid covers the exclusion disks of zeros just beyond it
     zeros = model.zeros_upto(r_max + 1.0)
-    if r_grid is None:
-        r_lo = max(0.08 * r_max, 0.5)
-        if _on_zero_ray(model, zeros, theta, order2):
-            # gap midpoints carry the product's envelope between the log dips
-            zs = zeros[(zeros > r_lo) & (zeros < r_max)]
-            mids = 0.5 * (zs[:-1] + zs[1:]) if len(zs) >= 9 else np.empty(0)
-            r_grid = mids if len(mids) >= 8 else np.linspace(r_lo, r_max, 320)
-        else:
-            r_grid = np.linspace(r_lo, r_max, 320)
-    r = np.asarray(r_grid, dtype=float)
+    r_lo = max(0.08 * r_max, 0.5)
+    zs = zeros[(zeros > r_lo) & (zeros < r_max)]
+    if _on_zero_ray(model, zeros, theta, order2) and len(zs) >= 9:
+        # gap midpoints carry the product's envelope between the log dips
+        r = 0.5 * (zs[:-1] + zs[1:])
+    else:
+        r = np.linspace(r_lo, r_max, 320)
     keep = _zero_ray_mask(model, zeros, theta, r, order2)
     pts = r * np.exp(1j * theta)
     y = model.log_abs(pts)

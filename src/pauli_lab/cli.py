@@ -251,6 +251,12 @@ def cmd_interp(args) -> int:
                             cfg.get("inner_cut", 0.0), cfg["outer_radius"], nodes=nodes)
     cut, _ = itp.choose_window_cut(base)
     problem = base.restricted(cut)
+    total = len(base.lam) + len(base.mu)
+    dropped = total - len(problem.lam) - len(problem.mu)
+    if dropped:
+        # the contraction certificate covers only the points outside the cut
+        raise CheckFailedError(f"the window cut at |x| = {cut:.6g} drops {dropped} of the "
+                               f"{total} data points, which the interpolant would not meet")
     res = itp.solve(problem, tol=tol)
     # a NaN gap fails too
     if not (res.verify_time <= itp.REEVAL_GAP_TOL and res.verify_freq <= itp.REEVAL_GAP_TOL):
@@ -361,7 +367,8 @@ def main(argv=None) -> int:
     except CheckFailedError as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        # MemoryError: an input too large to allocate, such as a 1e13-point range
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
 

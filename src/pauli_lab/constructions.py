@@ -40,7 +40,7 @@ class ParameterInfeasibleError(ValueError, CheckFailedError):
 
 
 class DegeneratePhaseError(ValueError, CheckFailedError):
-    """Phase selection impossible: the cross product vanishes on the grid."""
+    """The theta = 0 witness Re(phi * conj(psi)) vanishes on every grid."""
 
 
 class ModelEvaluator:
@@ -171,42 +171,20 @@ def _default_quad(gauss_rate: float, nodes: int) -> fourier.QuadratureSpec:
 
 
 def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None = None) -> float:
-    """Rotation angle giving a robust witness that both non-identities hold.
+    """The rotation theta = 0, once its witness of the non-identities is checked.
 
-    Maximizes, over the rotation, the smaller of the two grid witnesses
-    max |Re(phi * conj(e^{i theta} psi))| (time side, and frequency side when a
-    grid is supplied).  Candidates favour 0 so real pairs stay real.
+    Every builder makes phi and psi real on the real line, and the non-weak
+    parts' transforms real as well, so |f|^2 - |g|^2 = 4 cos(theta) phi psi
+    and no rotation beats theta = 0.  Raises DegeneratePhaseError when the
+    witness max |Re(phi * conj(psi))| vanishes on the time grid and on the
+    frequency grid, when one is supplied.
     """
-    cross = [np.asarray(phi.eval(time_grid)) * np.conj(np.asarray(psi.eval(time_grid)))]
+    cross = [phi.eval(time_grid) * np.conj(psi.eval(time_grid))]
     if freq_grid is not None:
-        cross.append(np.asarray(phi.eval_hat(freq_grid)) * np.conj(np.asarray(psi.eval_hat(freq_grid))))
-    if all(np.max(np.abs(c)) == 0.0 for c in cross):
-        raise DegeneratePhaseError("cross product vanishes on the whole grid")
-
-    def score(theta: float) -> float:
-        rot = np.exp(-1j * theta)
-        return min(float(np.max(np.abs(np.real(rot * c)))) for c in cross)
-
-    n_sweep = 64
-    candidates = np.concatenate([[0.0], np.linspace(0.0, 2 * np.pi, n_sweep, endpoint=False)])
-    values = [score(t) for t in candidates]
-    best = int(np.argmax(values))
-    theta = float(candidates[best])
-    if values[best] >= score(0.0) * (1.0 + 1e-12) and best != 0:
-        # ternary refinement around the sweep winner
-        lo = theta - 2 * np.pi / n_sweep
-        hi = theta + 2 * np.pi / n_sweep
-        for _ in range(60):
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            if score(m1) < score(m2):
-                lo = m1
-            else:
-                hi = m2
-        theta = 0.5 * (lo + hi)
-    else:
-        theta = 0.0
-    return float(theta)
+        cross.append(phi.eval_hat(freq_grid) * np.conj(psi.eval_hat(freq_grid)))
+    if all(np.max(np.abs(np.real(c))) == 0.0 for c in cross):
+        raise DegeneratePhaseError("the theta = 0 witness vanishes on every grid")
+    return 0.0
 
 
 def _pick_headroom(half_density: float, rate_base: float, freq_rate: float) -> float:
@@ -304,8 +282,8 @@ def _extended_model(zeros_pos: np.ndarray, half_density: float, gamma: float,
 def build_time_pair(lam: SampledSet, decay: float) -> PairConstruction:
     """Pair with matching moduli at every point of a two-sided time set.
 
-    The set is symmetrized and split as in ``_product_pair``; the rotation
-    is the ``select_phase`` angle on [-3, 3].
+    The set is symmetrized and split as in ``_product_pair``; ``select_phase``
+    checks the theta = 0 witness on [-3, 3].
     """
     if not 0.0 < decay < 1.0:
         raise ValueError(f"decay must lie in (0, 1), got {decay}")

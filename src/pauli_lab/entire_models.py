@@ -402,8 +402,8 @@ class ProductModel:
             "meta": meta,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ProductModel":
+    @staticmethod
+    def from_dict(obj: dict) -> "ProductModel":
         """The model ``to_dict`` described, from its parsed JSON object."""
         for key in ("T2", "T4"):
             if key in obj:
@@ -411,7 +411,7 @@ class ProductModel:
                                  "old format; rebuild the pair with `construct`")
         meta = dict(obj.get("meta", {}))
         quartic = bool(meta.pop("quartic", False))
-        return cls(
+        return ProductModel(
             zeros=np.array(obj["zeros"], dtype=float),
             amplitude=complex(obj["c_re"], obj["c_im"]),
             phase=float(obj["theta"]),
@@ -433,11 +433,9 @@ def sinc_product(count: int = 2000) -> ProductModel:
     return ProductModel(zeros=n, tail_start=count + 1, meta={"family": "sinc"})
 
 
-def gaussian_model(rate: float, amplitude: complex = 1.0, phase: float = 0.0,
-                   parity: int = 0) -> ProductModel:
-    """Zero-free model c * e^{i phase} * z^parity * e^{-rate pi z^2}."""
-    return ProductModel(zeros=np.empty(0), amplitude=amplitude, phase=phase,
-                        gauss_rate=rate, parity=parity)
+def gaussian_model(rate: float) -> ProductModel:
+    """The Gaussian e^{-rate pi z^2}."""
+    return ProductModel(zeros=np.empty(0), gauss_rate=rate)
 
 
 def profile_tail_start(last: float, half_density: float, first: int = 1) -> int:
@@ -455,13 +453,11 @@ def profile_tail_start(last: float, half_density: float, first: int = 1) -> int:
 
 
 def profile_product(zeros: np.ndarray, half_density: float, gauss_rate: float = 0.0,
-                    parity: int = 0, amplitude: complex = 1.0,
-                    phase: float = 0.0) -> ProductModel:
+                    parity: int = 0) -> ProductModel:
     """Quartic model vanishing at +-zeros (and +-i zeros), continued exactly
     along the square-root profile sqrt(m/D) from the first m >= len(zeros) + 1
     whose zero lies past the last given one."""
     zeros = np.asarray(zeros, dtype=float)
     start = profile_tail_start(zeros[-1] if len(zeros) else 0.0, half_density, len(zeros) + 1)
-    return ProductModel(zeros=zeros, amplitude=amplitude, phase=phase,
-                        gauss_rate=gauss_rate, parity=parity, tail_start=start,
+    return ProductModel(zeros=zeros, gauss_rate=gauss_rate, parity=parity, tail_start=start,
                         tail_scale=half_density, quartic=True)

@@ -101,13 +101,10 @@ def _tail_bound(x: np.ndarray, fx: np.ndarray) -> float:
     outer = np.abs(x) >= 0.7 * t_edge
     mags = np.abs(fx[outer])
     live = mags > 0
-    if np.count_nonzero(live) < 8:
-        # no usable envelope: fall back to edge-value times window scale
-        edge = np.abs(fx[np.argmax(np.abs(x))])
-        return float(edge * t_edge)
     try:
         env = envelope_fit(x[outer][live], np.log(mags[live]))
     except (DegenerateFitError, InsufficientDataError):
+        # no usable envelope: fall back to edge-value times window scale
         edge = np.abs(fx[np.argmax(np.abs(x))])
         return float(edge * t_edge)
     if env.rate <= 0:
@@ -250,7 +247,7 @@ def _chirp_sum(rows: np.ndarray, spec: QuadratureSpec, c: int, t_c: float, dt: f
     return sums[0] + sums[1] * (sign * 2.0j * np.pi * offsets)
 
 
-def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi, inverse: bool = False) -> TransformResult:
+def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi) -> TransformResult:
     """Transform from precomputed node values fx on spec.grid().
 
     Complex frequencies are allowed (the transform of a Gaussian-decaying
@@ -261,7 +258,7 @@ def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi, inverse: bool = F
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=complex))
     half = np.zeros_like(fx)
     half[::2] = 2.0 * fx[::2]
-    fine, coarse = phase_sum(np.stack([fx, half]), spec, xi_arr, inverse=inverse)
+    fine, coarse = phase_sum(np.stack([fx, half]), spec, xi_arr)
     err = np.abs(fine - coarse) + _tail_bound(spec.grid(), fx)
     return TransformResult(values=fine, error=err)
 

@@ -230,12 +230,12 @@ def _op_norm(mat: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
 
 
 def choose_window_cut(problem: InterpolationProblem, candidates=None,
-                      bound: float = 0.5, criterion: str = "each") -> tuple[float, list]:
+                      criterion: str = "each") -> tuple[float, list]:
     """Smallest inner cut whose measured cross norms certify contraction.
 
-    With criterion "each", both weighted norms must fall below ``bound`` (the
+    With criterion "each", both weighted norms must fall below 1/2 (the
     halving certificate).  With "product", the acceptance is
-    N_A * N_B < bound^2 with a transient cap: the iteration alternates sides,
+    N_A * N_B < 1/4 with a transient cap: the iteration alternates sides,
     so its two-step ratio is governed by the product of the one-sided norms;
     requiring each below 1/2 is sufficient but not necessary.
 
@@ -260,9 +260,9 @@ def choose_window_cut(problem: InterpolationProblem, candidates=None,
         n_a = _op_norm(mats.psi_at_lambda[np.ix_(il, im)], wl, wm)
         n_b = _op_norm(mats.phihat_at_mu[np.ix_(im, il)], wm, wl)
         diagnostics.append((float(cut), n_a, n_b))
-        if n_a < bound and n_b < bound:
+        if n_a < 0.5 and n_b < 0.5:
             return float(cut), diagnostics
-        if criterion == "product" and n_a * n_b < bound * bound and max(n_a, n_b) < 2.0:
+        if criterion == "product" and n_a * n_b < 0.25 and max(n_a, n_b) < 2.0:
             return float(cut), diagnostics
     raise NoFeasibleWindowError(diagnostics)
 
@@ -488,8 +488,6 @@ def _null_combination(con: np.ndarray) -> np.ndarray:
 
 def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
                                 weight_a: float, weight_b: float,
-                                aux_count: int | None = None,
-                                min_inner_cut: float = 0.0,
                                 nodes: int = 4096) -> VanishingFunction:
     """Nonzero function vanishing on the time set with transform vanishing on
     the frequency set (within tolerance on the checked window).
@@ -516,8 +514,8 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
 
     # carriers and interior counts depend on the cut; iterate to consistency,
     # shifting the carriers outward when a placement spoils the window norms
-    aux_low = max(min_inner_cut + 1e-6, 0.0)
-    need = aux_count if aux_count is not None else 1
+    aux_low = 1e-6
+    need = 1
     freq_gen = vanishing_generator(mu_sym.positive, weight_b, density=d_mu)
     for _ in range(6):
         aux = _carrier_points(lam_pos, need, aux_low, 0.98 * outer_radius)
@@ -531,10 +529,10 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
         cut_cap = float(np.min(aux)) - 1e-9
         radii = np.unique(np.abs(np.concatenate([base.lam, base.mu])))
         mids = 0.5 * (radii[:-1] + radii[1:]) if len(radii) > 1 else np.array([])
-        candidates = np.concatenate([[min_inner_cut], mids[(mids < cut_cap) & (mids >= min_inner_cut)]])
+        candidates = np.concatenate([[0.0], mids[mids < cut_cap]])
         window_error = None
         try:
-            cut, diagnostics = choose_window_cut(base, candidates=candidates, criterion="product")
+            cut, _ = choose_window_cut(base, candidates=candidates, criterion="product")
         except NoFeasibleWindowError as exc:
             window_error = exc
             shifted = lam_pos[lam_pos > float(np.min(aux))]
@@ -544,10 +542,6 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
             continue
         n_int = int(np.count_nonzero((lam_sym.points > 0) & (lam_sym.points <= cut)) +
                     np.count_nonzero((mu_sym.points > 0) & (mu_sym.points <= cut)))
-        if aux_count is not None:
-            # an explicit carrier budget is binding; shortfalls surface later
-            # as an empty null space
-            break
         target = n_int + 2 if n_int else 1
         if need >= target:
             break

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pauli_lab import asymptotics as asy
-from pauli_lab.entire_models import gaussian_model, profile_product, sinc_product
+from pauli_lab.entire_models import ProductModel, gaussian_model, profile_product, sinc_product
 
 GAMMA = 1.05
 HALF_DENSITY = 0.45
@@ -68,9 +68,9 @@ class TestIndicatorEstimate:
         assert short.h_hat == pytest.approx(full.h_hat, abs=1e-9)
 
     def test_all_masked(self):
-        m = sinc_product(50)
-        with pytest.raises(asy.AllMaskedError):
-            asy.indicator_estimate(m, 0.0, r_grid=np.array([1.0, 2.0, 3.0]))
+        # the zero function's log-magnitude is -inf at every node of the ray
+        with pytest.raises(asy.AllMaskedError, match="all 320 nodes"):
+            asy.indicator_estimate(ProductModel(amplitude=0.0), 0.0)
 
 
 class TestTrigConvexity:

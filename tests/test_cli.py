@@ -240,6 +240,19 @@ class TestInterp:
         cfg.write_text(json.dumps({**self.GAPS, "nodes": 1024}))
         assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 0
 
+    @pytest.mark.parametrize("nodes", [16, 32])
+    def test_cut_that_drops_data_exits_1(self, tmp_path, capsys, nodes):
+        # at these node counts the contracting window starts past 1.7: only
+        # lambda +-2 stay, and the data at +-1 and +-1.7 would go unmet
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps({**self.GAPS, "nodes": nodes}))
+        out_dir = tmp_path / "run"
+        assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: the window cut at |x| = 1.85 drops 4 of the 6 data points, "
+            "which the interpolant would not meet\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("change, message", [
         ({"alpha": {"1.5": [1.0, 0.0]}}, "alpha key '1.5' is not a point of lambda"),
         ({"beta": {"1.0": [1.0, 0.0]}}, "beta key '1.0' is not a point of mu"),
@@ -395,3 +408,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_thresholds", fail)
         assert run(["thresholds", "--a-grid", "0.1:0.2:0.1"]) == 2
         assert capsys.readouterr().err == "configuration error: bad value\n"
+
+    def test_input_too_large_to_allocate_exits_two(self, monkeypatch, capsys):
+        # --a-grid 0:1:1e-13 asks numpy for 1e13 points; numpy raises a
+        # MemoryError subclass before allocating anything
+        def too_large(spec):
+            assert spec == "0:1:1e-13"
+            raise MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000001,)")
+
+        monkeypatch.setattr(cli, "_parse_range", too_large)
+        assert run(["thresholds", "--a-grid", "0:1:1e-13"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: Unable to allocate 72.8 TiB for an array with shape "
+            "(10000000000001,)\n")

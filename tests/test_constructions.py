@@ -273,6 +273,18 @@ class TestNonWeakPair:
         assert np.max(np.abs(pair.fg(X_GRID)[0])) > 1e-3
 
 
+class TestPhasePremise:
+    @pytest.mark.parametrize("kind, psi_hat_unit", [("time_pair", 1j), ("nonweak_pair", 1.0)])
+    def test_parts_are_real(self, kind, psi_hat_unit, request):
+        # select_phase returns theta = 0 because the parts it checks are real,
+        # which makes |f|^2 - |g|^2 = 4 cos(theta) phi psi.  The time pair's
+        # odd part has an imaginary transform; that pair is checked in time only
+        pair = request.getfixturevalue(kind)
+        for vals in (pair.phi.eval(X_GRID), pair.psi.eval(X_GRID),
+                     pair.phi.eval_hat(XI_GRID), pair.psi.eval_hat(XI_GRID) / psi_hat_unit):
+            assert np.max(np.abs(vals.imag)) <= 1e-9 * np.max(np.abs(vals))
+
+
 class _Wrap:
     def __init__(self, fn, fn_hat=None):
         self._fn = fn
@@ -292,10 +304,14 @@ class TestSelectPhase:
         assert con.select_phase(phi, psi, X_GRID) == 0.0
 
     def test_imaginary_partner(self):
+        # Re(phi * conj(psi)) = 0, so f and g = phi -+ psi have equal moduli
         phi = _Wrap(lambda x: np.exp(-np.pi * x * x))
         psi = _Wrap(lambda x: 1j * x * np.exp(-np.pi * x * x))
-        theta = con.select_phase(phi, psi, X_GRID)
-        assert theta == pytest.approx(np.pi / 2, abs=1e-6)
+        with pytest.raises(con.DegeneratePhaseError):
+            con.select_phase(phi, psi, X_GRID)
+        # a frequency grid where the witness holds keeps the check passing
+        real_hat = _Wrap(psi._fn, lambda xi: xi * np.exp(-np.pi * xi * xi))
+        assert con.select_phase(phi, real_hat, X_GRID, XI_GRID) == 0.0
 
     def test_degenerate(self):
         phi = _Wrap(lambda x: np.exp(-np.pi * x * x))
@@ -309,6 +325,7 @@ class TestSelectPhase:
         phi = _Wrap(lambda x: c1 * np.exp(-np.pi * x * x))
         psi = _Wrap(lambda x: c2 * x * np.exp(-0.8 * np.pi * x * x))
         theta = con.select_phase(phi, psi, X_GRID, XI_GRID)
+        assert theta == 0.0
         rot = np.exp(-1j * theta)
         wit = np.max(np.abs(np.real(rot * phi.eval(X_GRID) * np.conj(psi.eval(X_GRID)))))
         assert wit > 0.01

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 
 import numpy as np
@@ -252,7 +253,7 @@ class TestModelInvariants:
         assert np.all(dlog <= res_small.error_bound + 1e-12)
 
     def test_gaussian_closed_form(self):
-        g = em.gaussian_model(0.8, amplitude=1.2)
+        g = em.ProductModel(gauss_rate=0.8, amplitude=1.2)
         z = np.array([0.5, 1.0 + 2.0j, -0.3j])
         assert np.allclose(g.values(z), 1.2 * np.exp(-0.8 * np.pi * z * z), rtol=1e-13)
 
@@ -302,10 +303,10 @@ def _real_axis_models():
         "plain_no_tails_odd": em.ProductModel(zeros=plain, parity=1, amplitude=2.5),
         "plain_phase_pi": em.ProductModel(zeros=plain, phase=np.pi, gauss_rate=0.3),
         "quartic_odd": em.profile_product(lam, 0.45, gauss_rate=1.05, parity=1),
-        "quartic_phase": em.profile_product(lam, 0.45, gauss_rate=1.05, amplitude=2.0 - 1.0j,
-                                            phase=0.7),
+        "quartic_phase": dataclasses.replace(em.profile_product(lam, 0.45, gauss_rate=1.05),
+                                             amplitude=2.0 - 1.0j, phase=0.7),
         "quartic_no_tails": em.ProductModel(zeros=plain, quartic=True, amplitude=-0.5),
-        "no_zeros": em.gaussian_model(0.8, amplitude=1.5 + 0.5j, phase=0.7, parity=1),
+        "no_zeros": em.ProductModel(gauss_rate=0.8, amplitude=1.5 + 0.5j, phase=0.7, parity=1),
     }
 
 
@@ -460,8 +461,9 @@ class TestPointsMajorProduct:
             assert np.allclose(getattr(got, field), want, rtol=1e-13, atol=atol), field
 
     def test_mirrored_and_repeated_points_with_tail(self):
-        model = em.profile_product(np.sqrt(np.arange(1, 301) / 0.45), 0.45, gauss_rate=1.05,
-                                   parity=1, amplitude=2.0 - 1.0j)
+        model = dataclasses.replace(
+            em.profile_product(np.sqrt(np.arange(1, 301) / 0.45), 0.45, gauss_rate=1.05, parity=1),
+            amplitude=2.0 - 1.0j)
         x = np.linspace(0.0, 12.0, 301)
         grid = np.concatenate([x, -x[::-1], x[::3], -x[::7]])
         got = model.eval(grid)
@@ -526,8 +528,9 @@ class TestFarFactorSeries:
         assert np.max(rel) < 2e-14 and np.median(rel) < 1.5e-15
 
     def test_derivatives_against_long_double(self):
-        quartic = em.profile_product(np.sqrt(np.arange(1, 513) / 0.45), 0.45, gauss_rate=0.3,
-                                     parity=1, amplitude=2.0 - 1.0j, phase=0.7)
+        quartic = dataclasses.replace(
+            em.profile_product(np.sqrt(np.arange(1, 513) / 0.45), 0.45, gauss_rate=0.3, parity=1),
+            amplitude=2.0 - 1.0j, phase=0.7)
         for model, radius in ((em.sinc_product(600), 40.0), (quartic, 8.0)):
             inside = model.zeros[model.zeros <= radius]
             lams = np.concatenate([inside, -inside])
@@ -605,8 +608,9 @@ def _derivatives_long_double(model, lams):
 
 class TestDerivativeArrays:
     def test_array_matches_scalar_calls(self, quartic_phi):
-        odd = em.profile_product(quartic_phi.zeros[:300], 0.45, gauss_rate=1.05, parity=1,
-                                 amplitude=2.0 - 1.0j, phase=0.7)
+        odd = dataclasses.replace(
+            em.profile_product(quartic_phi.zeros[:300], 0.45, gauss_rate=1.05, parity=1),
+            amplitude=2.0 - 1.0j, phase=0.7)
         for model in (em.sinc_product(300), quartic_phi, odd):
             lams = np.concatenate([model.zeros[:40], -model.zeros[:40:7]])
             if model.parity:
@@ -634,7 +638,7 @@ class TestDerivativeArrays:
         assert got[1] == pytest.approx(1.5 * np.exp(0.7j), rel=1e-15)
         assert np.allclose(got, [m.derivative_at_zero(v) for v in (-2.0, 0.0, 1.0)],
                            rtol=1e-15)
-        bare = em.gaussian_model(0.5, amplitude=2.0, parity=1)
+        bare = em.ProductModel(gauss_rate=0.5, amplitude=2.0, parity=1)
         assert bare.derivative_at_zero(np.array([0.0]))[0] == 2.0
 
     def test_generator_derivatives_against_long_double(self):

@@ -9,6 +9,7 @@ from pauli_lab import fourier
 from pauli_lab import interpolation as itp
 from pauli_lab.entire_models import ProductModel
 from pauli_lab.sequences import SampledSet, SmoothSpec, generate_smooth, split_parity
+from pauli_lab.thresholds import split_bound_argmax, weak_pair_threshold
 
 import hermite
 
@@ -315,7 +316,7 @@ class TestChooseCut:
         mu = sym_profile(0.85, seed=8)
         base = itp.make_problem(lam, mu, None, None, 0.5, 0.5, 0.0, 3.4, nodes=1024)
         with pytest.raises(itp.NoFeasibleWindowError):
-            itp.choose_window_cut(base, candidates=[0.0], bound=1e-4)
+            itp.choose_window_cut(base, candidates=[0.0])
 
 
 class TestSolve:
@@ -409,14 +410,18 @@ class TestVanishingFunction:
         assert np.max(np.abs(vals.imag)) < 1e-9 * np.max(np.abs(vals))
         assert np.max(np.abs(vals - vf.interpolant.eval(-x))) < 1e-7
 
-    def test_null_space_path(self, split_sets):
-        lam1, mu1 = split_sets
-        vf = itp.assemble_vanishing_function(lam1, mu1, 0.5, 0.5, aux_count=4,
-                                             min_inner_cut=1.4, nodes=2048)
-        assert vf.inner_cut >= 1.4
-        n_int = np.count_nonzero((lam1.symmetrized().positive > 0) & (lam1.symmetrized().positive <= vf.inner_cut)) + \
-            np.count_nonzero((mu1.symmetrized().positive > 0) & (mu1.symmetrized().positive <= vf.inner_cut))
-        assert 0 < n_int < 4
+    def test_null_space_path(self):
+        # the odd part of a non-weak split at A = 0.45 and 0.7 of the cap, with
+        # its rates (x_A/A, A): the window cut leaves interior points, which
+        # a null-space combination of the carriers clears
+        decay = 0.45
+        _, odd = split_parity(sym_profile(0.7 * weak_pair_threshold(decay) / 2.0))
+        vf = itp.assemble_vanishing_function(odd, odd, split_bound_argmax(decay) / decay, decay,
+                                             nodes=2048)
+        # interior points of both sets, which are the same set here
+        n_int = 2 * np.count_nonzero(odd.symmetrized().positive <= vf.inner_cut)
+        assert n_int > 0
+        assert len(vf.aux_points) == n_int + 2
         assert vf.constraint_sigma < 1e-8
         assert vf.residual_time < 1e-7 and vf.residual_freq < 1e-7
 
@@ -451,19 +456,6 @@ class TestVanishingFunction:
     def test_null_combination_full_rank_raises(self):
         with pytest.raises(itp.NullSpaceEmptyError):
             itp._null_combination(np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-    def test_null_space_empty(self):
-        # distinct set geometries keep the square constraint system nonsingular;
-        # jitter only the positive half so the mirrored sets stay symmetric
-        lam_half = generate_smooth(SmoothSpec(p=2.0, density=1.2, count=512,
-                                              jitter=0.2, seed=3, halves="+"))
-        mu_half = generate_smooth(SmoothSpec(p=2.0, density=1.1, count=512,
-                                             jitter=0.2, seed=11, halves="+"))
-        lam1, _ = split_parity(lam_half)
-        mu1, _ = split_parity(mu_half)
-        with pytest.raises(itp.NullSpaceEmptyError):
-            itp.assemble_vanishing_function(lam1, mu1, 0.5, 0.5, aux_count=2,
-                                            min_inner_cut=1.4, nodes=2048)
 
     def test_only_the_last_window_failure_is_final(self, split_sets, monkeypatch):
         # the first placement finds no window, the later ones find ever wider
