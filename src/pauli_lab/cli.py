@@ -143,6 +143,10 @@ def _check_radius(pair) -> float:
 
 
 def cmd_verify(args) -> int:
+    # a negative or NaN tolerance fails every check, an infinite one passes it
+    for flag, tol in (("--tol-discrete", args.tol_discrete), ("--tol-weak", args.tol_weak)):
+        if not 0 <= tol < np.inf:
+            raise ValueError(f"{flag} must be >= 0 and finite, got {tol}")
     # the sup-on-grid verdicts need two distinct grid points
     if args.grid_points < 2:
         raise ValueError(f"--grid-points must be >= 2, got {args.grid_points}")
@@ -224,6 +228,8 @@ def _interp_data(entries, points: np.ndarray, key: str, set_name: str) -> dict:
 
 
 def cmd_interp(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     cfg = json.loads(Path(args.problem).read_text())
     if not isinstance(cfg, dict):
         raise ValueError(f"the problem file must hold a JSON object, got {cfg!r}")

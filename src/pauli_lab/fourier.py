@@ -10,18 +10,23 @@ envelope.  Estimates are diagnostics, not certified bounds.
 transforms here, the interpolation cross matrices, and the assembled
 interpolants all reduce to its quadrature sums.  Uniform target grids go
 through a chirp-z convolution (Rabiner-Schafer-Rader 1969, Bluestein 1970) in
-O((nodes + targets) log) time and O(nodes + targets) memory; other targets get
-the dense phase matrix, formed in slices of at most ``DENSE_CHUNK_BYTES``.
+O((nodes + targets) log) time and O(nodes + targets) memory.  Other targets
+get a block-factored dense sum: with the nodes cut into blocks of about
+sqrt(nodes)/2, each phase is a block phase times an in-block phase, so a
+target takes O(sqrt(nodes)) exponentials, and the rest is one matrix
+product of the reshaped rows and a reduction over the blocks, taken in
+target slices of at most ``DENSE_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-# bytes of dense phase matrix formed at once: memory stays O(nodes) whatever
-# the number of targets
+# bytes of block sums and phase factors a dense sum forms at once: beside
+# its padded rows, memory stays O(nodes) whatever the number of targets
 DENSE_CHUNK_BYTES = 8 << 20
 # below this many uniform targets the dense sum is faster than the chirp-z FFTs
 CHIRP_MIN_TARGETS = 32
@@ -58,6 +63,38 @@ class QuadratureSpec:
         w = np.full(self.nodes + 1, h)
         w[0] = w[-1] = h / 2.0
         return w
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """The grid's layout for ``_dense_sum``: (B, A, k, a, delta).
+
+        Node n = a B + b (b < B) sits at x_{aB} + b h + delta_n.  Each phase
+        factor is k a t in turns: the first B rows of the columns k, a hold
+        k = b, a = h for the in-block phases, the last A rows k = 1,
+        a = x_{aB} for the block phases.  B is half the square root of the
+        node count: a block phase's rounding falls on its whole block sum,
+        and with blocks this short the sums stay as close to long double as
+        one exponential per node and target.
+        """
+        x = self.grid()
+        h = 2.0 * self.half_width / self.nodes
+        width = int(np.ceil(np.sqrt(len(x)) / 2.0))
+        blocks = -(-len(x) // width)
+        b = np.arange(width, dtype=float)
+        starts = x[::width]
+        k = np.concatenate([b, np.ones(blocks)])[:, None]
+        a = np.concatenate([np.full(width, h), starts])[:, None]
+        # delta = x - x_{aB} - b h: the difference as the exact sum s + e
+        # (TwoSum) less b h as the exact sum of b h_hi and b h_lo, whose first
+        # term cancels s exactly
+        in_block = np.resize(b, len(x))
+        start = np.repeat(starts, width)[:len(x)]
+        s = x - start
+        back = s - x
+        e = (x - (s - back)) - (start + back)
+        h_hi = _split(h)
+        delta = ((s - in_block * h_hi) - in_block * (h - h_hi)) + e
+        return width, blocks, k, a, delta
 
 
 @dataclass(frozen=True)
@@ -135,23 +172,52 @@ def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool =
     t = np.ravel(targets)
     uniform = _uniform_targets(t)
     if uniform is None:
-        return _dense_sum(weighted, spec.grid(), t, sign)
+        return _dense_sum(weighted, spec, t, sign)
     return _chirp_sum(weighted, spec, *uniform, sign)
 
 
-def _dense_sum(rows: np.ndarray, x: np.ndarray, t: np.ndarray, sign: float) -> np.ndarray:
-    """rows @ exp(sign 2 pi i outer(x, t)), the phase matrix taken in target slices."""
-    out = np.empty(rows.shape[:-1] + (len(t),), dtype=complex)
-    step = max(1, DENSE_CHUNK_BYTES // (16 * len(x)))
-    # every slice is formed in place in one buffer of at most the cap
-    buf = np.empty((len(x), min(step, len(t))), dtype=complex)
-    for start in range(0, len(t), step):
-        part = t[start:start + step]
-        phases = buf[:, :len(part)]
-        np.outer(x, part, out=phases)
-        phases *= sign * 2.0j * np.pi
+def _dense_sum(rows: np.ndarray, spec: QuadratureSpec, t: np.ndarray, sign: float) -> np.ndarray:
+    """Block-factored sums of rows over spec.grid() at any real or complex targets.
+
+    Node n = a B + b sits at x_{aB} + b h + delta_n (``spec._blocks``), so
+    its phase factors into a block phase x_{aB} t and an in-block phase
+    b h t: a target takes A + B ~ 2.5 sqrt(nodes) exponentials instead of
+    nodes + 1.  The sums over b are one matrix product of the rows,
+    zero-padded to A B and reshaped to (A, B), and the A block sums are then
+    reduced.  Both phases are reduced exactly in turns before the
+    exponential, and the few-ulp offsets delta_n of the rounded grid enter
+    to first order through delta-weighted rows.  Targets go in slices whose
+    block sums and phase factors stay within ``DENSE_CHUNK_BYTES``.
+    """
+    width, blocks, k, a, delta = spec._blocks
+    size = len(delta)
+    lead = rows.shape[:-1]
+    padded = np.empty((2,) + lead + (blocks * width,), dtype=complex)
+    padded[..., size:] = 0.0
+    padded[0, ..., :size] = rows
+    np.multiply(rows, delta, out=padded[1, ..., :size])
+    stacked = padded.reshape(-1, width)
+    out = np.empty(lead + (len(t),), dtype=complex)
+    # per target: the block sums, and about four complex words per phase
+    # factor while it is reduced in turns and exponentiated
+    step = max(1, DENSE_CHUNK_BYTES // (16 * (len(stacked) + 4 * (blocks + width))))
+    off_axis = np.iscomplexobj(t) and np.any(t.imag)
+    for first in range(0, len(t), step):
+        part = t[first:first + step]
+        turns = _turns(k, a, part.real)
+        turns -= np.rint(turns)
+        phases = turns * (sign * 2.0j * np.pi)
+        if off_axis:
+            # the modulus e^{-sign 2 pi x Im t} at the positions x = k a
+            phases -= (sign * 2.0 * np.pi) * (k * a) * part.imag
         np.exp(phases, out=phases)
-        out[..., start:start + len(part)] = rows @ phases
+        sums = (stacked @ phases[:width]).reshape((2,) + lead + (blocks, len(part)))
+        sums[1] *= sign * 2.0j * np.pi * part
+        sums[0] += sums[1]
+        sums[0] *= phases[width:]
+        out[..., first:first + len(part)] = sums[0].sum(axis=-2)
+        # freed before the next slice's product is allocated
+        del sums
     return out
 
 
@@ -194,8 +260,8 @@ def _uniform_targets(t: np.ndarray):
     return c, t_c, float(step), offsets
 
 
-def _turns(k: np.ndarray, a: float, b: float) -> np.ndarray:
-    """k * a * b reduced mod 1 for integer-valued k, |k| < 2**53.
+def _turns(k: np.ndarray, a, b) -> np.ndarray:
+    """k * a * b reduced mod 1 for integer-valued k, |k| < 2**53 (elementwise).
 
     The product a * b is taken exactly as p + e (Dekker); p splits into a
     26-bit high half and a low half, and k into multiples of 2**27 and a

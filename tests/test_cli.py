@@ -253,6 +253,32 @@ class TestInterp:
             "which the interpolant would not meet\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_below_one_rejected(self, tmp_path, capsys, samples):
+        # --samples 0 once exited 0 with a header-only assembled_samples.csv,
+        # and -1 ran the whole solve before numpy refused the sample count
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps(self.PROBLEM))
+        out_dir = tmp_path / "run"
+        argv = ["interp", "--problem", str(cfg), "--out-dir", str(out_dir), f"--samples={samples}"]
+        message = f"configuration error: --samples must be >= 1, got {samples}\n"
+        assert run(argv) == 2
+        assert capsys.readouterr().err == message
+        assert not out_dir.exists()
+        # the count is checked before the problem file is read
+        argv[2] = str(tmp_path / "missing.json")
+        assert run(argv) == 2
+        assert capsys.readouterr().err == message
+
+    def test_one_sample(self, tmp_path):
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps(self.PROBLEM))
+        out_dir = tmp_path / "run"
+        assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir),
+                    "--samples", "1"]) == 0
+        rows = (out_dir / "assembled_samples.csv").read_text().splitlines()
+        assert rows[1] == "x,re,im" and len(rows) == 3
+
     @pytest.mark.parametrize("change, message", [
         ({"alpha": {"1.5": [1.0, 0.0]}}, "alpha key '1.5' is not a point of lambda"),
         ({"beta": {"1.0": [1.0, 0.0]}}, "beta key '1.0' is not a point of mu"),
@@ -362,6 +388,28 @@ class TestUsageErrors:
         assert run(["verify", "--pair", str(time_pair), flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"configuration error: {flag} {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--tol-discrete", "--tol-weak"])
+    @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_tolerance_out_of_range_rejected(self, time_pair, tmp_path, capsys, flag, value,
+                                             shown):
+        # each once became verdicts: -1 and nan failed checks this pair meets
+        # by default (exit 1 for --tol-discrete), and inf passed them vacuously
+        out = tmp_path / "report.json"
+        message = f"configuration error: {flag} must be >= 0 and finite, got {shown}\n"
+        assert run(["verify", "--pair", str(time_pair), f"{flag}={value}",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        # the tolerance is checked before the pair file is read
+        assert run(["verify", "--pair", str(tmp_path / "missing.json"), f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("flag", ["--tol-discrete", "--tol-weak"])
+    def test_zero_tolerance_accepted(self, time_pair, tmp_path, flag):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--pair", str(time_pair), flag, "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verdicts"]["discrete_pair"]
 
     def test_radius_inside_the_first_point_rejected(self, time_pair, tmp_path, capsys):
         # a positive radius below the pair's smallest |point| leaves nothing

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauli_lab import fourier
+from pauli_lab import fourier, sequences
+from pauli_lab import interpolation as itp
 from pauli_lab.entire_models import gaussian_model
 
 import hermite
@@ -164,8 +165,15 @@ def long_double_sums(values, spec, t, sign):
     w = spec.weights().astype(np.longdouble)
     v = np.atleast_2d(values)
     wv = w * (v.real.astype(np.longdouble) + 1j * v.imag.astype(np.longdouble))
-    phase = np.outer(x, np.asarray(t).real.astype(np.longdouble)) * (sign * 2 * LONG_PI)
-    return wv @ (np.cos(phase) + 1j * np.sin(phase))
+    t = np.asarray(t)
+    t = t.real.astype(np.longdouble) + 1j * np.imag(t).astype(np.longdouble)
+    return wv @ np.exp(np.multiply.outer(x, t) * (sign * 2j * LONG_PI))
+
+
+def naive_sums(values, spec, t, sign):
+    """The explicit dense sums w v @ exp(sign 2 pi i outer(x, t)): one exponential
+    per node and target."""
+    return (spec.weights() * values) @ np.exp(sign * 2j * np.pi * np.outer(spec.grid(), t))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended long double")
@@ -226,9 +234,9 @@ class TestUniformPhaseSum:
         targets = np.linspace(-6.37, 6.37, 6145)
         fine = fourier.phase_sum(fx, spec, targets, inverse=inverse)[::12]
         ref = long_double_sums(fx, spec, targets[::12], sign)[0]
-        dense = fourier._dense_sum(fx * spec.weights(), x, targets[::12], sign)
+        naive = naive_sums(fx, spec, targets[::12], sign)
         err = np.max(np.abs(fine - ref))
-        assert err <= np.max(np.abs(dense - ref))
+        assert err <= np.max(np.abs(naive - ref))
         # centred indices and exactly reduced chirp phases each matter here:
         # without either the error passes 6e-16 of the scale (naive: 2e-14)
         assert err < 6e-16 * np.max(np.abs(ref))
@@ -244,8 +252,9 @@ class TestUniformPhaseSum:
     def test_dense_fallback(self, targets):
         assert fourier._uniform_targets(np.asarray(targets)) is None
         got = fourier.phase_sum(self.ROWS, self.SPEC, targets)
-        want = fourier._dense_sum(self.ROWS * self.SPEC.weights(), self.X, targets, -1.0)
-        assert np.array_equal(got, want)
+        ref = long_double_sums(self.ROWS, self.SPEC, targets, -1.0)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) < 1.5e-15 * float(np.max(np.abs(ref)))
 
     def test_dense_chunks_match_one_matrix(self, monkeypatch):
         t = np.sqrt(np.arange(1.0, 41.0)) + 0.1j
@@ -269,6 +278,81 @@ class TestUniformPhaseSum:
                 tracemalloc.stop()
             # a full phase matrix would take 4097 x len(t) x 16 bytes (98-403 MB)
             assert peak < 20e6
+        # a cross-matrix-shaped call: many weighted rows at as many scattered
+        # targets holds the rows zero-padded to whole blocks with their
+        # offset-weighted copy, the sums, and at most DENSE_CHUNK_BYTES more
+        rng = np.random.default_rng(3)
+        rows = (rng.normal(size=(300, spec.nodes + 1)) * (spec.weights() * fx)).astype(complex)
+        t = np.sort(rng.uniform(-3.2, 3.2, 300))
+        width, blocks = spec._blocks[:2]
+        tracemalloc.start()
+        try:
+            fourier._dense_sum(rows, spec, t, -1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = 2 * 300 * blocks * width * 16
+        assert peak <= padded + 300 * 300 * 16 + fourier.DENSE_CHUNK_BYTES
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended long double")
+class TestDenseKernel:
+    """The block-factored dense sum against long double, no further from it than
+    the naive sum with one exponential per node and target."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        # an interp-large problem: 4096 nodes on an irrational half width
+        lam = sequences.generate_smooth(sequences.SmoothSpec(
+            p=2.0, density=0.9, count=512, halves="±", seed=3))
+        mu = sequences.generate_smooth(sequences.SmoothSpec(
+            p=2.0, density=0.8, count=512, halves="±", seed=4))
+        return itp.make_problem(lam, mu, None, None, 0.5, 0.5, 0.0, 3.2, nodes=4096)
+
+    SPEC = fourier.QuadratureSpec(half_width=5.87, nodes=4096)
+    X = SPEC.grid()
+    SMOOTH = np.array([np.exp(-0.5 * np.pi * X**2) * (1 + 0.3 * np.cos(3 * X)),
+                       X * np.exp(-np.pi * X**2) + 1j * np.exp(-0.8 * np.pi * (X - 0.4)**2),
+                       np.exp(-0.3 * np.pi * X**2) * np.sin(4 * X)])
+    FAR = np.random.default_rng(1).uniform(-40.0, 40.0, 25)
+    TINY = fourier.QuadratureSpec(half_width=4.0, nodes=16)
+
+    def cases(self, problem):
+        smooth, tiny_x = (self.SMOOTH, self.SPEC), self.TINY.grid()
+        return {
+            "cross-time": (problem.time_columns, problem.time_quad, problem.mu),
+            "cross-freq": (problem.freq_columns, problem.freq_quad, problem.lam),
+            "columns-far": (problem.time_columns, problem.time_quad, self.FAR),
+            "columns-complex-up": (problem.freq_columns, problem.freq_quad, problem.lam + 0.3j),
+            "columns-complex-down": (problem.time_columns, problem.time_quad, problem.mu - 0.3j),
+            "smooth-far": (*smooth, self.FAR),
+            "smooth-complex": (*smooth, np.sqrt(np.arange(1.0, 20.0)) - 0.4j),
+            "0-d-row": (self.SMOOTH[2], self.SPEC, np.sqrt(np.arange(0.5, 9.0, 0.5))),
+            # 17 nodes padded to whole blocks
+            "16-nodes": (np.exp(-0.3 * np.pi * tiny_x**2) * (1 + 1j * tiny_x), self.TINY, self.FAR),
+        }
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("case", ["cross-time", "cross-freq", "columns-far",
+                                      "columns-complex-up", "columns-complex-down", "smooth-far",
+                                      "smooth-complex", "0-d-row", "16-nodes"])
+    def test_no_further_from_long_double_than_naive(self, problem, case, inverse):
+        values, spec, t = self.cases(problem)[case]
+        sign = 1.0 if inverse else -1.0
+        assert fourier._uniform_targets(np.asarray(t)) is None
+        got = fourier.phase_sum(values, spec, t, inverse=inverse)
+        assert got.shape == np.shape(values)[:-1] + (len(t),)
+        ref = long_double_sums(values, spec, t, sign)
+        # errors relative to each row's sum of |w v|
+        scale = np.sum(np.abs(np.atleast_2d(values) * spec.weights()), axis=-1)[:, None]
+        err = np.max(np.abs(np.atleast_2d(got) - ref) / scale)
+        naive = np.max(np.abs(naive_sums(values, spec, t, sign) - ref) / scale)
+        assert err <= naive
+
+    def test_zero_targets(self):
+        none = np.empty(0)
+        assert fourier.phase_sum(self.SMOOTH, self.SPEC, none).shape == (3, 0)
+        assert fourier.phase_sum(self.SMOOTH[0], self.SPEC, none, inverse=True).shape == (0,)
 
 
 class TestEnvelopeFit:
