@@ -104,15 +104,23 @@ def cmd_gen_seq(args) -> int:
     return 0
 
 
-def _load_set(path: str) -> SampledSet:
-    return SampledSet.from_csv(Path(path).read_text())
+def _sampling_set(args, path: str | None, flag: str, seed: int, halves: str) -> SampledSet:
+    """The set in the CSV at ``path``, else ``--count`` generated points; an
+    empty set would give a pair that every check passes vacuously."""
+    if path:
+        sampled = SampledSet.from_csv(Path(path).read_text())
+        if not sampled.points.size:
+            raise ValueError(f"{flag} {path} holds no points")
+        return sampled
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    return generate_smooth(SmoothSpec(p=2.0, density=args.density, count=args.count,
+                                      jitter=args.jitter, seed=seed, halves=halves))
 
 
 def cmd_construct(args) -> int:
-    lam = (_load_set(args.lam) if args.lam else
-           generate_smooth(SmoothSpec(p=2.0, density=args.density, count=args.count,
-                                      jitter=args.jitter, seed=args.seed,
-                                      halves="+" if args.kind == "freq-matched" else "±")))
+    lam = _sampling_set(args, args.lam, "--lam", args.seed,
+                        "+" if args.kind == "freq-matched" else "±")
     if args.kind == "freq-matched":
         pair = con.build_frequency_matched_pair(lam, args.decay)
         mu = SampledSet(points=np.empty(0))
@@ -120,9 +128,7 @@ def cmd_construct(args) -> int:
         pair = con.build_time_pair(lam, args.decay)
         mu = SampledSet(points=np.empty(0))
     else:
-        mu = (_load_set(args.mu) if args.mu else
-              generate_smooth(SmoothSpec(p=2.0, density=args.density, count=args.count,
-                                         jitter=args.jitter, seed=args.seed + 1, halves="±")))
+        mu = _sampling_set(args, args.mu, "--mu", args.seed + 1, "±")
         pair = con.build_nonweak_pair(lam, mu, args.decay)
     pair.provenance.update({
         "tool": f"pauli-lab {__version__}",
@@ -165,7 +171,9 @@ def cmd_verify(args) -> int:
     lam = lam[np.abs(lam) <= radius]
     mu = mu[np.abs(mu) <= radius]
     # a pair with points checked at none of them would pass vacuously
-    if points.size and not lam.size + mu.size:
+    if not points.size:
+        raise ValueError(f"the pair {args.pair} holds no sampling points to check")
+    if not lam.size + mu.size:
         raise ValueError(f"--radius {radius} keeps none of the pair's {points.size} points; "
                          f"the nearest is at |x| = {float(points.min())!r}")
     grid = np.linspace(-args.grid_radius, args.grid_radius, args.grid_points)

@@ -17,7 +17,11 @@ rho_m = sqrt(m/D) (quartic) or rho_m = m/D (plain).  In the product variable
 w = D z^2 (quartic) or w = D z (plain) that continuation is exactly
 prod_{m >= m0} (1 - w^2/m^2) = Gamma(m0)^2 / (Gamma(m0 - w) Gamma(m0 + w))
 (DLMF 5.8.5): a Hurwitz-zeta series near the origin, log-Gamma beyond, so the
-only error is rounding.  Evaluation is carried out in a scaled
+only error is rounding.  Both are computed here with numpy: log Gamma from
+Stirling's series (DLMF 5.11.1) for Binet's function, carried to small
+arguments by its one-step recurrence and to the left half-plane by reflection
+(DLMF 5.5.3); zeta(2k, m0) by a direct sum and the Euler-Maclaurin remainder
+(DLMF 2.10.1).  Evaluation is carried out in a scaled
 mantissa/log-magnitude representation so that retained zeros evaluate to an
 exact 0 and Gaussian factors spanning hundreds of orders of magnitude never
 overflow.
@@ -33,14 +37,172 @@ factor out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, loggamma, zeta
 
 LOG_HUGE = 700.0  # conservative double-precision overflow threshold for exp
+
+# -- log-Gamma and Hurwitz zeta ----------------------------------------------
+
+# Bernoulli numbers B_2, B_4, ..., B_24
+_BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                       -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+                       -236364091 / 2730])
+_TWO_K = 2.0 * np.arange(1, len(_BERNOULLI) + 1)
+# B_2k/(2k(2k - 1)): the coefficient of w^(1 - 2k) in Stirling's series
+_STIRLING = _BERNOULLI / (_TWO_K * (_TWO_K - 1.0))
+_STIRLING_CONST = 0.5 * math.log(2.0 * math.pi) - 0.5
+_LOG_PI = math.log(math.pi)
+# Stirling's series is summed where |w| >= 7; smaller arguments are shifted
+_STIRLING_MIN = 7.0
+# the smallest |w| at which k terms of the series reach 2e-17, k = 1..11
+_STIRLING_REACH = tuple(float((abs(c) / 2e-17) ** (1.0 / (k - 1.0)))
+                        for c, k in zip(_STIRLING[1:], _TWO_K[1:]))
+
+
+def _binet_series(w: np.ndarray, r: float) -> np.ndarray:
+    """Binet's function J(w) = log Gamma(w) - (w - 1/2) log w + w - log(2 pi)/2
+    by Stirling's series (DLMF 5.11.1), for |w| >= r >= 7 off the negative
+    real axis; the series stops where its next term falls under 2e-17 at r."""
+    terms = next((k for k, reach in enumerate(_STIRLING_REACH, 1) if r >= reach),
+                 len(_STIRLING))
+    u = 1.0 / w
+    v = u * u
+    powers = np.empty((terms,) + w.shape, dtype=w.dtype)
+    powers[0] = u
+    for k in range(1, terms):
+        np.multiply(powers[k - 1], v, out=powers[k])
+    return _STIRLING[:terms] @ powers
+
+
+def _log_gamma_right(u: np.ndarray) -> np.ndarray:
+    """Principal log Gamma(u), real or complex, for Re u >= 1/2 or |u| >= 7.
+
+    log Gamma(u) = (u - 1/2) log u - u + log(2 pi)/2 + J(u) with Binet's J.
+    Where |u| < 7, J(u) = J(u + n) + sum_{j < n} B(u + j) from
+    log Gamma(w + 1) = log Gamma(w) + log w, with n taking Re u past 7, and
+    B(w) = (w + 1/2) log(1 + 1/w) - 1 = atanh(t)/t - 1, t = 1/(2w + 1).
+    Each B is small, and so is every term at small |u|, so log Gamma keeps
+    its absolute accuracy around its zeros 1 and 2, where a shifted Stirling
+    sum and the logs of the shift would cancel.
+    """
+    r = np.abs(u)
+    if np.iscomplexobj(u):
+        # numpy's complex log is several times slower than this
+        log_u = np.empty_like(u)
+        log_u.real = np.log(r)
+        log_u.imag = np.arctan2(u.imag, u.real)
+    else:
+        log_u = np.log(u)
+    out = (u - 0.5) * (log_u - 1.0) + _STIRLING_CONST
+    lift = r < _STIRLING_MIN
+    if not lift.any():
+        return out + _binet_series(u, float(r.min(initial=np.inf)))
+    ul = u[lift]
+    count = math.floor(_STIRLING_MIN - float(ul.real.min())) + 1
+    out += _binet_series(np.where(lift, u + count, u), _STIRLING_MIN)
+    t = 1.0 / ((2.0 * ul + 1.0)[:, None] + 2.0 * np.arange(count))
+    out[lift] += (np.arctanh(t) / t - 1.0).sum(axis=1)
+    return out
+
+
+def _log_gamma_complex(z: np.ndarray) -> np.ndarray:
+    """Principal log Gamma(z) for complex z, the branch of
+    ``scipy.special.loggamma``: continuous off the negative real axis and real
+    on the positive one.
+
+    Left of Re z = 1/2 (with |Im z| <= 7) it reflects, DLMF 5.5.3:
+    log pi - log sin(pi z) - log Gamma(1 - z), plus the 2 pi i
+    floor(Re z/2 + 1/4) that puts the principal logs on the continuous
+    branch.  sin(pi z) is (-1)^n sin(pi (z - n)) with n = round(Re z), so its
+    argument is exact and it keeps its relative accuracy near the poles.
+    """
+    z = np.asarray(z, dtype=complex)
+    reflect = (z.real < 0.5) & (np.abs(z.imag) <= _STIRLING_MIN)
+    if not reflect.any():
+        return _log_gamma_right(z)
+    zr = z[reflect]
+    u = z.copy()
+    u[reflect] = 1.0 - zr
+    out = _log_gamma_right(u)
+    n = np.rint(zr.real)
+    log_sin = np.log(np.power(-1.0, n) * np.sin(np.pi * (zr - n)))
+    branch = np.copysign(2.0 * np.pi, zr.imag) * np.floor(0.5 * zr.real + 0.25)
+    out[reflect] = (_LOG_PI + 1j * branch) - log_sin - out[reflect]
+    return out
+
+
+def _log_gamma_real(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log |Gamma(x)|, sign of Gamma(x)) for real x; (inf, 0) at the poles
+    x = 0, -1, -2, ...
+
+    Left of 1/2, with x = r - n and r in [-1/2, 1/2]:
+    Gamma(x) = Gamma(1 + r)/(x (x + 1) ... (x + n)), every factor exact, for
+    n <= 30, so that the log stays accurate near the poles, where the logs of
+    the reflection formula would cancel; beyond, the reflection
+    log |Gamma(x)| = log pi - log |sin pi r| - log Gamma(1 - x) (DLMF 5.5.3).
+    """
+    x = np.asarray(x, dtype=float)
+    sign = np.ones_like(x)
+    left = x < 0.5
+    if not np.any(left):
+        return _log_gamma_right(x), sign
+    n = -np.rint(x)
+    r = x + n
+    near = left & (n <= 30.0)
+    far = n > 30.0
+    out = _log_gamma_right(np.where(near, 1.0 + r, np.where(far, 1.0 - x, x)))
+    with np.errstate(divide="ignore"):
+        if np.any(near):
+            nn = n[near]
+            j = np.arange(nn.max() + 1.0)
+            factors = np.where(j <= nn[:, None], x[near][:, None] + j, 1.0).prod(axis=1)
+            out[near] -= np.log(np.abs(factors))
+            sign[near] = np.sign(factors)
+        if np.any(far):
+            sin = np.sin(np.pi * r[far])
+            out[far] = _LOG_PI - np.log(np.abs(sin)) - out[far]
+            sign[far] = np.sign(sin) * np.power(-1.0, n[far])
+    return out, sign
+
+
+def _hurwitz_zeta(s: np.ndarray, a: float) -> np.ndarray:
+    """Hurwitz zeta(s, a) = sum_{n >= 0} (a + n)^-s for real s > 1 and a >= 1.
+
+    The first eight terms summed directly, the rest by Euler-Maclaurin
+    summation (DLMF 2.10.1) at M = a + 8:
+    M^(1-s)/(s-1) + M^-s/2 + sum_j B_2j/(2j)! (s)_(2j-1) M^(1-s-2j), j <= 12.
+    For s <= 60 the first term left out is below 1e-19 of the sum, which is
+    at least a^-s.
+    """
+    s = np.asarray(s, dtype=float)
+    big = a + 8.0
+    direct = ((a + np.arange(8.0)) ** -s[:, None]).sum(axis=1)
+    # (s)_{2j-1}/((2j)! M^(2j-1)), j = 1..12, as s/(2M) times the ratios
+    # (s + 2j - 1)(s + 2j)/((2j + 1)(2j + 2) M^2) of consecutive terms
+    ratios = np.empty((s.size, len(_BERNOULLI)))
+    ratios[:, 0] = s / (2.0 * big)
+    odd = s[:, None] + (_TWO_K[:-1] - 1.0)
+    np.multiply(odd, odd + 1.0, out=ratios[:, 1:])
+    ratios[:, 1:] *= 1.0 / ((_TWO_K[:-1] + 1.0) * (_TWO_K[:-1] + 2.0) * (big * big))
+    np.cumprod(ratios, axis=1, out=ratios)
+    edge = big ** -s
+    return direct + big * edge / (s - 1.0) + edge * (0.5 + ratios @ _BERNOULLI)
+
+
+@functools.lru_cache(maxsize=64)
+def _tail_series(m0: int) -> np.ndarray:
+    """Coefficients zeta(2k, m0)/k, k = 30..1, of -log(tail)/w^2 in powers of
+    w^2; 30 terms reach rounding level for |w| <= m0/2.  Cached, read-only:
+    the models of one run mostly share their m0."""
+    k = np.arange(30, 0, -1)
+    out = _hurwitz_zeta(2.0 * k, m0) / k
+    out.flags.writeable = False
+    return out
 
 
 class NotAZeroError(ValueError):
@@ -105,13 +267,6 @@ class ProductModel:
         u = z * z
         return u * u if self.quartic else u
 
-    @cached_property
-    def _tail_series(self) -> np.ndarray:
-        """Coefficients zeta(2k, m0)/k, k = 30..1, of -log(tail)/w^2 in powers
-        of w^2; 30 terms reach rounding level for |w| <= m0/2."""
-        k = np.arange(30, 0, -1)
-        return zeta(2.0 * k, self.tail_start) / k
-
     def _log_tail(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | float, np.ndarray]:
         """(log, sign, size) of prod_{m >= m0} (1 - w^2/m^2).
 
@@ -128,23 +283,29 @@ class ProductModel:
         # reach 1e-17 at q = 1/4 for any m0 below 40000
         q = max(float(np.max(np.abs(near), initial=0.0)) / m0**2, 1e-300)
         terms = min(30, max(1, math.ceil(math.log(1e-17 / (m0 + 1)) / math.log(q))))
-        out = -near * np.polyval(self._tail_series[-terms:], near)
+        out = -near * np.polyval(_tail_series(m0)[-terms:], near)
         size = np.abs(out)
         if not np.any(far):
             return out, 1.0, size
         wf = w[far]
         axis = np.imag(wf) == 0.0
-        x = np.real(wf[axis])
         lo, hi = np.empty_like(wf), np.empty_like(wf)
-        lo[axis], hi[axis] = gammaln(m0 - x), gammaln(m0 + x)
-        off = wf[~axis]
-        lo[~axis], hi[~axis] = loggamma(m0 - off), loggamma(m0 + off)
         sign_far = np.ones(wf.shape)
-        # gammasgn is nan at the poles, which are the tail's zeros
-        sign_far[axis] = np.nan_to_num(gammasgn(m0 - x) * gammasgn(m0 + x))
+        # one helper call per kind for both arguments m0 -+ w
+        x = np.real(wf[axis])
+        if x.size:
+            lg, sg = _log_gamma_real(np.concatenate([m0 - x, m0 + x]))
+            lo[axis], hi[axis] = lg[: x.size], lg[x.size:]
+            # the sign is +0 at the poles, which are the tail's zeros
+            sign_far[axis] = sg[: x.size] * sg[x.size:] + 0.0
+        off = wf[~axis]
+        if off.size:
+            lg = _log_gamma_complex(np.concatenate([m0 - off, m0 + off]))
+            lo[~axis], hi[~axis] = lg[: off.size], lg[off.size:]
         sign = np.ones(w.shape)
-        out[far], sign[far] = 2.0 * gammaln(m0) - lo - hi, sign_far
-        size[far] = 2.0 * gammaln(m0) + np.abs(lo) + np.abs(hi)
+        log_m0 = 2.0 * math.lgamma(m0)
+        out[far], sign[far] = log_m0 - lo - hi, sign_far
+        size[far] = log_m0 + np.abs(lo) + np.abs(hi)
         return out, sign, size
 
     # -- evaluation ----------------------------------------------------------

@@ -338,8 +338,40 @@ class TestUsageErrors:
     def test_negative_count(self, tmp_path, capsys, argv, count):
         out = tmp_path / "out"
         assert run(argv + ["--out", str(out)]) == 2
+        # construct names its flag, and rejects 0 as well (below)
+        message = (f"--count must be >= 1, got {count}" if argv[0] == "construct"
+                   else f"count must be >= 0, got {count}")
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["time", "freq-matched", "non-weak"])
+    def test_construct_zero_count_rejected(self, tmp_path, capsys, kind):
+        # --count 0 once wrote a pair with empty sampling sets (half_density
+        # 0.0 whatever --D asked), which verify then passed with nothing checked
+        out = tmp_path / "pair.json"
+        assert run(["construct", kind, "--A", "0.5", "--count", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: --count must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--lam", "--mu"])
+    def test_construct_empty_set_file_rejected(self, tmp_path, capsys, flag):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# no points\n")
+        out = tmp_path / "pair.json"
+        assert run(["construct", "non-weak", "--A", "0.5", "--count", "16", flag, str(empty),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {flag} {empty} holds no points\n"
+        assert not out.exists()
+
+    def test_verify_pair_without_points_rejected(self, time_pair, tmp_path, capsys):
+        payload = json.loads(time_pair.read_text())
+        payload["provenance"]["lambda_points"] = []
+        empty = tmp_path / "empty_pair.json"
+        empty.write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--pair", str(empty), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"configuration error: count must be >= 0, got {count}\n")
+            f"configuration error: the pair {empty} holds no sampling points to check\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [

@@ -162,7 +162,7 @@ class TestSplitOptimizationOracle:
     def test_four_rate_search_attains_threshold(self, a_dec):
         # independent oracle: free optimization over all four split rates
         # must never exceed (c2/2)^2 and must reach it
-        from scipy.optimize import minimize
+        minimize = pytest.importorskip("scipy.optimize").minimize
         target = (th.weak_pair_threshold(a_dec) / 2) ** 2
         rng = np.random.default_rng(1)
         best = -np.inf
