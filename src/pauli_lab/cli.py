@@ -263,6 +263,11 @@ def cmd_interp(args) -> int:
                             (lambda v: beta.get(float(v), 0.0)) if beta else None,
                             cfg["weight_a"], cfg["weight_b"],
                             cfg.get("inner_cut", 0.0), cfg["outer_radius"], nodes=nodes)
+    # a window with no data point would pass vacuously with an all-zero interpolant
+    if not len(base.lam) + len(base.mu):
+        raise ValueError(f"the window inner_cut {base.inner_cut!r} < |x| <= outer_radius "
+                         f"{base.outer_cut!r} holds none of the "
+                         f"{len(lam.points) + len(mu.points)} points of lambda and mu")
     cut, _ = itp.choose_window_cut(base)
     problem = base.restricted(cut)
     total = len(base.lam) + len(base.mu)

@@ -222,7 +222,7 @@ def _null_space_pair(lam: SampledSet, mu: SampledSet, density_cap: float,
     func = assemble_vanishing_function(lam, mu, a_rate, b_rate, nodes=nodes)
     provenance = dict(provenance)
     provenance.update({"branch": "null_space", "rates": [a_rate, b_rate],
-                       "carriers": [float(v) for v in func.aux_points],
+                       "carriers": [func.carrier],
                        "residual_time": func.residual_time,
                        "residual_freq": func.residual_freq})
     f = func.interpolant
@@ -358,6 +358,6 @@ def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,
                   "threshold": cap, "argmax": x_a,
                   "phi_residuals": [vf_phi.residual_time, vf_phi.residual_freq],
                   "psi_residuals": [vf_psi.residual_time, vf_psi.residual_freq],
-                  "phi_cut": vf_phi.inner_cut, "psi_cut": vf_psi.inner_cut,
+                  "phi_cut": vf_phi.window_cut, "psi_cut": vf_psi.window_cut,
                   "seed": [lam.meta.get("seed"), mu.meta.get("seed")]}
     return PairConstruction(phi=phi, psi=psi, vartheta=theta, provenance=provenance)

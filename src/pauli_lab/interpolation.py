@@ -12,6 +12,12 @@ The feasibility constant is never derived from theory: the window cut L is
 chosen by directly measuring the weighted norms, which yields the same
 contraction certificate constructively.
 
+Vanishing functions (f = 0 on the time set, fhat = 0 on the frequency set,
+f = 1 at one carrier point off the time set) use the same bases and cross
+matrices but one direct dense solve instead of the iteration, so they need
+the two-sided system to be invertible, not contracting; the window cut is
+then only a diagnostic of how far the system is from contraction.
+
 All windowed problems here are finite: the sets are truncated at an outer
 radius, where the Gaussian weights make the dropped tail's contribution
 negligible against the solver tolerance.
@@ -46,19 +52,12 @@ class NoFeasibleWindowError(RuntimeError, CheckFailedError):
 
 
 class SolverFailedError(RuntimeError, CheckFailedError):
-    """Iteration diverged or missed the tolerance within the cap."""
-
-
-class NullSpaceEmptyError(RuntimeError, CheckFailedError):
-    """Interior constraints admit no nonzero annihilating combination."""
+    """Iteration diverged or missed the tolerance within the cap, or a direct
+    system was singular."""
 
 
 class DensityTooHighError(ValueError, CheckFailedError):
     """Sampling or vanishing set is denser than the decay parameters allow."""
-
-
-class CarrierPlacementError(RuntimeError, CheckFailedError):
-    """The window holds too few set points or midgaps for the auxiliary carriers."""
 
 
 @dataclass(frozen=True)
@@ -229,31 +228,23 @@ def _op_norm(mat: np.ndarray, w_rows: np.ndarray, w_cols: np.ndarray) -> float:
     return float(np.max((w_rows @ np.abs(mat)) / w_cols)) if mat.size else 0.0
 
 
-def choose_window_cut(problem: InterpolationProblem, candidates=None,
-                      criterion: str = "each") -> tuple[float, list]:
+def choose_window_cut(problem: InterpolationProblem) -> tuple[float, list]:
     """Smallest inner cut whose measured cross norms certify contraction.
 
-    With criterion "each", both weighted norms must fall below 1/2 (the
-    halving certificate).  With "product", the acceptance is
-    N_A * N_B < 1/4 with a transient cap: the iteration alternates sides,
-    so its two-step ratio is governed by the product of the one-sided norms;
-    requiring each below 1/2 is sufficient but not necessary.
-
-    The problem's own cross matrices serve every candidate cut as
-    submatrices.  Raises NoFeasibleWindowError with the measured norms when
+    Both weighted norms must fall below 1/2 (the halving certificate).  The
+    candidates are the problem's own inner cut and the midpoints between
+    consecutive radii of its points, and its cross matrices serve every
+    candidate as submatrices.  Returns the cut with the (cut, N_A, N_B) of
+    every candidate tried; raises NoFeasibleWindowError with them when
     nothing contracts.
     """
     p = problem
     mats = p.cross
-    radii = np.unique(np.abs(np.concatenate([p.lam, p.mu]))) if len(p.lam) + len(p.mu) else np.array([])
-    if candidates is None:
-        mids = 0.5 * (radii[:-1] + radii[1:]) if len(radii) > 1 else np.array([])
-        candidates = np.concatenate([[p.inner_cut], mids])
+    radii = np.unique(np.abs(np.concatenate([p.lam, p.mu])))
+    candidates = np.concatenate([[p.inner_cut], 0.5 * (radii[:-1] + radii[1:])])
     diagnostics = []
     wl_full, wm_full = p.lam_weights, p.mu_weights
-    for cut in np.sort(np.asarray(candidates, dtype=float)):
-        if cut < p.inner_cut or cut >= p.outer_cut:
-            continue
+    for cut in candidates:
         il = np.abs(p.lam) > cut
         im = np.abs(p.mu) > cut
         wl, wm = wl_full[il], wm_full[im]
@@ -261,8 +252,6 @@ def choose_window_cut(problem: InterpolationProblem, candidates=None,
         n_b = _op_norm(mats.phihat_at_mu[np.ix_(im, il)], wm, wl)
         diagnostics.append((float(cut), n_a, n_b))
         if n_a < 0.5 and n_b < 0.5:
-            return float(cut), diagnostics
-        if criterion == "product" and n_a * n_b < 0.25 and max(n_a, n_b) < 2.0:
             return float(cut), diagnostics
     raise NoFeasibleWindowError(diagnostics)
 
@@ -313,60 +302,33 @@ class SolveResult:
     verify_freq: float
 
 
-def _iterate(problem: InterpolationProblem, alpha0: np.ndarray, beta0: np.ndarray,
-             tol: float, max_iter: int):
-    """Shared contraction loop for stacked right-hand sides, on the problem's
-    own cross matrices."""
-    mats = problem.cross
-    alpha = np.atleast_2d(np.asarray(alpha0, dtype=complex).T).T
-    beta = np.atleast_2d(np.asarray(beta0, dtype=complex).T).T
-    n_rhs = alpha.shape[1]
-    wl, wm = problem.lam_weights, problem.mu_weights
-    states = [IterationState() for _ in range(n_rhs)]
-    tot_a = np.zeros_like(alpha)
-    tot_b = np.zeros_like(beta)
-
-    def norms(a, b):
-        out = np.zeros(n_rhs)
-        if len(problem.lam):
-            out += wl @ np.abs(a)
-        if len(problem.mu):
-            out += wm @ np.abs(b)
-        return out
-
-    cur_a, cur_b = alpha.copy(), beta.copy()
-    for _ in range(max_iter):
-        n = norms(cur_a, cur_b)
-        for s, v in zip(states, n):
-            s.record(float(v))
-        if any(s.diverged for s in states):
-            break
-        tot_a += cur_a
-        tot_b += cur_b
-        cur_a, cur_b = (
-            -mats.psi_at_lambda @ cur_b if mats.psi_at_lambda.size else np.zeros_like(cur_a),
-            -mats.phihat_at_mu @ cur_a if mats.phihat_at_mu.size else np.zeros_like(cur_b),
-        )
-        if np.all(norms(cur_a, cur_b) < tol):
-            for s in states:
-                s.converged = True
-            break
-    return tot_a, tot_b, states
-
-
 def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60) -> SolveResult:
     """Run the contraction iteration and independently verify the interpolant.
 
-    Verification re-evaluates the assembled function at the time points and
-    re-transforms it with a finer fresh quadrature at the frequency points,
-    bypassing the iteration's own matrices.
+    The iteration sums the Neumann series of the cross maps on the problem's
+    own cross matrices.  Verification re-evaluates the assembled function at
+    the time points and re-transforms it with a finer fresh quadrature at
+    the frequency points, bypassing the iteration's own matrices.
     """
-    tot_a, tot_b, states = _iterate(problem, problem.alpha, problem.beta, tol, max_iter)
-    state = states[0]
-    if state.diverged or not state.converged:
+    mats = problem.cross
+    state = IterationState()
+    cur_a = np.asarray(problem.alpha, dtype=complex)
+    cur_b = np.asarray(problem.beta, dtype=complex)
+    tot_a, tot_b = np.zeros_like(cur_a), np.zeros_like(cur_b)
+    for _ in range(max_iter):
+        state.record(problem.data_norm(cur_a, cur_b))
+        if state.diverged:
+            break
+        tot_a += cur_a
+        tot_b += cur_b
+        cur_a, cur_b = -mats.psi_at_lambda @ cur_b, -mats.phihat_at_mu @ cur_a
+        if problem.data_norm(cur_a, cur_b) < tol:
+            state.converged = True
+            break
+    if not state.converged:
         raise SolverFailedError(
             f"contraction failed after {len(state.norms)} steps; norms {state.norms[-3:]}")
-    interp = AssembledInterpolant(problem, tot_a[:, 0], tot_b[:, 0])
+    interp = AssembledInterpolant(problem, tot_a, tot_b)
     v_time = 0.0
     if len(problem.lam):
         v_time = float(np.max(np.abs(interp.eval(problem.lam) - problem.alpha)))
@@ -389,8 +351,9 @@ def vanishing_generator(points_pos: np.ndarray, gauss_rate: float,
     pts = np.sort(np.asarray(points_pos, dtype=float))
     if density is None:
         density = half_density(pts)
-    # continue the sqrt profile past the last zero, wherever it sits
-    start = profile_tail_start(pts[-1], density) if len(pts) else 0
+    # continue the sqrt profile past the last zero, wherever it sits; a set
+    # of density 0 (a lone carrier zero) has no profile to continue
+    start = profile_tail_start(pts[-1], density) if density else 0
     return ProductModel(zeros=pts, gauss_rate=gauss_rate, tail_start=start,
                         tail_scale=density, quartic=True)
 
@@ -434,56 +397,18 @@ def make_problem(lam_set: SampledSet, mu_set: SampledSet, alpha_map, beta_map,
 
 @dataclass
 class VanishingFunction:
-    """An assembled vanishing function (``interpolant``) and how it was built."""
+    """An assembled vanishing function (``interpolant``) and how it was built.
+
+    ``window_cut`` is the smallest inner cut at which the contraction
+    certificate holds on the function's window (``choose_window_cut``), or
+    None when none does; the direct solve does not need it.
+    """
 
     interpolant: AssembledInterpolant
-    aux_points: np.ndarray
-    inner_cut: float
-    constraint_sigma: float
+    carrier: float
+    window_cut: float | None
     residual_time: float
     residual_freq: float
-
-
-def _carrier_points(lam_pos: np.ndarray, count: int, low: float, high: float) -> np.ndarray:
-    """Carrier radii in midgaps of the positive sequence, spread by a stride.
-
-    Midgap placement keeps the carriers disjoint from the set, and spreading
-    them over the available gaps keeps the local zero density of the augmented
-    generator close to the set's own (a packed block of extra zeros would
-    wreck the generator's transform decay).
-    """
-    inside = lam_pos[(lam_pos >= low) & (lam_pos <= high)]
-    if len(inside) < 2:
-        raise CarrierPlacementError(
-            f"need at least 2 set points in [{low:.3g}, {high:.3g}] to host carriers")
-    mids = 0.5 * (inside[:-1] + inside[1:])
-    if len(mids) < count:
-        raise CarrierPlacementError(f"only {len(mids)} midgaps available for {count} carriers")
-    stride = max(len(mids) // count, 1)
-    picks = mids[::stride][:count]
-    return np.sort(picks)
-
-
-def _null_combination(con: np.ndarray) -> np.ndarray:
-    """Unit vector of the numerical null space of ``con`` nearest the first carrier.
-
-    The rank counts singular values above 1e-8 of the largest; the result is
-    the normalized projection of the first unit vector onto the remaining
-    right singular directions (of the unit vector with the largest projection
-    when the first has none).  The projector depends only on the null space,
-    not on the basis LAPACK returns for it, so a small change of ``con``
-    moves the combination only slightly whatever the null-space dimension.
-    """
-    _, svals, vh = np.linalg.svd(con)
-    rank = int(np.count_nonzero(svals > 1e-8 * svals[0]))
-    null = vh[rank:]
-    if not len(null):
-        raise NullSpaceEmptyError(
-            f"smallest singular value {float(svals[-1]):.3e} leaves no null combination")
-    reach = np.linalg.norm(null, axis=0)
-    j = 0 if reach[0] > 1e-8 else int(np.argmax(reach))
-    combo = null.conj().T @ null[:, j]
-    return combo / np.linalg.norm(combo)
 
 
 def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
@@ -492,11 +417,15 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
     """Nonzero function vanishing on the time set with transform vanishing on
     the frequency set (within tolerance on the checked window).
 
-    Auxiliary carrier points live in midgaps of the time set inside the
-    window; Kronecker problems at the carriers are solved simultaneously and,
-    when the window cut leaves interior points, a null-space combination kills
-    those finitely many constraints.  With a zero cut there are no interior
-    constraints and the first carrier solution is returned directly.
+    One carrier point c off the time set becomes an extra zero of the time
+    generator and an extra time point of the window, with data 1 at +-c and
+    0 at every other window point on both sides.  The coefficients solve
+    [[I, Psi(lam)], [Phihat(mu), I]] [alpha; beta] = [e_c; 0] directly, on
+    the window's cross matrices at inner cut 0, so no point is left inside a
+    cut.  The carrier is the first midgap of the positive time points in the
+    window, half the point when there is only one, and half the outer radius
+    when there is none.  Raises SolverFailedError when the system is
+    singular.
     """
     lam_sym = lam_set.symmetrized()
     mu_sym = mu_set.symmetrized()
@@ -511,80 +440,37 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
     # keep the weighted quadrature noise floor well under the tolerance
     outer_radius = float(np.sqrt(18.0 / (np.pi * max(weight_a, weight_b))))
     lam_pos = lam_sym.positive
-
-    # carriers and interior counts depend on the cut; iterate to consistency,
-    # shifting the carriers outward when a placement spoils the window norms
-    aux_low = 1e-6
-    need = 1
+    inside = lam_pos[(lam_pos > 0.0) & (lam_pos <= outer_radius)]
+    if len(inside) > 1:
+        carrier = 0.5 * float(inside[0] + inside[1])
+    else:
+        carrier = 0.5 * float(inside[0] if len(inside) else outer_radius)
+    time_gen = vanishing_generator(np.sort(np.append(lam_pos, carrier)), weight_a, density=d_lam)
     freq_gen = vanishing_generator(mu_sym.positive, weight_b, density=d_mu)
-    for _ in range(6):
-        aux = _carrier_points(lam_pos, need, aux_low, 0.98 * outer_radius)
-        zeros_time = np.sort(np.concatenate([lam_pos, aux]))
-        time_gen = vanishing_generator(zeros_time, weight_a, density=d_lam)
-        lam_win_set = SampledSet(points=np.unique(np.concatenate([lam_sym.points, aux, -aux])))
-        base = make_problem(lam_win_set, mu_sym, None, None, weight_a, weight_b,
-                            inner_cut=0.0, outer_radius=outer_radius,
-                            time_gen=time_gen, freq_gen=freq_gen, nodes=nodes)
-        # the auxiliary carriers must stay inside the window
-        cut_cap = float(np.min(aux)) - 1e-9
-        radii = np.unique(np.abs(np.concatenate([base.lam, base.mu])))
-        mids = 0.5 * (radii[:-1] + radii[1:]) if len(radii) > 1 else np.array([])
-        candidates = np.concatenate([[0.0], mids[mids < cut_cap]])
-        window_error = None
-        try:
-            cut, _ = choose_window_cut(base, candidates=candidates, criterion="product")
-        except NoFeasibleWindowError as exc:
-            window_error = exc
-            shifted = lam_pos[lam_pos > float(np.min(aux))]
-            if len(shifted) < need + 1:
-                raise
-            aux_low = float(shifted[0]) + 1e-9
-            continue
-        n_int = int(np.count_nonzero((lam_sym.points > 0) & (lam_sym.points <= cut)) +
-                    np.count_nonzero((mu_sym.points > 0) & (mu_sym.points <= cut)))
-        target = n_int + 2 if n_int else 1
-        if need >= target:
-            break
-        need = target
-        aux_low = max(aux_low, cut + 1e-6)
-    else:
-        # only a failure of the last placement is final; after a window was
-        # found, a carrier shortfall surfaces as an empty null space
-        if window_error is not None:
-            raise window_error
-    aux_count = len(aux)
-    problem = base.restricted(cut)
+    lam_win_set = SampledSet(points=np.unique(np.append(lam_sym.points, [carrier, -carrier])))
+    problem = make_problem(lam_win_set, mu_sym, None, None, weight_a, weight_b,
+                           inner_cut=0.0, outer_radius=outer_radius,
+                           time_gen=time_gen, freq_gen=freq_gen, nodes=nodes)
+    try:
+        window_cut, _ = choose_window_cut(problem)
+    except NoFeasibleWindowError:
+        window_cut = None
 
-    rhs_a = np.zeros((len(problem.lam), aux_count), dtype=complex)
-    for j, v in enumerate(aux):
-        rhs_a[np.isclose(np.abs(problem.lam), v, rtol=1e-12), j] = 1.0
-    rhs_b = np.zeros((len(problem.mu), aux_count), dtype=complex)
-    tot_a, tot_b, states = _iterate(problem, rhs_a, rhs_b, tol=1e-9, max_iter=60)
-    if any(s.diverged or not s.converged for s in states):
-        raise SolverFailedError("contraction failed for the auxiliary Kronecker data")
+    n_l = len(problem.lam)
+    system = np.eye(n_l + len(problem.mu), dtype=complex)
+    system[:n_l, n_l:] = problem.cross.psi_at_lambda
+    system[n_l:, :n_l] = problem.cross.phihat_at_mu
+    rhs = np.zeros(len(system), dtype=complex)
+    rhs[:n_l][np.abs(problem.lam) == carrier] = 1.0
+    try:
+        coeffs = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailedError(f"the vanishing system of {len(system)} points is singular") from exc
 
-    lam_int = lam_sym.points[(lam_sym.points > 0) & (lam_sym.points <= cut)]
-    mu_int = mu_sym.points[(mu_sym.points > 0) & (mu_sym.points <= cut)]
-    n_con = len(lam_int) + len(mu_int)
-    if n_con == 0:
-        combo = np.zeros(aux_count)
-        combo[0] = 1.0
-        sigma_min = 0.0
-    else:
-        if aux_count <= n_con:
-            raise NullSpaceEmptyError(
-                f"{aux_count} auxiliary functions cannot clear {n_con} interior constraints")
-        # one evaluation of the stacked auxiliary interpolants at the interior points
-        stacked = AssembledInterpolant(problem, tot_a, tot_b)
-        con = np.vstack([stacked.eval(lam_int), stacked.eval_hat(mu_int)])
-        combo = _null_combination(con)
-        sigma_min = float(np.linalg.norm(con @ combo))
-
-    interp = AssembledInterpolant(problem, tot_a @ combo, tot_b @ combo)
+    interp = AssembledInterpolant(problem, coeffs[:n_l], coeffs[n_l:])
     check_l = lam_sym.points[np.abs(lam_sym.points) <= outer_radius]
     res_t = float(np.max(np.abs(interp.eval(check_l)))) if len(check_l) else 0.0
     check_m = mu_sym.points[np.abs(mu_sym.points) <= outer_radius]
     res_f = float(np.max(np.abs(interp.eval_hat(check_m)))) if len(check_m) else 0.0
-    return VanishingFunction(interpolant=interp, aux_points=aux, inner_cut=cut,
-                             constraint_sigma=sigma_min,
+    return VanishingFunction(interpolant=interp, carrier=carrier, window_cut=window_cut,
                              residual_time=res_t, residual_freq=res_f)

@@ -175,8 +175,6 @@ def test_uncalled_names_are_still_uncalled():
 
 FIELDS_KEPT = {
     # diagnostics that the run trace and the sharpness curves (ROADMAP items 4 and 6) report
-    "interpolation.VanishingFunction.constraint_sigma":
-        "the null combination's residual sigma_min, a sharpness-curve margin",
     "asymptotics.IndicatorEstimate.n_masked":
         "the zero-exclusion count, a trace diagnostic of the indicator sweeps",
 }

@@ -9,6 +9,7 @@ from pauli_lab import constructions as con
 from pauli_lab import interpolation as itp
 from pauli_lab import pauli_verify as pv
 from pauli_lab.entire_models import ProductModel, gaussian_model
+from pauli_lab.thresholds import pauli_threshold, weak_pair_threshold
 
 
 def run(argv):
@@ -68,15 +69,21 @@ class TestConstructVerify:
                     "--out", str(tmp_path / "x.json")])
         assert code == 1
 
-    @pytest.mark.parametrize("decay, density", [("0.5", "1.35"), ("0.7", "0.3")])
-    def test_carrier_placement_exit_one(self, tmp_path, capsys, decay, density):
-        # too few midgaps (A = 0.5) or set points (A = 0.7) for the carriers
-        # on a valid sub-threshold input: a failed check
-        code = run(["construct", "non-weak", "--A", decay, "--D", density, "--seed", "3",
-                    "--out", str(tmp_path / "x.json")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("check failed:") and "carriers" in err
+    @pytest.mark.parametrize("kind, decay, density", [
+        ("non-weak", 0.5, 1.35), ("non-weak", 0.7, 0.3),
+        ("non-weak", 0.34, round(0.9 * weak_pair_threshold(0.34) / 2.0, 6)),
+        ("non-weak", 0.9, round(0.7 * weak_pair_threshold(0.9) / 2.0, 6)),
+        ("freq-matched", 0.9, round(0.2 * pauli_threshold(0.9) / 2.0, 6)),
+    ], ids=["non-weak-0.5-1.35", "non-weak-0.7-0.3", "non-weak-0.34-0.9cap",
+            "non-weak-0.9-0.7cap", "freq-matched-0.9-0.2cap"])
+    def test_reach_construct_then_verify(self, tmp_path, kind, decay, density):
+        # cells where one carrier per vanishing function suffices: too few
+        # midgaps or set points for a carrier per interior point once failed
+        # them at construct time
+        pair_file = tmp_path / "pair.json"
+        assert run(["construct", kind, "--A", str(decay), "--D", str(density), "--seed", "3",
+                    "--out", str(pair_file)]) == 0
+        assert run(["verify", "--pair", str(pair_file), "--out", str(tmp_path / "r.json")]) == 0
 
     def test_headroom_failure_message_holds(self, tmp_path, capsys):
         code = run(["construct", "time", "--A", "0.5", "--D", "1.9", "--seed", "3",
@@ -293,6 +300,24 @@ class TestInterp:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("change, count", [
+        ({"lambda": [], "mu": [], "alpha": {}}, 0),
+        ({"lambda": [5.0], "mu": [-6.0], "alpha": {}, "outer_radius": 3}, 2),
+        ({"inner_cut": 2.0}, 10),
+    ], ids=["empty", "outside", "inside-the-cut"])
+    def test_window_without_points_rejected(self, tmp_path, capsys, change, count):
+        # an empty window once exited 0 with an all-zero assembled_samples.csv
+        problem = {**self.PROBLEM, **change}
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps(problem))
+        out_dir = tmp_path / "run"
+        assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: the window inner_cut {problem.get('inner_cut', 0.0)!r} < |x| "
+            f"<= outer_radius {problem['outer_radius']!r} holds none of the {count} points "
+            "of lambda and mu\n")
+        assert not out_dir.exists()
+
     def test_problem_not_an_object_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "problem.json"
         cfg.write_text("3")
@@ -471,7 +496,6 @@ class TestExitCodes:
         type("CustomCheckFailed", (CheckFailedError,), {})("custom"),
         con.DensityTooHighError("density"), con.ParameterInfeasibleError("headroom"),
         itp.NoFeasibleWindowError([(0.0, 0.7, 0.6)]), itp.SolverFailedError("solver"),
-        itp.CarrierPlacementError("carriers"), itp.NullSpaceEmptyError("null space"),
         con.DegeneratePhaseError("phase"), pv.PreconditionError("squared samples")])
     def test_check_failed_exits_one(self, monkeypatch, capsys, exc):
         def fail(args):

@@ -4,7 +4,7 @@ import pytest
 from pauli_lab import constructions as con
 from pauli_lab import fourier
 from pauli_lab import pauli_verify as pv
-from pauli_lab.interpolation import DensityTooHighError
+from pauli_lab.interpolation import DensityTooHighError, choose_window_cut
 from pauli_lab.sequences import SampledSet, SmoothSpec, generate_smooth
 
 X_GRID = np.linspace(-3.0, 3.0, 241)
@@ -243,6 +243,14 @@ class TestNonWeakPair:
     def test_split_rates_recorded(self, nonweak_pair):
         # at decay 0.5 the split argmax is 0.25, so every rate equals 0.5
         assert nonweak_pair.provenance["rates"] == [0.5, 0.5, 0.5, 0.5]
+
+    def test_cut_provenance_is_the_parts_window_cut(self, nonweak_pair):
+        # the recorded cut is the contraction diagnostic of each part's own
+        # window, built at cut 0, and the pair file alone reproduces it
+        decoded = con.pair_from_json(nonweak_pair.to_json())
+        for part, key in ((decoded.phi, "phi_cut"), (decoded.psi, "psi_cut")):
+            assert part.problem.inner_cut == 0.0
+            assert decoded.provenance[key] == choose_window_cut(part.problem)[0]
 
     def test_density_check(self):
         lam = generate_smooth(SmoothSpec(p=2.0, density=3.6, count=512, halves="±", seed=3))

@@ -272,8 +272,7 @@ class TestCrossMatrices:
             base, lam=base.lam[keep_l], mu=base.mu[keep_m],
             alpha=np.array([1.0 + 0j]), beta=np.array([0.0 + 0j]))
         n_a, n_b = weighted_norms(prob, prob.cross)
-        tot_a, tot_b, states = itp._iterate(prob, prob.alpha, prob.beta, 1e-14, 12)
-        norms = states[0].norms
+        norms = itp.solve(prob, tol=1e-14).state.norms
         # kappa_3/kappa_1 is exactly the product of the two weighted 1x1 norms
         assert norms[2] / norms[0] == pytest.approx(n_a * n_b, rel=1e-10)
 
@@ -312,11 +311,16 @@ class TestChooseCut:
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_infeasible_raises(self):
-        lam = sym_profile(0.85, seed=7)
-        mu = sym_profile(0.85, seed=8)
+        # dense enough that no candidate cut, the full window included, contracts
+        lam = sym_profile(1.1, seed=7)
+        mu = sym_profile(1.1, seed=8)
         base = itp.make_problem(lam, mu, None, None, 0.5, 0.5, 0.0, 3.4, nodes=1024)
-        with pytest.raises(itp.NoFeasibleWindowError):
-            itp.choose_window_cut(base, candidates=[0.0])
+        with pytest.raises(itp.NoFeasibleWindowError) as info:
+            itp.choose_window_cut(base)
+        diag = info.value.diagnostics
+        radii = np.unique(np.abs(np.concatenate([base.lam, base.mu])))
+        assert [d[0] for d in diag] == [0.0, *(0.5 * (radii[:-1] + radii[1:]))]
+        assert all(max(n_a, n_b) >= 0.5 for _, n_a, n_b in diag)
 
 
 class TestSolve:
@@ -400,7 +404,8 @@ class TestVanishingFunction:
         vf = itp.assemble_vanishing_function(lam1, mu1, 0.5, 0.5, nodes=2048)
         assert vf.residual_time < 1e-8
         assert vf.residual_freq < 1e-8
-        assert np.max(np.abs(vf.interpolant.eval(vf.aux_points))) == pytest.approx(1.0, abs=1e-8)
+        carrier = np.array([vf.carrier, -vf.carrier])
+        assert np.max(np.abs(vf.interpolant.eval(carrier) - 1.0)) < 1e-8
 
     def test_real_even(self, split_sets):
         lam1, mu1 = split_sets
@@ -412,68 +417,39 @@ class TestVanishingFunction:
 
     def test_null_space_path(self):
         # the odd part of a non-weak split at A = 0.45 and 0.7 of the cap, with
-        # its rates (x_A/A, A): the window cut leaves interior points, which
-        # a null-space combination of the carriers clears
+        # its rates (x_A/A, A): contraction needs a cut that leaves interior
+        # points, while the direct solve meets every point at cut 0
         decay = 0.45
         _, odd = split_parity(sym_profile(0.7 * weak_pair_threshold(decay) / 2.0))
         vf = itp.assemble_vanishing_function(odd, odd, split_bound_argmax(decay) / decay, decay,
                                              nodes=2048)
-        # interior points of both sets, which are the same set here
-        n_int = 2 * np.count_nonzero(odd.symmetrized().positive <= vf.inner_cut)
-        assert n_int > 0
-        assert len(vf.aux_points) == n_int + 2
-        assert vf.constraint_sigma < 1e-8
-        assert vf.residual_time < 1e-7 and vf.residual_freq < 1e-7
+        problem = vf.interpolant.problem
+        assert problem.inner_cut == 0.0 and vf.window_cut > 0.0
+        inside = odd.symmetrized().positive
+        assert vf.carrier == 0.5 * (inside[0] + inside[1])
+        at_carrier = vf.interpolant.eval(np.array([vf.carrier, -vf.carrier]))
+        assert np.max(np.abs(at_carrier - 1.0)) < 1e-12
+        assert vf.residual_time < 1e-13 and vf.residual_freq < 1e-13
 
-    def test_null_combination_ignores_basis_choice(self):
-        # a 2 x 4 constraint with singular values 2715 and 31: its null space
-        # is two-dimensional, so the combination must not depend on which
-        # basis of it the SVD happens to return
-        rng = np.random.default_rng(17)
-        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        con = u @ np.diag([2715.0, 31.0]) @ v[:, :2].conj().T
-        combo = itp._null_combination(con)
-        assert np.linalg.norm(con @ combo) < 1e-12 * 2715.0
-        null = v[:, 2:] @ v[:, 2:].conj().T
-        assert np.max(np.abs(combo - null[:, 0] / np.linalg.norm(null[:, 0]))) < 1e-12
-        for trial in range(5):
-            noise = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-            moved = itp._null_combination(con + 1e-12 * noise)
-            assert np.linalg.norm(moved - combo) <= 1e-10
-        # reordered or recombined constraints have the same null space and
-        # give the same combination
-        for same in (con[::-1], np.array([[1.0, 0.5], [0.2, -1.0]]) @ con):
-            assert np.linalg.norm(itp._null_combination(same) - combo) <= 1e-10
+    def test_carrier_without_two_points(self):
+        # one positive time point: the carrier is half of it; none in the
+        # window: half the outer radius
+        mu = SampledSet(points=np.array([-1.3, 1.3]))
+        for lam, want in ((SampledSet(points=np.array([-1.5, 1.5])), 0.75),
+                          (SampledSet(points=np.empty(0)), 0.5 * np.sqrt(18.0 / (np.pi * 0.5)))):
+            vf = itp.assemble_vanishing_function(lam, mu, 0.5, 0.5, nodes=1024)
+            assert vf.carrier == want
+            assert abs(vf.interpolant.eval(vf.carrier) - 1.0) < 1e-12
+            assert vf.residual_time < 1e-12 and vf.residual_freq < 1e-12
 
-    def test_null_combination_when_first_carrier_is_constrained(self):
-        # the first unit vector lies in the row space: no null vector uses the
-        # first carrier, so the carrier with the largest projection is taken
-        combo = itp._null_combination(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]]))
-        assert np.allclose(np.abs(combo), [0.0, np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
-        assert np.all(np.isfinite(combo))
+    def test_singular_system_fails_the_check(self, split_sets, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
 
-    def test_null_combination_full_rank_raises(self):
-        with pytest.raises(itp.NullSpaceEmptyError):
-            itp._null_combination(np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-    def test_only_the_last_window_failure_is_final(self, split_sets, monkeypatch):
-        # the first placement finds no window, the later ones find ever wider
-        # cuts, so the carriers never catch up with the interior constraints:
-        # the shortfall is an empty null space, not the first window failure
-        calls = []
-
-        def growing_cuts(problem, candidates, **kwargs):
-            calls.append(len(candidates))
-            if len(calls) == 1:
-                raise itp.NoFeasibleWindowError([(0.0, 1.0, 1.0)])
-            return float(candidates[min(len(calls) - 1, len(candidates) - 1)]), []
-
-        monkeypatch.setattr(itp, "choose_window_cut", growing_cuts)
+        monkeypatch.setattr(np.linalg, "solve", singular)
         lam1, mu1 = split_sets
-        with pytest.raises(itp.NullSpaceEmptyError):
-            itp.assemble_vanishing_function(lam1, mu1, 0.2, 0.2, nodes=2048)
-        assert len(calls) == 6
+        with pytest.raises(itp.SolverFailedError, match="singular"):
+            itp.assemble_vanishing_function(lam1, mu1, 0.5, 0.5, nodes=1024)
 
     def test_density_too_high(self):
         lam = sym_profile(1.0, seed=9)
