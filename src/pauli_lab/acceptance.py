@@ -144,11 +144,11 @@ def ac5() -> AcceptanceRecord:
         rates = {}
         for m in (0.6, 0.7, 0.866, 1.0, 1.1):
             model = profile_product(np.sqrt(np.arange(1, 2049) / m), m, gauss_rate=a)
-            rates[m] = asy.fourier_decay_predicate(model, a).fitted_rate
+            rates[m] = asy.fourier_decay_predicate(model)
         vals = [rates[m] for m in (0.6, 0.7, 0.866, 1.0, 1.1)]
         monotone = all(later <= earlier + 1e-9 for earlier, later in zip(vals, vals[1:]))
         ok = rates[0.7] >= 0.47 and rates[1.0] <= 0.45 and monotone
-        # the predicate's threshold m* = sqrt(a(1/b - a)) inverts to the rate
+        # the transfer threshold m* = sqrt(a(1/b - a)) inverts to the rate
         # b(m) = a/(a^2 + m^2) that a model of density m should fit
         closed = {m: a / (a * a + m * m) for m in rates}
         detail = ", ".join(f"m={m}: {rates[m]:.3f} (b {closed[m]:.3f}, {rates[m] - closed[m]:+.3f})"

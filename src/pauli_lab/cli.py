@@ -69,6 +69,9 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ValueError(f"range {spec!r} needs finite values")
     if step <= 0:
         raise ValueError(f"range {spec!r} needs a positive step")
+    # a reversed range would give a header-only file
+    if stop < start:
+        raise ValueError(f"range {spec!r} needs stop >= start")
     n = int(np.floor((stop - start) / step + 0.5)) + 1
     return start + step * np.arange(n)
 
@@ -82,11 +85,12 @@ def _fmt(x: float) -> str:
 
 def cmd_thresholds(args) -> int:
     grid = _parse_range(args.a_grid)
+    grid = grid[(grid > 0) & (grid < 1)]
+    if not grid.size:
+        raise ValueError(f"range {args.a_grid!r} holds no decay rate in (0, 1)")
     lines = [_provenance_line(args, 0)]
     lines.append("A,c1,c2,pauli_threshold,uniqueness_time,uniqueness_freq\n")
     for a in grid:
-        if not 0 < a < 1:
-            continue
         d1, d2 = th.uniqueness_density_bounds(th.DecayParams(a, a))
         lines.append(",".join(_fmt(v) for v in (
             a, th.one_sided_threshold(a), th.weak_pair_threshold(a),
@@ -196,8 +200,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ft(args) -> int:
-    model = ProductModel.from_dict(json.loads(Path(args.model).read_text()))
     xi = _parse_range(args.xi)
+    model = ProductModel.from_dict(json.loads(Path(args.model).read_text()))
     spec = fourier.QuadratureSpec(half_width=args.half_width, nodes=args.nodes)
     res = fourier.transform(model.values, spec, xi)
     lines = [_provenance_line(args, 0), "xi,re,im,err\n"]
@@ -208,8 +212,8 @@ def cmd_ft(args) -> int:
 
 
 def cmd_indicator(args) -> int:
-    model = ProductModel.from_dict(json.loads(Path(args.model).read_text()))
     thetas = _parse_range(args.theta)
+    model = ProductModel.from_dict(json.loads(Path(args.model).read_text()))
     lines = [_provenance_line(args, 0), "theta,h_hat,residual,window_lo,window_hi\n"]
     for theta in thetas:
         est = asy.indicator_estimate(model, theta)
@@ -245,12 +249,19 @@ def cmd_interp(args) -> int:
                "inner_cut", "outer_radius", "nodes", "tol"}
     unknown = set(cfg) - allowed
     if unknown:
-        sys.stderr.write(f"unknown problem keys: {sorted(unknown)}\n")
-        return 2
+        raise ValueError(f"unknown problem keys: {sorted(unknown)}")
     tol = cfg.get("tol", 1e-10)
-    for key, value in (("weight_a", cfg["weight_a"]), ("weight_b", cfg["weight_b"]), ("tol", tol)):
-        if not (isinstance(value, (int, float)) and 0 < value < np.inf):
-            raise ValueError(f"{key} must be positive and finite, got {value!r}")
+    inner_cut = cfg.get("inner_cut", 0.0)
+    for key, value, positive in (("weight_a", cfg["weight_a"], True),
+                                 ("weight_b", cfg["weight_b"], True),
+                                 ("outer_radius", cfg["outer_radius"], True),
+                                 ("inner_cut", inner_cut, False), ("tol", tol, True)):
+        # JSON true and false are ints to Python; an int past the float range
+        # would overflow in make_problem
+        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max and (value > 0 or not positive)):
+            raise ValueError(f"{key} must be {'positive and ' if positive else ''}finite, "
+                             f"got {value!r}")
     nodes = cfg.get("nodes", 2048)
     if not isinstance(nodes, int) or isinstance(nodes, bool):
         raise ValueError(f"nodes must be an integer, got {nodes!r}")
@@ -262,7 +273,7 @@ def cmd_interp(args) -> int:
                             (lambda v: alpha.get(float(v), 0.0)) if alpha else None,
                             (lambda v: beta.get(float(v), 0.0)) if beta else None,
                             cfg["weight_a"], cfg["weight_b"],
-                            cfg.get("inner_cut", 0.0), cfg["outer_radius"], nodes=nodes)
+                            inner_cut, cfg["outer_radius"], nodes=nodes)
     # a window with no data point would pass vacuously with an all-zero interpolant
     if not len(base.lam) + len(base.mu):
         raise ValueError(f"the window inner_cut {base.inner_cut!r} < |x| <= outer_radius "

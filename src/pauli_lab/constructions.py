@@ -253,7 +253,7 @@ def _product_pair(points: SampledSet, decay: float, cap: float, rate_base: float
         # the best Gaussian rate; the digits printed keep the comparison true
         from .asymptotics import fourier_decay_predicate
         probe = _extended_model(even.points, d_half / 2.0, rate_base, 0)
-        rate = fourier_decay_predicate(probe, decay).fitted_rate
+        rate = fourier_decay_predicate(probe)
         raise DensityTooHighError(
             f"half density {d_half:.4f} >= threshold {cap:.4f}; frequency "
             f"envelope rate {rate!r} {'<' if rate < decay else '>='} {decay}") from exc

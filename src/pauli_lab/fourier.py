@@ -158,9 +158,8 @@ def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool =
     ``values`` holds node values on ``spec.grid()``, one function per row
     (shape (nodes+1,) or (k, nodes+1)); each result row holds that function's
     sums at the ``targets`` (real or complex), with the + sign when
-    ``inverse``.  ``coeffs`` ((k,) or (k, r)) first combines the weighted
-    rows, coeffs.T @ (w * values), so a linear combination costs one phase
-    sum.
+    ``inverse``.  ``coeffs`` (shape (k,)) first combines the weighted rows,
+    coeffs.T @ (w * values), so a linear combination costs one phase sum.
 
     Real, equally spaced targets (``CHIRP_MIN_TARGETS`` or more) are summed
     by chirp-z convolution; any other targets by the chunked dense sum.

@@ -262,8 +262,7 @@ class AssembledInterpolant:
     The time part evaluates through the generator's cardinal functions; the
     frequency-side basis enters time evaluation through inverse quadrature of
     the problem's node columns and contributes its exact cardinal values on
-    the frequency side (and symmetrically for eval_hat).  Coefficients of
-    shape (n, k) stack k interpolants; values then come back as (points, k).
+    the frequency side (and symmetrically for eval_hat).
     """
 
     def __init__(self, problem: InterpolationProblem, alpha: np.ndarray, beta: np.ndarray):
@@ -274,23 +273,22 @@ class AssembledInterpolant:
     def eval(self, x) -> np.ndarray:
         p = self.problem
         x_arr = np.atleast_1d(np.asarray(x))
-        total = np.zeros((len(x_arr),) + self.alpha.shape[1:], dtype=complex)
+        total = np.zeros(len(x_arr), dtype=complex)
         if len(p.lam):
-            total += (self.alpha.T @ divided_columns(p.time_gen, p.lam, x_arr, p.time_derivs)).T
+            total += self.alpha @ divided_columns(p.time_gen, p.lam, x_arr, p.time_derivs)
         if len(p.mu):
             total += fourier.phase_sum(p.freq_columns, p.freq_quad, x_arr, inverse=True,
-                                       coeffs=self.beta).T
+                                       coeffs=self.beta)
         return total if np.ndim(x) else total[0]
 
     def eval_hat(self, xi) -> np.ndarray:
         p = self.problem
         xi_arr = np.atleast_1d(np.asarray(xi))
-        total = np.zeros((len(xi_arr),) + self.alpha.shape[1:], dtype=complex)
+        total = np.zeros(len(xi_arr), dtype=complex)
         if len(p.lam):
-            total += fourier.phase_sum(p.time_columns, p.time_quad, xi_arr,
-                                       coeffs=self.alpha).T
+            total += fourier.phase_sum(p.time_columns, p.time_quad, xi_arr, coeffs=self.alpha)
         if len(p.mu):
-            total += (self.beta.T @ divided_columns(p.freq_gen, p.mu, xi_arr, p.freq_derivs)).T
+            total += self.beta @ divided_columns(p.freq_gen, p.mu, xi_arr, p.freq_derivs)
         return total if np.ndim(xi) else total[0]
 
 

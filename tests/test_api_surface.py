@@ -3,13 +3,13 @@
 A public function, class or method that nothing outside the tests reaches is
 dead API, and so is a defaulted parameter that no call sets: one value is
 ever used, yet each such option doubles the configurations the tests would
-have to cover.  These scans parse ``src/pauli_lab``, ``scripts/`` and
-``perfbench/``.  The first fails on a public top-level function or class, or
-a public method of a public class, that no name or attribute there refers
-to; ``UNCALLED`` lists the exceptions, each with its reason.  The second
-fails on a defaulted parameter of a public function or method, or a
-defaulted field of a public frozen dataclass, that no call there sets by
-keyword or position; ``KEPT`` lists the options that stay all the same,
+have to cover.  These scans parse ``src/pauli_lab`` and ``perfbench/``.
+The first fails on a public top-level function or class, or a public
+method of a public class, that no name or attribute there refers to;
+``UNCALLED`` lists the exceptions, each with its reason.  The second fails
+on a defaulted parameter of a public function or method, or a defaulted
+field of a public frozen dataclass, that no call there sets by keyword or
+position; ``KEPT`` lists the options that stay all the same,
 each with its reason.  The third fails on a public field of a public
 dataclass that no attribute load there reads: a result field that nothing
 reads is computed for nobody.  ``FIELDS_KEPT`` lists the exceptions, each
@@ -25,7 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pauli_lab"
-CALLER_DIRS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+CALLER_DIRS = (PACKAGE, ROOT / "perfbench")
 
 KEPT = {
     # the A = 0.82 frequency-matched pair (D 0.8, count 1024) fails the Hardy

@@ -124,24 +124,23 @@ class TestZeroDensityIndicator:
 
 class TestDecayPredicate:
     def test_pure_gaussian(self):
-        res = asy.fourier_decay_predicate(gaussian_model(1.0), 0.5)
-        assert res.passes and res.expected_pass
-        assert res.fitted_rate == pytest.approx(1.0, abs=0.01)
+        assert asy.fourier_decay_predicate(gaussian_model(1.0)) == pytest.approx(1.0, abs=0.01)
 
     @pytest.mark.parametrize("density,lo,hi", [(0.7, 0.47, 1.0), (1.0, 0.0, 0.45)])
     def test_sharpness_experiment(self, density, lo, hi):
         model = profile_product(np.sqrt(np.arange(1, 2049) / density), density, gauss_rate=0.5)
-        res = asy.fourier_decay_predicate(model, 0.5)
-        assert lo <= res.fitted_rate <= hi
-        assert res.passes == res.expected_pass == (density < np.sqrt(0.75))
+        rate = asy.fourier_decay_predicate(model)
+        assert lo <= rate <= hi
+        # the transfer threshold sqrt(a(1/b - a)) at a = b = 1/2
+        assert (rate >= 0.5) == (density < np.sqrt(0.75))
 
     def test_monotone_in_density(self):
         rates = []
         for density in (0.6, 0.866, 1.1):
             model = profile_product(np.sqrt(np.arange(1, 2049) / density), density, gauss_rate=0.5)
-            rates.append(asy.fourier_decay_predicate(model, 0.5).fitted_rate)
+            rates.append(asy.fourier_decay_predicate(model))
         assert rates[0] > rates[1] > rates[2]
 
     def test_needs_gaussian_rate(self):
         with pytest.raises(ValueError):
-            asy.fourier_decay_predicate(sinc_product(100), 0.5)
+            asy.fourier_decay_predicate(sinc_product(100))

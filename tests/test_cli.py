@@ -202,27 +202,35 @@ class TestInterp:
         assert norms[-1] < norms[0]
         assert (out_dir / "assembled_samples.csv").exists()
 
-    def test_unknown_keys_rejected(self, tmp_path):
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "problem.json"
         cfg.write_text(json.dumps({"lambda": [1.0], "mu": [], "weight_a": 0.5,
                                    "weight_b": 0.5, "outer_radius": 2.0,
                                    "bogus": 1}))
         assert run(["interp", "--problem", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == "configuration error: unknown problem keys: ['bogus']\n"
 
     @pytest.mark.parametrize("key, value", [
         ("weight_a", 0), ("weight_b", -0.5), ("weight_a", float("nan")), ("weight_b", "0.5"),
-        ("tol", -1), ("tol", 0.0), ("tol", float("inf"))])
+        ("tol", -1), ("tol", 0.0), ("tol", float("inf")),
+        ("weight_a", True), ("weight_b", True), ("tol", True),
+        ("outer_radius", "abc"), ("outer_radius", None), ("outer_radius", 0),
+        ("outer_radius", float("inf")), ("outer_radius", 2 ** 1024), ("outer_radius", True),
+        ("inner_cut", "x"), ("inner_cut", None), ("inner_cut", float("nan")),
+        ("inner_cut", float("-inf")), ("inner_cut", False)])
     def test_bad_rate_or_tolerance_rejected(self, tmp_path, capsys, monkeypatch, key, value):
-        # weight_a 0 once escaped as a ZeroDivisionError, and tol -1 exited 1
-        # after 60 steps of a converging iteration
+        # weight_a 0 once escaped as a ZeroDivisionError, tol -1 exited 1
+        # after 60 steps of a converging iteration, and a non-numeric radius
+        # ended in a traceback with exit 1
         monkeypatch.setattr(itp, "make_problem",
                             lambda *args, **kwargs: pytest.fail("computed before the check"))
         cfg = tmp_path / "problem.json"
         cfg.write_text(json.dumps({**self.PROBLEM, key: value}))
         out_dir = tmp_path / "run"
         assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 2
+        bound = "finite" if key == "inner_cut" else "positive and finite"
         assert capsys.readouterr().err == (
-            f"configuration error: {key} must be positive and finite, got {value!r}\n")
+            f"configuration error: {key} must be {bound}, got {value!r}\n")
         assert not out_dir.exists()
 
     # alpha 1 on lambda +-1, +-2 and beta 0.5 on mu +-1.7: at 64 nodes the
@@ -356,6 +364,17 @@ class TestUsageErrors:
         assert run(["thresholds", "--a-grid", "0:inf:0.1"]) == 2
         assert capsys.readouterr().err == (
             "configuration error: range '0:inf:0.1' needs finite values\n")
+        # reversed ranges and a grid with no rate in (0, 1) once wrote header-only
+        # files; the range is checked before the (here missing) model file is read
+        for spec, argv in (("0.5:0.4:0.1", ["thresholds", "--a-grid", "0.5:0.4:0.1"]),
+                           ("4:-4:0.05", ["ft", "--model", "absent.json", "--xi=4:-4:0.05"]),
+                           ("1:0:0.1", ["indicator", "--model", "absent.json", "--theta=1:0:0.1"])):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == (
+                f"configuration error: range {spec!r} needs stop >= start\n")
+        assert run(["thresholds", "--a-grid", "2:3:0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: range '2:3:0.5' holds no decay rate in (0, 1)\n")
 
     @pytest.mark.parametrize("argv, count", [
         (["gen-seq", "--count", "-3"], -3),

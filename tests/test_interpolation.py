@@ -233,20 +233,6 @@ class TestCrossMatrices:
             assert np.array_equal(interp.eval(pts), interp.eval(pts.astype(complex)))
             assert np.array_equal(interp.eval_hat(pts), interp.eval_hat(pts.astype(complex)))
 
-    def test_stacked_coefficients_evaluate_each_column(self, small_problem):
-        p = small_problem
-        rng = np.random.default_rng(7)
-        alpha = rng.normal(size=(len(p.lam), 3)) + 1j * rng.normal(size=(len(p.lam), 3))
-        beta = rng.normal(size=(len(p.mu), 3)) + 1j * rng.normal(size=(len(p.mu), 3))
-        stacked = itp.AssembledInterpolant(p, alpha, beta)
-        singles = [itp.AssembledInterpolant(p, alpha[:, j], beta[:, j]) for j in range(3)]
-        pts = np.linspace(-2.5, 2.5, 11)
-        for name in ("eval", "eval_hat"):
-            got = getattr(stacked, name)(pts)
-            want = np.column_stack([getattr(s, name)(pts) for s in singles])
-            assert got.shape == (len(pts), 3)
-            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
-
     def test_empty_frequency_side(self):
         lam = sym_profile(0.55, seed=1)
         base = itp.make_problem(lam, SampledSet(points=np.empty(0)), None, None,
