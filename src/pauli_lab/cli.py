@@ -102,9 +102,8 @@ def cmd_thresholds(args) -> int:
 def cmd_gen_seq(args) -> int:
     spec = SmoothSpec(p=args.p, density=args.density, count=args.count,
                       jitter=args.jitter, seed=args.seed, halves=args.halves)
-    sampled = generate_smooth(spec)
-    text = _provenance_line(args, args.seed) + sampled.to_csv()
-    _write(args.out, text)
+    header = f"# p={spec.p} D={spec.density} seed={spec.seed}\n"
+    _write(args.out, _provenance_line(args, args.seed) + header + generate_smooth(spec).to_csv())
     return 0
 
 

@@ -31,8 +31,8 @@ from .entire_models import ProductModel, profile_product
 from .interpolation import (AssembledInterpolant, DensityTooHighError, InterpolationProblem,
                             assemble_vanishing_function)
 from .sequences import SampledSet, half_density, split_parity
-from .thresholds import (SQRT2_INV, SQRT3_HALF, gaussian_rate_base, one_sided_threshold,
-                         pauli_threshold, split_bound_argmax, weak_pair_threshold)
+from .thresholds import (SQRT3_HALF, gaussian_rate_base, one_sided_threshold, pauli_threshold,
+                         split_bound_argmax, weak_pair_threshold)
 
 
 class ParameterInfeasibleError(ValueError, CheckFailedError):
@@ -165,11 +165,6 @@ def pair_from_json(text: str) -> PairConstruction:
                             provenance=dict(obj.get("provenance", {})))
 
 
-def _default_quad(gauss_rate: float, nodes: int) -> fourier.QuadratureSpec:
-    half_width = float(np.sqrt(40.0 / (gauss_rate * np.pi)))
-    return fourier.QuadratureSpec(half_width=half_width, nodes=nodes)
-
-
 def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None = None) -> float:
     """The rotation theta = 0, once its witness of the non-identities is checked.
 
@@ -258,12 +253,13 @@ def _product_pair(points: SampledSet, decay: float, cap: float, rate_base: float
             f"half density {d_half:.4f} >= threshold {cap:.4f}; frequency "
             f"envelope rate {rate!r} {'<' if rate < decay else '>='} {decay}") from exc
     gamma = rate_base + eps
-    quad = _default_quad(gamma, 2048)
+    quad = fourier.QuadratureSpec(half_width=float(np.sqrt(40.0 / (gamma * np.pi))), nodes=2048)
     phi = ModelEvaluator(_extended_model(even.points, d_half / 2.0, gamma, 0), quad)
-    psi = ModelEvaluator(_extended_model(odd.points, d_half / 2.0, gamma, 1), quad)
+    # a point 0 is the odd part's first, and the odd factor's z vanishes there
+    psi = ModelEvaluator(_extended_model(odd.points[odd.points > 0], d_half / 2.0, gamma, 1),
+                         quad)
     provenance.update({"decay": decay, "eps": eps, "gamma": gamma, "half_density": d_half,
-                       "threshold": cap, "seed": points.meta.get("seed"),
-                       "count": len(points.points)})
+                       "threshold": cap, "count": len(points.points)})
     return PairConstruction(phi=phi, psi=psi, vartheta=0.0, provenance=provenance)
 
 
@@ -287,9 +283,8 @@ def build_time_pair(lam: SampledSet, decay: float) -> PairConstruction:
     """
     if not 0.0 < decay < 1.0:
         raise ValueError(f"decay must lie in (0, 1), got {decay}")
-    rate_base = 1.0 / (2.0 * decay) if decay < SQRT2_INV else decay
-    pair = _product_pair(lam.symmetrized(), decay, one_sided_threshold(decay) / 2.0, rate_base,
-                         {"kind": "time_pair"})
+    pair = _product_pair(lam.symmetrized(), decay, one_sided_threshold(decay) / 2.0,
+                         gaussian_rate_base(decay), {"kind": "time_pair"})
     pair.vartheta = select_phase(pair.phi, pair.psi, np.linspace(-3.0, 3.0, 241))
     return pair
 
@@ -321,7 +316,8 @@ def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,
     Splits each set by parity; each part pair (time, frequency) is wiped out
     by an assembled vanishing function.  The split decay rates are
     (A, x_A/A) for the even factor and (x_A/A, A) for the odd one, whose
-    density budgets add up exactly to the weak-pair threshold.
+    density budgets add up exactly to the weak-pair threshold.  Two empty
+    sets constrain nothing and raise ValueError.
     """
     if not 0.0 < decay < 1.0:
         raise ValueError(f"decay must lie in (0, 1), got {decay}")
@@ -337,15 +333,7 @@ def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,
     a1, b1 = decay, x_a / decay
     a2, b2 = x_a / decay, decay
     if len(lam) == 0 and len(mu) == 0:
-        # vacuous sampling: two pure Gaussians at distinct rates
-        rate_phi = a1
-        rate_psi = a2 if abs(a2 - a1) > 1e-12 else min(1.2 * a1, 0.9 / decay)
-        quad = _default_quad(min(rate_phi, rate_psi), nodes)
-        phi = ModelEvaluator(ProductModel(zeros=np.empty(0), gauss_rate=rate_phi), quad)
-        psi = ModelEvaluator(ProductModel(zeros=np.empty(0), gauss_rate=rate_psi), quad)
-        provenance = {"kind": "non_weak", "decay": decay, "branch": "vacuous",
-                      "rates": [rate_phi, rate_psi]}
-        return PairConstruction(phi=phi, psi=psi, vartheta=0.0, provenance=provenance)
+        raise ValueError("the non-weak construction needs a time or a frequency point")
     lam1, lam2 = split_parity(lam.symmetrized())
     mu1, mu2 = split_parity(mu.symmetrized())
     vf_phi = assemble_vanishing_function(lam1, mu1, a1, b1, nodes=nodes)
@@ -358,6 +346,5 @@ def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,
                   "threshold": cap, "argmax": x_a,
                   "phi_residuals": [vf_phi.residual_time, vf_phi.residual_freq],
                   "psi_residuals": [vf_psi.residual_time, vf_psi.residual_freq],
-                  "phi_cut": vf_phi.window_cut, "psi_cut": vf_psi.window_cut,
-                  "seed": [lam.meta.get("seed"), mu.meta.get("seed")]}
+                  "phi_cut": vf_phi.window_cut, "psi_cut": vf_psi.window_cut}
     return PairConstruction(phi=phi, psi=psi, vartheta=theta, provenance=provenance)

@@ -158,8 +158,9 @@ def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool =
     ``values`` holds node values on ``spec.grid()``, one function per row
     (shape (nodes+1,) or (k, nodes+1)); each result row holds that function's
     sums at the ``targets`` (real or complex), with the + sign when
-    ``inverse``.  ``coeffs`` (shape (k,)) first combines the weighted rows,
-    coeffs.T @ (w * values), so a linear combination costs one phase sum.
+    ``inverse``.  ``coeffs`` (shape (k,), for k rows) first combines the
+    weighted rows into one, coeffs @ (w * values), so a linear combination
+    costs one phase sum and gives one result row.
 
     Real, equally spaced targets (``CHIRP_MIN_TARGETS`` or more) are summed
     by chirp-z convolution; any other targets by the chunked dense sum.
@@ -167,7 +168,7 @@ def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool =
     sign = 1.0 if inverse else -1.0
     weighted = values * spec.weights()
     if coeffs is not None:
-        weighted = coeffs.T @ weighted
+        weighted = coeffs @ weighted
     t = np.ravel(targets)
     uniform = _uniform_targets(t)
     if uniform is None:

@@ -423,10 +423,15 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
     cut.  The carrier is the first midgap of the positive time points in the
     window, half the point when there is only one, and half the outer radius
     when there is none.  Raises SolverFailedError when the system is
-    singular.
+    singular, and CheckFailedError when a set holds the point 0: the even
+    generators vanish only at +-x with x > 0.
     """
     lam_sym = lam_set.symmetrized()
     mu_sym = mu_set.symmetrized()
+    for name, points in (("time", lam_sym.points), ("frequency", mu_sym.points)):
+        if np.any(points == 0.0):
+            raise CheckFailedError(f"the {name} set holds the point 0, where the even "
+                                   f"vanishing generators cannot vanish")
     d_lam = half_density(lam_sym.positive)
     d_mu = half_density(mu_sym.positive)
     bound_l, bound_m = uniqueness_density_bounds(DecayParams(weight_a, weight_b))

@@ -1,15 +1,15 @@
 """Sampling sequences: generation, counting, density fits, parity splits.
 
 Sets here are finite, strictly increasing real sequences split into a
-negative and a nonnegative half-line.  The generators produce power-profile
-sequences gamma_j = ((j + theta_j)/D)^(1/p) whose counting function n(r)
-matches D*r^p up to a bounded remainder, with deterministic seeded jitter.
+negative and a nonnegative half-line; a set is its points and nothing else.
+The generators produce power-profile sequences gamma_j = ((j + theta_j)/D)^(1/p)
+whose counting function n(r) matches D*r^p up to a bounded remainder, with
+deterministic seeded jitter.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +21,12 @@ class SampledSet:
     """Finite strictly increasing real sequence split into half-lines.
 
     ``negative`` holds the points below 0 and ``positive`` the rest: the
-    point 0, when present, belongs to the nonnegative half.
+    point 0, when present, belongs to the nonnegative half.  The CSV form is
+    one point per line; blank lines and lines starting with ``#`` are
+    skipped when read.
     """
 
     points: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -55,43 +56,21 @@ class SampledSet:
     def symmetrized(self) -> "SampledSet":
         """The union of the set with its mirror image, deduplicated."""
         pts = np.unique(np.concatenate([self.points, -self.points]))
-        return SampledSet(points=pts, meta=dict(self.meta))
+        return SampledSet(points=pts)
 
     def restricted(self, r_min: float, r_max: float) -> "SampledSet":
         """Points with r_min < |gamma| <= r_max."""
         m = (np.abs(self.points) > r_min) & (np.abs(self.points) <= r_max)
-        return SampledSet(points=self.points[m], meta=dict(self.meta))
+        return SampledSet(points=self.points[m])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        p = self.meta.get("p", "")
-        d = self.meta.get("D", "")
-        seed = self.meta.get("seed", "")
-        buf.write(f"# p={p} D={d} seed={seed}\n")
-        for x in self.points:
-            buf.write(f"{x:.17g}\n")
-        return buf.getvalue()
+        return "".join(f"{x:.17g}\n" for x in self.points)
 
     @classmethod
     def from_csv(cls, text: str) -> "SampledSet":
-        meta: dict = {}
-        pts = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, val = token.split("=", 1)
-                        if val:
-                            try:
-                                meta[key] = float(val) if key != "seed" else int(val)
-                            except ValueError:
-                                meta[key] = val
-                continue
-            pts.append(float(line))
-        return cls(points=np.array(sorted(pts)), meta=meta)
+        pts = [float(line) for line in map(str.strip, text.splitlines())
+               if line and not line.startswith("#")]
+        return cls(points=np.array(sorted(pts)))
 
 
 @dataclass(frozen=True)
@@ -125,8 +104,8 @@ class SmoothSpec:
 def generate_smooth(spec: SmoothSpec) -> SampledSet:
     """Generate gamma_j = ((j + theta_j)/D)^(1/p), j = 1..count, per half-line.
 
-    The jitter offsets theta_j are drawn from a seeded generator and recorded
-    via the seed in the output metadata, so outputs are reproducible.
+    The jitter offsets theta_j are drawn from a generator seeded with
+    ``spec.seed``, so a spec always gives the same points.
     """
     rng = np.random.default_rng(spec.seed)
     j = np.arange(1, spec.count + 1, dtype=float)
@@ -140,9 +119,7 @@ def generate_smooth(spec: SmoothSpec) -> SampledSet:
         parts.append(-half_points()[::-1])
     if spec.halves in ("+", "±"):
         parts.append(half_points())
-    pts = np.concatenate(parts)
-    meta = {"p": spec.p, "D": spec.density, "seed": spec.seed, "jitter": spec.jitter}
-    return SampledSet(points=pts, meta=meta)
+    return SampledSet(points=np.concatenate(parts))
 
 
 def density_fit(gamma: SampledSet, p: float) -> tuple[float, float]:
@@ -203,10 +180,5 @@ def split_parity(gamma: SampledSet) -> tuple[SampledSet, SampledSet]:
         outward = half[order]
         even_parts.append(outward[1::2])  # indices 2, 4, ... (1-based)
         odd_parts.append(outward[0::2])
-    even = np.sort(np.concatenate(even_parts))
-    odd = np.sort(np.concatenate(odd_parts))
-    meta = dict(gamma.meta)
-    return (
-        SampledSet(points=even, meta=meta),
-        SampledSet(points=odd, meta=meta),
-    )
+    return (SampledSet(points=np.sort(np.concatenate(even_parts))),
+            SampledSet(points=np.sort(np.concatenate(odd_parts))))

@@ -17,6 +17,7 @@ import numpy as np
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 SQRT3_HALF = np.sqrt(3.0) / 2.0
+ORACLE_GRID_SIZE = 4096  # scan points of weak_bound_oracle on [A^2, 1]
 
 
 class DomainError(ValueError):
@@ -89,37 +90,33 @@ def gaussian_rate_base(A: float) -> float:
     """Base Gaussian rate sigma_A used by the product constructions.
 
     Equals 1/(2A) below 1/sqrt(2) (maximizing the admissible zero density) and
-    A above.  Defined for 0 < A < sqrt(3)/2; beyond that the constructions
-    switch to the g == 0 branch.
+    A above, for 0 < A < 1.  The frequency-matched construction uses it below
+    sqrt(3)/2 only and switches to the g == 0 branch from there on.
     """
-    A = float(A)
-    if not 0.0 < A < SQRT3_HALF:
-        raise DomainError(f"rate base defined for A in (0, sqrt(3)/2), got {A}")
+    A = _check_unit_interval(A)
     if A < SQRT2_INV:
         return 1.0 / (2.0 * A)
     return A
 
 
-def weak_bound_oracle(A: float, grid_size: int = 4096) -> tuple[float, float]:
+def weak_bound_oracle(A: float) -> tuple[float, float]:
     """Brute-force maximization of (1-x)*(A/sqrt(x) + sqrt(x)/A)^2 on [A^2, 1].
 
-    Uniform grid scan followed by golden-section refinement around the grid
-    argmax (derivative-free; robust when the maximizer sits on the boundary
-    x = A^2).  Returns (max value, argmax).
+    Uniform scan of ``ORACLE_GRID_SIZE`` points followed by golden-section
+    refinement around the grid argmax (derivative-free; robust when the
+    maximizer sits on the boundary x = A^2).  Returns (max value, argmax).
     """
     A = _check_unit_interval(A)
-    if grid_size < 1000:
-        raise ValueError(f"grid_size must be >= 1000, got {grid_size}")
 
     def g(x: np.ndarray) -> np.ndarray:
         return (1.0 - x) * (A / np.sqrt(x) + np.sqrt(x) / A) ** 2
 
     lo, hi = A * A, 1.0
-    xs = np.linspace(lo, hi, grid_size)
+    xs = np.linspace(lo, hi, ORACLE_GRID_SIZE)
     vals = g(xs)
     k = int(np.argmax(vals))
     left = xs[max(k - 1, 0)]
-    right = xs[min(k + 1, grid_size - 1)]
+    right = xs[min(k + 1, ORACLE_GRID_SIZE - 1)]
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a_, b_ = left, right

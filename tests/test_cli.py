@@ -46,6 +46,16 @@ class TestGenSeq:
         assert values == sorted(values)
         assert values[0] == pytest.approx(np.sqrt(1 / 1.5), abs=1e-12)
 
+    def test_header_from_flags(self, tmp_path):
+        # the second line records the generator's flags; readers skip it as a comment
+        out = tmp_path / "seq.csv"
+        assert run(["gen-seq", "--density", "0.9", "--count", "4", "--seed", "7",
+                    "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# pauli-lab ") and lines[0].endswith(" seed=7")
+        assert lines[1] == "# p=2.0 D=0.9 seed=7"
+        assert len(lines) == 6
+
 
 class TestConstructVerify:
     def test_freq_matched_pipeline(self, tmp_path):
@@ -120,6 +130,27 @@ class TestConstructVerify:
         assert run(["verify", "--pair", str(pair_file), "--out", str(tmp_path / "r.json")]) == 0
         # the retained set and the time grid, then the frequency grid
         assert interpolant_calls == {"eval": 2, "eval_hat": 1}
+
+    @pytest.mark.parametrize("kind, decay", [("time", "0.5"), ("freq-matched", "0.6")])
+    @pytest.mark.parametrize("points", ["0\n", "0\n0.7\n1.1\n1.5\n"], ids=["zero", "zero-first"])
+    def test_point_zero_in_product_pair(self, tmp_path, kind, decay, points):
+        # 0 is the odd part's first point, where the odd factor already vanishes
+        lam, pair_file, report = tmp_path / "lam.csv", tmp_path / "pair.json", tmp_path / "r.json"
+        lam.write_text(points)
+        assert run(["construct", kind, "--A", decay, "--lam", str(lam), "--out", str(pair_file)]) == 0
+        assert run(["verify", "--pair", str(pair_file), "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["residuals"] == {"freq": 0.0, "time": 0.0}
+
+    @pytest.mark.parametrize("kind, decay", [("non-weak", "0.5"), ("non-weak", "0.9"),
+                                             ("freq-matched", "0.9")])
+    def test_point_zero_in_vanishing_pair_exit_one(self, tmp_path, capsys, kind, decay):
+        lam = tmp_path / "lam.csv"
+        lam.write_text("0\n")
+        assert run(["construct", kind, "--A", decay, "--lam", str(lam),
+                    "--out", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err == ("check failed: the time set holds the point 0, where "
+                                           "the even vanishing generators cannot vanish\n")
+        assert not (tmp_path / "x.json").exists()
 
     def test_infeasible_density_exit_one(self, tmp_path):
         code = run(["construct", "freq-matched", "--A", "0.5", "--D", "2.5",

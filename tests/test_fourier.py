@@ -133,11 +133,11 @@ class TestPhaseSum:
 
     def test_coefficients_combine_rows(self):
         t = np.linspace(-1.0, 1.0, 5) + 0.1j
-        coeffs = np.array([[1.0, 0.5j], [-2.0, 0.0], [0.25, 1.0 - 1.0j]])
+        coeffs = np.array([1.0 + 0.5j, -2.0, 0.25 - 1.0j])
         combined = fourier.phase_sum(self.VALUES, self.SMALL, t, inverse=True, coeffs=coeffs)
         rows = fourier.phase_sum(self.VALUES, self.SMALL, t, inverse=True)
-        assert combined.shape == (2, 5)
-        assert np.max(np.abs(combined - coeffs.T @ rows)) < 1e-13 * np.max(np.abs(rows))
+        assert combined.shape == (5,)
+        assert np.max(np.abs(combined - coeffs @ rows)) < 1e-13 * np.max(np.abs(rows))
 
     def test_transform_values_error_is_the_richardson_difference(self):
         x = self.SMALL.grid()
@@ -215,10 +215,10 @@ class TestUniformPhaseSum:
 
     def test_stacked_rows_with_coefficients(self):
         t = np.linspace(-4.0, 4.0, 161)
-        coeffs = np.array([[1.0, 0.5j], [-2.0, 0.0], [0.25, 1.0 - 1.0j]])
+        coeffs = np.array([1.0 + 0.5j, -2.0, 0.25 - 1.0j])
         combined = fourier.phase_sum(self.ROWS, self.SPEC, t, inverse=True, coeffs=coeffs)
-        ref = coeffs.T @ long_double_sums(self.ROWS, self.SPEC, t, 1.0)
-        assert combined.shape == (2, 161)
+        ref = coeffs @ long_double_sums(self.ROWS, self.SPEC, t, 1.0)
+        assert combined.shape == (161,)
         assert np.max(np.abs(combined - ref)) < 2e-15 * float(np.max(np.abs(ref)))
         one = fourier.phase_sum(self.ROWS[1], self.SPEC, t)
         assert one.shape == (161,)

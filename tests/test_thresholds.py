@@ -61,8 +61,11 @@ class TestClosedForms:
         assert th.split_bound_argmax(0.25) == pytest.approx(X_A_AT_QUARTER, abs=1e-14)
         assert th.gaussian_rate_base(0.5) == pytest.approx(1.0, abs=1e-14)
         assert th.gaussian_rate_base(0.75) == pytest.approx(0.75, abs=1e-14)
-        with pytest.raises(th.DomainError):
-            th.gaussian_rate_base(0.9)
+        # the time pair uses the same rate base up to A = 1
+        assert th.gaussian_rate_base(0.9) == 0.9
+        for bad in (0.0, 1.0):
+            with pytest.raises(th.DomainError):
+                th.gaussian_rate_base(bad)
 
     def test_cross_assignment_reaches_bound(self):
         # optimal split for small A: (a1, b1) = (A, x_A/A), (a2, b2) swapped
@@ -95,17 +98,12 @@ class TestWeakBoundOracle:
         assert x == pytest.approx(X_A_AT_QUARTER, abs=1e-6)
 
     def test_matches_threshold_across_range(self):
-        # acceptance-grade sweep at reduced size: 20 values in (0, sqrt(3)/2)
-        grid_size = 4096
+        # the AC-2 sweep: 20 values in (0, sqrt(3)/2), argmax within a grid step
         for a in np.linspace(0.04, np.sqrt(3) / 2 - 0.01, 20):
-            val, x = th.weak_bound_oracle(a, grid_size=grid_size)
+            val, x = th.weak_bound_oracle(a)
             assert val == pytest.approx((th.weak_pair_threshold(a) / 2) ** 2, abs=1e-6)
-            step = (1 - a * a) / grid_size
+            step = (1 - a * a) / th.ORACLE_GRID_SIZE
             assert abs(x - th.split_bound_argmax(a)) <= step
-
-    def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            th.weak_bound_oracle(0.5, grid_size=10)
 
 
 class TestUniquenessBounds:
