@@ -103,23 +103,32 @@ def indicator_estimate(model: ProductModel, theta: float) -> IndicatorEstimate:
     lo, hi = float(np.min(t)), float(np.max(t))
     windows = 6
     width = (hi - lo) * 2.0 / (windows + 1)
-    slopes, resids = [], []
-    for k in range(windows):
-        a = lo + k * width / 2.0
-        sel = (t >= a) & (t <= a + width)
-        if np.count_nonzero(sel) < 4:
-            continue
-        coef = np.polyfit(t[sel], y[sel], 1)
-        slopes.append(float(coef[0]))
-        resids.append(float(np.sqrt(np.mean((np.polyval(coef, t[sel]) - y[sel]) ** 2))))
-    if not slopes:
-        coef = np.polyfit(t, y, 1)
-        slopes = [float(coef[0])]
-        resids = [float(np.sqrt(np.mean((np.polyval(coef, t) - y) ** 2)))]
+    starts = lo + np.arange(windows) * (width / 2.0)
+    sel = (t >= starts[:, None]) & (t <= starts[:, None] + width)
+    sel = sel[np.count_nonzero(sel, axis=1) >= 4]
+    if not len(sel):
+        sel = np.ones((1, len(t)), dtype=bool)
+    slopes, resids = _window_fits(sel, t, y)
     best = int(np.argmax(slopes))
     spread = float(np.max(slopes) - np.min(slopes))
-    return IndicatorEstimate(theta=float(theta), h_hat=slopes[best], residual=resids[best],
-                             window=(lo, hi), n_masked=n_masked, spread=spread)
+    return IndicatorEstimate(theta=float(theta), h_hat=float(slopes[best]),
+                             residual=float(resids[best]), window=(lo, hi),
+                             n_masked=n_masked, spread=spread)
+
+
+def _window_fits(sel: np.ndarray, t: np.ndarray, y: np.ndarray) -> tuple:
+    """Least-squares slopes and RMS residuals of y against t, one per row of ``sel``.
+
+    Each row's fit is taken about its own means: y reaches hundreds in
+    magnitude along a ray, and uncentred sums would round away the residuals
+    of nearly straight rows.
+    """
+    count = np.count_nonzero(sel, axis=1)
+    dt = np.where(sel, t - (sel @ t / count)[:, None], 0.0)
+    dy = np.where(sel, y - (sel @ y / count)[:, None], 0.0)
+    slopes = np.einsum("ij,ij->i", dt, dy) / np.einsum("ij,ij->i", dt, dt)
+    resid = dy - slopes[:, None] * dt
+    return slopes, np.sqrt(np.einsum("ij,ij->i", resid, resid) / count)
 
 
 def trig_convexity_check(estimates: list[IndicatorEstimate]) -> tuple[bool, float]:

@@ -15,13 +15,16 @@ get a block-factored dense sum: with the nodes cut into blocks of about
 sqrt(nodes)/2, each phase is a block phase times an in-block phase, so a
 target takes O(sqrt(nodes)) exponentials, and the rest is one matrix
 product of the reshaped rows and a reduction over the blocks, taken in
-target slices of at most ``DENSE_CHUNK_BYTES``.
+target slices of at most ``DENSE_CHUNK_BYTES``.  A chirp-z sum's factors
+that depend only on the grid and the targets are kept for the last
+``CHIRP_PLANS`` combinations of grid, targets and sign, so repeated sums
+build them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,6 +33,9 @@ import numpy as np
 DENSE_CHUNK_BYTES = 8 << 20
 # below this many uniform targets the dense sum is faster than the chirp-z FFTs
 CHIRP_MIN_TARGETS = 32
+# chirp-z plans kept: the verify of a product pair sums on one, that of an
+# assembled pair forward and inverse on one grid, which takes two
+CHIRP_PLANS = 2
 _SPLITTER = 2.0**27 + 1.0
 
 
@@ -112,7 +118,7 @@ class TransformResult:
 
 
 def envelope_fit(x: np.ndarray, log_mag: np.ndarray) -> EnvelopeFit:
-    """Least squares of log|f| against -pi*x^2.
+    """Least squares of log|f| against -pi*x^2, in the centred closed form.
 
     Non-finite samples are dropped (callers mask zeros beforehand).  Raises
     when fewer than 8 finite samples remain or when the x^2 design column is
@@ -125,11 +131,14 @@ def envelope_fit(x: np.ndarray, log_mag: np.ndarray) -> EnvelopeFit:
     if len(x) < 8:
         raise InsufficientDataError(f"need >= 8 finite samples, got {len(x)}")
     col = -np.pi * x * x
-    if np.std(col) < 1e-12 * max(1.0, np.max(np.abs(col))):
+    col_mean, y_mean = col.sum() / len(x), y.sum() / len(x)
+    dc = col - col_mean
+    ss = dc @ dc
+    # the column's standard deviation against its scale
+    if np.sqrt(ss / len(x)) < 1e-12 * max(1.0, np.max(np.abs(col))):
         raise DegenerateFitError("x^2 design column has near-zero variance")
-    design = np.column_stack([np.ones_like(col), col])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return EnvelopeFit(rate=float(coef[1]), intercept=float(coef[0]))
+    rate = float(dc @ (y - y_mean) / ss)
+    return EnvelopeFit(rate=rate, intercept=float(y_mean - rate * col_mean))
 
 
 def _tail_bound(x: np.ndarray, fx: np.ndarray) -> float:
@@ -281,6 +290,29 @@ def _cis(turns: np.ndarray) -> np.ndarray:
     return np.exp(2.0j * np.pi * turns)
 
 
+@lru_cache(maxsize=CHIRP_PLANS)
+def _chirp_plan(nodes: int, h: float, count: int, c: int, t_c: float, dt: float,
+                sign: float) -> tuple:
+    """The factors of ``_chirp_sum`` that depend only on the grid and the targets.
+
+    Returns (pre-modulation, n h weights, kernel FFT, post-chirp), read-only.
+    """
+    n = np.arange(nodes + 1) - nodes // 2
+    m = np.arange(count) - c
+    size = 1 << (nodes + count - 1).bit_length()
+    pre = _cis(sign * (_turns(n * n, h, dt / 2.0) + _turns(n, h, t_c)))
+    # kernel at the index differences m - n in [-nodes, count - 1], stored
+    # circularly so that the cyclic convolution of length size is the linear one
+    q = np.arange(-nodes, count)
+    k = q + (nodes // 2 - c)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[q] = _cis(-sign * _turns(k * k, h, dt / 2.0))
+    plan = (pre, n * h, np.fft.fft(kernel), _cis(sign * _turns(m * m, h, dt / 2.0)))
+    for factor in plan:
+        factor.flags.writeable = False
+    return plan
+
+
 def _chirp_sum(rows: np.ndarray, spec: QuadratureSpec, c: int, t_c: float, dt: float,
                offsets: np.ndarray, sign: float) -> np.ndarray:
     """Bluestein's chirp-z form of the sums at the targets t_c + (m - c) dt + offsets.
@@ -292,24 +324,17 @@ def _chirp_sum(rows: np.ndarray, spec: QuadratureSpec, c: int, t_c: float, dt: f
     last axis for every row at once.  Centring keeps |k| <= (nodes + targets)/2,
     and every phase is reduced exactly in turns before the exponential.  The
     few-ulp offsets enter to first order through the sums of x_n-weighted rows.
-    The nodes are taken as exactly n h, which spec.grid() rounds.
+    The nodes are taken as exactly n h, which spec.grid() rounds.  The
+    factors of the grid and targets come from ``_chirp_plan``.
     """
     nodes, count = spec.nodes, len(offsets)
     h = 2.0 * spec.half_width / nodes
-    n = np.arange(nodes + 1) - nodes // 2
-    m = np.arange(count) - c
-    size = 1 << (nodes + count - 1).bit_length()
-    buf = np.zeros((2,) + rows.shape[:-1] + (size,), dtype=complex)
-    buf[..., :nodes + 1] = rows * _cis(sign * (_turns(n * n, h, dt / 2.0) + _turns(n, h, t_c)))
-    buf[1, ..., :nodes + 1] *= n * h
-    # kernel at the index differences m - n in [-nodes, count - 1], stored
-    # circularly so that the cyclic convolution of length size is the linear one
-    q = np.arange(-nodes, count)
-    k = q + (nodes // 2 - c)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[q] = _cis(-sign * _turns(k * k, h, dt / 2.0))
-    conv = np.fft.ifft(np.fft.fft(buf, axis=-1) * np.fft.fft(kernel), axis=-1)
-    sums = conv[..., :count] * _cis(sign * _turns(m * m, h, dt / 2.0))
+    pre, nh, kernel_fft, post = _chirp_plan(nodes, h, count, c, t_c, dt, sign)
+    buf = np.zeros((2,) + rows.shape[:-1] + kernel_fft.shape, dtype=complex)
+    buf[..., :nodes + 1] = rows * pre
+    buf[1, ..., :nodes + 1] *= nh
+    conv = np.fft.ifft(np.fft.fft(buf, axis=-1) * kernel_fft, axis=-1)
+    sums = conv[..., :count] * post
     return sums[0] + sums[1] * (sign * 2.0j * np.pi * offsets)
 
 

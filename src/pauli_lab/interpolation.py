@@ -343,6 +343,14 @@ def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60)
 # -- generator assembly -------------------------------------------------------
 
 
+def _reject_origin(name: str, points: np.ndarray) -> None:
+    """Raise CheckFailedError when the named set holds the point 0, where the
+    even vanishing generators cannot vanish."""
+    if np.any(points == 0.0):
+        raise CheckFailedError(f"the {name} set holds the point 0, where the even "
+                               f"vanishing generators cannot vanish")
+
+
 def vanishing_generator(points_pos: np.ndarray, gauss_rate: float,
                         density: float | None = None) -> ProductModel:
     """Gaussian-times-quartic model vanishing at +-points (square-root profile tail)."""
@@ -370,15 +378,18 @@ def make_problem(lam_set: SampledSet, mu_set: SampledSet, alpha_map, beta_map,
     """Windowed problem with generated vanishing models.
 
     ``alpha_map``/``beta_map`` are callables point -> complex (or None for
-    all-zero data).
+    all-zero data).  A set whose generator is made here must not hold the
+    point 0 (``_reject_origin``).
     """
     lam_win = lam_set.restricted(inner_cut, outer_radius).points
     mu_win = mu_set.restricted(inner_cut, outer_radius).points
     alpha = np.array([alpha_map(v) for v in lam_win], dtype=complex) if alpha_map else np.zeros(len(lam_win), complex)
     beta = np.array([beta_map(v) for v in mu_win], dtype=complex) if beta_map else np.zeros(len(mu_win), complex)
     if time_gen is None:
+        _reject_origin("time", lam_set.points)
         time_gen = vanishing_generator(lam_set.symmetrized().positive, weight_a)
     if freq_gen is None:
+        _reject_origin("frequency", mu_set.points)
         freq_gen = vanishing_generator(mu_set.symmetrized().positive, weight_b)
     return InterpolationProblem(
         lam=lam_win, mu=mu_win, alpha=alpha, beta=beta,
@@ -428,10 +439,8 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
     """
     lam_sym = lam_set.symmetrized()
     mu_sym = mu_set.symmetrized()
-    for name, points in (("time", lam_sym.points), ("frequency", mu_sym.points)):
-        if np.any(points == 0.0):
-            raise CheckFailedError(f"the {name} set holds the point 0, where the even "
-                                   f"vanishing generators cannot vanish")
+    _reject_origin("time", lam_sym.points)
+    _reject_origin("frequency", mu_sym.points)
     d_lam = half_density(lam_sym.positive)
     d_mu = half_density(mu_sym.positive)
     bound_l, bound_m = uniqueness_density_bounds(DecayParams(weight_a, weight_b))

@@ -23,7 +23,7 @@ class SampledSet:
     ``negative`` holds the points below 0 and ``positive`` the rest: the
     point 0, when present, belongs to the nonnegative half.  The CSV form is
     one point per line; blank lines and lines starting with ``#`` are
-    skipped when read.
+    skipped when read.  An infinite or NaN point raises ValueError naming it.
     """
 
     points: np.ndarray
@@ -33,6 +33,9 @@ class SampledSet:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1:
             raise ValueError("points must be one-dimensional")
+        bad = pts[~np.isfinite(pts)]
+        if len(bad):
+            raise ValueError(f"points must be finite, got {float(bad[0])!r}")
         if len(pts) > 1 and not np.all(np.diff(pts) > 0):
             raise ValueError("points must be strictly increasing")
 

@@ -73,6 +73,61 @@ class TestIndicatorEstimate:
             asy.indicator_estimate(ProductModel(amplitude=0.0), 0.0)
 
 
+def polyfit_windows(t, y):
+    """Reference window fits: one np.polyfit per half-overlapping window."""
+    lo, hi = float(np.min(t)), float(np.max(t))
+    width = (hi - lo) * 2.0 / 7
+    slopes, resids = [], []
+    for k in range(6):
+        a = lo + k * width / 2.0
+        sel = (t >= a) & (t <= a + width)
+        if np.count_nonzero(sel) >= 4:
+            coef = np.polyfit(t[sel], y[sel], 1)
+            slopes.append(coef[0])
+            resids.append(np.sqrt(np.mean((np.polyval(coef, t[sel]) - y[sel]) ** 2)))
+    if not slopes:
+        coef = np.polyfit(t, y, 1)
+        slopes, resids = [coef[0]], [np.sqrt(np.mean((np.polyval(coef, t) - y) ** 2))]
+    best = int(np.argmax(slopes))
+    return slopes[best], resids[best], max(slopes) - min(slopes)
+
+
+class TestWindowFits:
+    """The one-pass centred fits against per-window np.polyfit."""
+
+    MODELS = {
+        "gaussian": lambda: gaussian_model(0.8),
+        "pure-tail profile": lambda: profile_product(np.empty(0), HALF_DENSITY, gauss_rate=1.0),
+        "sinc": lambda: sinc_product(700),
+        "explicit-zero profile": lambda: profile_product(
+            np.sqrt(np.arange(1, 200) / HALF_DENSITY), HALF_DENSITY, gauss_rate=GAMMA),
+        # 10 gap midpoints on the zero ray: no window holds 4, so the global fit runs
+        "few zeros": lambda: ProductModel(zeros=np.linspace(1.0, 11.0, 11), gauss_rate=0.3,
+                                          quartic=True),
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2, np.pi, -np.pi / 2, 0.3, -1.0, 2.4])
+    def test_matches_polyfit(self, monkeypatch, name, theta):
+        seen = []
+        fits = asy._window_fits
+
+        def spy(sel, t, y):
+            seen.append((sel.shape[0], t, y))
+            return fits(sel, t, y)
+
+        monkeypatch.setattr(asy, "_window_fits", spy)
+        est = asy.indicator_estimate(self.MODELS[name](), theta)
+        (rows, t, y), = seen
+        h_hat, residual, spread = polyfit_windows(t, y)
+        assert est.h_hat == pytest.approx(h_hat, rel=0, abs=1e-12)
+        assert est.spread == pytest.approx(spread, rel=0, abs=1e-12)
+        assert est.residual == pytest.approx(residual, rel=1e-9, abs=1e-12)
+        if name == "few zeros" and theta in (0.0, np.pi):
+            # the fallback: one fit over every node
+            assert rows == 1 and est.spread == 0.0
+
+
 class TestTrigConvexity:
     def test_gaussian_equality_case(self):
         g = gaussian_model(1.0)

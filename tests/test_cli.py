@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from pauli_lab import CheckFailedError, cli
+from pauli_lab import CheckFailedError, cli, fourier
 from pauli_lab import constructions as con
 from pauli_lab import interpolation as itp
 from pauli_lab import pauli_verify as pv
@@ -151,6 +151,16 @@ class TestConstructVerify:
         assert capsys.readouterr().err == ("check failed: the time set holds the point 0, where "
                                            "the even vanishing generators cannot vanish\n")
         assert not (tmp_path / "x.json").exists()
+
+    def test_time_pair_verify_builds_one_chirp_plan(self, tmp_path):
+        # both parts share one quadrature and one frequency grid
+        pair_file = tmp_path / "pair.json"
+        assert run(["construct", "time", "--A", "0.5", "--count", "64",
+                    "--out", str(pair_file)]) == 0
+        fourier._chirp_plan.cache_clear()
+        assert run(["verify", "--pair", str(pair_file), "--out", str(tmp_path / "r.json")]) == 0
+        info = fourier._chirp_plan.cache_info()
+        assert info.misses == 1 and info.hits >= 1
 
     def test_infeasible_density_exit_one(self, tmp_path):
         code = run(["construct", "freq-matched", "--A", "0.5", "--D", "2.5",
@@ -357,6 +367,41 @@ class TestInterp:
             "of lambda and mu\n")
         assert not out_dir.exists()
 
+    # the problem README.md shows
+    README_PROBLEM = {"lambda": [-2.0, -1.0, 1.0, 2.0], "mu": [-1.5, 1.5],
+                      "alpha": {"1.0": [1.0, 0.0]}, "weight_a": 0.5, "weight_b": 0.5,
+                      "outer_radius": 2.5}
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("lambda", float("inf"), "inf"), ("mu", float("nan"), "nan"),
+        ("mu", float("-inf"), "-inf")])
+    def test_non_finite_point_rejected(self, tmp_path, capsys, key, value, shown):
+        # JSON Infinity in lambda once warned, then exited 1 on a window cut
+        # that dropped 4 of the 6 data points
+        problem = {**self.README_PROBLEM, key: self.README_PROBLEM[key] + [value]}
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps(problem))
+        assert "Infinity" in cfg.read_text() or "NaN" in cfg.read_text()
+        out_dir = tmp_path / "run"
+        assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: points must be finite, got {shown}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key, name", [("lambda", "time"), ("mu", "frequency")])
+    def test_point_zero_exit_one(self, tmp_path, capsys, key, name):
+        # exited 2 with the generator's internal "zeros must be strictly
+        # increasing and positive"
+        problem = {**self.README_PROBLEM, key: sorted(self.README_PROBLEM[key] + [0.0])}
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps(problem))
+        out_dir = tmp_path / "run"
+        assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"check failed: the {name} set holds the point 0, where the even vanishing "
+            "generators cannot vanish\n")
+        assert not out_dir.exists()
+
     def test_problem_not_an_object_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "problem.json"
         cfg.write_text("3")
@@ -436,6 +481,20 @@ class TestUsageErrors:
         assert run(["construct", "non-weak", "--A", "0.5", "--count", "16", flag, str(empty),
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"configuration error: {flag} {empty} holds no points\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["time", "non-weak"])
+    @pytest.mark.parametrize("points, shown", [("1.0\ninf\n", "inf"), ("1.0\nnan\n2.0\n", "nan"),
+                                               ("-inf\n1.0\n", "-inf")])
+    def test_construct_non_finite_point_rejected(self, tmp_path, capsys, kind, points, shown):
+        # inf once ended in "cannot convert float NaN to integer", nan in
+        # "points must be strictly increasing"
+        lam = tmp_path / "lam.csv"
+        lam.write_text(points)
+        out = tmp_path / "pair.json"
+        assert run(["construct", kind, "--A", "0.5", "--lam", str(lam), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: points must be finite, got {shown}\n")
         assert not out.exists()
 
     def test_verify_pair_without_points_rejected(self, time_pair, tmp_path, capsys):

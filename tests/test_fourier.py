@@ -264,6 +264,31 @@ class TestUniformPhaseSum:
         for a, b in zip(whole, chunked):
             assert np.max(np.abs(a - b)) < 1e-15 * np.max(np.abs(a))
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("rows", [ROWS[1], ROWS], ids=["one-row", "k-rows"])
+    def test_plan_reuse_is_bit_identical(self, inverse, rows):
+        targets = np.linspace(-5.0, 5.0, 301)
+        fourier._chirp_plan.cache_clear()
+        cold = fourier.phase_sum(rows, self.SPEC, targets, inverse=inverse)
+        warm = fourier.phase_sum(rows, self.SPEC, targets, inverse=inverse)
+        # a second grid in between leaves the first plan cached
+        fourier.phase_sum(rows, self.SPEC, np.linspace(0.3, 7.1, 100), inverse=inverse)
+        again = fourier.phase_sum(rows, self.SPEC, targets, inverse=inverse)
+        assert fourier._chirp_plan.cache_info()[:2] == (2, 2)  # hits, misses
+        assert np.array_equal(cold, warm) and np.array_equal(cold, again)
+
+    def test_plans_are_few_and_read_only(self):
+        assert fourier._chirp_plan.cache_info().maxsize == fourier.CHIRP_PLANS <= 2
+        h = 2.0 * self.SPEC.half_width / self.SPEC.nodes
+        plan = fourier._chirp_plan(self.SPEC.nodes, h, 301, 150, 0.0, 10.0 / 300, -1.0)
+        for factor in plan:
+            assert not factor.flags.writeable
+        # one row and stacked rows share the plan of their grid
+        fourier._chirp_plan.cache_clear()
+        fourier.phase_sum(self.ROWS[0], self.SPEC, np.linspace(-5.0, 5.0, 301))
+        fourier.phase_sum(self.ROWS, self.SPEC, np.linspace(-5.0, 5.0, 301))
+        assert fourier._chirp_plan.cache_info().misses == 1
+
     def test_memory_stays_linear(self):
         spec = fourier.QuadratureSpec(half_width=5.87, nodes=4096)
         fx = np.exp(-0.5 * np.pi * spec.grid()**2).astype(complex)
@@ -373,6 +398,25 @@ class TestEnvelopeFit:
         fit = fourier.envelope_fit(mids, model.log_abs(mids))
         assert fit.rate == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("case", ["noisy", "outer-window"])
+    def test_matches_lstsq(self, case):
+        rng = np.random.default_rng(11)
+        if case == "noisy":
+            x = np.sort(rng.uniform(-6.0, 6.0, 40))
+            y = 3.0 - 0.8 * np.pi * x * x + rng.normal(scale=0.5, size=40)
+            y[::7] = -np.inf  # dropped, as the zeros of a masked product
+        else:
+            # the tail bound's fit: the outer 30% of a grid, a narrow x^2 range
+            x = np.linspace(0.7 * 7.0, 7.0, 150)
+            y = np.log(np.exp(-0.6 * np.pi * x * x) * (1.2 + 0.3 * np.sin(4.0 * x)))
+        fit = fourier.envelope_fit(x, y)
+        keep = np.isfinite(y)
+        col = -np.pi * x[keep] ** 2
+        coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(col), col]), y[keep],
+                                   rcond=None)
+        assert fit.rate == pytest.approx(coef[1], rel=1e-12)
+        assert fit.intercept == pytest.approx(coef[0], rel=1e-12)
+
     def test_constant_function_rate_zero(self):
         x = np.linspace(-3, 3, 50)
         fit = fourier.envelope_fit(x, np.zeros_like(x))
@@ -384,8 +428,13 @@ class TestEnvelopeFit:
             fourier.envelope_fit(x, np.ones(20))
 
     def test_insufficient(self):
-        with pytest.raises(fourier.InsufficientDataError):
+        with pytest.raises(fourier.InsufficientDataError, match="got 4"):
             fourier.envelope_fit(np.arange(4.0), np.arange(4.0))
+        # non-finite samples do not count
+        y = np.arange(10.0)
+        y[[2, 5, 7]] = [np.nan, -np.inf, np.inf]
+        with pytest.raises(fourier.InsufficientDataError, match="got 7"):
+            fourier.envelope_fit(np.arange(10.0), y)
 
 
 class TestHardyCheck:

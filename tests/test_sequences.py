@@ -51,6 +51,16 @@ class TestSampledSet:
         with pytest.raises(ValueError):
             seq.SampledSet(points=np.array([1.0, 1.0, 2.0]))
 
+    @pytest.mark.parametrize("points, shown", [([1.0, np.inf], "inf"), ([np.nan, 1.0], "nan"),
+                                               ([-np.inf, np.nan], "-inf")])
+    def test_non_finite_rejected(self, points, shown):
+        with pytest.raises(ValueError, match=f"^points must be finite, got {shown}$"):
+            seq.SampledSet(points=np.array(points))
+
+    def test_csv_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="^points must be finite, got inf$"):
+            seq.SampledSet.from_csv("# header\n1.0\ninf\n")
+
     def test_counting_examples(self):
         s = profile(count=100)
         assert s.counting(3.0) == 8
