@@ -58,11 +58,10 @@ def _on_zero_ray(model: ProductModel, zeros: np.ndarray, theta: float, order2: b
                for a in zero_angles)
 
 
-def _zero_ray_mask(model: ProductModel, zeros: np.ndarray, theta: float, r: np.ndarray,
-                   order2: bool) -> np.ndarray:
+def _zero_ray_mask(zeros: np.ndarray, r: np.ndarray, on_zero_ray: bool) -> np.ndarray:
     """True where the node is kept; excludes disk neighbourhoods of zeros on the ray."""
     keep = np.ones(len(r), dtype=bool)
-    if not _on_zero_ray(model, zeros, theta, order2):
+    if not on_zero_ray:
         return keep
     # half the measured separation keeps the exclusion disks disjoint
     c = 0.5 * (separation_check(SampledSet(points=zeros), 2.0) if len(zeros) >= 2 else 0.5)
@@ -84,12 +83,13 @@ def indicator_estimate(model: ProductModel, theta: float) -> IndicatorEstimate:
     zeros = model.zeros_upto(r_max + 1.0)
     r_lo = max(0.08 * r_max, 0.5)
     zs = zeros[(zeros > r_lo) & (zeros < r_max)]
-    if _on_zero_ray(model, zeros, theta, order2) and len(zs) >= 9:
+    on_zero_ray = _on_zero_ray(model, zeros, theta, order2)
+    if on_zero_ray and len(zs) >= 9:
         # gap midpoints carry the product's envelope between the log dips
         r = 0.5 * (zs[:-1] + zs[1:])
     else:
         r = np.linspace(r_lo, r_max, 320)
-    keep = _zero_ray_mask(model, zeros, theta, r, order2)
+    keep = _zero_ray_mask(zeros, r, on_zero_ray)
     pts = r * np.exp(1j * theta)
     y = model.log_abs(pts)
     keep &= np.isfinite(y)

@@ -182,12 +182,11 @@ def cmd_verify(args) -> int:
     grid = np.linspace(-args.grid_radius, args.grid_radius, args.grid_points)
     report = pv.pair_report(pair, lam, mu, grid, grid,
                             discrete_tol=args.tol_discrete, weak_tol=args.tol_weak)
-    payload = json.loads(report.to_json())
-    payload["provenance"] = {"tool": f"pauli-lab {__version__}",
-                             "config": _config_hash(args),
-                             "seed": pair.provenance.get("seed"),
-                             "pair_kind": kind}
-    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    report["provenance"] = {"tool": f"pauli-lab {__version__}",
+                            "config": _config_hash(args),
+                            "seed": pair.provenance.get("seed"),
+                            "pair_kind": kind}
+    _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     null_branch = pair.provenance.get("branch") == "null_space"
     expected = {
         "frequency_matched": lambda v: v["discrete_pair"] and (null_branch or v["weak_pair_freq"]),
@@ -195,7 +194,7 @@ def cmd_verify(args) -> int:
         "non_weak": lambda v: v["discrete_pair"] and (null_branch or v["non_weak"]),
     }
     check = expected.get(kind, lambda v: v["discrete_pair"])
-    return 0 if check(report.verdicts) else 1
+    return 0 if check(report["verdicts"]) else 1
 
 
 def cmd_ft(args) -> int:

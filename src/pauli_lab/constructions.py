@@ -1,9 +1,10 @@
 """Counterexample pair constructions.
 
-All pairs have the shape f = Phi + e^{i theta} Psi, g = Phi - e^{i theta} Psi,
-with Phi vanishing on one interleaved part of the sampling set and Psi on the
-other, so the sampled moduli agree by construction while the global moduli
-generically differ.  Three builders:
+All pairs have the shape f = Phi + Psi, g = Phi - Psi, with Phi vanishing on
+one interleaved part of the sampling set and Psi on the other, so the sampled
+moduli agree by construction while the global moduli generically differ.
+Every builder makes Phi and Psi real on the real line, so
+|f|^2 - |g|^2 = 4 Phi Psi there.  Three builders:
 
 * time pair: product models, matching samples on a time set only;
 * frequency-matched pair: even Phi and odd Psi (both real), whose transforms
@@ -40,7 +41,7 @@ class ParameterInfeasibleError(ValueError, CheckFailedError):
 
 
 class DegeneratePhaseError(ValueError, CheckFailedError):
-    """The theta = 0 witness Re(phi * conj(psi)) vanishes on every grid."""
+    """The witness Re(phi * conj(psi)) of |f| != |g| vanishes on every grid."""
 
 
 class ModelEvaluator:
@@ -66,20 +67,15 @@ class ModelEvaluator:
 
 @dataclass
 class PairConstruction:
-    """f = phi + e^{i vartheta} psi and g = phi - e^{i vartheta} psi."""
+    """f = phi + psi and g = phi - psi."""
 
     phi: object
     psi: object
-    vartheta: float
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def _rot(self) -> complex:
-        return np.exp(1j * self.vartheta) if self.vartheta != 0.0 else 1.0 + 0.0j
-
-    def combine(self, phi, psi):
+    @staticmethod
+    def combine(phi, psi):
         """(f, g) from the values of phi and psi at the same points."""
-        psi = self._rot * psi
         return phi + psi, phi - psi
 
     def fg(self, x):
@@ -121,7 +117,7 @@ class PairConstruction:
             raise TypeError(f"cannot serialize evaluator {type(part)!r}")
 
         return json.dumps({"phi": encode(self.phi), "psi": encode(self.psi),
-                           "vartheta": self.vartheta, "provenance": self.provenance},
+                           "vartheta": 0.0, "provenance": self.provenance},
                           indent=2, sort_keys=True)
 
 
@@ -159,27 +155,27 @@ def pair_from_json(text: str) -> PairConstruction:
     """The pair ``PairConstruction.to_json`` wrote; identical parts decode to
     one shared evaluator, as ``_null_space_pair`` built them."""
     obj = json.loads(text)
+    if obj["vartheta"] != 0.0:
+        raise ValueError(f"pair JSON sets 'vartheta' to {obj['vartheta']!r}; the pairs "
+                         "are f = phi + psi and g = phi - psi, with vartheta = 0.0")
     phi = _decode_evaluator(obj["phi"])
     psi = phi if obj["psi"] == obj["phi"] else _decode_evaluator(obj["psi"])
-    return PairConstruction(phi=phi, psi=psi, vartheta=float(obj["vartheta"]),
-                            provenance=dict(obj.get("provenance", {})))
+    return PairConstruction(phi=phi, psi=psi, provenance=dict(obj.get("provenance", {})))
 
 
-def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None = None) -> float:
-    """The rotation theta = 0, once its witness of the non-identities is checked.
+def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None = None) -> None:
+    """Check the witness of the non-identities |f| != |g| of f = phi + psi, g = phi - psi.
 
     Every builder makes phi and psi real on the real line, and the non-weak
-    parts' transforms real as well, so |f|^2 - |g|^2 = 4 cos(theta) phi psi
-    and no rotation beats theta = 0.  Raises DegeneratePhaseError when the
-    witness max |Re(phi * conj(psi))| vanishes on the time grid and on the
-    frequency grid, when one is supplied.
+    parts' transforms real as well, so |f|^2 - |g|^2 = 4 phi psi.  Raises
+    DegeneratePhaseError when the witness max |Re(phi * conj(psi))| vanishes
+    on the time grid and on the frequency grid, when one is supplied.
     """
     cross = [phi.eval(time_grid) * np.conj(psi.eval(time_grid))]
     if freq_grid is not None:
         cross.append(phi.eval_hat(freq_grid) * np.conj(psi.eval_hat(freq_grid)))
     if all(np.max(np.abs(np.real(c))) == 0.0 for c in cross):
-        raise DegeneratePhaseError("the theta = 0 witness vanishes on every grid")
-    return 0.0
+        raise DegeneratePhaseError("the witness Re(phi * conj(psi)) vanishes on every grid")
 
 
 def _pick_headroom(half_density: float, rate_base: float, freq_rate: float) -> float:
@@ -223,7 +219,7 @@ def _null_space_pair(lam: SampledSet, mu: SampledSet, density_cap: float,
     f = func.interpolant
     # halving the coefficients is exact, so f = phi + psi bit for bit
     half = AssembledInterpolant(f.problem, 0.5 * f.alpha, 0.5 * f.beta)
-    return PairConstruction(phi=half, psi=half, vartheta=0.0, provenance=provenance)
+    return PairConstruction(phi=half, psi=half, provenance=provenance)
 
 
 def _product_pair(points: SampledSet, decay: float, cap: float, rate_base: float,
@@ -260,7 +256,7 @@ def _product_pair(points: SampledSet, decay: float, cap: float, rate_base: float
                          quad)
     provenance.update({"decay": decay, "eps": eps, "gamma": gamma, "half_density": d_half,
                        "threshold": cap, "count": len(points.points)})
-    return PairConstruction(phi=phi, psi=psi, vartheta=0.0, provenance=provenance)
+    return PairConstruction(phi=phi, psi=psi, provenance=provenance)
 
 
 def _extended_model(zeros_pos: np.ndarray, half_density: float, gamma: float,
@@ -279,13 +275,11 @@ def build_time_pair(lam: SampledSet, decay: float) -> PairConstruction:
     """Pair with matching moduli at every point of a two-sided time set.
 
     The set is symmetrized and split as in ``_product_pair``; ``select_phase``
-    checks the theta = 0 witness on [-3, 3].
+    checks the witness of |f| != |g| on [-3, 3].
     """
-    if not 0.0 < decay < 1.0:
-        raise ValueError(f"decay must lie in (0, 1), got {decay}")
     pair = _product_pair(lam.symmetrized(), decay, one_sided_threshold(decay) / 2.0,
                          gaussian_rate_base(decay), {"kind": "time_pair"})
-    pair.vartheta = select_phase(pair.phi, pair.psi, np.linspace(-3.0, 3.0, 241))
+    select_phase(pair.phi, pair.psi, np.linspace(-3.0, 3.0, 241))
     return pair
 
 
@@ -297,11 +291,9 @@ def build_frequency_matched_pair(lam: SampledSet, decay: float) -> PairConstruct
     odd factor odd and real, making one transform real-valued and the other
     imaginary-valued (pointwise orthogonality).
     """
-    if not 0.0 < decay < 1.0:
-        raise ValueError(f"decay must lie in (0, 1), got {decay}")
+    cap = pauli_threshold(decay) / 2.0
     if np.any(lam.points < 0):
         raise ValueError("frequency-matched construction expects a set on [0, inf)")
-    cap = pauli_threshold(decay) / 2.0
     if decay >= SQRT3_HALF:
         return _null_space_pair(lam.symmetrized(), SampledSet(points=np.empty(0)), cap,
                                 {"kind": "frequency_matched", "decay": decay}, 2048)
@@ -319,12 +311,9 @@ def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,
     density budgets add up exactly to the weak-pair threshold.  Two empty
     sets constrain nothing and raise ValueError.
     """
-    if not 0.0 < decay < 1.0:
-        raise ValueError(f"decay must lie in (0, 1), got {decay}")
-    if decay >= SQRT3_HALF:
-        return _null_space_pair(lam, mu, weak_pair_threshold(decay) / 2.0,
-                                {"kind": "non_weak", "decay": decay}, nodes)
     cap = weak_pair_threshold(decay) / 2.0
+    if decay >= SQRT3_HALF:
+        return _null_space_pair(lam, mu, cap, {"kind": "non_weak", "decay": decay}, nodes)
     for name, s in (("time", lam), ("frequency", mu)):
         d = half_density(s.symmetrized().points)
         if d >= cap:
@@ -339,12 +328,11 @@ def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,
     vf_phi = assemble_vanishing_function(lam1, mu1, a1, b1, nodes=nodes)
     vf_psi = assemble_vanishing_function(lam2, mu2, a2, b2, nodes=nodes)
     phi, psi = vf_phi.interpolant, vf_psi.interpolant
-    time_grid = np.linspace(-2.5, 2.5, 201)
-    freq_grid = np.linspace(-2.5, 2.5, 201)
-    theta = select_phase(phi, psi, time_grid, freq_grid)
+    grid = np.linspace(-2.5, 2.5, 201)
+    select_phase(phi, psi, grid, grid)
     provenance = {"kind": "non_weak", "decay": decay, "rates": [a1, b1, a2, b2],
                   "threshold": cap, "argmax": x_a,
                   "phi_residuals": [vf_phi.residual_time, vf_phi.residual_freq],
                   "psi_residuals": [vf_psi.residual_time, vf_psi.residual_freq],
                   "phi_cut": vf_phi.window_cut, "psi_cut": vf_psi.window_cut}
-    return PairConstruction(phi=phi, psi=psi, vartheta=theta, provenance=provenance)
+    return PairConstruction(phi=phi, psi=psi, provenance=provenance)

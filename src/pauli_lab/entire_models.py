@@ -1,8 +1,8 @@
 """Gaussian-times-canonical-product models with exact Gamma-function tails.
 
-A model is c * e^{i theta} * z^sigma * e^{-gamma pi z^2} * P(z), where P is an
-even product over prescribed positive zeros.  Two product kinds are
-supported:
+A model is z^sigma * e^{-gamma pi z^2} * P(z), where P is an even product
+over prescribed positive zeros, so it is real on the real line.  Two product
+kinds are supported:
 
 * plain:   P(z) = prod (1 - z^2/rho_n^2), zeros at +-rho_n (sinc family);
 * quartic: P(z) = prod (1 - z^4/rho_n^4), zeros at +-rho_n and +-i rho_n.
@@ -224,7 +224,7 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class ProductModel:
-    """Entire function c * e^{i*phase} * z^parity * e^{-gauss_rate*pi*z^2} * product.
+    """Entire function z^parity * e^{-gauss_rate*pi*z^2} * product.
 
     ``zeros`` are the retained positive zeros, strictly increasing.  A
     ``tail_start`` m0 > 0 continues the product past them with the factors
@@ -233,14 +233,11 @@ class ProductModel:
     """
 
     zeros: np.ndarray = field(default_factory=lambda: np.empty(0))
-    amplitude: complex = 1.0 + 0.0j
-    phase: float = 0.0
     gauss_rate: float = 0.0
     parity: int = 0
     tail_start: int = 0
     tail_scale: float = 1.0
     quartic: bool = False
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         z = np.asarray(self.zeros, dtype=float)
@@ -409,7 +406,7 @@ class ProductModel:
 
     def _smooth_log(self, z: np.ndarray, odd_factor: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mantissa factor, log-scale, log-term size) of amplitude, phase, parity, Gaussian, tail.
+        """(mantissa factor, log-scale, log-term size) of parity, Gaussian and tail.
 
         ``odd_factor`` replaces z as the parity factor of odd models.
         """
@@ -424,13 +421,6 @@ class ProductModel:
             arg = arg + np.imag(tail)
             size = size + tail_size
         m = np.exp(1j * arg) * sign
-        if self.phase == 0.0:
-            pass
-        elif self.phase == np.pi:
-            m = -m
-        else:
-            m = m * np.exp(1j * self.phase)
-        m = m * self.amplitude
         if self.parity:
             m = m * (z if odd_factor is None else odd_factor)
         return m, log_scale, size
@@ -549,18 +539,16 @@ class ProductModel:
 
     def to_dict(self) -> dict:
         """The model's JSON object, as pair and model files store it."""
-        meta = dict(self.meta)
-        meta["quartic"] = bool(self.quartic)
         return {
-            "c_re": float(np.real(self.amplitude)),
-            "c_im": float(np.imag(self.amplitude)),
-            "theta": float(self.phase),
+            "c_re": 1.0,
+            "c_im": 0.0,
+            "theta": 0.0,
             "gamma": float(self.gauss_rate),
             "sigma": int(self.parity),
             "zeros": [float(x) for x in self.zeros],
             "tail_start": int(self.tail_start),
             "tail_scale": float(self.tail_scale),
-            "meta": meta,
+            "meta": {"quartic": bool(self.quartic)},
         }
 
     @staticmethod
@@ -570,18 +558,18 @@ class ProductModel:
             if key in obj:
                 raise ValueError(f"model JSON carries the truncated-tail key {key!r} of the "
                                  "old format; rebuild the pair with `construct`")
-        meta = dict(obj.get("meta", {}))
-        quartic = bool(meta.pop("quartic", False))
+        for key, value in (("c_re", 1.0), ("c_im", 0.0), ("theta", 0.0)):
+            if obj[key] != value:
+                raise ValueError(f"model JSON sets {key!r} to {obj[key]!r}; the models "
+                                 f"are real, with {key} = {value}")
         return ProductModel(
             zeros=np.array(obj["zeros"], dtype=float),
-            amplitude=complex(obj["c_re"], obj["c_im"]),
-            phase=float(obj["theta"]),
             gauss_rate=float(obj["gamma"]),
             parity=int(obj["sigma"]),
             tail_start=int(obj["tail_start"]),
             tail_scale=float(obj["tail_scale"]),
-            quartic=quartic,
-            meta=meta,
+            # other meta entries, such as the "family" of older sinc files, are labels
+            quartic=bool(obj.get("meta", {}).get("quartic", False)),
         )
 
 
@@ -591,7 +579,7 @@ class ProductModel:
 def sinc_product(count: int = 2000) -> ProductModel:
     """sin(pi z)/(pi z): ``count`` retained integer zeros and the exact tail."""
     n = np.arange(1, count + 1, dtype=float)
-    return ProductModel(zeros=n, tail_start=count + 1, meta={"family": "sinc"})
+    return ProductModel(zeros=n, tail_start=count + 1)
 
 
 def gaussian_model(rate: float) -> ProductModel:

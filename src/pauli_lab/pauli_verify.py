@@ -12,9 +12,6 @@ sup-on-grid surrogates.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import CheckFailedError
@@ -22,27 +19,6 @@ from . import CheckFailedError
 
 class PreconditionError(ValueError, CheckFailedError):
     """Input data violates the check's stated precondition."""
-
-
-@dataclass(frozen=True)
-class PairReport:
-    residual_time: float
-    residual_freq: float
-    gap_time: float
-    gap_freq: float
-    verdicts: dict
-    grids: dict
-    tol: float
-
-    def to_json(self) -> str:
-        payload = {
-            "residuals": {"time": self.residual_time, "freq": self.residual_freq},
-            "gaps": {"time": self.gap_time, "freq": self.gap_freq},
-            "verdicts": self.verdicts,
-            "grids": self.grids,
-            "tol": self.tol,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def sup_gap(f_vals: np.ndarray, g_vals: np.ndarray) -> float:
@@ -87,7 +63,7 @@ def h_eval(fg, z):
     """H(z) = f(z) conj(f(conj z)) - g(z) conj(g(conj z)).
 
     Real and equal to |f|^2 - |g|^2 on the real line; for a constructed pair
-    it equals 4 Re(phi conj(e^{i theta} psi)) there (polarization).
+    it equals 4 Re(phi conj(psi)) there (polarization).
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     f, g = fg(z_arr)
@@ -125,8 +101,9 @@ def sign_retrieval_check(sample_time, sample_freq, grid_time, grid_freq,
 
 def pair_report(pair, lam_points: np.ndarray, mu_points: np.ndarray,
                 time_grid: np.ndarray, freq_grid: np.ndarray,
-                discrete_tol: float = 1e-10, weak_tol: float = 1e-8) -> PairReport:
-    """Full verdict bundle for a constructed pair.
+                discrete_tol: float, weak_tol: float) -> dict:
+    """Full verdict bundle for a constructed pair, as ``verify`` writes it:
+    residuals and grid gaps per side, verdicts, grids and the weak tolerance.
 
     Each non-empty point set is evaluated once, through ``pair.fg`` or
     ``pair.fg_hat``; an empty sample set is not evaluated.
@@ -148,6 +125,6 @@ def pair_report(pair, lam_points: np.ndarray, mu_points: np.ndarray,
         "time_grid": [float(np.min(time_grid)), float(np.max(time_grid)), int(len(time_grid))],
         "freq_grid": [float(np.min(freq_grid)), float(np.max(freq_grid)), int(len(freq_grid))],
     }
-    return PairReport(residual_time=res_t, residual_freq=res_f,
-                      gap_time=weak["gap_time"], gap_freq=weak["gap_freq"],
-                      verdicts=verdicts, grids=grids, tol=weak_tol)
+    return {"residuals": {"time": res_t, "freq": res_f},
+            "gaps": {"time": weak["gap_time"], "freq": weak["gap_freq"]},
+            "verdicts": verdicts, "grids": grids, "tol": weak_tol}

@@ -10,7 +10,9 @@ method of a public class, that no name or attribute there refers to;
 on a defaulted parameter of a public function or method, or a defaulted
 field of a public frozen dataclass, that no call there sets by keyword or
 position; ``KEPT`` lists the options that stay all the same,
-each with its reason.  The third fails on a public field of a public
+each with its reason.  Calls inside the file readers (``READERS``) do not
+count: a reader copies every field of a file, so it would make any option
+look set.  The third fails on a public field of a public
 dataclass that no attribute load there reads: a result field that nothing
 reads is computed for nobody.  ``FIELDS_KEPT`` lists the exceptions, each
 with its reason.  A scan by name cannot tell classes apart, so a field that
@@ -32,6 +34,9 @@ KEPT = {
     # check without a 1e-13 floor: its transform's quadrature noise reads as growth
     "fourier.hardy_check": {"floor"},
 }
+
+# they rebuild models and pairs from every field a file stores
+READERS = {"from_dict", "pair_from_json", "_decode_evaluator"}
 
 UNCALLED = {
     # main dispatches to each subcommand by its name
@@ -87,11 +92,16 @@ def _options() -> dict[tuple[str, str], list[tuple[str, int | None]]]:
 
 
 def _calls() -> dict[str, list[tuple[int, set, bool]]]:
-    """Callee name -> (positional count, keyword names, unpacks anything) per call."""
+    """Callee name -> (positional count, keyword names, unpacks anything) per
+    call outside the file readers."""
     calls: dict[str, list] = {}
     for path in _python_files():
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
+        tree = ast.parse(path.read_text())
+        in_readers = {id(node) for reader in ast.walk(tree)
+                      if isinstance(reader, ast.FunctionDef) and reader.name in READERS
+                      for node in ast.walk(reader)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in in_readers:
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)

@@ -68,9 +68,12 @@ class TestIndicatorEstimate:
         assert short.h_hat == pytest.approx(full.h_hat, abs=1e-9)
 
     def test_all_masked(self):
-        # the zero function's log-magnitude is -inf at every node of the ray
-        with pytest.raises(asy.AllMaskedError, match="all 320 nodes"):
-            asy.indicator_estimate(ProductModel(amplitude=0.0), 0.0)
+        # half the zeros' separation, 499.5, gives the zero at 1 an exclusion
+        # disk of radius ~250 on the real ray, past every node of [2.9, 36.8]
+        model = ProductModel(zeros=np.array([1.0, 1000.0]))
+        for theta in (0.0, np.pi):
+            with pytest.raises(asy.AllMaskedError, match="all 320 nodes"):
+                asy.indicator_estimate(model, theta)
 
 
 def polyfit_windows(t, y):

@@ -198,6 +198,40 @@ class TestModelTools:
         back = ProductModel.from_dict(json.loads(model_file.read_text()))
         assert back.gauss_rate == 1.0
 
+    @pytest.mark.parametrize("command, flag", [("ft", "--xi=0:2:0.5"),
+                                               ("indicator", "--theta=0:1:0.5")])
+    @pytest.mark.parametrize("key, value", [("c_re", 2.0), ("c_im", 0.5), ("theta", 0.7)])
+    def test_scaled_or_rotated_model_rejected(self, tmp_path, capsys, model_file, command, flag,
+                                              key, value):
+        # the models are real; a file with another constant factor is not read as c = 1
+        obj = json.loads(model_file.read_text())
+        obj[key] = value
+        model_file.write_text(json.dumps(obj))
+        out = tmp_path / "out.csv"
+        assert run([command, "--model", str(model_file), flag, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: model JSON sets") and f"'{key}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vartheta, code", [(0.0, 0), (0.7, 2)])
+    def test_verify_reads_unrotated_pairs_only(self, tmp_path, capsys, vartheta, code):
+        # phi even and psi odd: the moduli of phi +- psi agree at the point 0
+        part = {"type": "product_model", "quad": {"half_width": 4.0, "nodes": 64}}
+        payload = {"phi": dict(part, model=gaussian_model(1.0).to_dict()),
+                   "psi": dict(part, model=ProductModel(gauss_rate=1.0, parity=1).to_dict()),
+                   "vartheta": vartheta,
+                   "provenance": {"kind": "time_pair", "lambda_points": [0.0]}}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--pair", str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("configuration error: pair JSON sets 'vartheta' to 0.7")
+            assert not out.exists()
+        else:
+            assert err == "" and json.loads(out.read_text())["verdicts"]["discrete_pair"]
+
     def test_verify_rejects_truncated_tail_pair(self, tmp_path, capsys):
         # a time pair written before the exact tails: models carry T2/T4
         model = ('{"T2": 0.0001, "T4": 1e-12, "c_im": 0.0, "c_re": 1.0, "gamma": 1.0, '
@@ -495,6 +529,16 @@ class TestUsageErrors:
         assert run(["construct", kind, "--A", "0.5", "--lam", str(lam), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"configuration error: points must be finite, got {shown}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["time", "freq-matched", "non-weak"])
+    @pytest.mark.parametrize("decay", ["0", "1", "1.5", "nan"])
+    def test_construct_decay_outside_unit_interval(self, tmp_path, capsys, kind, decay):
+        # the builder's threshold function is the one check of the rate
+        out = tmp_path / "pair.json"
+        assert run(["construct", kind, "--A", decay, "--count", "8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: decay rate must lie in (0, 1), got {float(decay)}\n")
         assert not out.exists()
 
     def test_verify_pair_without_points_rejected(self, time_pair, tmp_path, capsys):

@@ -49,32 +49,26 @@ class TestPairEvaluation:
     """fg/fg_hat evaluate each part once and give today's f, g values bit for bit."""
 
     @pytest.mark.parametrize("kind", ["time_pair", "freq_pair", "nonweak_pair", "null_space_pair"])
-    @pytest.mark.parametrize("vartheta", [None, 0.7])
-    def test_fg_equals_parts_combined(self, kind, vartheta, request):
+    def test_fg_equals_parts_combined(self, kind, request):
         pair = request.getfixturevalue(kind)
-        if vartheta is not None:
-            pair = con.PairConstruction(phi=pair.phi, psi=pair.psi, vartheta=vartheta)
-        rot = np.exp(1j * pair.vartheta) if pair.vartheta != 0.0 else 1.0 + 0.0j
         x = np.linspace(-2.5, 2.5, 101)
         for fg, part in ((pair.fg, "eval"), (pair.fg_hat, "eval_hat")):
             phi = getattr(pair.phi, part)(x)
             psi = getattr(pair.psi, part)(x)
             f, g = fg(x)
-            assert np.array_equal(f, phi + rot * psi)
-            assert np.array_equal(g, phi - rot * psi)
+            assert np.array_equal(f, phi + psi)
+            assert np.array_equal(g, phi - psi)
 
     @pytest.mark.parametrize("kind", ["freq_pair", "nonweak_pair"])
     def test_h_eval_at_complex_points(self, kind, request):
-        base = request.getfixturevalue(kind)
-        pair = con.PairConstruction(phi=base.phi, psi=base.psi, vartheta=0.7)
-        rot = np.exp(0.7j)
+        pair = request.getfixturevalue(kind)
         z = np.array([0.5 + 0.3j, 1.2 - 0.1j, -0.8 + 0.05j])
 
         def f(w):
-            return pair.phi.eval(w) + rot * pair.psi.eval(w)
+            return pair.phi.eval(w) + pair.psi.eval(w)
 
         def g(w):
-            return pair.phi.eval(w) - rot * pair.psi.eval(w)
+            return pair.phi.eval(w) - pair.psi.eval(w)
 
         def h(w):
             return f(w) * np.conj(f(np.conj(w))) - g(w) * np.conj(g(np.conj(w)))
@@ -117,19 +111,17 @@ class TestFrequencyMatchedPair:
         assert fourier.hardy_check(freq_pair.fg(x)[0], freq_pair.fg_hat(xi)[0], 0.5, x, xi)
 
     def test_pair_identities(self, freq_pair):
-        # f + g = 2 phi and f - g = 2 e^{i theta} psi as evaluators
-        rot = np.exp(1j * freq_pair.vartheta)
+        # f + g = 2 phi and f - g = 2 psi as evaluators
         f, g = freq_pair.fg(X_GRID)
         lhs_sum = f + g
         lhs_diff = f - g
         assert np.allclose(lhs_sum, 2 * freq_pair.phi.eval(X_GRID), rtol=1e-12, atol=1e-300)
-        assert np.allclose(lhs_diff, 2 * rot * freq_pair.psi.eval(X_GRID), rtol=1e-12, atol=1e-300)
+        assert np.allclose(lhs_diff, 2 * freq_pair.psi.eval(X_GRID), rtol=1e-12, atol=1e-300)
 
     def test_polarization_identity(self, freq_pair):
-        rot = np.exp(1j * freq_pair.vartheta)
         f, g = freq_pair.fg(X_GRID)
         lhs = np.abs(f) ** 2 - np.abs(g) ** 2
-        rhs = 4 * np.real(freq_pair.phi.eval(X_GRID) * np.conj(rot * freq_pair.psi.eval(X_GRID)))
+        rhs = 4 * np.real(freq_pair.phi.eval(X_GRID) * np.conj(freq_pair.psi.eval(X_GRID)))
         scale = np.max(np.abs(lhs)) + 1e-300
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
@@ -280,9 +272,9 @@ class TestNonWeakPair:
 class TestPhasePremise:
     @pytest.mark.parametrize("kind, psi_hat_unit", [("time_pair", 1j), ("nonweak_pair", 1.0)])
     def test_parts_are_real(self, kind, psi_hat_unit, request):
-        # select_phase returns theta = 0 because the parts it checks are real,
-        # which makes |f|^2 - |g|^2 = 4 cos(theta) phi psi.  The time pair's
-        # odd part has an imaginary transform; that pair is checked in time only
+        # f = phi + psi and g = phi - psi take no rotation because the parts
+        # are real, which makes |f|^2 - |g|^2 = 4 phi psi.  The time pair's odd
+        # part has an imaginary transform; that pair is checked in time only
         pair = request.getfixturevalue(kind)
         for vals in (pair.phi.eval(X_GRID), pair.psi.eval(X_GRID),
                      pair.phi.eval_hat(XI_GRID), pair.psi.eval_hat(XI_GRID) / psi_hat_unit):
@@ -305,7 +297,8 @@ class TestSelectPhase:
     def test_real_pair_prefers_zero(self):
         phi = _Wrap(lambda x: np.exp(-np.pi * x * x))
         psi = _Wrap(lambda x: x * np.exp(-np.pi * x * x))
-        assert con.select_phase(phi, psi, X_GRID) == 0.0
+        # the witness Re(phi * conj(psi)) holds with psi unrotated
+        assert con.select_phase(phi, psi, X_GRID) is None
 
     def test_imaginary_partner(self):
         # Re(phi * conj(psi)) = 0, so f and g = phi -+ psi have equal moduli
@@ -315,7 +308,7 @@ class TestSelectPhase:
             con.select_phase(phi, psi, X_GRID)
         # a frequency grid where the witness holds keeps the check passing
         real_hat = _Wrap(psi._fn, lambda xi: xi * np.exp(-np.pi * xi * xi))
-        assert con.select_phase(phi, real_hat, X_GRID, XI_GRID) == 0.0
+        assert con.select_phase(phi, real_hat, X_GRID, XI_GRID) is None
 
     def test_degenerate(self):
         phi = _Wrap(lambda x: np.exp(-np.pi * x * x))
@@ -328,8 +321,6 @@ class TestSelectPhase:
         c1, c2 = rng.normal(size=2) + 1j * rng.normal(size=2)
         phi = _Wrap(lambda x: c1 * np.exp(-np.pi * x * x))
         psi = _Wrap(lambda x: c2 * x * np.exp(-0.8 * np.pi * x * x))
-        theta = con.select_phase(phi, psi, X_GRID, XI_GRID)
-        assert theta == 0.0
-        rot = np.exp(-1j * theta)
-        wit = np.max(np.abs(np.real(rot * phi.eval(X_GRID) * np.conj(psi.eval(X_GRID)))))
+        assert con.select_phase(phi, psi, X_GRID, XI_GRID) is None
+        wit = np.max(np.abs(np.real(phi.eval(X_GRID) * np.conj(psi.eval(X_GRID)))))
         assert wit > 0.01

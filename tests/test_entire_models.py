@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 
 import numpy as np
@@ -33,8 +32,8 @@ class TestSincOracle:
         assert sinc1600.values(0.5) == pytest.approx(2 / np.pi, abs=1e-12)
 
     def test_empty_product_at_zero(self):
-        m = em.ProductModel(zeros=np.empty(0), amplitude=2.0 - 1.0j, phase=0.7)
-        assert m.values(0.0) == pytest.approx((2 - 1j) * np.exp(0.7j), abs=1e-14)
+        m = em.ProductModel(zeros=np.empty(0), gauss_rate=0.7)
+        assert m.values(0.0) == 1.0
 
     def test_retained_zero_exact(self, sinc1600):
         vals = sinc1600.values(np.array([3.0, -3.0, 1200.0]))
@@ -78,20 +77,14 @@ class TestDerivatives:
             d_neg = model.derivative_at_zero(-rho)
             assert d_neg == pytest.approx((-1) ** (model.parity + 1) * d_pos, rel=1e-12)
 
-    def test_amplitude_scaling(self, sinc1600):
-        import dataclasses
-        scaled = dataclasses.replace(sinc1600, amplitude=3.0 + 0.5j)
-        assert scaled.derivative_at_zero(2.0) == pytest.approx(
-            (3.0 + 0.5j) * sinc1600.derivative_at_zero(2.0), rel=1e-13)
-
     def test_not_a_zero(self, sinc1600):
         with pytest.raises(em.NotAZeroError):
             sinc1600.derivative_at_zero(2.5)
 
     def test_odd_model_zero_at_origin(self):
-        m = em.ProductModel(zeros=np.array([1.0, 2.0]), parity=1, amplitude=1.5)
+        m = em.ProductModel(zeros=np.array([1.0, 2.0]), parity=1)
         assert m.values(0.0) == 0.0
-        assert m.derivative_at_zero(0.0) == pytest.approx(1.5, rel=1e-13)
+        assert m.derivative_at_zero(0.0) == pytest.approx(1.0, rel=1e-13)
 
 
 def cardinal(model, lam, z):
@@ -224,8 +217,8 @@ class TestModelInvariants:
     def test_reality_exact(self, quartic_phi):
         x = np.linspace(-4, 4, 101)
         assert np.all(quartic_phi.values(x).imag == 0.0)
-        flipped = em.ProductModel(zeros=np.array([1.0, 2.0]), phase=np.pi)
-        assert np.all(flipped.values(x).imag == 0.0)
+        odd = em.ProductModel(zeros=np.array([1.0, 2.0]), parity=1, gauss_rate=0.3)
+        assert np.all(odd.values(x).imag == 0.0)
 
     def test_value_consistent_with_log_magnitude(self, quartic_phi):
         z = np.array([0.4, 2.0 + 1.0j, 5.0 * np.exp(0.3j)])
@@ -253,9 +246,9 @@ class TestModelInvariants:
         assert np.all(dlog <= res_small.error_bound + 1e-12)
 
     def test_gaussian_closed_form(self):
-        g = em.ProductModel(gauss_rate=0.8, amplitude=1.2)
+        g = em.ProductModel(gauss_rate=0.8)
         z = np.array([0.5, 1.0 + 2.0j, -0.3j])
-        assert np.allclose(g.values(z), 1.2 * np.exp(-0.8 * np.pi * z * z), rtol=1e-13)
+        assert np.allclose(g.values(z), np.exp(-0.8 * np.pi * z * z), rtol=1e-13)
 
 
 class TestSerialization:
@@ -273,6 +266,14 @@ class TestSerialization:
         assert set(obj) == {"c_re", "c_im", "theta", "gamma", "sigma", "zeros", "tail_start",
                             "tail_scale", "meta"}
         assert (obj["tail_start"], obj["tail_scale"]) == (1601, 1.0)
+
+    def test_meta_labels_ignored(self, quartic_phi):
+        # sinc models were written with a "family" label; only "quartic" is read
+        obj = quartic_phi.to_dict()
+        assert obj["meta"] == {"quartic": True}
+        obj["meta"]["family"] = "profile"
+        back = em.ProductModel.from_dict(obj)
+        assert back.quartic and back.to_dict() == quartic_phi.to_dict()
 
     def test_old_truncated_tail_format_rejected(self):
         old = ('{"T2": 0.0001, "T4": 1e-12, "c_im": 0.0, "c_re": 1.0, "gamma": 0.5, '
@@ -300,13 +301,12 @@ def _real_axis_models():
     plain = np.arange(1.0, 51.0)
     return {
         "sinc_tails": em.sinc_product(300),
-        "plain_no_tails_odd": em.ProductModel(zeros=plain, parity=1, amplitude=2.5),
-        "plain_phase_pi": em.ProductModel(zeros=plain, phase=np.pi, gauss_rate=0.3),
+        "plain_no_tails_odd": em.ProductModel(zeros=plain, parity=1),
+        "plain_gauss": em.ProductModel(zeros=plain, gauss_rate=0.3),
         "quartic_odd": em.profile_product(lam, 0.45, gauss_rate=1.05, parity=1),
-        "quartic_phase": dataclasses.replace(em.profile_product(lam, 0.45, gauss_rate=1.05),
-                                             amplitude=2.0 - 1.0j, phase=0.7),
-        "quartic_no_tails": em.ProductModel(zeros=plain, quartic=True, amplitude=-0.5),
-        "no_zeros": em.ProductModel(gauss_rate=0.8, amplitude=1.5 + 0.5j, phase=0.7, parity=1),
+        "quartic_even": em.profile_product(lam, 0.45, gauss_rate=1.05),
+        "quartic_no_tails": em.ProductModel(zeros=plain, quartic=True),
+        "no_zeros": em.ProductModel(gauss_rate=0.8, parity=1),
     }
 
 
@@ -328,7 +328,7 @@ class TestRealAxisPath:
         for field in ("value", "log_magnitude", "error_bound"):
             assert np.array_equal(getattr(real, field), getattr(cplx, field)), field
 
-    @pytest.mark.parametrize("name", ["quartic_odd", "quartic_phase", "sinc_tails"])
+    @pytest.mark.parametrize("name", ["quartic_odd", "quartic_even", "sinc_tails"])
     def test_real_points_match_complex_points_within_reach(self, name):
         # without the far-out points the factors past 4 max|s| enter through
         # the log series, whose real and complex sums must agree bit for bit
@@ -436,8 +436,8 @@ class TestPointsMajorProduct:
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     @pytest.mark.parametrize("model", [
-        em.ProductModel(zeros=np.arange(1.0, 51.0), parity=1, amplitude=2.5, gauss_rate=0.3),
-        em.ProductModel(zeros=np.arange(1.0, 51.0), quartic=True, phase=0.7)])
+        em.ProductModel(zeros=np.arange(1.0, 51.0), parity=1, gauss_rate=0.3),
+        em.ProductModel(zeros=np.arange(1.0, 51.0), quartic=True)])
     def test_mirrored_and_repeated_points(self, model):
         x = np.linspace(0.0, 5.0, 41)
         grid = np.concatenate([x, -x, x[::-1], model.zeros[:5], -model.zeros[:5]])
@@ -461,9 +461,8 @@ class TestPointsMajorProduct:
             assert np.allclose(getattr(got, field), want, rtol=1e-13, atol=atol), field
 
     def test_mirrored_and_repeated_points_with_tail(self):
-        model = dataclasses.replace(
-            em.profile_product(np.sqrt(np.arange(1, 301) / 0.45), 0.45, gauss_rate=1.05, parity=1),
-            amplitude=2.0 - 1.0j)
+        model = em.profile_product(np.sqrt(np.arange(1, 301) / 0.45), 0.45, gauss_rate=1.05,
+                                   parity=1)
         x = np.linspace(0.0, 12.0, 301)
         grid = np.concatenate([x, -x[::-1], x[::3], -x[::7]])
         got = model.eval(grid)
@@ -528,9 +527,8 @@ class TestFarFactorSeries:
         assert np.max(rel) < 2e-14 and np.median(rel) < 1.5e-15
 
     def test_derivatives_against_long_double(self):
-        quartic = dataclasses.replace(
-            em.profile_product(np.sqrt(np.arange(1, 513) / 0.45), 0.45, gauss_rate=0.3, parity=1),
-            amplitude=2.0 - 1.0j, phase=0.7)
+        quartic = em.profile_product(np.sqrt(np.arange(1, 513) / 0.45), 0.45, gauss_rate=0.3,
+                                     parity=1)
         for model, radius in ((em.sinc_product(600), 40.0), (quartic, 8.0)):
             inside = model.zeros[model.zeros <= radius]
             lams = np.concatenate([inside, -inside])
@@ -544,14 +542,14 @@ class TestFarFactorSeries:
     def test_divided_basis_skip_past_reach(self):
         # every factor past the reach of z in [-5, 5] but lam's own: the reach
         # moves past lam's index and the rest enter through the series
-        model = em.ProductModel(zeros=np.arange(1.0, 401.0), parity=1, amplitude=1.5, phase=0.3)
+        model = em.ProductModel(zeros=np.arange(1.0, 401.0), parity=1)
         lam = np.array([[151.0], [-151.0], [2.0]])
         z = np.concatenate([np.linspace(-5.0, 5.0, 201) + 0.013, np.arange(-5.0, 6.0)])
         n0, far_log = model._far_log(model._s_of(np.broadcast_to(z, (3, z.size))), 25.0,
                                      np.array([[150], [150], [1]]))
         assert n0 == 151 and far_log is not None
         got = model.divided_basis_eval(lam, z, model.derivative_at_zero(lam))
-        # f(z) / (f'(lam) (z - lam)) in long double; amplitude and phase cancel
+        # f(z) / (f'(lam) (z - lam)) in long double
         ld = np.longdouble
         poles = np.arange(1, 401, dtype=ld) ** 2
         zl = z.astype(ld)
@@ -602,15 +600,13 @@ def _derivatives_long_double(model, lams):
         mag = np.prod(1 - zk**p / np.delete(poles, k)) * (-np.sign(zk) * p / abs(zk)) * smooth_k
         if model.parity:
             mag *= zk
-        out.append(complex(model.amplitude) * np.exp(1j * model.phase) * float(mag))
+        out.append(float(mag))
     return np.array(out)
 
 
 class TestDerivativeArrays:
     def test_array_matches_scalar_calls(self, quartic_phi):
-        odd = dataclasses.replace(
-            em.profile_product(quartic_phi.zeros[:300], 0.45, gauss_rate=1.05, parity=1),
-            amplitude=2.0 - 1.0j, phase=0.7)
+        odd = em.profile_product(quartic_phi.zeros[:300], 0.45, gauss_rate=1.05, parity=1)
         for model in (em.sinc_product(300), quartic_phi, odd):
             lams = np.concatenate([model.zeros[:40], -model.zeros[:40:7]])
             if model.parity:
@@ -633,13 +629,13 @@ class TestDerivativeArrays:
             em.gaussian_model(1.0).derivative_at_zero(np.array([1.0]))
 
     def test_origin_of_odd_model_in_array(self):
-        m = em.ProductModel(zeros=np.array([1.0, 2.0]), parity=1, amplitude=1.5, phase=0.7)
+        m = em.ProductModel(zeros=np.array([1.0, 2.0]), parity=1, gauss_rate=0.7)
         got = m.derivative_at_zero(np.array([-2.0, 0.0, 1.0]))
-        assert got[1] == pytest.approx(1.5 * np.exp(0.7j), rel=1e-15)
+        assert got[1] == 1.0
         assert np.allclose(got, [m.derivative_at_zero(v) for v in (-2.0, 0.0, 1.0)],
                            rtol=1e-15)
-        bare = em.ProductModel(gauss_rate=0.5, amplitude=2.0, parity=1)
-        assert bare.derivative_at_zero(np.array([0.0]))[0] == 2.0
+        bare = em.ProductModel(gauss_rate=0.5, parity=1)
+        assert bare.derivative_at_zero(np.array([0.0]))[0] == 1.0
 
     def test_generator_derivatives_against_long_double(self):
         from pauli_lab.interpolation import vanishing_generator

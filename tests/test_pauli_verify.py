@@ -149,30 +149,29 @@ class TestPairReport:
     def test_report_schema(self, freq_pair):
         lam = generate_smooth(SmoothSpec(p=2.0, density=0.9, count=64, halves="+", seed=7)).points
         pts = np.concatenate([-lam[::-1], lam])
-        rep = pv.pair_report(freq_pair, pts, np.empty(0), X, XI)
-        assert rep.verdicts["discrete_pair"]
-        assert rep.verdicts["weak_pair_freq"] and not rep.verdicts["weak_pair_time"]
-        import json
-        payload = json.loads(rep.to_json())
-        assert set(payload) == {"residuals", "gaps", "verdicts", "grids", "tol"}
-        assert payload["residuals"]["time"] == 0.0
+        rep = pv.pair_report(freq_pair, pts, np.empty(0), X, XI,
+                             discrete_tol=1e-10, weak_tol=1e-8)
+        assert rep["verdicts"]["discrete_pair"]
+        assert rep["verdicts"]["weak_pair_freq"] and not rep["verdicts"]["weak_pair_time"]
+        assert set(rep) == {"residuals", "gaps", "verdicts", "grids", "tol"}
+        assert rep["residuals"]["time"] == 0.0 and rep["tol"] == 1e-8
 
     def test_full_pair_implies_weak(self):
-        rep = pv.pair_report(
-            con.PairConstruction(phi=_ConstEval(1.0), psi=_ConstEval(0.0), vartheta=0.0),
-            np.array([1.0]), np.array([1.0]), X, XI)
-        assert rep.verdicts["full_pair"]
-        assert rep.verdicts["weak_pair_time"] and rep.verdicts["weak_pair_freq"]
+        rep = pv.pair_report(con.PairConstruction(phi=_ConstEval(1.0), psi=_ConstEval(0.0)),
+                             np.array([1.0]), np.array([1.0]), X, XI,
+                             discrete_tol=1e-10, weak_tol=1e-8)
+        assert rep["verdicts"]["full_pair"]
+        assert rep["verdicts"]["weak_pair_time"] and rep["verdicts"]["weak_pair_freq"]
 
 
 class TestOneEvaluationPerPointSet:
     @pytest.mark.parametrize("n_mu", [0, 3])
     def test_pair_report_evaluates_each_set_once(self, n_mu):
         phi, psi = _CountingEval(1.0), _CountingEval(0.5)
-        pair = con.PairConstruction(phi=phi, psi=psi, vartheta=0.3)
+        pair = con.PairConstruction(phi=phi, psi=psi)
         lam, mu = np.array([0.5, 1.0]), np.linspace(-1.0, 1.0, n_mu)
         time_grid, freq_grid = X[:11], XI[:13]
-        pv.pair_report(pair, lam, mu, time_grid, freq_grid)
+        pv.pair_report(pair, lam, mu, time_grid, freq_grid, discrete_tol=1e-10, weak_tol=1e-8)
         want = [("eval", 2)] + ([("eval_hat", 3)] if n_mu else []) + [("eval", 11), ("eval_hat", 13)]
         assert phi.calls == want and psi.calls == want
 
