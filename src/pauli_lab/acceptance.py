@@ -249,7 +249,7 @@ def _prop_density_round_trip(rng: np.random.Generator) -> None:
         density = rng.uniform(0.3, 3.0)
         s = generate_smooth(SmoothSpec(p=2.0, density=density, count=256,
                                        jitter=0.25, seed=int(rng.integers(2**31))))
-        d_hat, _ = density_fit(s, 2.0)
+        d_hat, _ = density_fit(s)
         assert abs(d_hat - density) < 0.01 * density
 
 

@@ -47,15 +47,13 @@ def _is_order2_in_z(model: ProductModel) -> bool:
     return bool(model.quartic or model.gauss_rate != 0.0 or model.parity != 0)
 
 
-def _on_zero_ray(model: ProductModel, zeros: np.ndarray, theta: float, order2: bool) -> bool:
+def _on_zero_ray(model: ProductModel, zeros: np.ndarray, theta: float) -> bool:
     if len(zeros) == 0:
         return False
-    zero_angles = [0.0, np.pi]
-    if order2 and model.quartic:
-        zero_angles += [np.pi / 2.0, 3.0 * np.pi / 2.0]
+    # the zeros' rays folded to [0, pi): a quartic model's also lie on the imaginary axis
+    zero_angles = [0.0, np.pi / 2.0] if model.quartic else [0.0]
     ang = abs((theta + np.pi) % np.pi)  # fold to [0, pi)
-    return any(min(abs(ang - (a % np.pi)), np.pi - abs(ang - (a % np.pi))) < 0.05
-               for a in zero_angles)
+    return any(min(abs(ang - a), np.pi - abs(ang - a)) < 0.05 for a in zero_angles)
 
 
 def _zero_ray_mask(zeros: np.ndarray, r: np.ndarray, on_zero_ray: bool) -> np.ndarray:
@@ -64,7 +62,7 @@ def _zero_ray_mask(zeros: np.ndarray, r: np.ndarray, on_zero_ray: bool) -> np.nd
     if not on_zero_ray:
         return keep
     # half the measured separation keeps the exclusion disks disjoint
-    c = 0.5 * (separation_check(SampledSet(points=zeros), 2.0) if len(zeros) >= 2 else 0.5)
+    c = 0.5 * (separation_check(SampledSet(points=zeros)) if len(zeros) >= 2 else 0.5)
     for rho in zeros:
         keep &= np.abs(r - rho) >= c / (1.0 + rho)
     return keep
@@ -83,7 +81,7 @@ def indicator_estimate(model: ProductModel, theta: float) -> IndicatorEstimate:
     zeros = model.zeros_upto(r_max + 1.0)
     r_lo = max(0.08 * r_max, 0.5)
     zs = zeros[(zeros > r_lo) & (zeros < r_max)]
-    on_zero_ray = _on_zero_ray(model, zeros, theta, order2)
+    on_zero_ray = _on_zero_ray(model, zeros, theta)
     if on_zero_ray and len(zs) >= 9:
         # gap midpoints carry the product's envelope between the log dips
         r = 0.5 * (zs[:-1] + zs[1:])

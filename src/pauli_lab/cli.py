@@ -124,12 +124,11 @@ def _sampling_set(args, path: str | None, flag: str, seed: int, halves: str) -> 
 def cmd_construct(args) -> int:
     lam = _sampling_set(args, args.lam, "--lam", args.seed,
                         "+" if args.kind == "freq-matched" else "±")
+    mu = SampledSet(points=np.empty(0))
     if args.kind == "freq-matched":
         pair = con.build_frequency_matched_pair(lam, args.decay)
-        mu = SampledSet(points=np.empty(0))
     elif args.kind == "time":
         pair = con.build_time_pair(lam, args.decay)
-        mu = SampledSet(points=np.empty(0))
     else:
         mu = _sampling_set(args, args.mu, "--mu", args.seed + 1, "±")
         pair = con.build_nonweak_pair(lam, mu, args.decay)
@@ -142,13 +141,6 @@ def cmd_construct(args) -> int:
     })
     _write(args.out, pair.to_json() + "\n")
     return 0
-
-
-def _check_radius(pair) -> float:
-    kind = pair.provenance.get("kind", "")
-    if kind in ("time_pair", "frequency_matched") and pair.provenance.get("branch") != "null_space":
-        return 12.0
-    return 3.2
 
 
 def cmd_verify(args) -> int:
@@ -164,10 +156,18 @@ def cmd_verify(args) -> int:
     if args.radius is not None and not args.radius > 0:
         raise ValueError(f"--radius must be > 0, got {args.radius}")
     pair = con.pair_from_json(Path(args.pair).read_text())
+    # the verdict each kind of pair must pass besides the discrete one
+    kind_verdict = {"time_pair": "discrete_pair", "frequency_matched": "weak_pair_freq",
+                    "non_weak": "non_weak"}
+    kind = pair.provenance.get("kind")
+    if kind not in list(kind_verdict):
+        raise ValueError(f"the pair's provenance kind {kind!r} is none of {list(kind_verdict)}")
+    # a null-space pair (g = 0) has no weak or non-weak verdict to pass
+    null_branch = pair.provenance.get("branch") == "null_space"
     lam = np.array(pair.provenance.get("lambda_points", []), dtype=float)
     mu = np.array(pair.provenance.get("mu_points", []), dtype=float)
-    radius = _check_radius(pair) if args.radius is None else args.radius
-    kind = pair.provenance.get("kind", "")
+    # product pairs are checked out to 12, assembled (vanishing) parts to 3.2
+    radius = args.radius or (3.2 if kind == "non_weak" or null_branch else 12.0)
     if kind == "frequency_matched":
         lam = np.unique(np.concatenate([-lam, lam]))
     points = np.abs(np.concatenate([lam, mu]))
@@ -187,14 +187,8 @@ def cmd_verify(args) -> int:
                             "seed": pair.provenance.get("seed"),
                             "pair_kind": kind}
     _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    null_branch = pair.provenance.get("branch") == "null_space"
-    expected = {
-        "frequency_matched": lambda v: v["discrete_pair"] and (null_branch or v["weak_pair_freq"]),
-        "time_pair": lambda v: v["discrete_pair"],
-        "non_weak": lambda v: v["discrete_pair"] and (null_branch or v["non_weak"]),
-    }
-    check = expected.get(kind, lambda v: v["discrete_pair"])
-    return 0 if check(report["verdicts"]) else 1
+    verdicts = report["verdicts"]
+    return 0 if verdicts["discrete_pair"] and (null_branch or verdicts[kind_verdict[kind]]) else 1
 
 
 def cmd_ft(args) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import CheckFailedError, fourier
-from .entire_models import ProductModel, profile_product
+from .entire_models import ProductModel, json_object, profile_product
 from .interpolation import (AssembledInterpolant, DensityTooHighError, InterpolationProblem,
                             assemble_vanishing_function)
 from .sequences import SampledSet, half_density, split_parity
@@ -99,10 +99,8 @@ class PairConstruction:
                     "type": "interpolant",
                     "lambda": [float(v) for v in p.lam],
                     "mu": [float(v) for v in p.mu],
-                    "alpha_re": [float(v) for v in part.alpha.real],
-                    "alpha_im": [float(v) for v in part.alpha.imag],
-                    "beta_re": [float(v) for v in part.beta.real],
-                    "beta_im": [float(v) for v in part.beta.imag],
+                    "alpha": [float(v) for v in part.alpha.real],
+                    "beta": [float(v) for v in part.beta.real],
                     "weight_a": p.weight_a,
                     "weight_b": p.weight_b,
                     "inner_cut": p.inner_cut,
@@ -121,14 +119,15 @@ class PairConstruction:
                           indent=2, sort_keys=True)
 
 
-def _decode_evaluator(obj: dict):
-    kind = obj["type"]
+def _decode_evaluator(obj, name: str):
+    def quad(key: str) -> fourier.QuadratureSpec:
+        spec = json_object(obj[key], f"the {name!r} part's {key!r}")
+        return fourier.QuadratureSpec(half_width=spec["half_width"], nodes=spec["nodes"])
+
+    kind = json_object(obj, f"the pair part {name!r}")["type"]
     if kind == "product_model":
-        model = ProductModel.from_dict(obj["model"])
-        quad = fourier.QuadratureSpec(half_width=obj["quad"]["half_width"],
-                                      nodes=obj["quad"]["nodes"])
-        return ModelEvaluator(model, quad)
-    if kind == "interpolant":
+        return ModelEvaluator(ProductModel.from_dict(obj["model"]), quad("quad"))
+    if kind == "interpolant" and "alpha_re" not in obj:
         lam = np.array(obj["lambda"], dtype=float)
         mu = np.array(obj["mu"], dtype=float)
         problem = InterpolationProblem(
@@ -140,27 +139,26 @@ def _decode_evaluator(obj: dict):
             time_gen=ProductModel.from_dict(obj["time_gen"]),
             freq_gen=ProductModel.from_dict(obj["freq_gen"]),
             inner_cut=float(obj["inner_cut"]), outer_cut=float(obj["outer_cut"]),
-            time_quad=fourier.QuadratureSpec(half_width=obj["time_quad"]["half_width"],
-                                             nodes=obj["time_quad"]["nodes"]),
-            freq_quad=fourier.QuadratureSpec(half_width=obj["freq_quad"]["half_width"],
-                                             nodes=obj["freq_quad"]["nodes"]),
+            time_quad=quad("time_quad"),
+            freq_quad=quad("freq_quad"),
         )
-        alpha = np.array(obj["alpha_re"]) + 1j * np.array(obj["alpha_im"])
-        beta = np.array(obj["beta_re"]) + 1j * np.array(obj["beta_im"])
-        return AssembledInterpolant(problem, alpha, beta)
-    raise ValueError(f"unknown evaluator type {kind!r}; rebuild the pair with `construct`")
+        return AssembledInterpolant(problem, obj["alpha"], obj["beta"])
+    # old formats: "scaled" parts, and interpolants with complex "alpha_re", ... keys
+    raise ValueError(f"the pair part {name!r} of type {kind!r} is in an old or unknown "
+                     "format; rebuild the pair with `construct`")
 
 
 def pair_from_json(text: str) -> PairConstruction:
     """The pair ``PairConstruction.to_json`` wrote; identical parts decode to
     one shared evaluator, as ``_null_space_pair`` built them."""
-    obj = json.loads(text)
+    obj = json_object(json.loads(text), "a pair file")
     if obj["vartheta"] != 0.0:
         raise ValueError(f"pair JSON sets 'vartheta' to {obj['vartheta']!r}; the pairs "
                          "are f = phi + psi and g = phi - psi, with vartheta = 0.0")
-    phi = _decode_evaluator(obj["phi"])
-    psi = phi if obj["psi"] == obj["phi"] else _decode_evaluator(obj["psi"])
-    return PairConstruction(phi=phi, psi=psi, provenance=dict(obj.get("provenance", {})))
+    phi = _decode_evaluator(obj["phi"], "phi")
+    psi = phi if obj["psi"] == obj["phi"] else _decode_evaluator(obj["psi"], "psi")
+    provenance = json_object(obj.get("provenance", {}), "the pair's provenance")
+    return PairConstruction(phi=phi, psi=psi, provenance=provenance)
 
 
 def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None = None) -> None:

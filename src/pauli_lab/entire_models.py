@@ -554,6 +554,7 @@ class ProductModel:
     @staticmethod
     def from_dict(obj: dict) -> "ProductModel":
         """The model ``to_dict`` described, from its parsed JSON object."""
+        json_object(obj, "a model")
         for key in ("T2", "T4"):
             if key in obj:
                 raise ValueError(f"model JSON carries the truncated-tail key {key!r} of the "
@@ -569,8 +570,15 @@ class ProductModel:
             tail_start=int(obj["tail_start"]),
             tail_scale=float(obj["tail_scale"]),
             # other meta entries, such as the "family" of older sinc files, are labels
-            quartic=bool(obj.get("meta", {}).get("quartic", False)),
+            quartic=bool(json_object(obj.get("meta", {}), "a model's meta").get("quartic", False)),
         )
+
+
+def json_object(value, name: str) -> dict:
+    """``value`` when it is a JSON object; a ValueError naming it otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, not {type(value).__name__}")
+    return value
 
 
 # -- builders ---------------------------------------------------------------

@@ -428,10 +428,10 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
 
     One carrier point c off the time set becomes an extra zero of the time
     generator and an extra time point of the window, with data 1 at +-c and
-    0 at every other window point on both sides.  The coefficients solve
-    [[I, Psi(lam)], [Phihat(mu), I]] [alpha; beta] = [e_c; 0] directly, on
-    the window's cross matrices at inner cut 0, so no point is left inside a
-    cut.  The carrier is the first midgap of the positive time points in the
+    0 at every other window point on both sides.  The real coefficients solve
+    [[I, Re Psi(lam)], [Re Phihat(mu), I]] [alpha; beta] = [e_c; 0] directly,
+    on the window's cross matrices at inner cut 0, so no point is left inside
+    a cut.  The carrier is the first midgap of the positive time points in the
     window, half the point when there is only one, and half the outer radius
     when there is none.  Raises SolverFailedError when the system is
     singular, and CheckFailedError when a set holds the point 0: the even
@@ -469,10 +469,12 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
         window_cut = None
 
     n_l = len(problem.lam)
-    system = np.eye(n_l + len(problem.mu), dtype=complex)
-    system[:n_l, n_l:] = problem.cross.psi_at_lambda
-    system[n_l:, :n_l] = problem.cross.phihat_at_mu
-    rhs = np.zeros(len(system), dtype=complex)
+    system = np.eye(n_l + len(problem.mu))
+    # symmetric sets and even generators make each cardinal function at -x the
+    # conjugate of the one at x, so on the even solution the imaginary parts cancel
+    system[:n_l, n_l:] = problem.cross.psi_at_lambda.real
+    system[n_l:, :n_l] = problem.cross.phihat_at_mu.real
+    rhs = np.zeros(len(system))
     rhs[:n_l][np.abs(problem.lam) == carrier] = 1.0
     try:
         coeffs = np.linalg.solve(system, rhs)

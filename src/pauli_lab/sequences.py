@@ -125,22 +125,22 @@ def generate_smooth(spec: SmoothSpec) -> SampledSet:
     return SampledSet(points=np.concatenate(parts))
 
 
-def density_fit(gamma: SampledSet, p: float) -> tuple[float, float]:
+def density_fit(gamma: SampledSet) -> tuple[float, float]:
     """Least-squares density estimate and boundedness diagnostic.
 
-    Fits n(r) ~ D*r^p + c over the point radii and reports
-    (D_hat, sup_r |n(r) - D_hat * r^p|).  The intercept absorbs the O(1)
+    Fits n(r) ~ D*r^2 + c over the point radii and reports
+    (D_hat, sup_r |n(r) - D_hat * r^2|).  The intercept absorbs the O(1)
     offset during fitting but is excluded from the reported residual, which is
-    the raw boundedness gauge: small iff the set really has exponent p.
+    the raw boundedness gauge: small iff the set really has exponent 2.
     """
     if len(gamma) < 16:
         raise InsufficientDataError(f"need >= 16 points for a density fit, got {len(gamma)}")
     radii = np.sort(np.abs(gamma.points))
     n_at = np.searchsorted(radii, radii, side="left").astype(float)
-    design = np.column_stack([radii**p, np.ones_like(radii)])
+    design = np.column_stack([radii**2, np.ones_like(radii)])
     coef, *_ = np.linalg.lstsq(design, n_at, rcond=None)
     d_hat = float(coef[0])
-    resid = float(np.max(np.abs(n_at - d_hat * radii**p)))
+    resid = float(np.max(np.abs(n_at - d_hat * radii**2)))
     return d_hat, resid
 
 
@@ -149,14 +149,14 @@ def half_density(points: np.ndarray) -> float:
     else count / (largest point)^2 (0 when there are none)."""
     pos = np.sort(points[points > 0])
     if len(pos) >= 16:
-        return density_fit(SampledSet(points=pos), 2.0)[0]
+        return density_fit(SampledSet(points=pos))[0]
     if len(pos):
         return len(pos) / pos[-1] ** 2
     return 0.0
 
 
-def separation_check(gamma: SampledSet, p: float) -> float:
-    """Largest d for which the separation bound gap >= d * (1 + |gamma_j|)^(1-p) holds.
+def separation_check(gamma: SampledSet) -> float:
+    """Largest d for which the separation bound gap >= d / (1 + |gamma_j|) holds.
 
     Per half-line in outward order, using the inner point of each gap as the
     weight; inf when no half-line holds two points.
@@ -167,8 +167,7 @@ def separation_check(gamma: SampledSet, p: float) -> float:
         if len(outward) < 2:
             continue
         gaps = np.diff(outward)
-        weights = (1.0 + outward[:-1]) ** (p - 1.0)
-        measured = min(measured, float(np.min(gaps * weights)))
+        measured = min(measured, float(np.min(gaps * (1.0 + outward[:-1]))))
     return measured
 
 

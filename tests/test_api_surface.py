@@ -12,12 +12,16 @@ field of a public frozen dataclass, that no call there sets by keyword or
 position; ``KEPT`` lists the options that stay all the same,
 each with its reason.  Calls inside the file readers (``READERS``) do not
 count: a reader copies every field of a file, so it would make any option
-look set.  The third fails on a public field of a public
-dataclass that no attribute load there reads: a result field that nothing
-reads is computed for nobody.  ``FIELDS_KEPT`` lists the exceptions, each
-with its reason.  A scan by name cannot tell classes apart, so a field that
-shares its name with a read attribute of another class passes it.  All
-three lists must name only entries that still apply.
+look set.  The third fails on a parameter of a public function or method,
+or a field of a public frozen dataclass, to which every call there passes
+the same literal, when there are at least two calls: a value that never
+varies is a constant, not an option.  The fourth fails on a public field of
+a public dataclass that no attribute load there reads: a result field that
+nothing reads is computed for nobody.  ``FIELDS_KEPT`` lists the
+exceptions, each with its reason.  A scan by name cannot tell classes
+apart, so a field that shares its name with a read attribute of another
+class passes it, and calls of a same-named function elsewhere count as
+calls.  All three lists must name only entries that still apply.
 """
 
 from __future__ import annotations
@@ -58,42 +62,42 @@ def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _defaulted(args: ast.arguments, skip_first: bool) -> list[tuple[str, int | None]]:
-    """(name, positional index or None for keyword-only) of each defaulted parameter."""
+def _parameters(args: ast.arguments, skip_first: bool) -> list[tuple[str, int | None, bool]]:
+    """(name, positional index or None for keyword-only, has a default) of each parameter."""
     positional = args.posonlyargs + args.args
     offset = 1 if skip_first else 0
     first = len(positional) - len(args.defaults)
-    out = [(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
-    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    out = [(a.arg, i - offset, i >= first) for i, a in enumerate(positional) if i >= offset]
+    out += [(a.arg, None, d is not None) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
     return out
 
 
-def _options() -> dict[tuple[str, str], list[tuple[str, int | None]]]:
-    """(module, callable name) -> its defaulted parameters, for the public API."""
+def _signatures() -> dict[tuple[str, str], list[tuple[str, int | None, bool]]]:
+    """(module, callable name) -> its parameters, for the public API."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                found[(module, node.name)] = _defaulted(node.args, skip_first=False)
+                found[(module, node.name)] = _parameters(node.args, skip_first=False)
             if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
                 continue
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     static = any(getattr(d, "id", None) == "staticmethod"
                                  for d in item.decorator_list)
-                    found[(module, item.name)] = _defaulted(item.args, skip_first=not static)
+                    found[(module, item.name)] = _parameters(item.args, skip_first=not static)
             if _is_frozen_dataclass(node):
                 fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
                           and isinstance(item.target, ast.Name)]
-                found[(module, node.name)] = [(f.target.id, i) for i, f in enumerate(fields)
-                                              if f.value is not None]
+                found[(module, node.name)] = [(f.target.id, i, f.value is not None)
+                                              for i, f in enumerate(fields)]
     return found
 
 
-def _calls() -> dict[str, list[tuple[int, set, bool]]]:
-    """Callee name -> (positional count, keyword names, unpacks anything) per
-    call outside the file readers."""
+def _calls() -> dict[str, list[tuple[list, dict, bool]]]:
+    """Callee name -> (positional argument nodes, keyword argument nodes by
+    name, unpacks anything) per call outside the file readers."""
     calls: dict[str, list] = {}
     for path in _python_files():
         tree = ast.parse(path.read_text())
@@ -110,17 +114,18 @@ def _calls() -> dict[str, list[tuple[int, set, bool]]]:
             unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
                        or any(kw.arg is None for kw in node.keywords))
             calls.setdefault(name, []).append(
-                (len(node.args), {kw.arg for kw in node.keywords}, unpacks))
+                (node.args, {kw.arg: kw.value for kw in node.keywords}, unpacks))
     return calls
 
 
 def _unset_options() -> dict[str, set]:
     calls = _calls()
     unset: dict[str, set] = {}
-    for (module, name), params in _options().items():
-        for param, index in params:
-            if any(unpacks or param in keywords or (index is not None and n_pos > index)
-                   for n_pos, keywords, unpacks in calls.get(name, ())):
+    for (module, name), params in _signatures().items():
+        for param, index, defaulted in params:
+            if not defaulted or any(
+                    unpacks or param in keywords or (index is not None and len(args) > index)
+                    for args, keywords, unpacks in calls.get(name, ())):
                 continue
             unset.setdefault(f"{module}.{name}", set()).add(param)
     return unset
@@ -138,6 +143,38 @@ def test_kept_options_are_still_unset():
     stale = {name: sorted(params - unset.get(name, set()))
              for name, params in KEPT.items() if params - unset.get(name, set())}
     assert not stale, f"KEPT names options that a caller sets or that are gone: {stale}"
+
+
+def _literal(node) -> str | None:
+    """The source of an argument that is a literal, else None."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.unparse(node)
+
+
+def _one_value_parameters() -> dict[str, set]:
+    """Parameters to which every call, of at least two, passes the same literal."""
+    calls = _calls()
+    found: dict[str, set] = {}
+    for (module, name), params in _signatures().items():
+        sites = calls.get(name, ())
+        if len(sites) < 2 or any(unpacks for _, _, unpacks in sites):
+            continue
+        for param, index, _ in params:
+            passed = {_literal(keywords[param]) if param in keywords
+                      else _literal(args[index]) if index is not None and len(args) > index
+                      else None
+                      for args, keywords, _ in sites}
+            if len(passed) == 1 and None not in passed:
+                found.setdefault(f"{module}.{name}", set()).add(param)
+    return found
+
+
+def test_no_parameter_takes_one_literal():
+    one_value = _one_value_parameters()
+    assert not one_value, f"parameters every call passes the same literal (use the value): {one_value}"
 
 
 def _public_names() -> set[str]:

@@ -8,12 +8,21 @@ from pauli_lab import CheckFailedError, cli, fourier
 from pauli_lab import constructions as con
 from pauli_lab import interpolation as itp
 from pauli_lab import pauli_verify as pv
-from pauli_lab.entire_models import ProductModel, gaussian_model
+from pauli_lab.entire_models import ProductModel, gaussian_model, sinc_product
 from pauli_lab.thresholds import pauli_threshold, weak_pair_threshold
 
 
 def run(argv):
     return cli.main(argv)
+
+
+@pytest.fixture(scope="module")
+def nonweak_file(tmp_path_factory):
+    """The non-weak pair of `construct non-weak --A 0.5 --D 0.9 --seed 3`."""
+    pair_file = tmp_path_factory.mktemp("nonweak") / "pair.json"
+    assert run(["construct", "non-weak", "--A", "0.5", "--D", "0.9", "--seed", "3",
+                "--out", str(pair_file)]) == 0
+    return pair_file
 
 
 class TestThresholdTable:
@@ -255,6 +264,69 @@ class TestModelTools:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "'scaled'" in err
         assert "rebuild the pair with `construct`" in err
+
+    def test_verify_rejects_complex_coefficient_pair(self, nonweak_file, tmp_path, capsys):
+        # a non-weak pair written while interpolant parts stored complex coefficients
+        payload = json.loads(nonweak_file.read_text())
+        for key in ("phi", "psi"):
+            part = payload[key]
+            for name in ("alpha", "beta"):
+                values = part.pop(name)
+                part[f"{name}_re"], part[f"{name}_im"] = values, [0.0] * len(values)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--pair", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: the pair part 'phi' of type 'interpolant' is in an old or "
+            "unknown format; rebuild the pair with `construct`\n")
+        assert not out.exists()
+
+    _PART = {"type": "product_model", "quad": {"half_width": 4.0, "nodes": 64},
+             "model": gaussian_model(1.0).to_dict()}
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("ft", "[1, 2]", "a model must be a JSON object, not list"),
+        ("indicator", json.dumps(dict(sinc_product(30).to_dict(), meta=1)),
+         "a model's meta must be a JSON object, not int"),
+        ("verify", "[0]", "a pair file must be a JSON object, not list"),
+        ("verify", '{"phi": 1, "psi": 2, "vartheta": 0.0}',
+         "the pair part 'phi' must be a JSON object, not int"),
+        ("verify", json.dumps({"phi": dict(_PART, quad=[4.0, 64]), "psi": 2, "vartheta": 0.0}),
+         "the 'phi' part's 'quad' must be a JSON object, not list"),
+        ("verify", json.dumps({"phi": _PART, "psi": _PART, "vartheta": 0.0, "provenance": 1}),
+         "the pair's provenance must be a JSON object, not int"),
+    ], ids=["ft-list", "indicator-meta", "verify-list", "verify-parts", "verify-quad",
+            "verify-provenance"])
+    def test_file_not_an_object_rejected(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        flag = {"ft": ["--model", str(path), "--xi=0:1:0.5"],
+                "indicator": ["--model", str(path), "--theta=0:1:0.5"],
+                "verify": ["--pair", str(path)]}[command]
+        out = tmp_path / "out"
+        assert run([command, *flag, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, shown", [(None, "None"), ("weak", "'weak'"),
+                                             (["non_weak"], "['non_weak']")],
+                             ids=["missing", "unknown", "list"])
+    def test_verify_needs_a_known_pair_kind(self, nonweak_file, tmp_path, capsys, kind, shown):
+        # no kind, no rule for which verdicts the pair must pass
+        payload = json.loads(nonweak_file.read_text())
+        if kind is None:
+            del payload["provenance"]["kind"]
+        else:
+            payload["provenance"]["kind"] = kind
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--pair", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: the pair's provenance kind {shown} is none of "
+            "['time_pair', 'frequency_matched', 'non_weak']\n")
+        assert not out.exists()
 
 
 class TestInterp:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,28 @@ class TestNonWeakPair:
         assert np.max(np.abs(pair.fg(lam_w)[0])) < 1e-6
         assert np.max(np.abs(pair.fg_hat(mu_w)[0])) < 1e-6
         assert np.max(np.abs(pair.fg(X_GRID)[0])) > 1e-3
+
+
+@pytest.mark.parametrize("decay, density, seed", [(0.5, 0.9, 3), (0.95, 0.8, 4)],
+                         ids=["middle-branch", "null-space"])
+def test_vanishing_coefficients_real_and_even(decay, density, seed):
+    # the sets `construct non-weak --A decay --D density --seed seed` builds on:
+    # symmetric sets and even generators give real, even coefficients, and
+    # the pair file stores them as real arrays
+    lam = generate_smooth(SmoothSpec(p=2.0, density=density, count=512, halves="±", seed=seed))
+    mu = generate_smooth(SmoothSpec(p=2.0, density=density, count=512, halves="±",
+                                    seed=seed + 1))
+    pair = con.build_nonweak_pair(lam, mu, decay)
+    stored = json.loads(pair.to_json())
+    for key in ("phi", "psi"):
+        part, file_part = getattr(pair, key), stored[key]
+        scale = np.max(np.abs(part.alpha))
+        for points, coeffs, name in ((part.problem.lam, part.alpha, "alpha"),
+                                     (part.problem.mu, part.beta, "beta")):
+            assert np.max(np.abs(coeffs.imag)) <= 1e-14 * scale
+            assert np.array_equal(points, -points[::-1])
+            assert np.max(np.abs(coeffs - coeffs[::-1])) <= 1e-14 * scale
+            assert np.array_equal(file_part[name], coeffs.real)
 
 
 class TestPhasePremise:

@@ -96,50 +96,50 @@ class TestSampledSet:
 class TestDensityFit:
     def test_exact_construction(self):
         s = profile(density=1.5, count=256)
-        d_hat, resid = seq.density_fit(s, 2.0)
+        d_hat, resid = seq.density_fit(s)
         assert d_hat == pytest.approx(1.5, abs=1e-6)
         assert resid <= 1.0 + 1e-9
 
     def test_lattice_not_two_smooth(self):
         small = seq.SampledSet(points=np.arange(1.0, 101.0))
         large = seq.SampledSet(points=np.arange(1.0, 601.0))
-        _, r_small = seq.density_fit(small, 2.0)
-        _, r_large = seq.density_fit(large, 2.0)
+        _, r_small = seq.density_fit(small)
+        _, r_large = seq.density_fit(large)
         assert r_large > 2 * r_small > 10.0
 
     def test_jittered(self):
         s = profile(density=1.0, count=512, jitter=0.25, seed=5)
-        d_hat, resid = seq.density_fit(s, 2.0)
+        d_hat, resid = seq.density_fit(s)
         assert d_hat == pytest.approx(1.0, rel=0.01)
         assert resid <= 2.0
 
     def test_insufficient(self):
         with pytest.raises(seq.InsufficientDataError):
-            seq.density_fit(profile(count=8), 2.0)
+            seq.density_fit(profile(count=8))
 
     @given(st.floats(0.3, 3.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_density(self, density, s):
         sset = profile(density=density, count=256, jitter=0.25, seed=s)
-        d_hat, _ = seq.density_fit(sset, 2.0)
+        d_hat, _ = seq.density_fit(sset)
         assert d_hat == pytest.approx(density, rel=0.01)
 
 
 class TestSeparation:
     def test_sqrt_profile(self):
         s = profile(count=400)
-        measured = seq.separation_check(s, 2.0)
+        measured = seq.separation_check(s)
         # gaps*(1+gamma_j) decrease toward 1/2 from above
         assert 0.49 < measured < 0.9
         assert measured >= 0.35
 
     def test_single_point_vacuous(self):
         s = seq.SampledSet(points=np.array([2.0]))
-        assert seq.separation_check(s, 2.0) == np.inf
+        assert seq.separation_check(s) == np.inf
 
     def test_near_duplicate_fails(self):
         s = seq.SampledSet(points=np.array([1.0, 1.0 + 1e-14, 2.0]))
-        assert seq.separation_check(s, 2.0) < 0.35
+        assert seq.separation_check(s) < 0.35
 
 
 class TestSplitParity:
@@ -163,8 +163,8 @@ class TestSplitParity:
     def test_split_halves_density(self):
         s = profile(density=1.0, count=512)
         even, odd = seq.split_parity(s)
-        assert seq.density_fit(even, 2.0)[0] == pytest.approx(0.5, rel=0.02)
-        assert seq.density_fit(odd, 2.0)[0] == pytest.approx(0.5, rel=0.02)
+        assert seq.density_fit(even)[0] == pytest.approx(0.5, rel=0.02)
+        assert seq.density_fit(odd)[0] == pytest.approx(0.5, rel=0.02)
 
 
 class TestSpacingStatistic:
