@@ -28,7 +28,7 @@ from . import fourier
 from . import interpolation as itp
 from . import pauli_verify as pv
 from . import thresholds as th
-from .entire_models import ProductModel
+from .entire_models import ProductModel, json_numbers
 from .sequences import SampledSet, SmoothSpec, generate_smooth
 
 
@@ -164,8 +164,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"the pair's provenance kind {kind!r} is none of {list(kind_verdict)}")
     # a null-space pair (g = 0) has no weak or non-weak verdict to pass
     null_branch = pair.provenance.get("branch") == "null_space"
-    lam = np.array(pair.provenance.get("lambda_points", []), dtype=float)
-    mu = np.array(pair.provenance.get("mu_points", []), dtype=float)
+    lam, mu = (json_numbers(pair.provenance.get(key, []), f"the pair's provenance {key!r}")
+               for key in ("lambda_points", "mu_points"))
     # product pairs are checked out to 12, assembled (vanishing) parts to 3.2
     radius = args.radius or (3.2 if kind == "non_weak" or null_branch else 12.0)
     if kind == "frequency_matched":
@@ -257,8 +257,7 @@ def cmd_interp(args) -> int:
     nodes = cfg.get("nodes", 2048)
     if not isinstance(nodes, int) or isinstance(nodes, bool):
         raise ValueError(f"nodes must be an integer, got {nodes!r}")
-    lam = SampledSet(points=np.array(cfg["lambda"], dtype=float))
-    mu = SampledSet(points=np.array(cfg["mu"], dtype=float))
+    lam, mu = (SampledSet(points=json_numbers(cfg[key], key)) for key in ("lambda", "mu"))
     alpha = _interp_data(cfg.get("alpha", {}), lam.points, "alpha", "lambda")
     beta = _interp_data(cfg.get("beta", {}), mu.points, "beta", "mu")
     base = itp.make_problem(lam, mu,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import CheckFailedError, fourier
-from .entire_models import ProductModel, json_object, profile_product
+from .entire_models import ProductModel, json_numbers, json_value, profile_product
 from .interpolation import (AssembledInterpolant, DensityTooHighError, InterpolationProblem,
                             assemble_vanishing_function)
 from .sequences import SampledSet, half_density, split_parity
@@ -52,7 +52,8 @@ class ModelEvaluator:
         self.quad = quad
         self._nodes = None
 
-    def eval(self, z):
+    def eval(self, z: np.ndarray) -> np.ndarray:
+        """The model at a 1-D array of points."""
         return self.model.values(z)
 
     def _node_values(self) -> np.ndarray:
@@ -60,9 +61,9 @@ class ModelEvaluator:
             self._nodes = self.model.values(self.quad.grid())
         return self._nodes
 
-    def eval_hat(self, xi):
-        res = fourier.transform_values(self._node_values(), self.quad, xi)
-        return res.values if np.ndim(xi) else res.values[0]
+    def eval_hat(self, xi: np.ndarray) -> np.ndarray:
+        """The model's quadrature transform at a 1-D array of frequencies."""
+        return fourier.transform_values(self._node_values(), self.quad, xi).values
 
 
 @dataclass
@@ -120,29 +121,36 @@ class PairConstruction:
 
 
 def _decode_evaluator(obj, name: str):
-    def quad(key: str) -> fourier.QuadratureSpec:
-        spec = json_object(obj[key], f"the {name!r} part's {key!r}")
-        return fourier.QuadratureSpec(half_width=spec["half_width"], nodes=spec["nodes"])
+    def field(key: str, kind: type = float):
+        return json_value(obj[key], kind, f"the {name!r} part's {key!r}")
 
-    kind = json_object(obj, f"the pair part {name!r}")["type"]
+    def numbers(key: str) -> np.ndarray:
+        return json_numbers(obj[key], f"the {name!r} part's {key!r}")
+
+    def quad(key: str) -> fourier.QuadratureSpec:
+        spec, where = field(key, dict), f"the {name!r} part's {key!r}"
+        return fourier.QuadratureSpec(
+            half_width=json_value(spec["half_width"], float, f"{where} half_width"),
+            nodes=json_value(spec["nodes"], int, f"{where} nodes"))
+
+    kind = json_value(obj, dict, f"the pair part {name!r}")["type"]
     if kind == "product_model":
         return ModelEvaluator(ProductModel.from_dict(obj["model"]), quad("quad"))
     if kind == "interpolant" and "alpha_re" not in obj:
-        lam = np.array(obj["lambda"], dtype=float)
-        mu = np.array(obj["mu"], dtype=float)
+        lam, mu = numbers("lambda"), numbers("mu")
         problem = InterpolationProblem(
             lam=lam,
             mu=mu,
             alpha=np.zeros(len(lam), dtype=complex),
             beta=np.zeros(len(mu), dtype=complex),
-            weight_a=float(obj["weight_a"]), weight_b=float(obj["weight_b"]),
+            weight_a=field("weight_a"), weight_b=field("weight_b"),
             time_gen=ProductModel.from_dict(obj["time_gen"]),
             freq_gen=ProductModel.from_dict(obj["freq_gen"]),
-            inner_cut=float(obj["inner_cut"]), outer_cut=float(obj["outer_cut"]),
+            inner_cut=field("inner_cut"), outer_cut=field("outer_cut"),
             time_quad=quad("time_quad"),
             freq_quad=quad("freq_quad"),
         )
-        return AssembledInterpolant(problem, obj["alpha"], obj["beta"])
+        return AssembledInterpolant(problem, numbers("alpha"), numbers("beta"))
     # old formats: "scaled" parts, and interpolants with complex "alpha_re", ... keys
     raise ValueError(f"the pair part {name!r} of type {kind!r} is in an old or unknown "
                      "format; rebuild the pair with `construct`")
@@ -151,13 +159,13 @@ def _decode_evaluator(obj, name: str):
 def pair_from_json(text: str) -> PairConstruction:
     """The pair ``PairConstruction.to_json`` wrote; identical parts decode to
     one shared evaluator, as ``_null_space_pair`` built them."""
-    obj = json_object(json.loads(text), "a pair file")
-    if obj["vartheta"] != 0.0:
+    obj = json_value(json.loads(text), dict, "a pair file")
+    if json_value(obj["vartheta"], float, "a pair's 'vartheta'") != 0.0:
         raise ValueError(f"pair JSON sets 'vartheta' to {obj['vartheta']!r}; the pairs "
                          "are f = phi + psi and g = phi - psi, with vartheta = 0.0")
     phi = _decode_evaluator(obj["phi"], "phi")
     psi = phi if obj["psi"] == obj["phi"] else _decode_evaluator(obj["psi"], "psi")
-    provenance = json_object(obj.get("provenance", {}), "the pair's provenance")
+    provenance = json_value(obj.get("provenance", {}), dict, "the pair's provenance")
     return PairConstruction(phi=phi, psi=psi, provenance=provenance)
 
 
@@ -226,26 +234,15 @@ def _product_pair(points: SampledSet, decay: float, cap: float, rate_base: float
 
     The nonnegative points are parity-split outward; the even part carries
     the zeros of the even factor, the odd part those of the odd factor, both
-    at the Gaussian rate ``rate_base`` plus the headroom.  At or above
-    ``cap`` a failed headroom search is reported as the density reaching
-    the threshold, with the even part's measured transform decay.
+    at the Gaussian rate ``rate_base`` plus the headroom.  A half density at
+    or above ``cap`` raises DensityTooHighError before anything is built;
+    below it the headroom search may still fail.
     """
     d_half = half_density(points.points)
+    if d_half >= cap:
+        raise DensityTooHighError(f"half density {d_half:.4f} >= threshold {cap:.4f}")
+    eps = _pick_headroom(d_half / 2.0, rate_base, decay)
     even, odd = split_parity(SampledSet(points=points.positive))
-    try:
-        eps = _pick_headroom(d_half / 2.0, rate_base, decay)
-    except ParameterInfeasibleError as exc:
-        if d_half < cap:
-            # below the threshold: the headroom margin is what fails
-            raise
-        # confirm the failure mode with the even part's transform decay at
-        # the best Gaussian rate; the digits printed keep the comparison true
-        from .asymptotics import fourier_decay_predicate
-        probe = _extended_model(even.points, d_half / 2.0, rate_base, 0)
-        rate = fourier_decay_predicate(probe)
-        raise DensityTooHighError(
-            f"half density {d_half:.4f} >= threshold {cap:.4f}; frequency "
-            f"envelope rate {rate!r} {'<' if rate < decay else '>='} {decay}") from exc
     gamma = rate_base + eps
     quad = fourier.QuadratureSpec(half_width=float(np.sqrt(40.0 / (gamma * np.pi))), nodes=2048)
     phi = ModelEvaluator(_extended_model(even.points, d_half / 2.0, gamma, 0), quad)

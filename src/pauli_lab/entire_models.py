@@ -351,7 +351,7 @@ class ProductModel:
 
     def _scaled_product(self, s: np.ndarray, skip: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Product of retained factors as (mantissa, log-scale).
+        """Product of retained factors as (mantissa, log-scale) at a 1-D array ``s``.
 
         The mantissa is real for real ``s`` and complex otherwise.  ``skip``
         holds one factor index per point (-1 for none); that factor is taken
@@ -364,52 +364,43 @@ class ProductModel:
         order, as a row-wise product would.  The factors beyond it enter
         through their log series.
         """
-        m = np.ones_like(s)
-        e = np.zeros(s.shape, dtype=float)
+        m = np.ones(s.size, dtype=s.dtype)
+        e = np.zeros(s.size)
         poles = self._factor_poles
         if len(poles) == 0:
             return m, e
-        flat = s.reshape(-1)
-        top = float(np.abs(flat).max(initial=0.0))
+        top = float(np.abs(s).max(initial=0.0))
         # chunk size keeps each partial product far from overflow
         chunk = int(min(max(200.0 / max(np.log10(1.0 + top / poles[0]), 1.0), 4), 64))
-        mf = m.reshape(-1)
-        ef = e.reshape(-1)
         inv = 1.0 / poles
-        if skip is not None:
-            skip = np.broadcast_to(skip, s.shape).reshape(-1)
-        n, far_log = self._far_log(flat, top, skip)
-        buffer = np.empty((min(chunk, n), flat.size), dtype=flat.dtype)
+        n, far_log = self._far_log(s, top, skip)
+        buffer = np.empty((min(chunk, n), s.size), dtype=s.dtype)
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             factors = buffer[: stop - start]
             # (rho^2 - s)/rho^2 via reciprocal multiply: complex division is not
             # correctly rounded, and retained zeros must cancel to an exact 0
-            np.subtract(poles[start:stop, None], flat[None, :], out=factors)
+            np.subtract(poles[start:stop, None], s, out=factors)
             factors *= inv[start:stop, None]
             if skip is not None:
                 cols = np.flatnonzero((skip >= start) & (skip < stop))
                 factors[skip[cols] - start, cols] = 1.0
-            mf *= np.prod(factors, axis=0)
-            a = np.abs(mf)
+            m *= np.prod(factors, axis=0)
+            a = np.abs(m)
             live = a > 0
-            ef[live] += np.log(a[live])
+            e[live] += np.log(a[live])
             # numpy divides complex by real as a reciprocal multiply; doing so
             # explicitly keeps real and complex points bit-identical
-            mf[live] *= 1.0 / a[live]
+            m[live] *= 1.0 / a[live]
         if far_log is not None:
             # a retained zero's log-scale stops where its mantissa vanished
-            np.add(ef, far_log.real, out=ef, where=mf != 0)
+            np.add(e, far_log.real, out=e, where=m != 0)
             if np.iscomplexobj(far_log):
-                mf *= np.exp(1j * far_log.imag)
-        return mf.reshape(s.shape), ef.reshape(s.shape)
+                m *= np.exp(1j * far_log.imag)
+        return m, e
 
-    def _smooth_log(self, z: np.ndarray, odd_factor: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mantissa factor, log-scale, log-term size) of parity, Gaussian and tail.
-
-        ``odd_factor`` replaces z as the parity factor of odd models.
-        """
+    def _smooth_log(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mantissa factor, log-scale, log-term size) of parity, Gaussian and tail."""
         u = z * z
         log_scale = -self.gauss_rate * np.pi * np.real(u)
         arg = -self.gauss_rate * np.pi * np.imag(u)
@@ -422,20 +413,18 @@ class ProductModel:
             size = size + tail_size
         m = np.exp(1j * arg) * sign
         if self.parity:
-            m = m * (z if odd_factor is None else odd_factor)
+            m = m * z
         return m, log_scale, size
 
-    def eval(self, z) -> EvalResult:
-        """Evaluate the model; accepts scalars or arrays of real or complex points.
+    def eval(self, z: np.ndarray) -> EvalResult:
+        """Evaluate the model at a 1-D array of real or complex points.
 
         Real points keep the product in real arithmetic; the values are the
         same as at the points cast to complex.
         """
-        z_arr = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
-        scalar = z_arr.ndim == 0
-        z_arr = np.atleast_1d(z_arr)
-        m, e = self._scaled_product(self._s_of(z_arr))
-        m2, e2, size = self._smooth_log(z_arr)
+        z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
+        m, e = self._scaled_product(self._s_of(z))
+        m2, e2, size = self._smooth_log(z)
         # rounding: half an ulp per retained factor, and a few ulps of each
         # log term summed into the scale, where terms of that size cancel
         err = 5e-16 * max(len(self.zeros), 1) + 1e-15 * (np.abs(e) + size)
@@ -450,8 +439,6 @@ class ProductModel:
         if np.any(overflow):
             value = value.copy()
             value[overflow] = np.inf + 0.0j
-        if scalar:
-            return EvalResult(value[0], log_mag[0], err[0])
         return EvalResult(value, log_mag, err)
 
     def values(self, z) -> np.ndarray:
@@ -485,55 +472,41 @@ class ProductModel:
             raise NotAZeroError(f"{lam[miss][0]} is not a retained zero of the model")
         return k
 
-    def derivative_at_zero(self, lam):
-        """Exact product-rule derivative at retained real zeros lam = +-rho_k.
-
-        Accepts a scalar or an array of zeros; all derivatives come from one
-        pass of the product with each point's vanishing factor skipped.  For
-        odd models, lam = 0 is also accepted (the z factor vanishes there).
-        """
-        lam_arr = np.asarray(lam, dtype=float)
-        flat = np.atleast_1d(lam_arr).ravel()
-        origin = (flat == 0.0) & (self.parity == 1)
-        k = np.full(flat.shape, -1)
-        k[~origin] = self._zero_index(flat[~origin])
-        rho = np.ones(flat.shape)
-        rho[~origin] = self.zeros[k[~origin]]
-        sign = np.where(flat >= 0, 1.0, -1.0)
-        z = np.where(origin, 0.0, sign * rho)
+    def derivative_at_zero(self, lam: np.ndarray) -> np.ndarray:
+        """Exact product-rule derivatives at a 1-D array of retained real
+        zeros lam = +-rho_k, all from one pass of the product with each
+        point's vanishing factor skipped."""
+        k = self._zero_index(lam)
+        rho = self.zeros[k]
+        sign = np.where(lam >= 0, 1.0, -1.0)
+        z = sign * rho
         m, e = self._scaled_product(self._s_of(z), skip=k)
-        m2, e2, _ = self._smooth_log(z, odd_factor=np.where(origin, 1.0, z))
-        dfactor = np.where(origin, 1.0, -sign * (4.0 if self.quartic else 2.0) / rho)
-        out = dfactor * (m * m2 * np.exp(e + e2))
-        return complex(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
+        m2, e2, _ = self._smooth_log(z)
+        dfactor = -sign * (4.0 if self.quartic else 2.0) / rho
+        return dfactor * (m * m2 * np.exp(e + e2))
 
-    def divided_basis_eval(self, lam, z, deriv):
+    def divided_basis_eval(self, lam: np.ndarray, z: np.ndarray, deriv: np.ndarray) -> np.ndarray:
         """Cardinal function model(z) / (model'(lam) * (z - lam)).
 
         The vanishing factor is cancelled against (z - lam) algebraically, so
         the removable singularity never appears; the result is 1 at lam and 0
-        at every other retained zero.  ``deriv`` holds model'(lam), as
-        ``derivative_at_zero`` gives it.  ``lam``, ``z`` and ``deriv``
-        broadcast against each other: every point comes from one pass of the
-        product with its own vanishing factor skipped.
+        at every other retained zero.  ``lam``, ``z`` and ``deriv`` are 1-D
+        arrays of one length, ``deriv`` holding model'(lam) as
+        ``derivative_at_zero`` gives it: every point comes from one pass of
+        the product with its own vanishing factor skipped.
         """
-        scalar = np.ndim(lam) == 0 and np.ndim(z) == 0
-        lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        z_arr = np.atleast_1d(np.asarray(z, dtype=complex if np.iscomplexobj(z) else float))
-        z_arr = np.broadcast_to(z_arr, np.broadcast_shapes(lam_arr.shape, z_arr.shape))
-        k = self._zero_index(lam_arr)
+        k = self._zero_index(lam)
         rho = self.zeros[k]
-        sign = np.where(lam_arr >= 0, 1.0, -1.0)
-        u = z_arr * z_arr
+        sign = np.where(lam >= 0, 1.0, -1.0)
+        u = z * z
         q = rho * rho
         # (1 - u/q) / (z -+ rho) = -(z +- rho)/q
-        ratio = -(z_arr + sign * rho) * (1.0 / q)
+        ratio = -(z + sign * rho) * (1.0 / q)
         if self.quartic:
             ratio = ratio * (1.0 + u * (1.0 / q))
-        m, e = self._scaled_product(self._s_of(z_arr), skip=k)
-        m2, e2, _ = self._smooth_log(z_arr)
-        out = ratio * m * m2 * np.exp(e + e2) / deriv
-        return out[0] if scalar else out
+        m, e = self._scaled_product(self._s_of(z), skip=k)
+        m2, e2, _ = self._smooth_log(z)
+        return ratio * m * m2 * np.exp(e + e2) / deriv
 
     # -- serialization -------------------------------------------------------
 
@@ -554,31 +527,48 @@ class ProductModel:
     @staticmethod
     def from_dict(obj: dict) -> "ProductModel":
         """The model ``to_dict`` described, from its parsed JSON object."""
-        json_object(obj, "a model")
+        json_value(obj, dict, "a model")
         for key in ("T2", "T4"):
             if key in obj:
                 raise ValueError(f"model JSON carries the truncated-tail key {key!r} of the "
                                  "old format; rebuild the pair with `construct`")
         for key, value in (("c_re", 1.0), ("c_im", 0.0), ("theta", 0.0)):
-            if obj[key] != value:
+            if json_value(obj[key], float, f"a model's {key!r}") != value:
                 raise ValueError(f"model JSON sets {key!r} to {obj[key]!r}; the models "
                                  f"are real, with {key} = {value}")
+        # other meta entries, such as the "family" of older sinc files, are labels
+        meta = json_value(obj.get("meta", {}), dict, "a model's meta")
         return ProductModel(
-            zeros=np.array(obj["zeros"], dtype=float),
-            gauss_rate=float(obj["gamma"]),
-            parity=int(obj["sigma"]),
-            tail_start=int(obj["tail_start"]),
-            tail_scale=float(obj["tail_scale"]),
-            # other meta entries, such as the "family" of older sinc files, are labels
-            quartic=bool(json_object(obj.get("meta", {}), "a model's meta").get("quartic", False)),
+            zeros=json_numbers(obj["zeros"], "a model's 'zeros'"),
+            gauss_rate=json_value(obj["gamma"], float, "a model's 'gamma'"),
+            parity=json_value(obj["sigma"], int, "a model's 'sigma'"),
+            tail_start=json_value(obj["tail_start"], int, "a model's 'tail_start'"),
+            tail_scale=json_value(obj["tail_scale"], float, "a model's 'tail_scale'"),
+            quartic=json_value(meta.get("quartic", False), bool, "a model's meta 'quartic'"),
         )
 
 
-def json_object(value, name: str) -> dict:
-    """``value`` when it is a JSON object; a ValueError naming it otherwise."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, not {type(value).__name__}")
-    return value
+# the Python types json.loads gives a JSON value of each kind, and the kind's name
+_JSON_KINDS = {dict: ((dict,), "a JSON object"), float: ((int, float), "a number"),
+               int: ((int,), "an integer"), bool: ((bool,), "true or false")}
+
+
+def json_value(value, kind: type, name: str):
+    """``value`` as ``kind`` when it is a JSON value of that kind: an object
+    for dict, any number for float, an integer for int (true and false are
+    neither); a ValueError naming it otherwise."""
+    types, label = _JSON_KINDS[kind]
+    if type(value) not in types:
+        raise ValueError(f"{name} must be {label}, not {type(value).__name__}")
+    return kind(value)
+
+
+def json_numbers(value, name: str) -> np.ndarray:
+    """``value`` as a float array when it is a JSON list of numbers; a
+    ValueError naming it otherwise."""
+    if type(value) is not list or not all(type(v) in (int, float) for v in value):
+        raise ValueError(f"{name} must be a list of numbers")
+    return np.array(value, dtype=float)
 
 
 # -- builders ---------------------------------------------------------------

@@ -338,18 +338,18 @@ def _chirp_sum(rows: np.ndarray, spec: QuadratureSpec, c: int, t_c: float, dt: f
     return sums[0] + sums[1] * (sign * 2.0j * np.pi * offsets)
 
 
-def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi) -> TransformResult:
-    """Transform from precomputed node values fx on spec.grid().
+def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi: np.ndarray) -> TransformResult:
+    """Transform from precomputed node values fx on spec.grid() at a 1-D
+    array of frequencies.
 
     Complex frequencies are allowed (the transform of a Gaussian-decaying
     integrand continues analytically off the real axis).  The error is the
     Richardson difference against the half-count rule, which takes every
     other node at twice the weight, summed in the same pass, plus the tail
     bound."""
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=complex))
     half = np.zeros_like(fx)
     half[::2] = 2.0 * fx[::2]
-    fine, coarse = phase_sum(np.stack([fx, half]), spec, xi_arr)
+    fine, coarse = phase_sum(np.stack([fx, half]), spec, np.asarray(xi, dtype=complex))
     err = np.abs(fine - coarse) + _tail_bound(spec.grid(), fx)
     return TransformResult(values=fine, error=err)
 

@@ -52,8 +52,8 @@ class NoFeasibleWindowError(RuntimeError, CheckFailedError):
 
 
 class SolverFailedError(RuntimeError, CheckFailedError):
-    """Iteration diverged or missed the tolerance within the cap, or a direct
-    system was singular."""
+    """Iteration missed the tolerance within the step cap, or a direct system
+    was singular."""
 
 
 class DensityTooHighError(ValueError, CheckFailedError):
@@ -160,15 +160,12 @@ class InterpolationProblem:
 class IterationState:
     norms: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
-    diverged: bool = False
     converged: bool = False
 
     def record(self, norm: float) -> None:
         if self.norms:
             prev = self.norms[-1]
             self.ratios.append(norm / prev if prev > 0 else 0.0)
-            if len(self.ratios) >= 2 and self.ratios[-1] >= 1.0 and self.ratios[-2] >= 1.0:
-                self.diverged = True
         self.norms.append(norm)
 
 
@@ -270,26 +267,26 @@ class AssembledInterpolant:
         self.alpha = np.asarray(alpha, dtype=complex)
         self.beta = np.asarray(beta, dtype=complex)
 
-    def eval(self, x) -> np.ndarray:
+    def eval(self, x: np.ndarray) -> np.ndarray:
+        """The interpolant at a 1-D array of real or complex points."""
         p = self.problem
-        x_arr = np.atleast_1d(np.asarray(x))
-        total = np.zeros(len(x_arr), dtype=complex)
+        total = np.zeros(len(x), dtype=complex)
         if len(p.lam):
-            total += self.alpha @ divided_columns(p.time_gen, p.lam, x_arr, p.time_derivs)
+            total += self.alpha @ divided_columns(p.time_gen, p.lam, x, p.time_derivs)
         if len(p.mu):
-            total += fourier.phase_sum(p.freq_columns, p.freq_quad, x_arr, inverse=True,
+            total += fourier.phase_sum(p.freq_columns, p.freq_quad, x, inverse=True,
                                        coeffs=self.beta)
-        return total if np.ndim(x) else total[0]
+        return total
 
-    def eval_hat(self, xi) -> np.ndarray:
+    def eval_hat(self, xi: np.ndarray) -> np.ndarray:
+        """The interpolant's transform at a 1-D array of real or complex frequencies."""
         p = self.problem
-        xi_arr = np.atleast_1d(np.asarray(xi))
-        total = np.zeros(len(xi_arr), dtype=complex)
+        total = np.zeros(len(xi), dtype=complex)
         if len(p.lam):
-            total += fourier.phase_sum(p.time_columns, p.time_quad, xi_arr, coeffs=self.alpha)
+            total += fourier.phase_sum(p.time_columns, p.time_quad, xi, coeffs=self.alpha)
         if len(p.mu):
-            total += self.beta @ divided_columns(p.freq_gen, p.mu, xi_arr, p.freq_derivs)
-        return total if np.ndim(xi) else total[0]
+            total += self.beta @ divided_columns(p.freq_gen, p.mu, xi, p.freq_derivs)
+        return total
 
 
 @dataclass
@@ -315,8 +312,6 @@ def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60)
     tot_a, tot_b = np.zeros_like(cur_a), np.zeros_like(cur_b)
     for _ in range(max_iter):
         state.record(problem.data_norm(cur_a, cur_b))
-        if state.diverged:
-            break
         tot_a += cur_a
         tot_b += cur_b
         cur_a, cur_b = -mats.psi_at_lambda @ cur_b, -mats.phihat_at_mu @ cur_a

@@ -59,17 +59,17 @@ def weak_check(time_vals, freq_vals, tol: float = 1e-8) -> dict:
     }
 
 
-def h_eval(fg, z):
-    """H(z) = f(z) conj(f(conj z)) - g(z) conj(g(conj z)).
+def h_eval(fg, z: np.ndarray) -> np.ndarray:
+    """H(z) = f(z) conj(f(conj z)) - g(z) conj(g(conj z)) at a 1-D array of points.
 
-    Real and equal to |f|^2 - |g|^2 on the real line; for a constructed pair
-    it equals 4 Re(phi conj(psi)) there (polarization).
+    ``fg`` takes the points cast to complex.  H is real and equal to
+    |f|^2 - |g|^2 on the real line; for a constructed pair it equals
+    4 Re(phi conj(psi)) there (polarization).
     """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    f, g = fg(z_arr)
-    f_c, g_c = fg(np.conj(z_arr))
-    out = f * np.conj(f_c) - g * np.conj(g_c)
-    return out if np.ndim(z) else out[0]
+    z = np.asarray(z, dtype=complex)
+    f, g = fg(z)
+    f_c, g_c = fg(np.conj(z))
+    return f * np.conj(f_c) - g * np.conj(g_c)
 
 
 def sign_retrieval_check(sample_time, sample_freq, grid_time, grid_freq,

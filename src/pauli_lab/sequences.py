@@ -138,7 +138,14 @@ def density_fit(gamma: SampledSet) -> tuple[float, float]:
     radii = np.sort(np.abs(gamma.points))
     n_at = np.searchsorted(radii, radii, side="left").astype(float)
     design = np.column_stack([radii**2, np.ones_like(radii)])
-    coef, *_ = np.linalg.lstsq(design, n_at, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, n_at, rcond=None)
+    if rank < 2:
+        # radii so small that r^2 drops out against the intercept column
+        # (a dense set): refit on r^2 scaled to a largest value of 1
+        top = radii[-1] ** 2
+        design[:, 0] /= top
+        coef, *_ = np.linalg.lstsq(design, n_at, rcond=None)
+        coef[0] /= top
     d_hat = float(coef[0])
     resid = float(np.max(np.abs(n_at - d_hat * radii**2)))
     return d_hat, resid

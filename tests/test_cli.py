@@ -123,12 +123,38 @@ class TestConstructVerify:
                     "--out", str(tmp_path / "x.json")])
         err = capsys.readouterr().err
         assert code == 1
-        found = re.search(r"half density ([\d.]+) >= threshold ([\d.]+); frequency "
-                          r"envelope rate ([\d.e-]+) (<|>=) ([\d.]+)", err)
+        found = re.fullmatch(r"check failed: half density ([\d.]+) >= threshold ([\d.]+)\n", err)
         assert found, err
-        half, cap, rate, op, decay = found.groups()
-        assert float(half) >= float(cap)
-        assert (float(rate) < float(decay)) == (op == "<")
+        half, cap = (float(v) for v in found.groups())
+        assert half >= cap == 2.0
+
+    @pytest.mark.parametrize("density", ["300", "1e9", "1e16"])
+    @pytest.mark.parametrize("kind", ["time", "freq-matched", "non-weak"])
+    def test_far_supercritical_sets_fail_naming_the_density(self, tmp_path, capsys, kind,
+                                                            density):
+        # the density fit keeps its r^2 column for radii near 1e-8, and no
+        # check of the failure builds a model of the set
+        out = tmp_path / "x.json"
+        code = run(["construct", kind, "--A", "0.5", "--D", density, "--seed", "3",
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        found = re.search(r"half density ([\d.]+) >= threshold ([\d.]+)", err)
+        assert found, err
+        half, cap = (float(v) for v in found.groups())
+        assert half == pytest.approx(float(density), rel=1e-3) and cap < 2.5
+
+    @pytest.mark.parametrize("density, message", [
+        ("1.1", "half density 1.100 reaches the cap 1.000"),
+        ("0.97", "half density 0.970 leaves no rate headroom")], ids=["cap", "headroom"])
+    @pytest.mark.parametrize("kind", ["non-weak", "freq-matched"])
+    def test_null_space_density_failures(self, tmp_path, capsys, kind, density, message):
+        # at A = 0.9 both kinds take the null-space branch, whose cap is 1
+        out = tmp_path / "x.json"
+        assert run(["construct", kind, "--A", "0.9", "--D", density, "--seed", "3",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"check failed: {message}\n"
+        assert not out.exists()
 
     def test_null_space_verify_evaluates_the_shared_part_once(self, tmp_path,
                                                                 interpolant_calls):
@@ -306,6 +332,54 @@ class TestModelTools:
                 "verify": ["--pair", str(path)]}[command]
         out = tmp_path / "out"
         assert run([command, *flag, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    _TIME_PAIR = {"phi": dict(_PART), "vartheta": 0.0,
+                  "psi": dict(_PART, model=ProductModel(gauss_rate=1.0, parity=1).to_dict()),
+                  "provenance": {"kind": "time_pair", "lambda_points": [0.0]}}
+
+    @pytest.mark.parametrize("base, keys, value, message", [
+        ("model", ["gamma"], None, "a model's 'gamma' must be a number, not NoneType"),
+        ("model", ["sigma"], True, "a model's 'sigma' must be an integer, not bool"),
+        ("model", ["tail_start"], 31.5, "a model's 'tail_start' must be an integer, not float"),
+        ("model", ["c_re"], True, "a model's 'c_re' must be a number, not bool"),
+        ("model", ["zeros"], [1.0, False], "a model's 'zeros' must be a list of numbers"),
+        ("model", ["meta", "quartic"], 0, "a model's meta 'quartic' must be true or false, not int"),
+        ("pair", ["phi", "model", "zeros"], None, "a model's 'zeros' must be a list of numbers"),
+        ("pair", ["phi", "quad", "half_width"], "4.0",
+         "the 'phi' part's 'quad' half_width must be a number, not str"),
+        ("pair", ["psi", "quad", "nodes"], 64.0,
+         "the 'psi' part's 'quad' nodes must be an integer, not float"),
+        ("pair", ["vartheta"], False, "a pair's 'vartheta' must be a number, not bool"),
+        ("pair", ["provenance", "lambda_points"], {"a": 1},
+         "the pair's provenance 'lambda_points' must be a list of numbers"),
+        ("nonweak", ["phi", "weight_a"], None,
+         "the 'phi' part's 'weight_a' must be a number, not NoneType"),
+        ("nonweak", ["psi", "beta"], "0", "the 'psi' part's 'beta' must be a list of numbers"),
+        ("problem", ["lambda"], [-1.0, True], "lambda must be a list of numbers"),
+    ], ids=["gamma-null", "sigma-bool", "tail-start-float", "c-re-bool", "zeros-bool",
+            "quartic-int", "part-zeros-null", "half-width-string", "nodes-float",
+            "vartheta-bool", "lambda-points-object", "weight-null", "beta-string",
+            "interp-lambda-bool"])
+    def test_field_of_wrong_json_type_rejected(self, tmp_path, capsys, nonweak_file, base, keys,
+                                               value, message):
+        # read as a configuration error naming the field, not a traceback;
+        # JSON true and false are neither numbers nor integers
+        obj = {"model": sinc_product(30).to_dict(), "pair": self._TIME_PAIR,
+               "nonweak": json.loads(nonweak_file.read_text()),
+               "problem": TestInterp.README_PROBLEM}[base]
+        obj = json.loads(json.dumps(obj))
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path, out = tmp_path / "in.json", tmp_path / "out"
+        path.write_text(json.dumps(obj))
+        argv = {"model": ["ft", "--model", str(path), "--xi=0:1:0.5", "--out", str(out)],
+                "problem": ["interp", "--problem", str(path), "--out-dir", str(out)]}.get(
+                    base, ["verify", "--pair", str(path), "--out", str(out)])
+        assert run(argv) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 

@@ -76,7 +76,7 @@ class TestPairEvaluation:
             return f(w) * np.conj(f(np.conj(w))) - g(w) * np.conj(g(np.conj(w)))
 
         assert np.array_equal(pv.h_eval(pair.fg, z), h(z))
-        assert pv.h_eval(pair.fg, z[1]) == h(z[1:2])[0]
+        assert np.array_equal(pv.h_eval(pair.fg, z[1:2]), h(z[1:2]))
 
     @pytest.mark.parametrize("kind", ["nonweak_pair", "null_space_pair"])
     def test_parts_keep_their_type_through_json(self, kind, request):
@@ -203,9 +203,8 @@ class TestTimePair:
 
     def test_density_too_high(self):
         lam = generate_smooth(SmoothSpec(p=2.0, density=2.5, count=512, halves="±", seed=5))
-        with pytest.raises(con.DensityTooHighError) as err:
+        with pytest.raises(con.DensityTooHighError, match=r"^half density 2\.\d{4} >= threshold 2\.0000$"):
             con.build_time_pair(lam, 0.5)
-        assert "envelope rate" in str(err.value)
 
     def test_hardy_membership(self):
         lam = generate_smooth(SmoothSpec(p=2.0, density=1.5, count=512, halves="±", seed=5))

@@ -26,13 +26,13 @@ class TestGaussianOracles:
     def test_self_transform(self):
         res = fourier.transform(lambda x: np.exp(-np.pi * x * x), SPEC, XI)
         assert np.max(np.abs(res.values - np.exp(-np.pi * XI**2))) < 1e-10
-        one = fourier.transform(lambda x: np.exp(-np.pi * x * x), SPEC, 1.0)
+        one = fourier.transform(lambda x: np.exp(-np.pi * x * x), SPEC, np.array([1.0]))
         assert one.values[0] == pytest.approx(np.exp(-np.pi), abs=1e-12)
 
     def test_first_eigenfunction(self):
         res = fourier.transform(lambda x: x * np.exp(-np.pi * x * x), SPEC, XI)
         assert np.max(np.abs(res.values - (-1j) * XI * np.exp(-np.pi * XI**2))) < 1e-10
-        half = fourier.transform(lambda x: x * np.exp(-np.pi * x * x), SPEC, 0.5)
+        half = fourier.transform(lambda x: x * np.exp(-np.pi * x * x), SPEC, np.array([0.5]))
         assert half.values[0] == pytest.approx(-0.5j * np.exp(-np.pi / 4), abs=1e-12)
 
     def test_dilated_gaussian(self):
@@ -40,7 +40,7 @@ class TestGaussianOracles:
         res = fourier.transform(lambda x: np.exp(-a * np.pi * x * x), SPEC, XI)
         exact = a**-0.5 * np.exp(-np.pi * XI**2 / a)
         assert np.max(np.abs(res.values - exact)) < 1e-10
-        at_one = fourier.transform(lambda x: np.exp(-a * np.pi * x * x), SPEC, 1.0)
+        at_one = fourier.transform(lambda x: np.exp(-a * np.pi * x * x), SPEC, np.array([1.0]))
         assert at_one.values[0] == pytest.approx(np.sqrt(2) * np.exp(-2 * np.pi), abs=1e-12)
 
     def test_error_estimates_honest(self):
@@ -454,6 +454,13 @@ class TestHardyCheck:
         assert not fourier.hardy_check(slow, fast, 0.5, self.X, self.X)
         assert not fourier.hardy_check(fast, slow, 0.5, self.X, self.X)
 
+    def test_too_few_samples_above_the_floor_fail(self):
+        # exp(-pi x^2) > 0.99 holds at 3 of the 301 points, and the check needs 6
+        f = np.exp(-np.pi * self.X**2)
+        assert fourier.hardy_check(f, f, 0.5, self.X, self.X)
+        assert not fourier.hardy_check(f, f, 0.5, self.X, self.X, floor=0.99)
+        assert not fourier.hardy_check(f[148:153], f, 0.5, self.X[148:153], self.X)
+
     def test_noise_floor_excluded(self):
         rng = np.random.default_rng(0)
         f = np.exp(-np.pi * self.X**2)
@@ -498,6 +505,6 @@ class TestHermite:
 @given(st.floats(0.3, 1.6), st.floats(-3.0, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_dilated_gaussian_transform_property(a, xi):
-    res = fourier.transform(lambda x: np.exp(-a * np.pi * x * x), SPEC, xi)
+    res = fourier.transform(lambda x: np.exp(-a * np.pi * x * x), SPEC, np.array([xi]))
     exact = a**-0.5 * np.exp(-np.pi * xi**2 / a)
     assert res.values[0] == pytest.approx(exact, abs=1e-9)

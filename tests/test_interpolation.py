@@ -197,8 +197,9 @@ class TestCrossMatrices:
             near = np.abs(x - lam[j]) < 1e-9
             hits += np.count_nonzero(near)
             if np.any(near):
-                assert np.array_equal(cols[j, near],
-                                      gen.divided_basis_eval(lam[j], x[near], derivs[j]))
+                k = np.count_nonzero(near)
+                assert np.array_equal(cols[j, near], gen.divided_basis_eval(
+                    np.full(k, lam[j]), x[near], np.full(k, derivs[j])))
         assert hits == 5
         assert cols[0, len(grid)] == pytest.approx(1.0, abs=1e-12)
         assert np.all(cols[1:3, len(grid)] == 0.0)
@@ -217,7 +218,8 @@ class TestCrossMatrices:
         assert calls == [len(lam)]
         assert np.allclose(np.diag(cols), 1.0, rtol=0, atol=1e-12)
         assert np.all(cols[~np.eye(len(lam), dtype=bool)] == 0.0)
-        single = np.array([original(gen, v, v, gen.derivative_at_zero(v)) for v in lam])
+        single = np.array([original(gen, v, v, gen.derivative_at_zero(v))[0]
+                           for v in np.split(lam, len(lam))])
         assert np.allclose(np.diag(cols), single, rtol=1e-13, atol=0)
 
     def test_real_points_match_complex_points(self, small_problem):
@@ -344,7 +346,20 @@ class TestSolve:
         res = itp.solve(prob, tol=1e-11)
         assert all(r <= 0.55 for r in res.state.ratios[1:])
         assert res.verify_time < 1e-9
-        assert res.interpolant.eval(prob.lam[0]) == pytest.approx(1.0, abs=1e-9)
+        assert res.interpolant.eval(prob.lam[:1])[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_step_cap_fails_the_check(self):
+        # the AC-6 problem: its contraction needs far more than three steps
+        lam = generate_smooth(SmoothSpec(p=2.0, density=0.8, count=512, halves="±", seed=1))
+        mu = generate_smooth(SmoothSpec(p=2.0, density=0.8, count=512, halves="±", seed=2))
+        base = itp.make_problem(lam, mu, None, None, 0.5, 0.5, 0.0, 3.2, nodes=2048)
+        prob = base.restricted(itp.choose_window_cut(base)[0])
+        rng = np.random.default_rng(0)
+        prob = prob.with_data(rng.normal(size=len(prob.lam)) + 0j,
+                              rng.normal(size=len(prob.mu)) + 0j)
+        with pytest.raises(itp.SolverFailedError, match=r"^contraction failed after 3 steps; "):
+            itp.solve(prob, tol=1e-10, max_iter=3)
+        assert len(itp.solve(prob, tol=1e-10).state.norms) > 3
 
     def test_random_unit_norm_contract(self, small_problem):
         rng = np.random.default_rng(42)
@@ -425,7 +440,7 @@ class TestVanishingFunction:
                           (SampledSet(points=np.empty(0)), 0.5 * np.sqrt(18.0 / (np.pi * 0.5)))):
             vf = itp.assemble_vanishing_function(lam, mu, 0.5, 0.5, nodes=1024)
             assert vf.carrier == want
-            assert abs(vf.interpolant.eval(vf.carrier) - 1.0) < 1e-12
+            assert abs(vf.interpolant.eval(np.array([vf.carrier]))[0] - 1.0) < 1e-12
             assert vf.residual_time < 1e-12 and vf.residual_freq < 1e-12
 
     def test_singular_system_fails_the_check(self, split_sets, monkeypatch):

@@ -137,6 +137,15 @@ class TestSignRetrieval:
                                       nonweak_pair.fg(X), nonweak_pair.fg_hat(XI), tol=1e-5)
         assert out["verdict"] == "counterexample persists"
 
+    def test_one_side_forced_the_other_not_is_inconclusive(self):
+        # the squares agree on the time grid and differ by far more than
+        # 10 tol on the frequency grid
+        double_hat = lambda xi: 2.0 * gauss_hat(xi)
+        out = pv.sign_retrieval_check(sampled(gauss, gauss, X[:5]), sampled(gauss_hat, gauss_hat, XI[:5]),
+                                      sampled(gauss, gauss, X), sampled(gauss_hat, double_hat, XI))
+        assert out["verdict"] == "inconclusive"
+        assert out["witness_sq_time"] == 0.0 and out["witness_sq_freq"] >= 1.0
+
     def test_precondition_violated(self):
         out_fn = lambda x: gauss(x) + 0.5
         with pytest.raises(pv.PreconditionError):

@@ -100,6 +100,13 @@ class TestDensityFit:
         assert d_hat == pytest.approx(1.5, abs=1e-6)
         assert resid <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("density", [1e16, 1e100])
+    def test_exact_construction_of_a_dense_set(self, density):
+        # r^2 near j/D drops out of the first fit against the intercept
+        d_hat, resid = seq.density_fit(profile(density=density, count=256))
+        assert d_hat == pytest.approx(density, rel=1e-6)
+        assert resid <= 1.0 + 1e-6
+
     def test_lattice_not_two_smooth(self):
         small = seq.SampledSet(points=np.arange(1.0, 101.0))
         large = seq.SampledSet(points=np.arange(1.0, 601.0))
