@@ -492,7 +492,7 @@ def run_all(only: list[str] | None = None, threads: int = 1) -> list[AcceptanceR
     names = only or list(ALL_CRITERIA)
     for name in names:
         if name not in ALL_CRITERIA:
-            raise KeyError(f"unknown criterion {name!r}")
+            raise ValueError(f"unknown criterion {name!r}")
 
     def run(name: str) -> AcceptanceRecord:
         title, budget, check = ALL_CRITERIA[name]

@@ -28,7 +28,7 @@ from . import fourier
 from . import interpolation as itp
 from . import pauli_verify as pv
 from . import thresholds as th
-from .entire_models import ProductModel, json_numbers
+from .entire_models import ProductModel, json_numbers, json_value
 from .sequences import SampledSet, SmoothSpec, generate_smooth
 
 
@@ -48,8 +48,12 @@ def _config_hash(args: argparse.Namespace) -> str:
     return digest[:12]
 
 
+def _provenance(args: argparse.Namespace, seed) -> dict:
+    return {"tool": f"pauli-lab {__version__}", "config": _config_hash(args), "seed": seed}
+
+
 def _provenance_line(args: argparse.Namespace, seed) -> str:
-    return f"# pauli-lab {__version__} config={_config_hash(args)} seed={seed}\n"
+    return "# {tool} config={config} seed={seed}\n".format(**_provenance(args, seed))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -80,6 +84,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv(args: argparse.Namespace, seed, header: str, rows) -> str:
+    """The provenance line, ``header`` and one line of ``_fmt`` values per row."""
+    lines = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    return _provenance_line(args, seed) + header + "\n" + lines
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -88,14 +98,10 @@ def cmd_thresholds(args) -> int:
     grid = grid[(grid > 0) & (grid < 1)]
     if not grid.size:
         raise ValueError(f"range {args.a_grid!r} holds no decay rate in (0, 1)")
-    lines = [_provenance_line(args, 0)]
-    lines.append("A,c1,c2,pauli_threshold,uniqueness_time,uniqueness_freq\n")
-    for a in grid:
-        d1, d2 = th.uniqueness_density_bounds(th.DecayParams(a, a))
-        lines.append(",".join(_fmt(v) for v in (
-            a, th.one_sided_threshold(a), th.weak_pair_threshold(a),
-            th.pauli_threshold(a), d1, d2)) + "\n")
-    _write(args.out, "".join(lines))
+    rows = [(a, th.one_sided_threshold(a), th.weak_pair_threshold(a), th.pauli_threshold(a),
+             *th.uniqueness_density_bounds(th.DecayParams(a, a))) for a in grid]
+    _write(args.out, _csv(args, 0, "A,c1,c2,pauli_threshold,uniqueness_time,uniqueness_freq",
+                          rows))
     return 0
 
 
@@ -132,13 +138,9 @@ def cmd_construct(args) -> int:
     else:
         mu = _sampling_set(args, args.mu, "--mu", args.seed + 1, "±")
         pair = con.build_nonweak_pair(lam, mu, args.decay)
-    pair.provenance.update({
-        "tool": f"pauli-lab {__version__}",
-        "config": _config_hash(args),
-        "seed": args.seed,
-        "lambda_points": [float(v) for v in lam.points],
-        "mu_points": [float(v) for v in mu.points],
-    })
+    pair.provenance.update(_provenance(args, args.seed),
+                           lambda_points=[float(v) for v in lam.points],
+                           mu_points=[float(v) for v in mu.points])
     _write(args.out, pair.to_json() + "\n")
     return 0
 
@@ -153,6 +155,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--grid-points must be >= 2, got {args.grid_points}")
     if not args.grid_radius > 0:
         raise ValueError(f"--grid-radius must be > 0, got {args.grid_radius}")
+    if args.grid_radius == np.inf:
+        raise ValueError(f"--grid-radius must be finite, got {args.grid_radius}")
     if args.radius is not None and not args.radius > 0:
         raise ValueError(f"--radius must be > 0, got {args.radius}")
     pair = con.pair_from_json(Path(args.pair).read_text())
@@ -182,10 +186,7 @@ def cmd_verify(args) -> int:
     grid = np.linspace(-args.grid_radius, args.grid_radius, args.grid_points)
     report = pv.pair_report(pair, lam, mu, grid, grid,
                             discrete_tol=args.tol_discrete, weak_tol=args.tol_weak)
-    report["provenance"] = {"tool": f"pauli-lab {__version__}",
-                            "config": _config_hash(args),
-                            "seed": pair.provenance.get("seed"),
-                            "pair_kind": kind}
+    report["provenance"] = dict(_provenance(args, pair.provenance.get("seed")), pair_kind=kind)
     _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     verdicts = report["verdicts"]
     return 0 if verdicts["discrete_pair"] and (null_branch or verdicts[kind_verdict[kind]]) else 1
@@ -196,75 +197,60 @@ def cmd_ft(args) -> int:
     model = ProductModel.from_dict(json.loads(Path(args.model).read_text()))
     spec = fourier.QuadratureSpec(half_width=args.half_width, nodes=args.nodes)
     res = fourier.transform(model.values, spec, xi)
-    lines = [_provenance_line(args, 0), "xi,re,im,err\n"]
-    for x, v, e in zip(xi, res.values, res.error):
-        lines.append(f"{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(float(e))}\n")
-    _write(args.out, "".join(lines))
+    rows = zip(xi, res.values.real, res.values.imag, res.error)
+    _write(args.out, _csv(args, 0, "xi,re,im,err", rows))
     return 0
 
 
 def cmd_indicator(args) -> int:
     thetas = _parse_range(args.theta)
     model = ProductModel.from_dict(json.loads(Path(args.model).read_text()))
-    lines = [_provenance_line(args, 0), "theta,h_hat,residual,window_lo,window_hi\n"]
-    for theta in thetas:
-        est = asy.indicator_estimate(model, theta)
-        lines.append(",".join(_fmt(v) for v in
-                              (theta, est.h_hat, est.residual, est.window[0], est.window[1])) + "\n")
-    _write(args.out, "".join(lines))
+    estimates = [asy.indicator_estimate(model, theta) for theta in thetas]
+    rows = [(theta, est.h_hat, est.residual, *est.window) for theta, est in zip(thetas, estimates)]
+    _write(args.out, _csv(args, 0, "theta,h_hat,residual,window_lo,window_hi", rows))
     return 0
 
 
 def _interp_data(entries, points: np.ndarray, key: str, set_name: str) -> dict:
     """Data values by point from an ``alpha``/``beta`` object of [re, im] pairs."""
-    if not isinstance(entries, dict):
-        raise ValueError(f"{key} must be an object of point: [re, im], got {entries!r}")
     data = {}
-    for k, v in entries.items():
+    for k, v in json_value(entries, dict, key).items():
         point = float(k)
         if point not in points:
             raise ValueError(f"{key} key {k!r} is not a point of {set_name}")
-        if not (isinstance(v, list) and len(v) == 2
-                and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
+        value = json_numbers(v, f"{key}[{k!r}]")
+        if len(value) != 2:
             raise ValueError(f"{key}[{k!r}] must be [re, im], two numbers, got {v!r}")
-        data[point] = complex(v[0], v[1])
+        data[point] = complex(*value)
     return data
 
 
 def cmd_interp(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    cfg = json.loads(Path(args.problem).read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError(f"the problem file must hold a JSON object, got {cfg!r}")
-    allowed = {"lambda", "mu", "alpha", "beta", "weight_a", "weight_b",
-               "inner_cut", "outer_radius", "nodes", "tol"}
-    unknown = set(cfg) - allowed
+    cfg = json_value(json.loads(Path(args.problem).read_text()), dict, "the problem file")
+    unknown = set(cfg) - {"lambda", "mu", "alpha", "beta", "weight_a", "weight_b",
+                          "inner_cut", "outer_radius", "nodes", "tol"}
     if unknown:
         raise ValueError(f"unknown problem keys: {sorted(unknown)}")
-    tol = cfg.get("tol", 1e-10)
-    inner_cut = cfg.get("inner_cut", 0.0)
-    for key, value, positive in (("weight_a", cfg["weight_a"], True),
-                                 ("weight_b", cfg["weight_b"], True),
-                                 ("outer_radius", cfg["outer_radius"], True),
-                                 ("inner_cut", inner_cut, False), ("tol", tol, True)):
-        # JSON true and false are ints to Python; an int past the float range
-        # would overflow in make_problem
-        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and abs(value) <= sys.float_info.max and (value > 0 or not positive)):
-            raise ValueError(f"{key} must be {'positive and ' if positive else ''}finite, "
-                             f"got {value!r}")
-    nodes = cfg.get("nodes", 2048)
-    if not isinstance(nodes, int) or isinstance(nodes, bool):
-        raise ValueError(f"nodes must be an integer, got {nodes!r}")
+    cfg = {"alpha": {}, "beta": {}, "inner_cut": 0.0, "nodes": 2048, "tol": 1e-10, **cfg}
+    num = {key: json_value(cfg[key], float, key)
+           for key in ("weight_a", "weight_b", "outer_radius", "inner_cut", "tol")}
+    for key in ("weight_a", "weight_b", "outer_radius", "tol"):
+        if num[key] <= 0:
+            raise ValueError(f"{key} must be positive, got {num[key]!r}")
+    # the quadrature window (interpolation.default_quads) squares the radius
+    if num["outer_radius"] > 1e150:
+        raise ValueError(f"outer_radius must be at most 1e150, got {num['outer_radius']!r}")
+    nodes = json_value(cfg["nodes"], int, "nodes")
     lam, mu = (SampledSet(points=json_numbers(cfg[key], key)) for key in ("lambda", "mu"))
-    alpha = _interp_data(cfg.get("alpha", {}), lam.points, "alpha", "lambda")
-    beta = _interp_data(cfg.get("beta", {}), mu.points, "beta", "mu")
+    alpha = _interp_data(cfg["alpha"], lam.points, "alpha", "lambda")
+    beta = _interp_data(cfg["beta"], mu.points, "beta", "mu")
     base = itp.make_problem(lam, mu,
                             (lambda v: alpha.get(float(v), 0.0)) if alpha else None,
                             (lambda v: beta.get(float(v), 0.0)) if beta else None,
-                            cfg["weight_a"], cfg["weight_b"],
-                            inner_cut, cfg["outer_radius"], nodes=nodes)
+                            num["weight_a"], num["weight_b"],
+                            num["inner_cut"], num["outer_radius"], nodes=nodes)
     # a window with no data point would pass vacuously with an all-zero interpolant
     if not len(base.lam) + len(base.mu):
         raise ValueError(f"the window inner_cut {base.inner_cut!r} < |x| <= outer_radius "
@@ -278,7 +264,7 @@ def cmd_interp(args) -> int:
         # the contraction certificate covers only the points outside the cut
         raise CheckFailedError(f"the window cut at |x| = {cut:.6g} drops {dropped} of the "
                                f"{total} data points, which the interpolant would not meet")
-    res = itp.solve(problem, tol=tol)
+    res = itp.solve(problem, tol=num["tol"])
     # a NaN gap fails too
     if not (res.verify_time <= itp.REEVAL_GAP_TOL and res.verify_freq <= itp.REEVAL_GAP_TOL):
         raise CheckFailedError(
@@ -286,17 +272,12 @@ def cmd_interp(args) -> int:
             f"and {res.verify_freq:.3g} (frequency), bound {itp.REEVAL_GAP_TOL:g}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    hist = [_provenance_line(args, 0), "step,norm,ratio\n"]
-    for i, n in enumerate(res.state.norms):
-        ratio = res.state.ratios[i - 1] if i else float("nan")
-        hist.append(f"{i},{_fmt(n)},{_fmt(ratio)}\n")
-    (out_dir / "residual_history.csv").write_text("".join(hist))
+    history = zip(range(len(res.state.norms)), res.state.norms, [np.nan, *res.state.ratios])
+    (out_dir / "residual_history.csv").write_text(_csv(args, 0, "step,norm,ratio", history))
     grid = np.linspace(-problem.outer_cut, problem.outer_cut, args.samples)
     vals = res.interpolant.eval(grid)
-    samp = [_provenance_line(args, 0), "x,re,im\n"]
-    for x, v in zip(grid, vals):
-        samp.append(f"{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)}\n")
-    (out_dir / "assembled_samples.csv").write_text("".join(samp))
+    (out_dir / "assembled_samples.csv").write_text(
+        _csv(args, 0, "x,re,im", zip(grid, vals.real, vals.imag)))
     return 0
 
 

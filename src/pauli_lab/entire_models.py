@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -556,19 +557,30 @@ _JSON_KINDS = {dict: ((dict,), "a JSON object"), float: ((int, float), "a number
 def json_value(value, kind: type, name: str):
     """``value`` as ``kind`` when it is a JSON value of that kind: an object
     for dict, any number for float, an integer for int (true and false are
-    neither); a ValueError naming it otherwise."""
+    neither), and a number only when it is a finite double; a ValueError
+    naming it otherwise."""
     types, label = _JSON_KINDS[kind]
     if type(value) not in types:
         raise ValueError(f"{name} must be {label}, not {type(value).__name__}")
+    # Python's json reads NaN, Infinity and integers past the double range
+    if kind in (float, int) and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite double, got {value!r}")
     return kind(value)
 
 
 def json_numbers(value, name: str) -> np.ndarray:
-    """``value`` as a float array when it is a JSON list of numbers; a
-    ValueError naming it otherwise."""
+    """``value`` as a float array when it is a JSON list of numbers that are
+    finite doubles; a ValueError naming it otherwise."""
     if type(value) is not list or not all(type(v) in (int, float) for v in value):
         raise ValueError(f"{name} must be a list of numbers")
-    return np.array(value, dtype=float)
+    try:
+        numbers = np.array(value, dtype=float)
+        if np.isfinite(numbers).all():
+            return numbers
+    except OverflowError:  # an integer past the double range
+        pass
+    bad = next(v for v in value if not abs(v) <= sys.float_info.max)
+    raise ValueError(f"{name} must hold only finite doubles, got {bad!r}")
 
 
 # -- builders ---------------------------------------------------------------

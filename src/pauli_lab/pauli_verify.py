@@ -31,7 +31,7 @@ def _sq_gap(f_vals: np.ndarray, g_vals: np.ndarray) -> float:
     return float(np.max(np.abs(f_vals ** 2 - g_vals ** 2), initial=0.0))
 
 
-def discrete_check(time_vals, freq_vals, tol: float = 1e-10):
+def discrete_check(time_vals, freq_vals, tol: float):
     """Residual maxima of sampled modulus agreement; passes iff both <= tol."""
     res_t = sup_gap(*time_vals)
     res_f = sup_gap(*freq_vals)
@@ -73,7 +73,7 @@ def h_eval(fg, z: np.ndarray) -> np.ndarray:
 
 
 def sign_retrieval_check(sample_time, sample_freq, grid_time, grid_freq,
-                         tol: float = 1e-8) -> dict:
+                         tol: float) -> dict:
     """Dichotomy for squared-sample data.
 
     Requires f^2 = g^2 on the samples (both sides) within tol; then reports

@@ -83,7 +83,7 @@ def test_ac9_property_suites():
 def test_run_all_reports_every_criterion():
     records = acc.run_all(["AC-1", "AC-2"])
     assert [r.name.split()[0] for r in records] == ["AC-1", "AC-2"]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown criterion 'AC-99'"):
         acc.run_all(["AC-99"])
 
 

@@ -383,6 +383,35 @@ class TestModelTools:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("base, keys, value, message", [
+        ("model", ["gamma"], float("nan"), "a model's 'gamma' must be a finite double, got nan"),
+        ("model", ["gamma"], float("inf"), "a model's 'gamma' must be a finite double, got inf"),
+        ("model", ["gamma"], 10 ** 400,
+         f"a model's 'gamma' must be a finite double, got {10 ** 400}"),
+        ("model", ["zeros", 0], float("nan"),
+         "a model's 'zeros' must hold only finite doubles, got nan"),
+        ("nonweak", ["phi", "weight_a"], float("inf"),
+         "the 'phi' part's 'weight_a' must be a finite double, got inf"),
+        ("nonweak", ["provenance", "lambda_points", 0], float("nan"),
+         "the pair's provenance 'lambda_points' must hold only finite doubles, got nan"),
+        ("nonweak", ["phi", "alpha", 0], float("nan"),
+         "the 'phi' part's 'alpha' must hold only finite doubles, got nan"),
+        ("pair", ["psi", "model", "gamma"], float("nan"),
+         "a model's 'gamma' must be a finite double, got nan"),
+        ("problem", ["alpha", "1.0", 0], float("nan"),
+         "alpha['1.0'] must hold only finite doubles, got nan"),
+        ("problem", ["tol"], 10 ** 400, f"tol must be a finite double, got {10 ** 400}"),
+    ], ids=["gamma-nan", "gamma-infinity", "gamma-int-1e400", "zeros-nan", "weight-infinity",
+            "lambda-points-nan", "alpha-nan", "time-pair-gamma-nan", "interp-alpha-nan",
+            "interp-tol-int-1e400"])
+    def test_number_not_a_finite_double_rejected(self, tmp_path, capsys, nonweak_file, base,
+                                                 keys, value, message):
+        # Python's json reads NaN, Infinity and integers past the double
+        # range; these once exited 0 with NaN columns or a dropped point, 1
+        # as a failed check or with a traceback, or 2 naming no field
+        self.test_field_of_wrong_json_type_rejected(tmp_path, capsys, nonweak_file, base, keys,
+                                                    value, message)
+
     @pytest.mark.parametrize("kind, shown", [(None, "None"), ("weak", "'weak'"),
                                              (["non_weak"], "['non_weak']")],
                              ids=["missing", "unknown", "list"])
@@ -431,15 +460,32 @@ class TestInterp:
         assert run(["interp", "--problem", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == "configuration error: unknown problem keys: ['bogus']\n"
 
-    @pytest.mark.parametrize("key, value", [
-        ("weight_a", 0), ("weight_b", -0.5), ("weight_a", float("nan")), ("weight_b", "0.5"),
-        ("tol", -1), ("tol", 0.0), ("tol", float("inf")),
-        ("weight_a", True), ("weight_b", True), ("tol", True),
-        ("outer_radius", "abc"), ("outer_radius", None), ("outer_radius", 0),
-        ("outer_radius", float("inf")), ("outer_radius", 2 ** 1024), ("outer_radius", True),
-        ("inner_cut", "x"), ("inner_cut", None), ("inner_cut", float("nan")),
-        ("inner_cut", float("-inf")), ("inner_cut", False)])
-    def test_bad_rate_or_tolerance_rejected(self, tmp_path, capsys, monkeypatch, key, value):
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param(key, value, message, id=f"{key}-{value}") for key, value, message in [
+            ("weight_a", 0, "must be positive, got 0.0"),
+            ("weight_b", -0.5, "must be positive, got -0.5"),
+            ("weight_a", float("nan"), "must be a finite double, got nan"),
+            ("weight_b", "0.5", "must be a number, not str"),
+            ("tol", -1, "must be positive, got -1.0"), ("tol", 0.0, "must be positive, got 0.0"),
+            ("tol", float("inf"), "must be a finite double, got inf"),
+            ("weight_a", True, "must be a number, not bool"),
+            ("weight_b", True, "must be a number, not bool"),
+            ("tol", True, "must be a number, not bool"),
+            ("outer_radius", "abc", "must be a number, not str"),
+            ("outer_radius", None, "must be a number, not NoneType"),
+            ("outer_radius", 0, "must be positive, got 0.0"),
+            ("outer_radius", float("inf"), "must be a finite double, got inf"),
+            ("outer_radius", 2 ** 1024, f"must be a finite double, got {2 ** 1024}"),
+            ("outer_radius", True, "must be a number, not bool"),
+            ("inner_cut", "x", "must be a number, not str"),
+            ("inner_cut", None, "must be a number, not NoneType"),
+            ("inner_cut", float("nan"), "must be a finite double, got nan"),
+            ("inner_cut", float("-inf"), "must be a finite double, got -inf"),
+            ("inner_cut", False, "must be a number, not bool"),
+            # interpolation.default_quads squares the radius
+            ("outer_radius", 1e300, "must be at most 1e150, got 1e+300")]])
+    def test_bad_rate_or_tolerance_rejected(self, tmp_path, capsys, monkeypatch, key, value,
+                                            message):
         # weight_a 0 once escaped as a ZeroDivisionError, tol -1 exited 1
         # after 60 steps of a converging iteration, and a non-numeric radius
         # ended in a traceback with exit 1
@@ -449,9 +495,7 @@ class TestInterp:
         cfg.write_text(json.dumps({**self.PROBLEM, key: value}))
         out_dir = tmp_path / "run"
         assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 2
-        bound = "finite" if key == "inner_cut" else "positive and finite"
-        assert capsys.readouterr().err == (
-            f"configuration error: {key} must be {bound}, got {value!r}\n")
+        assert capsys.readouterr().err == f"configuration error: {key} {message}\n"
         assert not out_dir.exists()
 
     # alpha 1 on lambda +-1, +-2 and beta 0.5 on mu +-1.7: at 64 nodes the
@@ -519,7 +563,7 @@ class TestInterp:
         ({"alpha": {"1.5": [1.0, 0.0]}}, "alpha key '1.5' is not a point of lambda"),
         ({"beta": {"1.0": [1.0, 0.0]}}, "beta key '1.0' is not a point of mu"),
         ({"alpha": {"1.0": [1.0]}}, "alpha['1.0'] must be [re, im], two numbers, got [1.0]"),
-        ({"nodes": 1e9}, "nodes must be an integer, got 1000000000.0"),
+        ({"nodes": 1e9}, "nodes must be an integer, not float"),
     ], ids=["alpha-key", "beta-key", "entry", "nodes"])
     def test_malformed_problem_rejected(self, tmp_path, capsys, change, message):
         cfg = tmp_path / "problem.json"
@@ -542,9 +586,9 @@ class TestInterp:
         out_dir = tmp_path / "run"
         assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err == (
-            f"configuration error: the window inner_cut {problem.get('inner_cut', 0.0)!r} < |x| "
-            f"<= outer_radius {problem['outer_radius']!r} holds none of the {count} points "
-            "of lambda and mu\n")
+            f"configuration error: the window inner_cut {float(problem.get('inner_cut', 0))!r} "
+            f"< |x| <= outer_radius {float(problem['outer_radius'])!r} holds none of the "
+            f"{count} points of lambda and mu\n")
         assert not out_dir.exists()
 
     # the problem README.md shows
@@ -565,7 +609,7 @@ class TestInterp:
         out_dir = tmp_path / "run"
         assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err == (
-            f"configuration error: points must be finite, got {shown}\n")
+            f"configuration error: {key} must hold only finite doubles, got {shown}\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("key, name", [("lambda", "time"), ("mu", "frequency")])
@@ -587,7 +631,7 @@ class TestInterp:
         cfg.write_text("3")
         assert run(["interp", "--problem", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == (
-            "configuration error: the problem file must hold a JSON object, got 3\n")
+            "configuration error: the problem file must be a JSON object, not int\n")
 
 
 class TestAcceptanceCommand:
@@ -733,6 +777,7 @@ class TestUsageErrors:
         ("--grid-points", "1", "must be >= 2, got 1"),
         ("--grid-radius", "0", "must be > 0, got 0.0"),
         ("--grid-radius", "-3", "must be > 0, got -3.0"),
+        ("--grid-radius", "inf", "must be finite, got inf"),
         ("--radius", "0", "must be > 0, got 0.0"),
         ("--radius", "-1", "must be > 0, got -1.0"),
         ("--radius", "nan", "must be > 0, got nan")])

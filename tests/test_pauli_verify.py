@@ -38,7 +38,8 @@ def nonweak_pair():
 class TestDiscreteCheck:
     def test_equal_functions(self):
         pts = np.linspace(-2, 2, 9)
-        rt, rf, ok = pv.discrete_check(sampled(gauss, gauss, pts), sampled(gauss_hat, gauss_hat, pts))
+        rt, rf, ok = pv.discrete_check(sampled(gauss, gauss, pts), sampled(gauss_hat, gauss_hat, pts),
+                                       tol=1e-10)
         assert rt == 0.0 and rf == 0.0 and ok
 
     def test_scaled_function_fails(self):
@@ -120,12 +121,13 @@ class TestSignRetrieval:
     def test_negated_pair_forced(self):
         neg, neg_hat = (lambda x: -gauss(x)), (lambda x: -gauss_hat(x))
         out = pv.sign_retrieval_check(sampled(gauss, neg, X[:5]), sampled(gauss_hat, neg_hat, XI[:5]),
-                                      sampled(gauss, neg, X), sampled(gauss_hat, neg_hat, XI))
+                                      sampled(gauss, neg, X), sampled(gauss_hat, neg_hat, XI), tol=1e-8)
         assert out["verdict"] == "squared identity forced"
 
     def test_equal_pair_forced(self):
         out = pv.sign_retrieval_check(sampled(gauss, gauss, X[:5]), sampled(gauss_hat, gauss_hat, XI[:5]),
-                                      sampled(gauss, gauss, X), sampled(gauss_hat, gauss_hat, XI))
+                                      sampled(gauss, gauss, X), sampled(gauss_hat, gauss_hat, XI),
+                                      tol=1e-8)
         assert out["verdict"] == "squared identity forced"
 
     def test_counterexample_persists(self, nonweak_pair):
@@ -142,7 +144,8 @@ class TestSignRetrieval:
         # 10 tol on the frequency grid
         double_hat = lambda xi: 2.0 * gauss_hat(xi)
         out = pv.sign_retrieval_check(sampled(gauss, gauss, X[:5]), sampled(gauss_hat, gauss_hat, XI[:5]),
-                                      sampled(gauss, gauss, X), sampled(gauss_hat, double_hat, XI))
+                                      sampled(gauss, gauss, X), sampled(gauss_hat, double_hat, XI),
+                                      tol=1e-8)
         assert out["verdict"] == "inconclusive"
         assert out["witness_sq_time"] == 0.0 and out["witness_sq_freq"] >= 1.0
 
@@ -151,7 +154,8 @@ class TestSignRetrieval:
         with pytest.raises(pv.PreconditionError):
             pv.sign_retrieval_check(sampled(gauss, out_fn, np.array([0.3])),
                                     sampled(gauss_hat, gauss_hat, np.empty(0)),
-                                    sampled(gauss, out_fn, X), sampled(gauss_hat, gauss_hat, XI))
+                                    sampled(gauss, out_fn, X), sampled(gauss_hat, gauss_hat, XI),
+                                    tol=1e-8)
 
 
 class TestPairReport:
