@@ -23,7 +23,7 @@ from . import fourier
 from . import interpolation as itp
 from . import pauli_verify as pv
 from . import thresholds as th
-from .entire_models import ProductModel, gaussian_model, profile_product, sinc_product
+from .entire_models import ProductModel, profile_product, sinc_product
 from .sequences import SmoothSpec, density_fit, generate_smooth, split_parity
 
 SEED = 20260808
@@ -229,7 +229,7 @@ def _prop_product_identity(rng: np.random.Generator) -> None:
         a, b = rng.uniform(0.05, 1.2, 2)
         if a * b >= 0.98:
             continue
-        d1, d2 = th.uniqueness_density_bounds(th.DecayParams(a, b))
+        d1, d2 = th.uniqueness_density_bounds(a, b)
         assert abs(d1 * d2 - (1 - a * b)) < 1e-12
 
 
@@ -239,8 +239,8 @@ def _prop_rate_monotonicity(rng: np.random.Generator) -> None:
         da, db = rng.uniform(1e-6, 0.4, 2)
         if (a + da) * (b + db) >= 0.98:
             continue
-        d = th.uniqueness_density_bounds(th.DecayParams(a, b))
-        e = th.uniqueness_density_bounds(th.DecayParams(a + da, b + db))
+        d = th.uniqueness_density_bounds(a, b)
+        e = th.uniqueness_density_bounds(a + da, b + db)
         assert not (e[0] >= d[0] - 1e-12 and e[1] >= d[1] - 1e-12)
 
 
@@ -373,7 +373,7 @@ def _prop_gaussian_indicator(rng: np.random.Generator) -> None:
     for _ in range(100):
         rate = rng.uniform(0.2, 2.0)
         theta = rng.uniform(0, np.pi)
-        est = asy.indicator_estimate(gaussian_model(rate), theta)
+        est = asy.indicator_estimate(ProductModel(gauss_rate=rate), theta)
         assert abs(est.h_hat + rate * np.pi * np.cos(2 * theta)) < 1e-10
 
 

@@ -80,13 +80,9 @@ def _parse_range(spec: str) -> np.ndarray:
     return start + step * np.arange(n)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _csv(args: argparse.Namespace, seed, header: str, rows) -> str:
-    """The provenance line, ``header`` and one line of ``_fmt`` values per row."""
-    lines = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    """The provenance line, ``header`` and one line of ``%.17g`` values per row."""
+    lines = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
     return _provenance_line(args, seed) + header + "\n" + lines
 
 
@@ -99,7 +95,7 @@ def cmd_thresholds(args) -> int:
     if not grid.size:
         raise ValueError(f"range {args.a_grid!r} holds no decay rate in (0, 1)")
     rows = [(a, th.one_sided_threshold(a), th.weak_pair_threshold(a), th.pauli_threshold(a),
-             *th.uniqueness_density_bounds(th.DecayParams(a, a))) for a in grid]
+             *th.uniqueness_density_bounds(a, a)) for a in grid]
     _write(args.out, _csv(args, 0, "A,c1,c2,pauli_threshold,uniqueness_time,uniqueness_freq",
                           rows))
     return 0
@@ -108,8 +104,8 @@ def cmd_thresholds(args) -> int:
 def cmd_gen_seq(args) -> int:
     spec = SmoothSpec(p=args.p, density=args.density, count=args.count,
                       jitter=args.jitter, seed=args.seed, halves=args.halves)
-    header = f"# p={spec.p} D={spec.density} seed={spec.seed}\n"
-    _write(args.out, _provenance_line(args, args.seed) + header + generate_smooth(spec).to_csv())
+    header = f"# p={spec.p} D={spec.density} seed={spec.seed}"
+    _write(args.out, _csv(args, args.seed, header, generate_smooth(spec).points[:, None]))
     return 0
 
 
@@ -240,8 +236,12 @@ def cmd_interp(args) -> int:
         if num[key] <= 0:
             raise ValueError(f"{key} must be positive, got {num[key]!r}")
     # the quadrature window (interpolation.default_quads) squares the radius
+    # and divides by the rates
     if num["outer_radius"] > 1e150:
         raise ValueError(f"outer_radius must be at most 1e150, got {num['outer_radius']!r}")
+    for key in ("weight_a", "weight_b"):
+        if num[key] < 1e-300:
+            raise ValueError(f"{key} must be at least 1e-300, got {num[key]!r}")
     nodes = json_value(cfg["nodes"], int, "nodes")
     lam, mu = (SampledSet(points=json_numbers(cfg[key], key)) for key in ("lambda", "mu"))
     alpha = _interp_data(cfg["alpha"], lam.points, "alpha", "lambda")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,20 +51,18 @@ class ModelEvaluator:
     def __init__(self, model: ProductModel, quad: fourier.QuadratureSpec):
         self.model = model
         self.quad = quad
-        self._nodes = None
 
     def eval(self, z: np.ndarray) -> np.ndarray:
         """The model at a 1-D array of points."""
         return self.model.values(z)
 
+    @cached_property
     def _node_values(self) -> np.ndarray:
-        if self._nodes is None:
-            self._nodes = self.model.values(self.quad.grid())
-        return self._nodes
+        return self.model.values(self.quad.grid())
 
     def eval_hat(self, xi: np.ndarray) -> np.ndarray:
         """The model's quadrature transform at a 1-D array of frequencies."""
-        return fourier.transform_values(self._node_values(), self.quad, xi).values
+        return fourier.transform_values(self._node_values, self.quad, xi).values
 
 
 @dataclass
@@ -234,36 +233,29 @@ def _product_pair(points: SampledSet, decay: float, cap: float, rate_base: float
 
     The nonnegative points are parity-split outward; the even part carries
     the zeros of the even factor, the odd part those of the odd factor, both
-    at the Gaussian rate ``rate_base`` plus the headroom.  A half density at
-    or above ``cap`` raises DensityTooHighError before anything is built;
+    at the Gaussian rate ``rate_base`` plus the headroom, and each continued
+    along the square-root profile past its last zero (``profile_product``).
+    A part with no zeros is the Gaussian (times z when odd).  A half density
+    at or above ``cap`` raises DensityTooHighError before anything is built;
     below it the headroom search may still fail.
     """
     d_half = half_density(points.points)
     if d_half >= cap:
         raise DensityTooHighError(f"half density {d_half:.4f} >= threshold {cap:.4f}")
-    eps = _pick_headroom(d_half / 2.0, rate_base, decay)
+    d_part = d_half / 2.0
+    eps = _pick_headroom(d_part, rate_base, decay)
     even, odd = split_parity(SampledSet(points=points.positive))
     gamma = rate_base + eps
     quad = fourier.QuadratureSpec(half_width=float(np.sqrt(40.0 / (gamma * np.pi))), nodes=2048)
-    phi = ModelEvaluator(_extended_model(even.points, d_half / 2.0, gamma, 0), quad)
+    phi = ModelEvaluator(profile_product(even.points, d_part, gamma) if len(even)
+                         else ProductModel(gauss_rate=gamma), quad)
     # a point 0 is the odd part's first, and the odd factor's z vanishes there
-    psi = ModelEvaluator(_extended_model(odd.points[odd.points > 0], d_half / 2.0, gamma, 1),
-                         quad)
+    odd_zeros = odd.points[odd.points > 0]
+    psi = ModelEvaluator(profile_product(odd_zeros, d_part, gamma, parity=1) if len(odd_zeros)
+                         else ProductModel(gauss_rate=gamma, parity=1), quad)
     provenance.update({"decay": decay, "eps": eps, "gamma": gamma, "half_density": d_half,
                        "threshold": cap, "count": len(points.points)})
     return PairConstruction(phi=phi, psi=psi, provenance=provenance)
-
-
-def _extended_model(zeros_pos: np.ndarray, half_density: float, gamma: float,
-                    parity: int) -> ProductModel:
-    """Quartic model on the given zeros, continued exactly along the
-    square-root profile past the last one (see ``profile_product``).
-
-    An empty zero list yields the pure Gaussian (times the parity factor)."""
-    zeros_pos = np.sort(np.asarray(zeros_pos, dtype=float))
-    if len(zeros_pos) == 0:
-        return ProductModel(zeros=np.empty(0), gauss_rate=gamma, parity=parity)
-    return profile_product(zeros_pos, half_density, gauss_rate=gamma, parity=parity)
 
 
 def build_time_pair(lam: SampledSet, decay: float) -> PairConstruction:

@@ -592,11 +592,6 @@ def sinc_product(count: int = 2000) -> ProductModel:
     return ProductModel(zeros=n, tail_start=count + 1)
 
 
-def gaussian_model(rate: float) -> ProductModel:
-    """The Gaussian e^{-rate pi z^2}."""
-    return ProductModel(zeros=np.empty(0), gauss_rate=rate)
-
-
 def profile_tail_start(last: float, half_density: float, first: int = 1) -> int:
     """First m >= ``first`` whose profile zero sqrt(m/D) lies past ``last``.
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import CheckFailedError, fourier
 from .entire_models import ProductModel, profile_tail_start
 from .sequences import SampledSet, half_density
-from .thresholds import DecayParams, uniqueness_density_bounds
+from .thresholds import uniqueness_density_bounds
 
 
 # largest re-evaluation gap (``SolveResult.verify_time``/``verify_freq``) of a
@@ -438,7 +438,7 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
     _reject_origin("frequency", mu_sym.points)
     d_lam = half_density(lam_sym.positive)
     d_mu = half_density(mu_sym.positive)
-    bound_l, bound_m = uniqueness_density_bounds(DecayParams(weight_a, weight_b))
+    bound_l, bound_m = uniqueness_density_bounds(weight_a, weight_b)
     if d_lam >= bound_l or d_mu >= bound_m:
         raise DensityTooHighError(
             f"densities ({d_lam:.3f}, {d_mu:.3f}) reach the vanishing bounds "

@@ -66,9 +66,6 @@ class SampledSet:
         m = (np.abs(self.points) > r_min) & (np.abs(self.points) <= r_max)
         return SampledSet(points=self.points[m])
 
-    def to_csv(self) -> str:
-        return "".join(f"{x:.17g}\n" for x in self.points)
-
     @classmethod
     def from_csv(cls, text: str) -> "SampledSet":
         pts = [float(line) for line in map(str.strip, text.splitlines())

@@ -11,8 +11,6 @@ the Gaussian class E(a,b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -22,20 +20,6 @@ ORACLE_GRID_SIZE = 4096  # scan points of weak_bound_oracle on [A^2, 1]
 
 class DomainError(ValueError):
     """Parameter outside the domain where a threshold formula is defined."""
-
-
-@dataclass(frozen=True)
-class DecayParams:
-    """Gaussian decay rates (a, b): |f| <~ e^{-a pi x^2}, |fhat| <~ e^{-b pi xi^2}."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0 and self.b > 0):
-            raise DomainError(f"decay rates must be positive, got a={self.a}, b={self.b}")
-        if not self.a * self.b < 1:
-            raise DomainError(f"need a*b < 1, got a*b={self.a * self.b}")
 
 
 def _check_unit_interval(A: float) -> float:
@@ -136,11 +120,15 @@ def weak_bound_oracle(A: float) -> tuple[float, float]:
     return float(g(np.array([x_star]))[0]), float(x_star)
 
 
-def uniqueness_density_bounds(params: DecayParams) -> tuple[float, float]:
-    """Critical densities (time, frequency) for joint vanishing in E(a, b).
+def uniqueness_density_bounds(a: float, b: float) -> tuple[float, float]:
+    """Critical densities (time, frequency) for joint vanishing in E(a, b),
+    the class with |f| <~ e^{-a pi x^2} and |fhat| <~ e^{-b pi xi^2}.
 
     Symmetric under swapping a and b, and the product of the two bounds equals
-    1 - a*b exactly.
+    1 - a*b exactly.  Raises DomainError unless a, b > 0 and a*b < 1.
     """
-    a, b = params.a, params.b
+    if not (a > 0 and b > 0):
+        raise DomainError(f"decay rates must be positive, got a={a}, b={b}")
+    if not a * b < 1:
+        raise DomainError(f"need a*b < 1, got a*b={a * b}")
     return float(np.sqrt(a * (1.0 / b - a))), float(np.sqrt(b * (1.0 / a - b)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pauli_lab import asymptotics as asy
-from pauli_lab.entire_models import ProductModel, gaussian_model, profile_product, sinc_product
+from pauli_lab.entire_models import ProductModel, profile_product, sinc_product
 
 GAMMA = 1.05
 HALF_DENSITY = 0.45
@@ -12,7 +12,7 @@ HALF_DENSITY = 0.45
 
 class TestIndicatorEstimate:
     def test_pure_gaussian_exact(self):
-        g = gaussian_model(1.0)
+        g = ProductModel(gauss_rate=1.0)
         for th in np.linspace(0.0, np.pi, 9):
             est = asy.indicator_estimate(g, th)
             assert est.h_hat == pytest.approx(-np.pi * np.cos(2 * th), abs=1e-10)
@@ -99,7 +99,7 @@ class TestWindowFits:
     """The one-pass centred fits against per-window np.polyfit."""
 
     MODELS = {
-        "gaussian": lambda: gaussian_model(0.8),
+        "gaussian": lambda: ProductModel(gauss_rate=0.8),
         "pure-tail profile": lambda: profile_product(np.empty(0), HALF_DENSITY, gauss_rate=1.0),
         "sinc": lambda: sinc_product(700),
         "explicit-zero profile": lambda: profile_product(
@@ -133,7 +133,7 @@ class TestWindowFits:
 
 class TestTrigConvexity:
     def test_gaussian_equality_case(self):
-        g = gaussian_model(1.0)
+        g = ProductModel(gauss_rate=1.0)
         ests = [asy.indicator_estimate(g, t) for t in np.linspace(0.0, np.pi / 2, 9)]
         ok, worst = asy.trig_convexity_check(ests)
         assert ok and worst <= 0.0
@@ -153,7 +153,7 @@ class TestTrigConvexity:
         assert ok
 
     def test_detects_artificial_bump(self):
-        g = gaussian_model(0.7)
+        g = ProductModel(gauss_rate=0.7)
         ests = [asy.indicator_estimate(g, t) for t in np.linspace(0.0, np.pi / 2, 9)]
         ests[4] = dataclasses.replace(ests[4], h_hat=ests[4].h_hat + 0.5)
         ok, worst = asy.trig_convexity_check(ests)
@@ -176,13 +176,13 @@ class TestZeroDensityIndicator:
         assert asy.measured_zero_plane_density(tail) == pytest.approx(tail.tail_scale, rel=1e-12)
 
     def test_zero_free_gaussian(self):
-        ok, margin = asy.zero_density_indicator_check(gaussian_model(1.0), density=0.0)
+        ok, margin = asy.zero_density_indicator_check(ProductModel(gauss_rate=1.0), density=0.0)
         assert ok and margin >= 0.0
 
 
 class TestDecayPredicate:
     def test_pure_gaussian(self):
-        assert asy.fourier_decay_predicate(gaussian_model(1.0)) == pytest.approx(1.0, abs=0.01)
+        assert asy.fourier_decay_predicate(ProductModel(gauss_rate=1.0)) == pytest.approx(1.0, abs=0.01)
 
     @pytest.mark.parametrize("density,lo,hi", [(0.7, 0.47, 1.0), (1.0, 0.0, 0.45)])
     def test_sharpness_experiment(self, density, lo, hi):

@@ -8,7 +8,7 @@ from pauli_lab import CheckFailedError, cli, fourier
 from pauli_lab import constructions as con
 from pauli_lab import interpolation as itp
 from pauli_lab import pauli_verify as pv
-from pauli_lab.entire_models import ProductModel, gaussian_model, sinc_product
+from pauli_lab.entire_models import ProductModel, sinc_product
 from pauli_lab.thresholds import pauli_threshold, weak_pair_threshold
 
 
@@ -187,6 +187,18 @@ class TestConstructVerify:
                                            "the even vanishing generators cannot vanish\n")
         assert not (tmp_path / "x.json").exists()
 
+    def test_one_point_time_pair(self, tmp_path):
+        # the symmetrized point +-x goes to the odd part, so the even part is
+        # the plain Gaussian with no zeros and no tail
+        pair_file = tmp_path / "pair.json"
+        assert run(["construct", "time", "--A", "0.5", "--count", "1",
+                    "--out", str(pair_file)]) == 0
+        pair = json.loads(pair_file.read_text())
+        phi, psi = pair["phi"]["model"], pair["psi"]["model"]
+        assert phi["zeros"] == [] and phi["tail_start"] == 0 and phi["sigma"] == 0
+        assert psi["zeros"] == pair["provenance"]["lambda_points"][1:] and psi["sigma"] == 1
+        assert run(["verify", "--pair", str(pair_file), "--out", str(tmp_path / "r.json")]) == 0
+
     def test_time_pair_verify_builds_one_chirp_plan(self, tmp_path):
         # both parts share one quadrature and one frequency grid
         pair_file = tmp_path / "pair.json"
@@ -207,7 +219,7 @@ class TestModelTools:
     @pytest.fixture()
     def model_file(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(gaussian_model(1.0).to_dict(), indent=2, sort_keys=True))
+        path.write_text(json.dumps(ProductModel(gauss_rate=1.0).to_dict(), indent=2, sort_keys=True))
         return path
 
     def test_ft_oracle(self, tmp_path, model_file):
@@ -252,7 +264,7 @@ class TestModelTools:
     def test_verify_reads_unrotated_pairs_only(self, tmp_path, capsys, vartheta, code):
         # phi even and psi odd: the moduli of phi +- psi agree at the point 0
         part = {"type": "product_model", "quad": {"half_width": 4.0, "nodes": 64}}
-        payload = {"phi": dict(part, model=gaussian_model(1.0).to_dict()),
+        payload = {"phi": dict(part, model=ProductModel(gauss_rate=1.0).to_dict()),
                    "psi": dict(part, model=ProductModel(gauss_rate=1.0, parity=1).to_dict()),
                    "vartheta": vartheta,
                    "provenance": {"kind": "time_pair", "lambda_points": [0.0]}}
@@ -309,7 +321,7 @@ class TestModelTools:
         assert not out.exists()
 
     _PART = {"type": "product_model", "quad": {"half_width": 4.0, "nodes": 64},
-             "model": gaussian_model(1.0).to_dict()}
+             "model": ProductModel(gauss_rate=1.0).to_dict()}
 
     @pytest.mark.parametrize("command, text, message", [
         ("ft", "[1, 2]", "a model must be a JSON object, not list"),
@@ -482,8 +494,10 @@ class TestInterp:
             ("inner_cut", float("nan"), "must be a finite double, got nan"),
             ("inner_cut", float("-inf"), "must be a finite double, got -inf"),
             ("inner_cut", False, "must be a number, not bool"),
-            # interpolation.default_quads squares the radius
-            ("outer_radius", 1e300, "must be at most 1e150, got 1e+300")]])
+            # interpolation.default_quads squares the radius and divides by the rates
+            ("outer_radius", 1e300, "must be at most 1e150, got 1e+300"),
+            ("weight_a", 1e-320, "must be at least 1e-300, got 1e-320"),
+            ("weight_b", 1e-320, "must be at least 1e-300, got 1e-320")]])
     def test_bad_rate_or_tolerance_rejected(self, tmp_path, capsys, monkeypatch, key, value,
                                             message):
         # weight_a 0 once escaped as a ZeroDivisionError, tol -1 exited 1
@@ -753,7 +767,7 @@ class TestUsageErrors:
         # each of these once exited 0 with rows of nan, or exited 2 with a
         # message about the generated points instead of the parameter
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(gaussian_model(1.0).to_dict()))
+        model.write_text(json.dumps(ProductModel(gauss_rate=1.0).to_dict()))
         if argv[0] == "ft":
             argv = argv + ["--model", str(model)]
         out = tmp_path / "out"

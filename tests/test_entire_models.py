@@ -224,7 +224,7 @@ class TestModelInvariants:
         assert np.allclose(np.abs(res.value)[ok], np.exp(res.log_magnitude[ok]), rtol=1e-12)
 
     def test_overflow_flagged(self):
-        m = em.gaussian_model(1.0)
+        m = em.ProductModel(gauss_rate=1.0)
         res = m.eval(np.array([30.0j]))  # e^{+pi*900}
         assert np.isinf(res.value[0]) and np.isfinite(res.log_magnitude[0])
         assert res.log_magnitude[0] == pytest.approx(np.pi * 900, rel=1e-12)
@@ -622,7 +622,7 @@ class TestDerivativeArrays:
         with pytest.raises(em.NotAZeroError):
             sinc1600.derivative_at_zero(np.array([0.0, 1.0]))  # even model
         with pytest.raises(em.NotAZeroError):
-            em.gaussian_model(1.0).derivative_at_zero(np.array([1.0]))
+            em.ProductModel(gauss_rate=1.0).derivative_at_zero(np.array([1.0]))
 
     def test_generator_derivatives_against_long_double(self):
         from pauli_lab.interpolation import vanishing_generator

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pauli_lab import fourier, sequences
 from pauli_lab import interpolation as itp
-from pauli_lab.entire_models import gaussian_model
+from pauli_lab.entire_models import ProductModel
 
 import hermite
 
@@ -496,7 +496,7 @@ class TestHermite:
     def test_projection_round_trip(self):
         spec = fourier.QuadratureSpec(half_width=10.0, nodes=2048)
         x, w = spec.grid(), spec.weights()
-        g = gaussian_model(1.0)
+        g = ProductModel(gauss_rate=1.0)
         coeffs = hermite.project(g.values(x), x, w, 24)
         probe = np.linspace(-2, 2, 31)
         assert np.max(np.abs(hermite.series(coeffs, probe) - g.values(probe))) < 1e-10

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pauli_lab import cli
 from pauli_lab import sequences as seq
 
 
@@ -77,13 +78,20 @@ class TestSampledSet:
         s = seq.SampledSet(points=np.array([-1.0, 0.0, 2.0]))
         assert 0.0 in s.positive and 0.0 not in s.negative
 
-    def test_csv_round_trip(self):
-        # the CSV holds the points only, one per line, and reads back exactly
+    def test_csv_round_trip(self, tmp_path):
+        # gen-seq writes two comment lines and one %.17g point per line, and
+        # the file reads back exactly
+        out = tmp_path / "seq.csv"
+        assert cli.main(["gen-seq", "--count", "20", "--jitter", "0.1", "--seed", "3",
+                         "--out", str(out)]) == 0
         s = profile(count=20, jitter=0.1, seed=3)
-        text = s.to_csv()
-        assert len(text.splitlines()) == 20 and "#" not in text
-        back = seq.SampledSet.from_csv(text)
-        assert np.array_equal(back.points, s.points)
+        text = out.read_text()
+        lines = text.splitlines()
+        assert lines[0].startswith("# pauli-lab ") and lines[0].endswith(" seed=3")
+        assert lines[1] == "# p=2.0 D=1.0 seed=3"
+        assert lines[2:] == [f"{x:.17g}" for x in s.points]
+        assert text == lines[0] + "\n" + lines[1] + "\n" + "".join(f"{x:.17g}\n" for x in s.points)
+        assert np.array_equal(seq.SampledSet.from_csv(text).points, s.points)
 
     def test_csv_missing_header(self):
         # "#" lines are comments wherever they stand, and blank lines are skipped

@@ -108,12 +108,12 @@ class TestWeakBoundOracle:
 
 class TestUniquenessBounds:
     def test_values(self):
-        assert th.uniqueness_density_bounds(th.DecayParams(0.6, 0.6)) == pytest.approx((0.8, 0.8), abs=1e-12)
-        assert th.uniqueness_density_bounds(th.DecayParams(0.5, 1.0)) == pytest.approx((0.5, 1.0), abs=1e-12)
+        assert th.uniqueness_density_bounds(0.6, 0.6) == pytest.approx((0.8, 0.8), abs=1e-12)
+        assert th.uniqueness_density_bounds(0.5, 1.0) == pytest.approx((0.5, 1.0), abs=1e-12)
 
     @given(st.floats(0.05, 0.95))
     def test_equal_rates_simplify(self, a):
-        d1, d2 = th.uniqueness_density_bounds(th.DecayParams(a, a))
+        d1, d2 = th.uniqueness_density_bounds(a, a)
         assert d1 == pytest.approx(np.sqrt(1 - a * a), abs=1e-12)
         assert d2 == pytest.approx(d1, abs=1e-15)
 
@@ -121,9 +121,9 @@ class TestUniquenessBounds:
     def test_product_identity_and_symmetry(self, a, b):
         if a * b >= 0.999:
             return
-        d1, d2 = th.uniqueness_density_bounds(th.DecayParams(a, b))
+        d1, d2 = th.uniqueness_density_bounds(a, b)
         assert d1 * d2 == pytest.approx(1 - a * b, abs=1e-12)
-        s1, s2 = th.uniqueness_density_bounds(th.DecayParams(b, a))
+        s1, s2 = th.uniqueness_density_bounds(b, a)
         assert (s1, s2) == pytest.approx((d2, d1), abs=1e-14)
 
     @given(st.floats(0.1, 0.9), st.floats(0.1, 0.9), st.floats(0.0, 0.5), st.floats(0.0, 0.5))
@@ -136,13 +136,13 @@ class TestUniquenessBounds:
         aa, bb = a + da, b + db
         if aa * bb >= 0.999:
             return
-        d1, d2 = th.uniqueness_density_bounds(th.DecayParams(a, b))
-        e1, e2 = th.uniqueness_density_bounds(th.DecayParams(aa, bb))
+        d1, d2 = th.uniqueness_density_bounds(a, b)
+        e1, e2 = th.uniqueness_density_bounds(aa, bb)
         assert not (e1 >= d1 - 1e-12 and e2 >= d2 - 1e-12)
 
     def test_domain_error(self):
         with pytest.raises(th.DomainError):
-            th.DecayParams(1.2, 1.0)
+            th.uniqueness_density_bounds(1.2, 1.0)
 
 
 class TestSplitOptimizationOracle:
