@@ -28,7 +28,8 @@ from . import fourier
 from . import interpolation as itp
 from . import pauli_verify as pv
 from . import thresholds as th
-from .entire_models import ProductModel, json_numbers, json_value
+from .entire_models import ProductModel
+from .jsonfile import json_numbers, json_text, json_value
 from .sequences import SampledSet, SmoothSpec, generate_smooth
 
 
@@ -135,8 +136,7 @@ def cmd_construct(args) -> int:
         mu = _sampling_set(args, args.mu, "--mu", args.seed + 1, "±")
         pair = con.build_nonweak_pair(lam, mu, args.decay)
     pair.provenance.update(_provenance(args, args.seed),
-                           lambda_points=[float(v) for v in lam.points],
-                           mu_points=[float(v) for v in mu.points])
+                           lambda_points=lam.points.tolist(), mu_points=mu.points.tolist())
     _write(args.out, pair.to_json() + "\n")
     return 0
 
@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
     report = pv.pair_report(pair, lam, mu, grid, grid,
                             discrete_tol=args.tol_discrete, weak_tol=args.tol_weak)
     report["provenance"] = dict(_provenance(args, pair.provenance.get("seed")), pair_kind=kind)
-    _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(args.out, json_text(report) + "\n")
     verdicts = report["verdicts"]
     return 0 if verdicts["discrete_pair"] and (null_branch or verdicts[kind_verdict[kind]]) else 1
 

@@ -29,9 +29,10 @@ from functools import cached_property
 import numpy as np
 
 from . import CheckFailedError, fourier
-from .entire_models import ProductModel, json_numbers, json_value, profile_product
+from .entire_models import ProductModel, profile_product
 from .interpolation import (AssembledInterpolant, DensityTooHighError, InterpolationProblem,
                             assemble_vanishing_function)
+from .jsonfile import json_numbers, json_text, json_value
 from .sequences import SampledSet, half_density, split_parity
 from .thresholds import (SQRT3_HALF, gaussian_rate_base, one_sided_threshold, pauli_threshold,
                          split_bound_argmax, weak_pair_threshold)
@@ -97,10 +98,10 @@ class PairConstruction:
                 p = part.problem
                 return {
                     "type": "interpolant",
-                    "lambda": [float(v) for v in p.lam],
-                    "mu": [float(v) for v in p.mu],
-                    "alpha": [float(v) for v in part.alpha.real],
-                    "beta": [float(v) for v in part.beta.real],
+                    "lambda": p.lam.tolist(),
+                    "mu": p.mu.tolist(),
+                    "alpha": part.alpha.real.tolist(),
+                    "beta": part.beta.real.tolist(),
                     "weight_a": p.weight_a,
                     "weight_b": p.weight_b,
                     "inner_cut": p.inner_cut,
@@ -114,9 +115,8 @@ class PairConstruction:
                 }
             raise TypeError(f"cannot serialize evaluator {type(part)!r}")
 
-        return json.dumps({"phi": encode(self.phi), "psi": encode(self.psi),
-                           "vartheta": 0.0, "provenance": self.provenance},
-                          indent=2, sort_keys=True)
+        return json_text({"phi": encode(self.phi), "psi": encode(self.psi),
+                          "vartheta": 0.0, "provenance": self.provenance})
 
 
 def _decode_evaluator(obj, name: str):

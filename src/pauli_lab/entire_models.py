@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .jsonfile import json_numbers, json_value
 
 LOG_HUGE = 700.0  # conservative double-precision overflow threshold for exp
 
@@ -275,7 +276,8 @@ class ProductModel:
         """
         m0 = self.tail_start
         far = np.abs(w) > 0.5 * m0
-        near = np.where(far, 0.0, w * w)
+        near = np.where(far, 0.0, w)
+        near = near * near
         # term k is below (m0 + 1) q^k, q = |w|^2/m0^2 <= 1/4: stop where that
         # falls under 1e-17; with its factor 1/(k(2k - 1)) counted, 30 terms
         # reach 1e-17 at q = 1/4 for any m0 below 40000
@@ -372,7 +374,7 @@ class ProductModel:
             return m, e
         top = float(np.abs(s).max(initial=0.0))
         # chunk size keeps each partial product far from overflow
-        chunk = int(min(max(200.0 / max(np.log10(1.0 + top / poles[0]), 1.0), 4), 64))
+        chunk = int(min(max(200.0 / max(np.log10(1.0 + top / poles[0]), 1.0), 1), 64))
         inv = 1.0 / poles
         n, far_log = self._far_log(s, top, skip)
         buffer = np.empty((min(chunk, n), s.size), dtype=s.dtype)
@@ -424,7 +426,17 @@ class ProductModel:
         same as at the points cast to complex.
         """
         z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
-        m, e = self._scaled_product(self._s_of(z))
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = self._s_of(z)
+        big = ~np.isfinite(s)
+        m, e = self._scaled_product(np.where(big, 0.0, s))
+        if big.any():
+            # s = z^2 (z^4) past the double range: each factor 1 - s/R_n is
+            # -s/R_n to rounding, so the product is (-s)^n / prod R_n, in logs
+            n, power = len(self.zeros), 4 if self.quartic else 2
+            e[big] = n * power * np.log(np.abs(z[big])) - np.log(self._factor_poles).sum()
+            m[big] = (-1.0) ** n * (np.exp(1j * n * power * np.angle(z[big]))
+                                    if np.iscomplexobj(m) else 1.0)
         m2, e2, size = self._smooth_log(z)
         # rounding: half an ulp per retained factor, and a few ulps of each
         # log term summed into the scale, where terms of that size cancel
@@ -519,7 +531,7 @@ class ProductModel:
             "theta": 0.0,
             "gamma": float(self.gauss_rate),
             "sigma": int(self.parity),
-            "zeros": [float(x) for x in self.zeros],
+            "zeros": self.zeros.tolist(),
             "tail_start": int(self.tail_start),
             "tail_scale": float(self.tail_scale),
             "meta": {"quartic": bool(self.quartic)},
@@ -547,40 +559,6 @@ class ProductModel:
             tail_scale=json_value(obj["tail_scale"], float, "a model's 'tail_scale'"),
             quartic=json_value(meta.get("quartic", False), bool, "a model's meta 'quartic'"),
         )
-
-
-# the Python types json.loads gives a JSON value of each kind, and the kind's name
-_JSON_KINDS = {dict: ((dict,), "a JSON object"), float: ((int, float), "a number"),
-               int: ((int,), "an integer"), bool: ((bool,), "true or false")}
-
-
-def json_value(value, kind: type, name: str):
-    """``value`` as ``kind`` when it is a JSON value of that kind: an object
-    for dict, any number for float, an integer for int (true and false are
-    neither), and a number only when it is a finite double; a ValueError
-    naming it otherwise."""
-    types, label = _JSON_KINDS[kind]
-    if type(value) not in types:
-        raise ValueError(f"{name} must be {label}, not {type(value).__name__}")
-    # Python's json reads NaN, Infinity and integers past the double range
-    if kind in (float, int) and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite double, got {value!r}")
-    return kind(value)
-
-
-def json_numbers(value, name: str) -> np.ndarray:
-    """``value`` as a float array when it is a JSON list of numbers that are
-    finite doubles; a ValueError naming it otherwise."""
-    if type(value) is not list or not all(type(v) in (int, float) for v in value):
-        raise ValueError(f"{name} must be a list of numbers")
-    try:
-        numbers = np.array(value, dtype=float)
-        if np.isfinite(numbers).all():
-            return numbers
-    except OverflowError:  # an integer past the double range
-        pass
-    bad = next(v for v in value if not abs(v) <= sys.float_info.max)
-    raise ValueError(f"{name} must hold only finite doubles, got {bad!r}")
 
 
 # -- builders ---------------------------------------------------------------

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -646,6 +650,24 @@ class TestInterp:
         assert run(["interp", "--problem", str(cfg), "--out-dir", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == (
             "configuration error: the problem file must be a JSON object, not int\n")
+
+    @pytest.mark.parametrize("weight", [1e-100, 1e-300])
+    def test_tiny_weight_prints_only_the_check(self, tmp_path, weight):
+        # the quadrature spans sqrt(38/(w pi)): at 1e-100 a chunk of the
+        # generator's product overflowed in numpy's reduce, at 1e-300 z^4
+        # itself, and numpy's warnings reached stderr; a subprocess shows
+        # them where pytest's warning capture would not
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps({**self.README_PROBLEM, "weight_a": weight}))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "pauli_lab.cli", "interp", "--problem",
+                               str(cfg), "--out-dir", str(tmp_path / "run")],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == ("check failed: the window cut at |x| = 1.75 drops 4 of the 6 "
+                               "data points, which the interpolant would not meet\n")
 
 
 class TestAcceptanceCommand:

@@ -1,5 +1,7 @@
 import cmath
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +230,34 @@ class TestModelInvariants:
         res = m.eval(np.array([30.0j]))  # e^{+pi*900}
         assert np.isinf(res.value[0]) and np.isfinite(res.log_magnitude[0])
         assert res.log_magnitude[0] == pytest.approx(np.pi * 900, rel=1e-12)
+
+    def test_far_points_keep_their_log(self):
+        # s = z^2 = 1e120 is past 1e50 times R_1 = 1: four such factors in
+        # one chunk once overflowed in numpy's reduce and the value read NaN
+        m = em.ProductModel(zeros=np.arange(1.0, 11.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = m.eval(np.array([1e60, -1e60]))
+        log = 10 * math.log(1e120) - 2 * math.log(math.factorial(10))
+        assert np.isinf(res.value).all()
+        assert res.log_magnitude == pytest.approx([log, log], rel=1e-14)
+
+    def test_points_past_the_double_range_of_s(self):
+        # s = z^4 overflows for |z| > 1.2e77, where the product of a quartic
+        # model is (-s)^n / prod R_n to rounding; the Gaussian brings the
+        # value back into range
+        n_log = 8 * math.log(1e100) - math.log(16.0)
+        m = em.ProductModel(zeros=np.array([1.0, 2.0]), quartic=True,
+                            gauss_rate=n_log / (math.pi * 1e200))
+        z = 1e100 * np.exp(1j * np.pi / 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            real = m.eval(np.array([1e100, -1e100]))
+            off = m.eval(np.array([z]))
+        assert real.value == pytest.approx([1.0, 1.0], rel=1e-12)
+        log_f = (2 * (4 * cmath.log(z) + 1j * math.pi) - math.log(16.0)
+                 - m.gauss_rate * math.pi * z * z)
+        assert off.value[0] == pytest.approx(cmath.exp(log_f), rel=1e-9)
 
     def test_tail_rule_soundness(self):
         rng = np.random.default_rng(7)
