@@ -192,6 +192,9 @@ def cmd_ft(args) -> int:
     xi = _parse_range(args.xi)
     model = ProductModel.from_dict(json.loads(Path(args.model).read_text()))
     spec = fourier.QuadratureSpec(half_width=args.half_width, nodes=args.nodes)
+    # the model's Gaussian factor squares the points of the window
+    if spec.half_width > 1e150:
+        raise ValueError(f"--half-width must be at most 1e150, got {spec.half_width!r}")
     res = fourier.transform(model.values, spec, xi)
     rows = zip(xi, res.values.real, res.values.imag, res.error)
     _write(args.out, _csv(args, 0, "xi,re,im,err", rows))

@@ -63,7 +63,7 @@ class ModelEvaluator:
 
     def eval_hat(self, xi: np.ndarray) -> np.ndarray:
         """The model's quadrature transform at a 1-D array of frequencies."""
-        return fourier.transform_values(self._node_values, self.quad, xi).values
+        return fourier.transform_values(self._node_values, self.quad, xi)
 
 
 @dataclass

@@ -338,30 +338,29 @@ def _chirp_sum(rows: np.ndarray, spec: QuadratureSpec, c: int, t_c: float, dt: f
     return sums[0] + sums[1] * (sign * 2.0j * np.pi * offsets)
 
 
-def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi: np.ndarray) -> TransformResult:
-    """Transform from precomputed node values fx on spec.grid() at a 1-D
-    array of frequencies.
+def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi: np.ndarray) -> np.ndarray:
+    """Quadrature transform of node values fx on spec.grid(), one function per
+    row, at a 1-D array of frequencies.
 
     Complex frequencies are allowed (the transform of a Gaussian-decaying
-    integrand continues analytically off the real axis).  The error is the
-    Richardson difference against the half-count rule, which takes every
-    other node at twice the weight, summed in the same pass, plus the tail
-    bound."""
-    half = np.zeros_like(fx)
-    half[::2] = 2.0 * fx[::2]
-    fine, coarse = phase_sum(np.stack([fx, half]), spec, np.asarray(xi, dtype=complex))
-    err = np.abs(fine - coarse) + _tail_bound(spec.grid(), fx)
-    return TransformResult(values=fine, error=err)
+    integrand continues analytically off the real axis)."""
+    return phase_sum(fx, spec, np.asarray(xi, dtype=complex))
 
 
 def transform(f, spec: QuadratureSpec, xi) -> TransformResult:
     """Numerical forward Fourier transform of an evaluator f over [-T, T].
 
-    ``f`` must accept an ndarray of points and return complex values; the
-    result carries an error estimate per frequency.
+    ``f`` must accept an ndarray of points and return complex values.  The
+    error per frequency is the Richardson difference against the half-count
+    rule, which takes every other node at twice the weight, summed in the
+    same pass, plus the tail bound.
     """
     fx = np.asarray(f(spec.grid()), dtype=complex)
-    return transform_values(fx, spec, xi)
+    half = np.zeros_like(fx)
+    half[::2] = 2.0 * fx[::2]
+    fine, coarse = transform_values(np.stack([fx, half]), spec, xi)
+    err = np.abs(fine - coarse) + _tail_bound(spec.grid(), fx)
+    return TransformResult(values=fine, error=err)
 
 
 def _side_check(grid: np.ndarray, vals: np.ndarray, rate: float, floor: float) -> bool:

@@ -61,7 +61,7 @@ def json_value(value, kind: type, name: str):
 def json_numbers(value, name: str) -> np.ndarray:
     """``value`` as a float array when it is a JSON list of numbers that are
     finite doubles; a ValueError naming it otherwise."""
-    if type(value) is not list or not all(type(v) in (int, float) for v in value):
+    if type(value) is not list or not set(map(type, value)) <= {int, float}:
         raise ValueError(f"{name} must be a list of numbers")
     try:
         numbers = np.array(value, dtype=float)

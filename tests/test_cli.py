@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from pauli_lab import CheckFailedError, cli, fourier
 from pauli_lab import constructions as con
 from pauli_lab import interpolation as itp
 from pauli_lab import pauli_verify as pv
-from pauli_lab.entire_models import ProductModel, sinc_product
+from pauli_lab.entire_models import ProductModel, profile_product, sinc_product
 from pauli_lab.thresholds import pauli_threshold, weak_pair_threshold
 
 
@@ -234,6 +235,27 @@ class TestModelTools:
             xi, re, im, err = (float(v) for v in row.split(","))
             assert re == pytest.approx(np.exp(-np.pi * xi * xi), abs=1e-10)
             assert abs(im) < 1e-12 and err < 1e-9
+
+    @pytest.mark.parametrize("model", [
+        sinc_product(30),
+        profile_product(np.sqrt(np.arange(1, 31) / 0.45), 0.45, gauss_rate=0.3),
+    ], ids=["sinc", "quartic"])
+    @pytest.mark.parametrize("half_width, code", [("1e150", 0), ("1e160", 2)])
+    def test_ft_half_width_at_most_1e150(self, tmp_path, capsys, model, half_width, code):
+        # the model's Gaussian factor squares the window's points; past 1.3e154
+        # the square overflowed with numpy warnings and ft still wrote rows
+        path, out = tmp_path / "model.json", tmp_path / "ft.csv"
+        path.write_text(json.dumps(model.to_dict()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["ft", "--model", str(path), "--xi=0:1:0.5", "--half-width", half_width,
+                        "--nodes", "64", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "configuration error: --half-width must be at most 1e150, got 1e+160\n"
+            assert not out.exists()
+        else:
+            assert err == "" and len(out.read_text().splitlines()) == 5
 
     def test_indicator_sweep(self, tmp_path, model_file):
         out = tmp_path / "ind.csv"

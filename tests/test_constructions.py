@@ -19,6 +19,13 @@ def modulus_gap(vals):
     return np.abs(np.abs(f) - np.abs(g))
 
 
+def model_parts(pair):
+    """The pair's parts that are product models."""
+    parts = [p for p in (pair.phi, pair.psi) if isinstance(p, con.ModelEvaluator)]
+    assert parts
+    return parts
+
+
 def half_profile(density, count=512, seed=7, jitter=0.0):
     return generate_smooth(SmoothSpec(p=2.0, density=density, count=count,
                                       jitter=jitter, seed=seed, halves="+"))
@@ -60,6 +67,28 @@ class TestPairEvaluation:
             f, g = fg(x)
             assert np.array_equal(f, phi + psi)
             assert np.array_equal(g, phi - psi)
+
+    @pytest.mark.parametrize("kind", ["time_pair", "freq_pair"])
+    @pytest.mark.parametrize("xi", [np.linspace(-3.0, 3.0, 301),  # verify's grid: chirp-z
+                                    np.sqrt(np.linspace(0.0, 9.0, 37))],  # the dense sum
+                             ids=["uniform", "scattered"])
+    def test_eval_hat_is_the_models_transform(self, kind, xi, request):
+        pair = request.getfixturevalue(kind)
+        parts = model_parts(pair)
+        for part in parts:
+            ref = fourier.transform(part.model.values, part.quad, xi).values
+            assert np.array_equal(part.eval_hat(xi), ref)
+
+    @pytest.mark.parametrize("kind", ["time_pair", "freq_pair"])
+    def test_eval_hat_builds_no_error_estimate(self, kind, request, monkeypatch):
+        def no_estimate(*args):
+            raise AssertionError("eval_hat fitted a tail envelope")
+
+        monkeypatch.setattr(fourier, "_tail_bound", no_estimate)
+        pair = request.getfixturevalue(kind)
+        parts = model_parts(pair)
+        for part in parts:
+            assert part.eval_hat(XI_GRID).shape == XI_GRID.shape
 
     @pytest.mark.parametrize("kind", ["freq_pair", "nonweak_pair"])
     def test_h_eval_at_complex_points(self, kind, request):

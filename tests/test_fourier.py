@@ -72,9 +72,9 @@ class TestTransformProperties:
         x = spec.grid()
         f = np.exp(-0.6 * np.pi * x * x) * (1 + 0.3 * np.sin(2 * x))
         xi = np.linspace(-8, 8, 4097)
-        res = fourier.transform_values(f, spec, xi)
+        fhat = fourier.transform_values(f, spec, xi)
         time_mass = np.sum(np.abs(f) ** 2) * (x[1] - x[0])
-        freq_mass = np.sum(np.abs(res.values) ** 2) * (xi[1] - xi[0])
+        freq_mass = np.sum(np.abs(fhat) ** 2) * (xi[1] - xi[0])
         assert freq_mass == pytest.approx(time_mass, rel=1e-6)
 
     def test_richardson_decays_with_nodes(self):
@@ -139,11 +139,12 @@ class TestPhaseSum:
         assert combined.shape == (5,)
         assert np.max(np.abs(combined - coeffs @ rows)) < 1e-13 * np.max(np.abs(rows))
 
-    def test_transform_values_error_is_the_richardson_difference(self):
+    def test_transform_error_is_the_richardson_difference(self):
         x = self.SMALL.grid()
-        fx = np.exp(-0.5 * np.pi * x * x) * (1 + 0.3j * np.sin(3 * x))
+        f = lambda x: np.exp(-0.5 * np.pi * x * x) * (1 + 0.3j * np.sin(3 * x))
+        fx = f(x)
         targets = np.linspace(-2.0, 2.0, 7) + 0.3j
-        res = fourier.transform_values(fx, self.SMALL, targets)
+        res = fourier.transform(f, self.SMALL, targets)
         fine = self.dense(fx, self.SMALL, targets, -1.0)[0]
         half = fourier.QuadratureSpec(half_width=4.0, nodes=32)
         coarse = self.dense(fx[::2], half, targets, -1.0)[0]
@@ -151,9 +152,21 @@ class TestPhaseSum:
         assert np.max(np.abs(richardson - np.abs(fine - coarse))) < 1e-13 * np.max(np.abs(fine))
 
     def test_transform_values_is_the_fine_sum(self):
-        fx = self.VALUES[0]
-        res = fourier.transform_values(fx, self.SMALL, XI)
-        assert np.array_equal(res.values, fourier.phase_sum(fx, self.SMALL, XI.astype(complex)))
+        # the phase sum of each row, no more: one row and stacked rows alike
+        for fx in (self.VALUES[0], self.VALUES):
+            fhat = fourier.transform_values(fx, self.SMALL, XI)
+            assert np.array_equal(fhat, fourier.phase_sum(fx, self.SMALL, XI.astype(complex)))
+
+    @pytest.mark.parametrize("xi", [XI, np.sqrt(np.linspace(0.0, 9.0, 37)),
+                                    np.linspace(-2.0, 2.0, 7) + 0.3j],
+                             ids=["uniform", "scattered", "complex"])
+    def test_transform_values_are_the_grid_values_transform(self, xi):
+        # transform stacks the half-count row for its error; the fine row is
+        # transform_values of the function on the grid, bit for bit
+        f = lambda x: np.exp(-0.5 * np.pi * x * x) * (1 + 0.3j * np.sin(3 * x))
+        res = fourier.transform(f, self.SMALL, xi)
+        assert np.array_equal(res.values, fourier.transform_values(f(self.SMALL.grid()),
+                                                                   self.SMALL, xi))
 
 
 LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
@@ -207,8 +220,8 @@ class TestUniformPhaseSum:
         assert np.max(np.abs(fine - ref)) < 1.5e-15 * scale
         assert np.max(np.abs(coarse - ref_coarse)) < 1.5e-15 * scale
         if not inverse:
-            # transform_values takes the same two sums of one row for its error
-            res = fourier.transform_values(self.ROWS[1], self.SPEC, targets)
+            # transform takes the same two sums of one row for its error
+            res = fourier.transform(lambda x: self.ROWS[1], self.SPEC, targets)
             richardson = res.error - fourier._tail_bound(self.X, self.ROWS[1])
             assert np.max(np.abs(res.values - ref[1])) < 1.5e-15 * scale
             assert np.max(np.abs(richardson - np.abs(ref[1] - ref_coarse[1]))) < 3e-15 * scale

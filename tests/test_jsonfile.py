@@ -1,13 +1,15 @@
-"""``json_text`` writes the text of ``json.dumps(obj, indent=2, sort_keys=True)``."""
+"""``json_text`` writes the text of ``json.dumps(obj, indent=2, sort_keys=True)``,
+and ``json_numbers`` reads a JSON list of finite doubles."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pauli_lab import cli
-from pauli_lab.jsonfile import json_text
+from pauli_lab.jsonfile import json_numbers, json_text
 
 
 def dumps(obj) -> str:
@@ -66,3 +68,23 @@ def test_any_json_value(obj):
         "none-key"])
 def test_edge_cases(obj):
     assert json_text(obj) == dumps(obj)
+
+
+@pytest.mark.parametrize("value, message", [
+    ([1.0, True], "must be a list of numbers"),
+    ([1, None], "must be a list of numbers"),
+    (["a"], "must be a list of numbers"),
+    ([[1.0]], "must be a list of numbers"),
+    ({"a": 1}, "must be a list of numbers"),
+    ([float("inf")], "must hold only finite doubles, got inf"),
+    ([10**400], "must hold only finite doubles, got 1000"),
+], ids=["bool", "null", "string", "nested", "object", "inf", "big-int"])
+def test_json_numbers_rejects(value, message):
+    with pytest.raises(ValueError, match=f"^points {message}"):
+        json_numbers(value, "points")
+
+
+@pytest.mark.parametrize("value", [[], [1, 2.5]], ids=["empty", "int-float"])
+def test_json_numbers_reads(value):
+    numbers = json_numbers(value, "points")
+    assert numbers.dtype == float and np.array_equal(numbers, value)
