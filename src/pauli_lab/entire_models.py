@@ -337,12 +337,8 @@ class ProductModel:
         if min(far, s.size) <= terms:
             return n, None
         r = poles[n0] / poles[n0:]
-        power = r.copy()
-        coeffs = np.empty(terms)
-        for j in range(terms):
-            if j:
-                power *= r
-            coeffs[j] = power.sum() / (j + 1)
+        coeffs = np.cumprod(np.broadcast_to(r, (terms, far)), axis=0).sum(axis=1)
+        coeffs /= np.arange(1, terms + 1)
         # Horner in t, scaled by a reciprocal multiply like the factors
         t = s * (1.0 / poles[n0])
         acc = np.full_like(t, coeffs[-1])
@@ -402,19 +398,21 @@ class ProductModel:
                 m *= np.exp(1j * far_log.imag)
         return m, e
 
-    def _smooth_log(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mantissa factor, log-scale, log-term size) of parity, Gaussian and tail."""
+    def _smooth_log(self, z: np.ndarray) -> tuple[np.ndarray | float, np.ndarray, np.ndarray]:
+        """(mantissa factor, log-scale, log-term size) of parity, Gaussian and
+        tail; the factor is real at real points, where the phase is 0."""
         u = z * z
         log_scale = -self.gauss_rate * np.pi * np.real(u)
         arg = -self.gauss_rate * np.pi * np.imag(u)
         size = self.gauss_rate * np.pi * np.abs(u)
-        sign = 1.0
+        m = 1.0
         if self.tail_start:
-            tail, sign, tail_size = self._log_tail(self.tail_scale * (u if self.quartic else z))
+            tail, m, tail_size = self._log_tail(self.tail_scale * (u if self.quartic else z))
             log_scale = log_scale + np.real(tail)
             arg = arg + np.imag(tail)
             size = size + tail_size
-        m = np.exp(1j * arg) * sign
+        if np.iscomplexobj(z):
+            m = np.exp(1j * arg) * m
         if self.parity:
             m = m * z
         return m, log_scale, size
@@ -422,8 +420,8 @@ class ProductModel:
     def eval(self, z: np.ndarray) -> EvalResult:
         """Evaluate the model at a 1-D array of real or complex points.
 
-        Real points keep the product in real arithmetic; the values are the
-        same as at the points cast to complex.
+        Real points stay in real arithmetic until the value is cast to
+        complex, and the values are those at the points cast to complex.
         """
         z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -443,15 +441,14 @@ class ProductModel:
         err = 5e-16 * max(len(self.zeros), 1) + 1e-15 * (np.abs(e) + size)
         m = m * m2
         e = e + e2
+        a = np.abs(m)
+        dead = a == 0.0
         with np.errstate(divide="ignore"):
-            log_mag = np.where(np.abs(m) > 0, np.log(np.abs(m) + (np.abs(m) == 0)) + e, -np.inf)
+            log_mag = np.where(a > 0, np.log(a + dead) + e, -np.inf)
         overflow = log_mag > LOG_HUGE
-        dead = np.abs(m) == 0.0
         with np.errstate(over="ignore", under="ignore"):
-            value = m * np.exp(np.where(overflow | dead, 0.0, e))
-        if np.any(overflow):
-            value = value.copy()
-            value[overflow] = np.inf + 0.0j
+            value = (m * np.exp(np.where(overflow | dead, 0.0, e))).astype(complex, copy=False)
+        value[overflow] = np.inf
         return EvalResult(value, log_mag, err)
 
     def values(self, z) -> np.ndarray:
@@ -486,8 +483,8 @@ class ProductModel:
         return k
 
     def derivative_at_zero(self, lam: np.ndarray) -> np.ndarray:
-        """Exact product-rule derivatives at a 1-D array of retained real
-        zeros lam = +-rho_k, all from one pass of the product with each
+        """Exact product-rule derivatives, real, at a 1-D array of retained
+        real zeros lam = +-rho_k, all from one pass of the product with each
         point's vanishing factor skipped."""
         k = self._zero_index(lam)
         rho = self.zeros[k]
@@ -506,7 +503,9 @@ class ProductModel:
         at every other retained zero.  ``lam``, ``z`` and ``deriv`` are 1-D
         arrays of one length, ``deriv`` holding model'(lam) as
         ``derivative_at_zero`` gives it: every point comes from one pass of
-        the product with its own vanishing factor skipped.
+        the product with its own vanishing factor skipped.  The result is
+        real at real ``z``; dividing by ``deriv`` as a reciprocal multiply
+        gives the bits of numpy's complex division by deriv + 0j.
         """
         k = self._zero_index(lam)
         rho = self.zeros[k]
@@ -519,7 +518,7 @@ class ProductModel:
             ratio = ratio * (1.0 + u * (1.0 / q))
         m, e = self._scaled_product(self._s_of(z), skip=k)
         m2, e2, _ = self._smooth_log(z)
-        return ratio * m * m2 * np.exp(e + e2) / deriv
+        return ratio * m * m2 * np.exp(e + e2) * (1.0 / deriv)
 
     # -- serialization -------------------------------------------------------
 

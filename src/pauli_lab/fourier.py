@@ -17,8 +17,9 @@ target takes O(sqrt(nodes)) exponentials, and the rest is one matrix
 product of the reshaped rows and a reduction over the blocks, taken in
 target slices of at most ``DENSE_CHUNK_BYTES``.  A chirp-z sum's factors
 that depend only on the grid and the targets are kept for the last
-``CHIRP_PLANS`` combinations of grid, targets and sign, so repeated sums
-build them once.
+``CHIRP_PLANS`` combinations of grid, targets and sign, and their
+exponentials for the last ``CHIRP_PLANS`` grids and targets, so repeated
+sums build them once and the two signs share one set.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import numpy as np
 DENSE_CHUNK_BYTES = 8 << 20
 # below this many uniform targets the dense sum is faster than the chirp-z FFTs
 CHIRP_MIN_TARGETS = 32
-# chirp-z plans kept: the verify of a product pair sums on one, that of an
-# assembled pair forward and inverse on one grid, which takes two
+# chirp-z plans kept, and exponential tables: the verify of a product pair
+# sums on one grid, that of an assembled pair forward and inverse on its
+# grids, where the two signs share one table
 CHIRP_PLANS = 2
 _SPLITTER = 2.0**27 + 1.0
 
@@ -291,23 +293,43 @@ def _cis(turns: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=CHIRP_PLANS)
+def _chirp_tables(nodes: int, h: float, count: int, c: int, t_c: float, dt: float) -> tuple:
+    """The forward-sign exponentials of ``_chirp_sum`` on one grid and targets.
+
+    Returns (pre-modulation, chirp), read-only, with chirp[j] =
+    exp(-2 pi i j^2 h dt/2) for 0 <= j <= nodes/2 + max(c, count - 1 - c):
+    one table of chirp turns serves the pre-modulation, the kernel and the
+    post-chirp.  The inverse sign takes their conjugates, which equal the
+    exponentials of the negated turns (a zero turn's sign of zero aside).
+    """
+    n = np.arange(nodes + 1) - nodes // 2
+    j = np.arange(nodes // 2 + max(c, count - 1 - c) + 1)
+    turns = _turns(j * j, h, dt / 2.0)
+    tables = (_cis(-(turns[np.abs(n)] + _turns(n, h, t_c))), _cis(-turns))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=CHIRP_PLANS)
 def _chirp_plan(nodes: int, h: float, count: int, c: int, t_c: float, dt: float,
                 sign: float) -> tuple:
     """The factors of ``_chirp_sum`` that depend only on the grid and the targets.
 
     Returns (pre-modulation, n h weights, kernel FFT, post-chirp), read-only.
     """
+    pre, chirp = _chirp_tables(nodes, h, count, c, t_c, dt)
+    if sign > 0:
+        pre, chirp = np.conj(pre), np.conj(chirp)
     n = np.arange(nodes + 1) - nodes // 2
     m = np.arange(count) - c
     size = 1 << (nodes + count - 1).bit_length()
-    pre = _cis(sign * (_turns(n * n, h, dt / 2.0) + _turns(n, h, t_c)))
     # kernel at the index differences m - n in [-nodes, count - 1], stored
     # circularly so that the cyclic convolution of length size is the linear one
     q = np.arange(-nodes, count)
-    k = q + (nodes // 2 - c)
     kernel = np.zeros(size, dtype=complex)
-    kernel[q] = _cis(-sign * _turns(k * k, h, dt / 2.0))
-    plan = (pre, n * h, np.fft.fft(kernel), _cis(sign * _turns(m * m, h, dt / 2.0)))
+    kernel[q] = np.conj(chirp[np.abs(q + (nodes // 2 - c))])
+    plan = (pre, n * h, np.fft.fft(kernel), chirp[np.abs(m)])
     for factor in plan:
         factor.flags.writeable = False
     return plan

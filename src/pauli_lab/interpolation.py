@@ -185,16 +185,22 @@ def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray,
     ``derivs`` holding model'(lams); the quotient is well conditioned because
     the vanishing factor is computed as an exact difference, and nodes
     colliding with lam fall back to the cancelled-factor path, all of them in
-    one call.  Real ``x`` stays in real arithmetic.
+    one call.  Real ``x`` stays in real arithmetic and gives a real block.
     """
     x = np.asarray(x)
     if not len(lams):
-        return np.empty((0, len(x)), dtype=complex)
+        return np.empty((0, len(x)), dtype=np.result_type(x, 1.0))
     lams = np.asarray(lams, dtype=float)
     diff = x - lams[:, None]
     out = diff * derivs[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(model.values(x), out, out=out)
+        if np.iscomplexobj(out):
+            np.divide(model.values(x), out, out=out)
+        else:
+            # numpy divides by c + 0j (Smith's rule) as a * (1/c): the
+            # reciprocal multiply keeps the bits of the complex quotient
+            np.divide(1.0, out, out=out)
+            out *= model.values(x).real
     rows, cols = np.nonzero(np.abs(diff) < 1e-9)
     if len(rows):
         out[rows, cols] = model.divided_basis_eval(lams[rows], x[cols], derivs[rows])

@@ -92,8 +92,10 @@ def weak_bound_oracle(A: float) -> tuple[float, float]:
     """
     A = _check_unit_interval(A)
 
-    def g(x: np.ndarray) -> np.ndarray:
-        return (1.0 - x) * (A / np.sqrt(x) + np.sqrt(x) / A) ** 2
+    def g(x):
+        # t * t, not t ** 2: the scan and the scalar refinement round alike
+        t = A / np.sqrt(x) + np.sqrt(x) / A
+        return (1.0 - x) * (t * t)
 
     lo, hi = A * A, 1.0
     xs = np.linspace(lo, hi, ORACLE_GRID_SIZE)
@@ -107,7 +109,7 @@ def weak_bound_oracle(A: float) -> tuple[float, float]:
     c_ = b_ - invphi * (b_ - a_)
     d_ = a_ + invphi * (b_ - a_)
     for _ in range(90):
-        if g(np.array([c_]))[0] > g(np.array([d_]))[0]:
+        if g(c_) > g(d_):
             b_ = d_
         else:
             a_ = c_
@@ -115,9 +117,9 @@ def weak_bound_oracle(A: float) -> tuple[float, float]:
         d_ = a_ + invphi * (b_ - a_)
     x_star = 0.5 * (a_ + b_)
     # boundary maximizer: golden refinement cannot move below the grid edge
-    if g(np.array([lo]))[0] >= g(np.array([x_star]))[0]:
+    if g(lo) >= g(x_star):
         x_star = lo
-    return float(g(np.array([x_star]))[0]), float(x_star)
+    return float(g(x_star)), float(x_star)
 
 
 def uniqueness_density_bounds(a: float, b: float) -> tuple[float, float]:

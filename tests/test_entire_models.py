@@ -330,6 +330,7 @@ def _real_axis_models():
         "sinc_tails": em.sinc_product(300),
         "plain_no_tails_odd": em.ProductModel(zeros=plain, parity=1),
         "plain_gauss": em.ProductModel(zeros=plain, gauss_rate=0.3),
+        "plain_tails_odd": em.ProductModel(zeros=plain, gauss_rate=0.2, parity=1, tail_start=51),
         "quartic_odd": em.profile_product(lam, 0.45, gauss_rate=1.05, parity=1),
         "quartic_even": em.profile_product(lam, 0.45, gauss_rate=1.05),
         "quartic_no_tails": em.ProductModel(zeros=plain, quartic=True),
@@ -350,7 +351,7 @@ class TestRealAxisPath:
         cplx = model.eval(x.astype(complex))
         if name in ("plain_no_tails_odd", "quartic_no_tails"):
             assert np.any(np.isinf(real.value) & np.isfinite(real.log_magnitude))
-        assert real.value.dtype == complex
+        assert real.value.dtype == complex and not np.any(real.value.imag)
         # equal bit for bit; == also lets an exact zero differ in sign
         for field in ("value", "log_magnitude", "error_bound"):
             assert np.array_equal(getattr(real, field), getattr(cplx, field)), field
@@ -367,6 +368,22 @@ class TestRealAxisPath:
         real, cplx = model.eval(x), model.eval(x.astype(complex))
         for field in ("value", "log_magnitude", "error_bound"):
             assert np.array_equal(getattr(real, field), getattr(cplx, field)), field
+
+    @pytest.mark.parametrize("name", sorted(set(_real_axis_models()) - {"no_zeros"}))
+    def test_real_derivatives_match_complex_points(self, name):
+        model = _real_axis_models()[name]
+        lams = np.concatenate([model.zeros[:30], -model.zeros[:30:4]])
+        got = model.derivative_at_zero(lams)
+        # the same product rule with the zeros cast to complex
+        k = model._zero_index(lams)
+        rho = model.zeros[k]
+        sign = np.where(lams >= 0, 1.0, -1.0)
+        z = (sign * rho).astype(complex)
+        m, e = model._scaled_product(model._s_of(z), skip=k)
+        m2, e2, _ = model._smooth_log(z)
+        want = -sign * (4.0 if model.quartic else 2.0) / rho * (m * m2 * np.exp(e + e2))
+        assert got.dtype == float and want.dtype == complex and not np.any(want.imag)
+        assert np.array_equal(got, want.real)
 
     def test_scaled_product_dtype_follows_points(self, quartic_phi):
         x = np.linspace(-3.0, 3.0, 7)
@@ -553,6 +570,32 @@ class TestFarFactorSeries:
         rel = (np.abs(got - want) / np.abs(want)).astype(float)
         assert np.max(rel) < 2e-14 and np.median(rel) < 1.5e-15
 
+    @pytest.mark.parametrize("name", sorted(_series_models()))
+    @pytest.mark.parametrize("off_axis", [False, True])
+    def test_series_matches_per_term_loop(self, name, off_axis):
+        model = _series_models()[name]
+        z = np.linspace(-4.0, 4.0, 301) * (np.exp(0.3j) if off_axis else 1.0)
+        s = model._s_of(z)
+        top = float(np.max(np.abs(s)))
+        n0, got = model._far_log(s, top, None)
+        assert got is not None
+        # coefficients c_j = sum_n r_n^j / j one power at a time, then Horner
+        poles = model._factor_poles
+        r = poles[n0] / poles[n0:]
+        terms = max(1, math.ceil(math.log(1e-17 / r.size) / math.log(top / poles[n0])))
+        power, coeffs = r.copy(), []
+        for j in range(terms):
+            if j:
+                power *= r
+            coeffs.append(power.sum() / (j + 1))
+        t = s * (1.0 / poles[n0])
+        want = np.full_like(t, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            want *= t
+            want += c
+        want *= -t
+        assert np.array_equal(got, want)
+
     def test_derivatives_against_long_double(self):
         quartic = em.profile_product(np.sqrt(np.arange(1, 513) / 0.45), 0.45, gauss_rate=0.3,
                                      parity=1)
@@ -641,7 +684,7 @@ class TestDerivativeArrays:
             got = model.derivative_at_zero(lams)
             want = np.array([model.derivative_at_zero(lams[i:i + 1])[0]
                              for i in range(lams.size)])
-            assert got.shape == lams.shape and got.dtype == complex
+            assert got.shape == lams.shape and got.dtype == float
             # the chunk size and the reach of the multiplied-out factors
             # follow the largest point, so one call and many round differently
             assert np.allclose(got, want, rtol=1e-13, atol=0)

@@ -290,6 +290,43 @@ class TestUniformPhaseSum:
         assert fourier._chirp_plan.cache_info()[:2] == (2, 2)  # hits, misses
         assert np.array_equal(cold, warm) and np.array_equal(cold, again)
 
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("nodes, count, c", [(16, 32, 16), (512, 301, 150), (512, 40, 3),
+                                                 (2048, 4097, 4000), (4096, 6145, 3072)])
+    def test_plan_matches_its_own_exponentials(self, sign, nodes, count, c):
+        h, t_c, dt = 12.0 / nodes, 0.37, 10.0 / 300
+        fourier._chirp_plan.cache_clear()
+        fourier._chirp_tables.cache_clear()
+        got = fourier._chirp_plan(nodes, h, count, c, t_c, dt, sign)
+        # each factor from the exponentials of its own signed turns
+        turns = fourier._turns
+        n = np.arange(nodes + 1) - nodes // 2
+        m = np.arange(count) - c
+        q = np.arange(-nodes, count)
+        k = q + (nodes // 2 - c)
+        kernel = np.zeros(1 << (nodes + count - 1).bit_length(), dtype=complex)
+        kernel[q] = fourier._cis(-sign * turns(k * k, h, dt / 2.0))
+        want = (fourier._cis(sign * (turns(n * n, h, dt / 2.0) + turns(n, h, t_c))), n * h,
+                np.fft.fft(kernel), fourier._cis(sign * turns(m * m, h, dt / 2.0)))
+        for a, b in zip(got, want, strict=True):
+            # == lets the conjugate 1 - 0j of a zero turn's 1 + 0j differ in sign
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_tables_are_few_read_only_and_serve_both_signs(self):
+        assert fourier._chirp_tables.cache_info().maxsize == fourier.CHIRP_PLANS
+        targets = np.linspace(-5.0, 5.0, 301)
+        fourier._chirp_plan.cache_clear()
+        fourier._chirp_tables.cache_clear()
+        fourier.phase_sum(self.ROWS, self.SPEC, targets)
+        fourier.phase_sum(self.ROWS, self.SPEC, targets, inverse=True)
+        assert fourier._chirp_plan.cache_info().misses == 2
+        assert fourier._chirp_tables.cache_info()[:2] == (1, 1)  # hits, misses
+        c, t_c, dt, _ = fourier._uniform_targets(targets)
+        h = 2.0 * self.SPEC.half_width / self.SPEC.nodes
+        for table in fourier._chirp_tables(self.SPEC.nodes, h, len(targets), c, t_c, dt):
+            assert not table.flags.writeable
+        assert fourier._chirp_tables.cache_info().misses == 1
+
     def test_plans_are_few_and_read_only(self):
         assert fourier._chirp_plan.cache_info().maxsize == fourier.CHIRP_PLANS <= 2
         h = 2.0 * self.SPEC.half_width / self.SPEC.nodes

@@ -76,6 +76,20 @@ class TestCrossMatrices:
         keep = np.abs(p.lam) > narrow.inner_cut
         assert np.array_equal(narrow.time_columns, p.time_columns[keep])
 
+    def test_real_points_give_real_columns(self, small_problem):
+        p = small_problem
+        for gen, pts, quad, derivs in ((p.time_gen, p.lam, p.time_quad, p.time_derivs),
+                                       (p.freq_gen, p.mu, p.freq_quad, p.freq_derivs)):
+            # nodes, and points on a lam, where the cancelled-factor fallback runs
+            x = np.concatenate([quad.grid(), pts[::3], pts[1::4] + 3e-10])
+            got = itp.divided_columns(gen, pts, x, derivs)
+            cplx = itp.divided_columns(gen, pts, x + 0j, derivs)
+            assert derivs.dtype == float and got.dtype == float and cplx.dtype == complex
+            assert not np.any(cplx.imag)
+            assert np.array_equal(got, cplx.real)
+        assert p.time_columns.nbytes == 8 * len(p.lam) * (p.time_quad.nodes + 1)
+        assert p.freq_columns.nbytes == 8 * len(p.mu) * (p.freq_quad.nodes + 1)
+
     def test_restricted_keeps_computed_columns(self, monkeypatch):
         lam = sym_profile(0.9, seed=1)
         mu = sym_profile(0.9, seed=2)

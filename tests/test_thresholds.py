@@ -97,6 +97,16 @@ class TestWeakBoundOracle:
         assert val == pytest.approx((C2_AT_QUARTER / 2) ** 2, abs=1e-9)
         assert x == pytest.approx(X_A_AT_QUARTER, abs=1e-6)
 
+    @pytest.mark.parametrize("a, value, argmax", [
+        (0.1, "0x1.a0539c0fb7963p+4", "0x1.f58bebee11a7ap-2"),  # interior
+        (0.3, "0x1.004c817f493ecp+2", "0x1.8776638a111a4p-2"),  # interior, near 1/3
+        (0.5, "0x1.8000000000000p+1", "0x1.0000000000000p-2"),  # boundary x = A^2
+        (0.9, "0x1.851eb851eb850p-1", "0x1.9eb851eb851ecp-1"),  # above sqrt(3)/2
+    ])
+    def test_pinned_values(self, a, value, argmax):
+        # the golden section on floats rounds as the scan on arrays did
+        assert th.weak_bound_oracle(a) == (float.fromhex(value), float.fromhex(argmax))
+
     def test_matches_threshold_across_range(self):
         # the AC-2 sweep: 20 values in (0, sqrt(3)/2), argmax within a grid step
         for a in np.linspace(0.04, np.sqrt(3) / 2 - 0.01, 20):
