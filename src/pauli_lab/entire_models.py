@@ -33,6 +33,11 @@ one log power series in t = s/R_{n0}, |t| <= 1/4, the rule the regular tail
 uses near the origin, so a call costs about (near zeros + series terms) x
 points.  Calls with fewer points or far zeros than series terms multiply every
 factor out.
+
+A call's time goes more to numpy calls than to arithmetic, so the kernel makes
+few: near factors are formed in blocks of whole chunks, series coefficients are
+cached per model, and the renormalisation after each chunk takes a mask only
+once a mantissa has vanished, all with the bits of one chunk at a time.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ import numpy as np
 from .jsonfile import json_numbers, json_value
 
 LOG_HUGE = 700.0  # conservative double-precision overflow threshold for exp
+_FACTOR_BLOCK = 1 << 16  # entries of one block of product factors (1 MiB complex)
+_FAR_SERIES_CACHE = 64  # far-series coefficient sets kept per model
 
 # -- log-Gamma and Hurwitz zeta ----------------------------------------------
 
@@ -283,7 +290,13 @@ class ProductModel:
         # reach 1e-17 at q = 1/4 for any m0 below 40000
         q = max(float(np.max(np.abs(near), initial=0.0)) / m0**2, 1e-300)
         terms = min(30, max(1, math.ceil(math.log(1e-17 / (m0 + 1)) / math.log(q))))
-        out = -near * np.polyval(_tail_series(m0)[-terms:], near)
+        # Horner in place, with np.polyval's operations and bits
+        coeffs = _tail_series(m0)[-terms:]
+        acc = np.full_like(near, coeffs[0])
+        for c in coeffs[1:]:
+            acc *= near
+            acc += c
+        out = -near * acc
         size = np.abs(out)
         if not np.any(far):
             return out, 1.0, size
@@ -336,9 +349,15 @@ class ProductModel:
         terms = max(1, math.ceil(math.log(1e-17 / far) / math.log(q)))
         if min(far, s.size) <= terms:
             return n, None
-        r = poles[n0] / poles[n0:]
-        coeffs = np.cumprod(np.broadcast_to(r, (terms, far)), axis=0).sum(axis=1)
-        coeffs /= np.arange(1, terms + 1)
+        coeffs = self._far_series.get((n0, terms))
+        if coeffs is None:
+            r = poles[n0] / poles[n0:]
+            coeffs = np.cumprod(np.broadcast_to(r, (terms, far)), axis=0).sum(axis=1)
+            coeffs /= np.arange(1, terms + 1)
+            coeffs.flags.writeable = False
+            if len(self._far_series) >= _FAR_SERIES_CACHE:
+                self._far_series.clear()
+            self._far_series[n0, terms] = coeffs
         # Horner in t, scaled by a reciprocal multiply like the factors
         t = s * (1.0 / poles[n0])
         acc = np.full_like(t, coeffs[-1])
@@ -347,6 +366,13 @@ class ProductModel:
             acc += c
         acc *= -t
         return n0, acc
+
+    @cached_property
+    def _far_series(self) -> dict:
+        """``_far_log``'s coefficients by (n0, terms), read-only; emptied when
+        it holds _FAR_SERIES_CACHE sets, so it stays bounded.  Threads sharing
+        a model can at worst compute a set twice, always to the same values."""
+        return {}
 
     def _scaled_product(self, s: np.ndarray, skip: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -357,11 +383,17 @@ class ProductModel:
         as exactly 1, which removes a vanishing factor without a second loop.
 
         Factors within the points' reach (``_far_log``'s n0) are multiplied
-        out: each chunk's factors are laid out points-major, (chunk, points),
-        in one buffer, so every factor is one vectorised multiply across the
-        points, and the reduction multiplies each point's factors in index
-        order, as a row-wise product would.  The factors beyond it enter
-        through their log series.
+        out.  They are formed points-major, (factors, points), in blocks of
+        whole chunks of at most _FACTOR_BLOCK entries (one chunk where a chunk
+        alone is larger), so a block is one subtract, one reciprocal multiply
+        and one skip fix-up across all its points, and memory stays linear in
+        the points.  Each chunk is reduced by ``np.prod`` over its rows, a
+        C-contiguous slice of the block, which multiplies each point's factors
+        in index order, as a row-wise product would.  The mantissa is then
+        renormalised into preallocated arrays; the ufuncs take a mask only
+        once some mantissa is exactly 0, so that only the nonzero ones take a
+        log and a reciprocal.  The factors beyond the reach enter through
+        their log series.
         """
         m = np.ones(s.size, dtype=s.dtype)
         e = np.zeros(s.size)
@@ -373,10 +405,13 @@ class ProductModel:
         chunk = int(min(max(200.0 / max(np.log10(1.0 + top / poles[0]), 1.0), 1), 64))
         inv = 1.0 / poles
         n, far_log = self._far_log(s, top, skip)
-        buffer = np.empty((min(chunk, n), s.size), dtype=s.dtype)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            factors = buffer[: stop - start]
+        rows = chunk * max(1, _FACTOR_BLOCK // (chunk * max(s.size, 1)))
+        block = np.empty((min(rows, n), s.size), dtype=s.dtype)
+        a, log_a = np.empty(s.size), np.empty(s.size)
+        mask = np.empty(s.size, dtype=bool)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            factors = block[: stop - start]
             # (rho^2 - s)/rho^2 via reciprocal multiply: complex division is not
             # correctly rounded, and retained zeros must cancel to an exact 0
             np.subtract(poles[start:stop, None], s, out=factors)
@@ -384,13 +419,17 @@ class ProductModel:
             if skip is not None:
                 cols = np.flatnonzero((skip >= start) & (skip < stop))
                 factors[skip[cols] - start, cols] = 1.0
-            m *= np.prod(factors, axis=0)
-            a = np.abs(m)
-            live = a > 0
-            e[live] += np.log(a[live])
-            # numpy divides complex by real as a reciprocal multiply; doing so
-            # explicitly keeps real and complex points bit-identical
-            m[live] *= 1.0 / a[live]
+            for first in range(0, stop - start, chunk):
+                m *= np.prod(factors[first:first + chunk], axis=0)
+                np.abs(m, out=a)
+                # a mask only once a mantissa has vanished, at a retained zero
+                live = True if a.min(initial=1.0) > 0.0 else np.greater(a, 0.0, out=mask)
+                np.log(a, out=log_a, where=live)
+                np.add(e, log_a, out=e, where=live)
+                # numpy divides complex by real as a reciprocal multiply; doing
+                # so explicitly keeps real and complex points bit-identical
+                np.divide(1.0, a, out=a, where=live)
+                np.multiply(m, a, out=m, where=live)
         if far_log is not None:
             # a retained zero's log-scale stops where its mantissa vanished
             np.add(e, far_log.real, out=e, where=m != 0)
@@ -403,15 +442,16 @@ class ProductModel:
         tail; the factor is real at real points, where the phase is 0."""
         u = z * z
         log_scale = -self.gauss_rate * np.pi * np.real(u)
-        arg = -self.gauss_rate * np.pi * np.imag(u)
         size = self.gauss_rate * np.pi * np.abs(u)
         m = 1.0
         if self.tail_start:
             tail, m, tail_size = self._log_tail(self.tail_scale * (u if self.quartic else z))
             log_scale = log_scale + np.real(tail)
-            arg = arg + np.imag(tail)
             size = size + tail_size
         if np.iscomplexobj(z):
+            arg = -self.gauss_rate * np.pi * np.imag(u)
+            if self.tail_start:
+                arg = arg + np.imag(tail)
             m = np.exp(1j * arg) * m
         if self.parity:
             m = m * z
@@ -427,8 +467,9 @@ class ProductModel:
         with np.errstate(over="ignore", invalid="ignore"):
             s = self._s_of(z)
         big = ~np.isfinite(s)
-        m, e = self._scaled_product(np.where(big, 0.0, s))
-        if big.any():
+        past = big.any()
+        m, e = self._scaled_product(np.where(big, 0.0, s) if past else s)
+        if past:
             # s = z^2 (z^4) past the double range: each factor 1 - s/R_n is
             # -s/R_n to rounding, so the product is (-s)^n / prod R_n, in logs
             n, power = len(self.zeros), 4 if self.quartic else 2
@@ -448,7 +489,8 @@ class ProductModel:
         overflow = log_mag > LOG_HUGE
         with np.errstate(over="ignore", under="ignore"):
             value = (m * np.exp(np.where(overflow | dead, 0.0, e))).astype(complex, copy=False)
-        value[overflow] = np.inf
+        if overflow.any():
+            value[overflow] = np.inf
         return EvalResult(value, log_mag, err)
 
     def values(self, z) -> np.ndarray:

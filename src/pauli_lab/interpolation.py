@@ -201,7 +201,8 @@ def divided_columns(model: ProductModel, lams: np.ndarray, x: np.ndarray,
             # reciprocal multiply keeps the bits of the complex quotient
             np.divide(1.0, out, out=out)
             out *= model.values(x).real
-    rows, cols = np.nonzero(np.abs(diff) < 1e-9)
+    # the row-major hits of np.nonzero on the 2-D mask, found in its flat view
+    rows, cols = np.divmod(np.flatnonzero(np.abs(diff) < 1e-9), diff.shape[1])
     if len(rows):
         out[rows, cols] = model.divided_basis_eval(lams[rows], x[cols], derivs[rows])
     return out

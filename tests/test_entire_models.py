@@ -711,3 +711,218 @@ class TestDerivativeArrays:
         got = gen.derivative_at_zero(lams)
         want = _derivatives_long_double(gen, lams)
         assert np.max(np.abs(got - want) / np.abs(want)) < 2e-14
+
+
+class _ChunkKernel(em.ProductModel):
+    """The product kernel one chunk at a time, kept as the reference for the
+    blocked one: a fresh factor chunk per step, renormalisation by boolean
+    gather and scatter, the far-series coefficients rebuilt on every call and
+    the tail series summed by ``np.polyval``.  ``eval``, ``derivative_at_zero``
+    and ``divided_basis_eval`` are inherited, so they run on these kernels."""
+
+    def _log_tail(self, w):
+        m0 = self.tail_start
+        far = np.abs(w) > 0.5 * m0
+        near = np.where(far, 0.0, w)
+        near = near * near
+        q = max(float(np.max(np.abs(near), initial=0.0)) / m0**2, 1e-300)
+        terms = min(30, max(1, math.ceil(math.log(1e-17 / (m0 + 1)) / math.log(q))))
+        out = -near * np.polyval(em._tail_series(m0)[-terms:], near)
+        size = np.abs(out)
+        if not np.any(far):
+            return out, 1.0, size
+        wf = w[far]
+        axis = np.imag(wf) == 0.0
+        lo, hi = np.empty_like(wf), np.empty_like(wf)
+        sign_far = np.ones(wf.shape)
+        x = np.real(wf[axis])
+        if x.size:
+            lg, sg = em._log_gamma_real(np.concatenate([m0 - x, m0 + x]))
+            lo[axis], hi[axis] = lg[: x.size], lg[x.size:]
+            sign_far[axis] = sg[: x.size] * sg[x.size:] + 0.0
+        off = wf[~axis]
+        if off.size:
+            lg = em._log_gamma_complex(np.concatenate([m0 - off, m0 + off]))
+            lo[~axis], hi[~axis] = lg[: off.size], lg[off.size:]
+        sign = np.ones(w.shape)
+        log_m0 = 2.0 * math.lgamma(m0)
+        out[far], sign[far] = log_m0 - lo - hi, sign_far
+        size[far] = log_m0 + np.abs(lo) + np.abs(hi)
+        return out, sign, size
+
+    def _far_log(self, s, top, skip):
+        poles = self._factor_poles
+        n = len(poles)
+        n0 = int(np.searchsorted(poles, 4.0 * top))
+        if skip is not None:
+            n0 = max(n0, int(skip.max(initial=-1)) + 1)
+        far = n - n0
+        if far < 2 or s.size < 2:
+            return n, None
+        q = max(top / poles[n0], 1e-300)
+        terms = max(1, math.ceil(math.log(1e-17 / far) / math.log(q)))
+        if min(far, s.size) <= terms:
+            return n, None
+        r = poles[n0] / poles[n0:]
+        coeffs = np.cumprod(np.broadcast_to(r, (terms, far)), axis=0).sum(axis=1)
+        coeffs /= np.arange(1, terms + 1)
+        t = s * (1.0 / poles[n0])
+        acc = np.full_like(t, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc *= t
+            acc += c
+        acc *= -t
+        return n0, acc
+
+    def _scaled_product(self, s, skip=None):
+        m = np.ones(s.size, dtype=s.dtype)
+        e = np.zeros(s.size)
+        poles = self._factor_poles
+        if len(poles) == 0:
+            return m, e
+        top = float(np.abs(s).max(initial=0.0))
+        chunk = int(min(max(200.0 / max(np.log10(1.0 + top / poles[0]), 1.0), 1), 64))
+        inv = 1.0 / poles
+        n, far_log = self._far_log(s, top, skip)
+        buffer = np.empty((min(chunk, n), s.size), dtype=s.dtype)
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            factors = buffer[: stop - start]
+            np.subtract(poles[start:stop, None], s, out=factors)
+            factors *= inv[start:stop, None]
+            if skip is not None:
+                cols = np.flatnonzero((skip >= start) & (skip < stop))
+                factors[skip[cols] - start, cols] = 1.0
+            m *= np.prod(factors, axis=0)
+            a = np.abs(m)
+            live = a > 0
+            e[live] += np.log(a[live])
+            m[live] *= 1.0 / a[live]
+        if far_log is not None:
+            np.add(e, far_log.real, out=e, where=m != 0)
+            if np.iscomplexobj(far_log):
+                m *= np.exp(1j * far_log.imag)
+        return m, e
+
+
+def _kernel_models():
+    plain = 0.5 * np.arange(1, 401)
+    lam = np.sqrt(np.arange(1, 301) / 0.45)
+    return {
+        "plain_odd": em.ProductModel(zeros=plain, gauss_rate=0.3, parity=1),
+        "plain_tails_even": em.ProductModel(zeros=plain, gauss_rate=0.2, tail_start=801,
+                                            tail_scale=2.0),
+        "quartic_tails_even": em.profile_product(lam, 0.45, gauss_rate=1.05),
+        "quartic_tails_odd": em.profile_product(lam, 0.45, gauss_rate=1.05, parity=1),
+        "quartic_odd": em.ProductModel(zeros=lam, gauss_rate=0.5, parity=1, quartic=True),
+        "plain_even": em.ProductModel(zeros=plain),
+    }
+
+
+def _reference(model):
+    """The same model on the chunk-at-a-time kernel."""
+    return _ChunkKernel(zeros=model.zeros, gauss_rate=model.gauss_rate, parity=model.parity,
+                        tail_start=model.tail_start, tail_scale=model.tail_scale,
+                        quartic=model.quartic)
+
+
+def _kernel_calls(model):
+    """(label, call) pairs covering the kernel's paths on one model."""
+    rng = np.random.default_rng(11)
+    zeros = model.zeros
+    # out past every retained zero (several factor blocks of 700 points), and
+    # within reach of a few dozen, where the far factors take the log series
+    reach = 1.2 * zeros[-1]
+    wide = np.concatenate([rng.uniform(-reach, reach, 660), zeros[::20], -zeros[5::20], [0.0]])
+    narrow = np.concatenate([rng.uniform(-4.0, 4.0, 400), zeros[zeros <= 4.0],
+                             -zeros[zeros <= 4.0]])
+    # far-out points next to ordinary ones; a quartic model's z^4 passes the
+    # double range there
+    huge = np.array([1e80, -3e100, 2.5, zeros[3]] if model.quartic else
+                    [1e60, -3e100, 2.5, zeros[3]])
+    # every retained zero as a skip index, so both sides of every block edge,
+    # and a few dozen near ones repeated, whose far factors take the series
+    every = np.resize(np.concatenate([zeros, -zeros]), 900)
+    near = np.resize(np.concatenate([zeros[:40], -zeros[:40:3]]), 300)
+    lams = np.array([zeros[0], -zeros[7], zeros[25]])
+    z = np.concatenate([np.linspace(-5.0, 5.0, 301) + 0.013, zeros[:6], -zeros[:6]])
+    cardinal = (np.repeat(lams, z.size), np.tile(z, lams.size))
+    calls = {}
+    for name, x in (("wide", wide), ("narrow", narrow), ("huge", huge)):
+        for kind, pts in (("real", x), ("complex", x * np.exp(0.3j))):
+            calls[f"eval {name} {kind}"] = lambda m, pts=pts: m.eval(pts)
+    calls["derivative every zero"] = lambda m: m.derivative_at_zero(every)
+    calls["derivative near zeros"] = lambda m: m.derivative_at_zero(near)
+    for kind, pts in (("real", cardinal[1]), ("complex", cardinal[1] * np.exp(0.2j))):
+        calls[f"divided basis {kind}"] = lambda m, pts=pts: m.divided_basis_eval(
+            cardinal[0], pts, m.derivative_at_zero(cardinal[0]))
+    return calls
+
+
+def _result_bytes(result):
+    if isinstance(result, em.EvalResult):
+        return [result.value.tobytes(), result.log_magnitude.tobytes(),
+                result.error_bound.tobytes()]
+    return [result.tobytes()]
+
+
+class TestBlockedKernel:
+    """The blocked kernel keeps every bit of the chunk-at-a-time one."""
+
+    @pytest.mark.parametrize("name", sorted(_kernel_models()))
+    def test_bits_match_chunk_kernel(self, name):
+        model = _kernel_models()[name]
+        reference = _reference(model)
+        for label, call in _kernel_calls(model).items():
+            assert _result_bytes(call(model)) == _result_bytes(call(reference)), label
+
+    def test_calls_span_several_blocks(self):
+        # the "wide" and "every zero" calls multiply out every retained
+        # factor, in more rows than one block holds
+        for model in _kernel_models().values():
+            for x in (np.linspace(-1.2, 1.2, 700) * model.zeros[-1], model.zeros[:450]):
+                s = model._s_of(x)
+                top = float(np.max(s))
+                chunk = _chunk_size(model._factor_poles, s)
+                rows = chunk * max(1, em._FACTOR_BLOCK // (chunk * s.size))
+                assert model._far_log(s, top, None)[0] == len(model.zeros) > rows
+
+    @pytest.mark.parametrize("count", [700, 1400])
+    def test_one_point_against_many_zeros(self, count):
+        model = em.sinc_product(count)
+        reference = _reference(model)
+        for z in (3.3, 3.3 + 0.7j, 0.6 * count + 0.25, 0.6 * count * np.exp(0.4j), 17.0):
+            got, want = model.eval(np.array([z])), reference.eval(np.array([z]))
+            assert _result_bytes(got) == _result_bytes(want), z
+        lam = np.array([-float(count // 2)])
+        assert (model.derivative_at_zero(lam).tobytes()
+                == reference.derivative_at_zero(lam).tobytes())
+
+    @pytest.mark.parametrize("block", [1, 777, 20000])
+    def test_block_size_changes_no_bit(self, block, monkeypatch):
+        models = _kernel_models()
+        want = {(name, label): _result_bytes(call(model))
+                for name, model in models.items()
+                for label, call in _kernel_calls(model).items()}
+        monkeypatch.setattr(em, "_FACTOR_BLOCK", block)
+        for name, model in models.items():
+            for label, call in _kernel_calls(model).items():
+                assert _result_bytes(call(model)) == want[name, label], (name, label)
+
+    def test_far_series_coefficients_cached_read_only(self):
+        model = em.profile_product(np.sqrt(np.arange(1, 513) / 0.45), 0.45, gauss_rate=1.05)
+        x = np.linspace(-4.0, 4.0, 301)
+        first = model.eval(x)
+        ((key, coeffs),) = model._far_series.items()
+        assert not coeffs.flags.writeable
+        # a second call reads the cached set
+        assert _result_bytes(model.eval(x)) == _result_bytes(first)
+        assert list(model._far_series) == [key] and model._far_series[key] is coeffs
+        # wider calls reach further: the cache is emptied when full, so it
+        # stays bounded
+        seen = set()
+        for radius in np.linspace(1.0, 9.0, 200):
+            model.eval(np.linspace(-radius, radius, 301))
+            seen |= set(model._far_series)
+            assert len(model._far_series) <= em._FAR_SERIES_CACHE
+        assert len(seen) > em._FAR_SERIES_CACHE

@@ -25,6 +25,22 @@ def weighted_norms(problem, mats):
     return itp._op_norm(mats.psi_at_lambda, wl, wm), itp._op_norm(mats.phihat_at_mu, wm, wl)
 
 
+def _divided_columns_2d(model, lams, x, derivs):
+    """``divided_columns`` with its collisions found by np.nonzero on the 2-D mask."""
+    diff = x - lams[:, None]
+    out = diff * derivs[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if np.iscomplexobj(out):
+            np.divide(model.values(x), out, out=out)
+        else:
+            np.divide(1.0, out, out=out)
+            out *= model.values(x).real
+    rows, cols = np.nonzero(np.abs(diff) < 1e-9)
+    if len(rows):
+        out[rows, cols] = model.divided_basis_eval(lams[rows], x[cols], derivs[rows])
+    return out
+
+
 @pytest.fixture(scope="module")
 def small_problem():
     lam = sym_profile(0.55, seed=1)
@@ -235,6 +251,24 @@ class TestCrossMatrices:
         single = np.array([original(gen, v, v, gen.derivative_at_zero(v))[0]
                            for v in np.split(lam, len(lam))])
         assert np.allclose(np.diag(cols), single, rtol=1e-13, atol=0)
+
+    def test_collision_search_matches_2d_nonzero(self, small_problem):
+        # the hits found in the flat view of the collision mask are
+        # np.nonzero's row-major ones, so the fallback gets the same inputs
+        p = small_problem
+        rng = np.random.default_rng(4)
+        order = rng.permutation(len(p.lam))
+        lam, derivs = p.lam[order], p.time_derivs[order]
+        # unsorted points: lam[2] hit by two nodes within 1e-9, and four more hits
+        x = rng.permutation(np.concatenate([p.time_quad.grid()[::8],
+                                            [lam[2] + 4e-10, lam[2] - 2e-10],
+                                            lam[4:7], [lam[-1] + 1e-12]]))
+        hits = np.abs(x - lam[:, None]) < 1e-9
+        assert np.count_nonzero(hits) == 6 and np.count_nonzero(hits[2]) == 2
+        for pts in (x, x + 0j):
+            got = itp.divided_columns(p.time_gen, lam, pts, derivs)
+            want = _divided_columns_2d(p.time_gen, lam, pts, derivs)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_real_points_match_complex_points(self, small_problem):
         p = small_problem
