@@ -35,9 +35,10 @@ points.  Calls with fewer points or far zeros than series terms multiply every
 factor out.
 
 A call's time goes more to numpy calls than to arithmetic, so the kernel makes
-few: near factors are formed in blocks of whole chunks, series coefficients are
-cached per model, and the renormalisation after each chunk takes a mask only
-once a mantissa has vanished, all with the bits of one chunk at a time.
+few: near factors are formed in blocks of whole chunks and the renormalisation
+after each chunk takes a mask only once a mantissa has vanished, both with the
+bits of one chunk at a time, and the tail series is summed in place with
+``np.polyval``'s bits.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .jsonfile import json_numbers, json_value
 
 LOG_HUGE = 700.0  # conservative double-precision overflow threshold for exp
 _FACTOR_BLOCK = 1 << 16  # entries of one block of product factors (1 MiB complex)
-_FAR_SERIES_CACHE = 64  # far-series coefficient sets kept per model
 
 # -- log-Gamma and Hurwitz zeta ----------------------------------------------
 
@@ -349,15 +349,9 @@ class ProductModel:
         terms = max(1, math.ceil(math.log(1e-17 / far) / math.log(q)))
         if min(far, s.size) <= terms:
             return n, None
-        coeffs = self._far_series.get((n0, terms))
-        if coeffs is None:
-            r = poles[n0] / poles[n0:]
-            coeffs = np.cumprod(np.broadcast_to(r, (terms, far)), axis=0).sum(axis=1)
-            coeffs /= np.arange(1, terms + 1)
-            coeffs.flags.writeable = False
-            if len(self._far_series) >= _FAR_SERIES_CACHE:
-                self._far_series.clear()
-            self._far_series[n0, terms] = coeffs
+        r = poles[n0] / poles[n0:]
+        coeffs = np.cumprod(np.broadcast_to(r, (terms, far)), axis=0).sum(axis=1)
+        coeffs /= np.arange(1, terms + 1)
         # Horner in t, scaled by a reciprocal multiply like the factors
         t = s * (1.0 / poles[n0])
         acc = np.full_like(t, coeffs[-1])
@@ -366,13 +360,6 @@ class ProductModel:
             acc += c
         acc *= -t
         return n0, acc
-
-    @cached_property
-    def _far_series(self) -> dict:
-        """``_far_log``'s coefficients by (n0, terms), read-only; emptied when
-        it holds _FAR_SERIES_CACHE sets, so it stays bounded.  Threads sharing
-        a model can at worst compute a set twice, always to the same values."""
-        return {}
 
     def _scaled_product(self, s: np.ndarray, skip: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -442,16 +429,15 @@ class ProductModel:
         tail; the factor is real at real points, where the phase is 0."""
         u = z * z
         log_scale = -self.gauss_rate * np.pi * np.real(u)
+        arg = -self.gauss_rate * np.pi * np.imag(u)
         size = self.gauss_rate * np.pi * np.abs(u)
         m = 1.0
         if self.tail_start:
             tail, m, tail_size = self._log_tail(self.tail_scale * (u if self.quartic else z))
             log_scale = log_scale + np.real(tail)
+            arg = arg + np.imag(tail)
             size = size + tail_size
         if np.iscomplexobj(z):
-            arg = -self.gauss_rate * np.pi * np.imag(u)
-            if self.tail_start:
-                arg = arg + np.imag(tail)
             m = np.exp(1j * arg) * m
         if self.parity:
             m = m * z
@@ -467,9 +453,8 @@ class ProductModel:
         with np.errstate(over="ignore", invalid="ignore"):
             s = self._s_of(z)
         big = ~np.isfinite(s)
-        past = big.any()
-        m, e = self._scaled_product(np.where(big, 0.0, s) if past else s)
-        if past:
+        m, e = self._scaled_product(np.where(big, 0.0, s))
+        if big.any():
             # s = z^2 (z^4) past the double range: each factor 1 - s/R_n is
             # -s/R_n to rounding, so the product is (-s)^n / prod R_n, in logs
             n, power = len(self.zeros), 4 if self.quartic else 2
@@ -489,8 +474,7 @@ class ProductModel:
         overflow = log_mag > LOG_HUGE
         with np.errstate(over="ignore", under="ignore"):
             value = (m * np.exp(np.where(overflow | dead, 0.0, e))).astype(complex, copy=False)
-        if overflow.any():
-            value[overflow] = np.inf
+        value[overflow] = np.inf
         return EvalResult(value, log_mag, err)
 
     def values(self, z) -> np.ndarray:

@@ -716,9 +716,9 @@ class TestDerivativeArrays:
 class _ChunkKernel(em.ProductModel):
     """The product kernel one chunk at a time, kept as the reference for the
     blocked one: a fresh factor chunk per step, renormalisation by boolean
-    gather and scatter, the far-series coefficients rebuilt on every call and
-    the tail series summed by ``np.polyval``.  ``eval``, ``derivative_at_zero``
-    and ``divided_basis_eval`` are inherited, so they run on these kernels."""
+    gather and scatter and the tail series summed by ``np.polyval``.
+    ``eval``, ``derivative_at_zero`` and ``divided_basis_eval`` are
+    inherited, so they run on these kernels."""
 
     def _log_tail(self, w):
         m0 = self.tail_start
@@ -749,30 +749,6 @@ class _ChunkKernel(em.ProductModel):
         out[far], sign[far] = log_m0 - lo - hi, sign_far
         size[far] = log_m0 + np.abs(lo) + np.abs(hi)
         return out, sign, size
-
-    def _far_log(self, s, top, skip):
-        poles = self._factor_poles
-        n = len(poles)
-        n0 = int(np.searchsorted(poles, 4.0 * top))
-        if skip is not None:
-            n0 = max(n0, int(skip.max(initial=-1)) + 1)
-        far = n - n0
-        if far < 2 or s.size < 2:
-            return n, None
-        q = max(top / poles[n0], 1e-300)
-        terms = max(1, math.ceil(math.log(1e-17 / far) / math.log(q)))
-        if min(far, s.size) <= terms:
-            return n, None
-        r = poles[n0] / poles[n0:]
-        coeffs = np.cumprod(np.broadcast_to(r, (terms, far)), axis=0).sum(axis=1)
-        coeffs /= np.arange(1, terms + 1)
-        t = s * (1.0 / poles[n0])
-        acc = np.full_like(t, coeffs[-1])
-        for c in coeffs[-2::-1]:
-            acc *= t
-            acc += c
-        acc *= -t
-        return n0, acc
 
     def _scaled_product(self, s, skip=None):
         m = np.ones(s.size, dtype=s.dtype)
@@ -908,21 +884,3 @@ class TestBlockedKernel:
         for name, model in models.items():
             for label, call in _kernel_calls(model).items():
                 assert _result_bytes(call(model)) == want[name, label], (name, label)
-
-    def test_far_series_coefficients_cached_read_only(self):
-        model = em.profile_product(np.sqrt(np.arange(1, 513) / 0.45), 0.45, gauss_rate=1.05)
-        x = np.linspace(-4.0, 4.0, 301)
-        first = model.eval(x)
-        ((key, coeffs),) = model._far_series.items()
-        assert not coeffs.flags.writeable
-        # a second call reads the cached set
-        assert _result_bytes(model.eval(x)) == _result_bytes(first)
-        assert list(model._far_series) == [key] and model._far_series[key] is coeffs
-        # wider calls reach further: the cache is emptied when full, so it
-        # stays bounded
-        seen = set()
-        for radius in np.linspace(1.0, 9.0, 200):
-            model.eval(np.linspace(-radius, radius, 301))
-            seen |= set(model._far_series)
-            assert len(model._far_series) <= em._FAR_SERIES_CACHE
-        assert len(seen) > em._FAR_SERIES_CACHE
