@@ -479,19 +479,19 @@ ALL_CRITERIA = {
 
 
 def run_all(only: list[str] | None = None, threads: int = 1) -> list[AcceptanceRecord]:
-    """Run criteria (in order), each timed against its budget.
+    """Run criteria in order, one at a time, each timed against its budget.
 
-    A check that raises fails with the exception as its detail, and one
-    over its budget fails with the budget appended.  ``threads`` > 1 runs
-    independent criteria concurrently; results are still reported in the
-    requested order.
+    A raising check fails with the exception as its detail, one over its budget with the
+    budget appended.  ``threads`` must be 1 until the benchmark drops it (ROADMAP item 8).
     """
+    if threads != 1:
+        raise ValueError(f"the criteria run one at a time; threads must be 1, got {threads!r}")
     names = only or list(ALL_CRITERIA)
     for name in names:
         if name not in ALL_CRITERIA:
             raise ValueError(f"unknown criterion {name!r}")
-
-    def run(name: str) -> AcceptanceRecord:
+    records = []
+    for name in names:
         title, budget, check = ALL_CRITERIA[name]
         start = time.perf_counter()
         try:
@@ -501,10 +501,5 @@ def run_all(only: list[str] | None = None, threads: int = 1) -> list[AcceptanceR
         seconds = time.perf_counter() - start
         if seconds > budget:
             passed, detail = False, detail + f" [over budget {budget:.0f}s]"
-        return AcceptanceRecord(f"{name} {title}", passed, seconds, detail)
-
-    if threads > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, names))
-    return [run(name) for name in names]
+        records.append(AcceptanceRecord(f"{name} {title}", passed, seconds, detail))
+    return records

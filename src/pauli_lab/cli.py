@@ -14,7 +14,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,14 +30,6 @@ from . import thresholds as th
 from .entire_models import ProductModel
 from .jsonfile import json_numbers, json_text, json_value
 from .sequences import SampledSet, SmoothSpec, generate_smooth
-
-
-def max_threads() -> int:
-    """Parallelism cap from PAULI_LAB_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("PAULI_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -210,18 +201,24 @@ def cmd_indicator(args) -> int:
     return 0
 
 
-def _interp_data(entries, points: np.ndarray, key: str, set_name: str) -> dict:
-    """Data values by point from an ``alpha``/``beta`` object of [re, im] pairs."""
+def _interp_side(cfg: dict, set_name: str, key: str) -> tuple[SampledSet, dict]:
+    """One side of a problem: its set, and its data values by point from [re, im] pairs."""
+    points = json_numbers(cfg[set_name], set_name)
+    if np.any(np.diff(points) <= 0):
+        raise ValueError(f"{set_name} must be strictly increasing")
     data = {}
-    for k, v in json_value(entries, dict, key).items():
-        point = float(k)
+    for k, v in json_value(cfg[key], dict, key).items():
+        try:
+            point = float(k)
+        except ValueError:
+            raise ValueError(f"{key} key {k!r} is not a number") from None
         if point not in points:
             raise ValueError(f"{key} key {k!r} is not a point of {set_name}")
         value = json_numbers(v, f"{key}[{k!r}]")
         if len(value) != 2:
             raise ValueError(f"{key}[{k!r}] must be [re, im], two numbers, got {v!r}")
         data[point] = complex(*value)
-    return data
+    return SampledSet(points=points), data
 
 
 def cmd_interp(args) -> int:
@@ -246,9 +243,8 @@ def cmd_interp(args) -> int:
         if num[key] < 1e-300:
             raise ValueError(f"{key} must be at least 1e-300, got {num[key]!r}")
     nodes = json_value(cfg["nodes"], int, "nodes")
-    lam, mu = (SampledSet(points=json_numbers(cfg[key], key)) for key in ("lambda", "mu"))
-    alpha = _interp_data(cfg["alpha"], lam.points, "alpha", "lambda")
-    beta = _interp_data(cfg["beta"], mu.points, "beta", "mu")
+    lam, alpha = _interp_side(cfg, "lambda", "alpha")
+    mu, beta = _interp_side(cfg, "mu", "beta")
     base = itp.make_problem(lam, mu,
                             (lambda v: alpha.get(float(v), 0.0)) if alpha else None,
                             (lambda v: beta.get(float(v), 0.0)) if beta else None,
@@ -286,7 +282,7 @@ def cmd_interp(args) -> int:
 
 def cmd_acceptance(args) -> int:
     names = args.only.split(",") if args.only else None
-    records = acc.run_all(names, threads=max_threads())
+    records = acc.run_all(names)
     lines = [_provenance_line(args, acc.SEED), "criterion,passed,seconds,detail\n"]
     for rec in records:
         status = "PASS" if rec.passed else "FAIL"

@@ -461,6 +461,16 @@ class ProductModel:
             e[big] = n * power * np.log(np.abs(z[big])) - np.log(self._factor_poles).sum()
             m[big] = (-1.0) ** n * (np.exp(1j * n * power * np.angle(z[big]))
                                     if np.iscomplexobj(m) else 1.0)
+            # z^2 past it too: parity and Gaussian enter here, _smooth_log sees z = 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                huge = np.isfinite(z) & ~np.isfinite(z * z)
+            if self.tail_start and huge.any():
+                raise ValueError(f"the tail's log-Gamma has no finite value at z = {z[huge][0]}")
+            grows = huge & (np.abs(z.real) <= np.abs(z.imag))
+            if self.gauss_rate and grows.any():
+                raise ValueError(f"the Gaussian has no finite value at z = {z[grows][0]}")
+            m[huge] = 0.0 if self.gauss_rate else m[huge] * z[huge] ** self.parity
+            z = np.where(huge, 1.0, z)
         m2, e2, size = self._smooth_log(z)
         # rounding: half an ulp per retained factor, and a few ulps of each
         # log term summed into the scale, where terms of that size cancel

@@ -26,7 +26,7 @@ negligible against the solver tolerance.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -158,15 +158,12 @@ class InterpolationProblem:
 
 @dataclass
 class IterationState:
-    norms: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
-    converged: bool = False
+    norms: list
+    converged: bool
 
-    def record(self, norm: float) -> None:
-        if self.norms:
-            prev = self.norms[-1]
-            self.ratios.append(norm / prev if prev > 0 else 0.0)
-        self.norms.append(norm)
+    @property
+    def ratios(self) -> list:
+        return [b / a if a > 0 else 0.0 for a, b in zip(self.norms, self.norms[1:])]
 
 
 @dataclass(frozen=True)
@@ -313,21 +310,22 @@ def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60)
     the frequency points, bypassing the iteration's own matrices.
     """
     mats = problem.cross
-    state = IterationState()
+    norms = []
     cur_a = np.asarray(problem.alpha, dtype=complex)
     cur_b = np.asarray(problem.beta, dtype=complex)
     tot_a, tot_b = np.zeros_like(cur_a), np.zeros_like(cur_b)
+    norm = problem.data_norm(cur_a, cur_b)
     for _ in range(max_iter):
-        state.record(problem.data_norm(cur_a, cur_b))
+        norms.append(norm)
         tot_a += cur_a
         tot_b += cur_b
         cur_a, cur_b = -mats.psi_at_lambda @ cur_b, -mats.phihat_at_mu @ cur_a
-        if problem.data_norm(cur_a, cur_b) < tol:
-            state.converged = True
+        norm = problem.data_norm(cur_a, cur_b)
+        if norm < tol:
             break
-    if not state.converged:
-        raise SolverFailedError(
-            f"contraction failed after {len(state.norms)} steps; norms {state.norms[-3:]}")
+    else:
+        raise SolverFailedError(f"contraction failed after {len(norms)} steps; norms {norms[-3:]}")
+    state = IterationState(norms, converged=True)
     interp = AssembledInterpolant(problem, tot_a, tot_b)
     v_time = 0.0
     if len(problem.lam):

@@ -87,6 +87,19 @@ def test_run_all_reports_every_criterion():
         acc.run_all(["AC-99"])
 
 
+def test_run_all_runs_the_criteria_one_at_a_time(monkeypatch):
+    # the benchmark passes threads=1; no other count is an option
+    order = []
+    for name in ("AC-1", "AC-2"):
+        monkeypatch.setitem(acc.ALL_CRITERIA, name,
+                            (name, 1.0, lambda name=name: order.append(name) or (True, "ran")))
+    assert [r.detail for r in acc.run_all(["AC-2", "AC-1"], threads=1)] == ["ran", "ran"]
+    assert order == ["AC-2", "AC-1"]
+    with pytest.raises(ValueError, match="the criteria run one at a time; threads must be 1, got 2"):
+        acc.run_all(["AC-1", "AC-2"], threads=2)
+    assert order == ["AC-2", "AC-1"]
+
+
 def test_run_all_fails_a_raising_or_slow_check(monkeypatch):
     def raising():
         raise ZeroDivisionError("boom")

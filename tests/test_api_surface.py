@@ -3,7 +3,8 @@
 A public function, class or method that nothing outside the tests reaches is
 dead API, and so is a defaulted parameter that no call sets: one value is
 ever used, yet each such option doubles the configurations the tests would
-have to cover.  These scans parse ``src/pauli_lab`` and ``perfbench/``.
+have to cover.  These five scans parse ``src/pauli_lab``, and the first
+four also its callers in ``perfbench/``.
 The first fails on a public top-level function or class, or a public
 method of a public class, that no name or attribute there refers to;
 ``UNCALLED`` lists the exceptions, each with its reason.  The second fails
@@ -21,7 +22,10 @@ nothing reads is computed for nobody.  ``FIELDS_KEPT`` lists the
 exceptions, each with its reason.  A scan by name cannot tell classes
 apart, so a field that shares its name with a read attribute of another
 class passes it, and calls of a same-named function elsewhere count as
-calls.  All three lists must name only entries that still apply.
+calls.  The fifth fails on any read of ``os.environ`` or ``os.getenv`` in
+``src/pauli_lab``: an environment variable is an option that no call shows
+and no provenance header records.  All three lists must name only entries
+that still apply.
 """
 
 from __future__ import annotations
@@ -269,3 +273,23 @@ def test_every_result_field_is_read():
 def test_kept_fields_are_still_unread():
     stale = sorted(set(FIELDS_KEPT) - _unread_fields())
     assert not stale, f"FIELDS_KEPT names fields that a caller reads or that are gone: {stale}"
+
+
+def _environment_reads() -> list[str]:
+    """file:line of each use of os.environ or os.getenv in the package."""
+    names = {"environ", "getenv"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            used = (isinstance(node, ast.Attribute) and node.attr in names
+                    and getattr(node.value, "id", None) == "os")
+            imported = (isinstance(node, ast.ImportFrom) and node.module == "os"
+                        and any(alias.name in names for alias in node.names))
+            if used or imported:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_environment_knobs():
+    reads = _environment_reads()
+    assert not reads, f"environment reads (make it an option or a constant): {reads}"

@@ -604,7 +604,14 @@ class TestInterp:
         ({"beta": {"1.0": [1.0, 0.0]}}, "beta key '1.0' is not a point of mu"),
         ({"alpha": {"1.0": [1.0]}}, "alpha['1.0'] must be [re, im], two numbers, got [1.0]"),
         ({"nodes": 1e9}, "nodes must be an integer, not float"),
-    ], ids=["alpha-key", "beta-key", "entry", "nodes"])
+        # these once read "could not convert string to float: 'abc'" and
+        # "points must be strictly increasing", naming no key
+        ({"alpha": {"abc": [1, 0]}}, "alpha key 'abc' is not a number"),
+        ({"beta": {"": [1, 0]}}, "beta key '' is not a number"),
+        ({"lambda": [1.0, -1.0]}, "lambda must be strictly increasing"),
+        ({"mu": [-1.5, 1.5, 1.5]}, "mu must be strictly increasing"),
+    ], ids=["alpha-key", "beta-key", "entry", "nodes", "alpha-key-not-a-number",
+            "beta-key-not-a-number", "lambda-unsorted", "mu-repeated"])
     def test_malformed_problem_rejected(self, tmp_path, capsys, change, message):
         cfg = tmp_path / "problem.json"
         cfg.write_text(json.dumps({**self.PROBLEM, **change}))
@@ -885,12 +892,6 @@ class TestUsageErrors:
         assert run(["verify", "--pair", str(time_pair), "--radius", repr(float(points.min())),
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["grids"]["lambda_count"] == 2
-
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("PAULI_LAB_THREADS", "4")
-        assert cli.max_threads() == 4
-        monkeypatch.setenv("PAULI_LAB_THREADS", "junk")
-        assert cli.max_threads() == 1
 
 
 class TestExitCodes:

@@ -259,6 +259,39 @@ class TestModelInvariants:
                  - m.gauss_rate * math.pi * z * z)
         assert off.value[0] == pytest.approx(cmath.exp(log_f), rel=1e-9)
 
+    # z^2 itself overflows for |z| > 1.34e154; z = 2 is a zero of each model
+    PAST_Z2 = np.array([1e160, 2.0])
+
+    def test_product_past_the_double_range_of_z2(self):
+        # gauss_rate 0 once made 0 * inf in the Gaussian's log: a warning and NaN
+        m = em.ProductModel(zeros=np.arange(1.0, 31.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = m.eval(self.PAST_Z2)
+        log = 60 * math.log(1e160) - 2 * math.lgamma(31.0)
+        assert res.value[0] == np.inf and res.value[1] == 0.0
+        assert math.copysign(1.0, res.value[1].real) == -1.0
+        assert res.log_magnitude[0] == pytest.approx(log, rel=1e-14)
+        assert res.log_magnitude[1] == -np.inf
+
+    def test_gaussian_past_the_double_range_of_z2(self):
+        m = em.ProductModel(zeros=np.arange(1.0, 31.0), gauss_rate=0.5, parity=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = m.eval(self.PAST_Z2)
+            off = m.eval(np.array([1e160 + 1e159j]))
+        assert (res.value == 0.0).all() and (res.log_magnitude == -np.inf).all()
+        assert off.value[0] == 0.0 and off.log_magnitude[0] == -np.inf
+        # where Re z^2 <= 0 the Gaussian grows past any double
+        with pytest.raises(ValueError, match=r"the Gaussian has no finite value at z = 1e\+160j"):
+            m.eval(np.array([2.0, 1e160j]))
+
+    def test_tail_past_the_double_range_of_z2_raises(self):
+        m = em.ProductModel(zeros=np.arange(1.0, 31.0), tail_start=31)
+        with pytest.raises(ValueError,
+                           match=r"the tail's log-Gamma has no finite value at z = 1e\+160"):
+            m.eval(self.PAST_Z2)
+
     def test_tail_rule_soundness(self):
         rng = np.random.default_rng(7)
         small = em.sinc_product(800)
