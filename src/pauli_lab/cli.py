@@ -27,7 +27,7 @@ from . import fourier
 from . import interpolation as itp
 from . import pauli_verify as pv
 from . import thresholds as th
-from .entire_models import ProductModel
+from .entire_models import POINT_RANGE, ProductModel
 from .jsonfile import json_numbers, json_text, json_value
 from .sequences import SampledSet, SmoothSpec, generate_smooth
 
@@ -142,8 +142,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--grid-points must be >= 2, got {args.grid_points}")
     if not args.grid_radius > 0:
         raise ValueError(f"--grid-radius must be > 0, got {args.grid_radius}")
-    if args.grid_radius == np.inf:
-        raise ValueError(f"--grid-radius must be finite, got {args.grid_radius}")
+    if not args.grid_radius <= POINT_RANGE:
+        raise ValueError(f"--grid-radius must be finite, at most {POINT_RANGE:g}, "
+                         f"got {args.grid_radius!r}")
     if args.radius is not None and not args.radius > 0:
         raise ValueError(f"--radius must be > 0, got {args.radius}")
     pair = con.pair_from_json(Path(args.pair).read_text())
@@ -183,9 +184,8 @@ def cmd_ft(args) -> int:
     xi = _parse_range(args.xi)
     model = ProductModel.from_dict(json.loads(Path(args.model).read_text()))
     spec = fourier.QuadratureSpec(half_width=args.half_width, nodes=args.nodes)
-    # the model's Gaussian factor squares the points of the window
-    if spec.half_width > 1e150:
-        raise ValueError(f"--half-width must be at most 1e150, got {spec.half_width!r}")
+    if spec.half_width > POINT_RANGE:
+        raise ValueError(f"--half-width must be at most {POINT_RANGE:g}, got {spec.half_width!r}")
     res = fourier.transform(model.values, spec, xi)
     rows = zip(xi, res.values.real, res.values.imag, res.error)
     _write(args.out, _csv(args, 0, "xi,re,im,err", rows))
@@ -235,26 +235,41 @@ def cmd_interp(args) -> int:
     for key in ("weight_a", "weight_b", "outer_radius", "tol"):
         if num[key] <= 0:
             raise ValueError(f"{key} must be positive, got {num[key]!r}")
-    # the quadrature window (interpolation.default_quads) squares the radius
-    # and divides by the rates
-    if num["outer_radius"] > 1e150:
-        raise ValueError(f"outer_radius must be at most 1e150, got {num['outer_radius']!r}")
+    # the quadrature windows of interpolation.default_quads stay in the models' range
     for key in ("weight_a", "weight_b"):
-        if num[key] < 1e-300:
-            raise ValueError(f"{key} must be at least 1e-300, got {num[key]!r}")
+        width = float(np.hypot(num["outer_radius"], np.sqrt(38.0 / (np.pi * num[key]))))
+        if width > POINT_RANGE:
+            name = "outer_radius" if num["outer_radius"] > POINT_RANGE else key
+            raise ValueError(f"{name} {num[name]!r} widens the quadrature window to "
+                             f"|x| <= {width!r}, past {POINT_RANGE:g}")
     nodes = json_value(cfg["nodes"], int, "nodes")
     lam, alpha = _interp_side(cfg, "lambda", "alpha")
     mu, beta = _interp_side(cfg, "mu", "beta")
+    window = f"inner_cut {num['inner_cut']!r} < |x| <= outer_radius {num['outer_radius']!r}"
+    lam_win, mu_win = (side.restricted(num["inner_cut"], num["outer_radius"]).points
+                       for side in (lam, mu))
+    # a window with no data point would pass vacuously with an all-zero interpolant
+    if not len(lam_win) + len(mu_win):
+        raise ValueError(f"the window {window} holds none of the "
+                         f"{len(lam.points) + len(mu.points)} points of lambda and mu")
+    for set_name, key, data, weight, points in (("lambda", "alpha", alpha, "weight_a", lam_win),
+                                                 ("mu", "beta", beta, "weight_b", mu_win)):
+        # the problem keeps only the data in its window
+        outside = [point for point in data if point not in points]
+        if outside:
+            raise ValueError(f"{key} point {outside[0]!r} lies outside the window {window}")
+        # the weighted norms take exp(weight pi x^2) at every window point
+        past = points**2 > np.log(np.finfo(float).max) / (np.pi * num[weight])
+        if past.any():
+            x = float(points[np.argmax(past)])
+            raise ValueError(f"{set_name} point {x!r} has the weight exp({weight} pi x^2) = "
+                             f"exp({num[weight] * np.pi * x * x:.4g}) at {weight} "
+                             f"{num[weight]!r}, past the double range")
     base = itp.make_problem(lam, mu,
                             (lambda v: alpha.get(float(v), 0.0)) if alpha else None,
                             (lambda v: beta.get(float(v), 0.0)) if beta else None,
                             num["weight_a"], num["weight_b"],
                             num["inner_cut"], num["outer_radius"], nodes=nodes)
-    # a window with no data point would pass vacuously with an all-zero interpolant
-    if not len(base.lam) + len(base.mu):
-        raise ValueError(f"the window inner_cut {base.inner_cut!r} < |x| <= outer_radius "
-                         f"{base.outer_cut!r} holds none of the "
-                         f"{len(lam.points) + len(mu.points)} points of lambda and mu")
     cut, _ = itp.choose_window_cut(base)
     problem = base.restricted(cut)
     total = len(base.lam) + len(base.mu)

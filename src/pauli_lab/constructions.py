@@ -31,7 +31,7 @@ import numpy as np
 from . import CheckFailedError, fourier
 from .entire_models import ProductModel, profile_product
 from .interpolation import (AssembledInterpolant, DensityTooHighError, InterpolationProblem,
-                            assemble_vanishing_function)
+                            assemble_vanishing_function, check_points)
 from .jsonfile import json_numbers, json_text, json_value
 from .sequences import SampledSet, half_density, split_parity
 from .thresholds import (SQRT3_HALF, gaussian_rate_base, one_sided_threshold, pauli_threshold,
@@ -237,8 +237,9 @@ def _product_pair(points: SampledSet, decay: float, cap: float, rate_base: float
     along the square-root profile past its last zero (``profile_product``).
     A part with no zeros is the Gaussian (times z when odd).  A half density
     at or above ``cap`` raises DensityTooHighError before anything is built;
-    below it the headroom search may still fail.
+    below it the headroom search may still fail, as may ``check_points``.
     """
+    check_points("time", points.points, origin=False)
     d_half = half_density(points.points)
     if d_half >= cap:
         raise DensityTooHighError(f"half density {d_half:.4f} >= threshold {cap:.4f}")

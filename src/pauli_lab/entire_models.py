@@ -54,6 +54,7 @@ from .jsonfile import json_numbers, json_value
 
 LOG_HUGE = 700.0  # conservative double-precision overflow threshold for exp
 _FACTOR_BLOCK = 1 << 16  # entries of one block of product factors (1 MiB complex)
+POINT_RANGE = 1e75  # largest |x| a run evaluates at: z^4 is 1e300, in most models' range
 
 # -- log-Gamma and Hurwitz zeta ----------------------------------------------
 
@@ -259,6 +260,12 @@ class ProductModel:
             raise ValueError("gauss_rate must be >= 0")
         if self.tail_start < 0 or (self.tail_start and not 0 < self.tail_scale < np.inf):
             raise ValueError("tail_start must be >= 0, and a tail's scale positive and finite")
+        with np.errstate(over="ignore", divide="ignore"):  # squaring such a zero overflows
+            poles = self._factor_poles
+            bad = ~(np.isfinite(poles) & np.isfinite(1.0 / poles))
+        if bad.any():
+            raise ValueError(f"the zero {z[bad][0]} has the factor pole {poles[bad][0]:.3g}; "
+                             "a pole and its reciprocal must be finite doubles")
 
     # -- internal squared-variable data ------------------------------------
 
@@ -448,29 +455,18 @@ class ProductModel:
 
         Real points stay in real arithmetic until the value is cast to
         complex, and the values are those at the points cast to complex.
+        Raises ValueError naming the first point (NaN too) where s/min(1, R_1) or
+        (gauss_rate pi + tail_scale) |z^2|, bounding the Gaussian's exponent and
+        the tail's argument, passes 1e304: the largest double less room for sums.
         """
         z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = self._s_of(z)
-        big = ~np.isfinite(s)
-        m, e = self._scaled_product(np.where(big, 0.0, s))
-        if big.any():
-            # s = z^2 (z^4) past the double range: each factor 1 - s/R_n is
-            # -s/R_n to rounding, so the product is (-s)^n / prod R_n, in logs
-            n, power = len(self.zeros), 4 if self.quartic else 2
-            e[big] = n * power * np.log(np.abs(z[big])) - np.log(self._factor_poles).sum()
-            m[big] = (-1.0) ** n * (np.exp(1j * n * power * np.angle(z[big]))
-                                    if np.iscomplexobj(m) else 1.0)
-            # z^2 past it too: parity and Gaussian enter here, _smooth_log sees z = 1
-            with np.errstate(over="ignore", invalid="ignore"):
-                huge = np.isfinite(z) & ~np.isfinite(z * z)
-            if self.tail_start and huge.any():
-                raise ValueError(f"the tail's log-Gamma has no finite value at z = {z[huge][0]}")
-            grows = huge & (np.abs(z.real) <= np.abs(z.imag))
-            if self.gauss_rate and grows.any():
-                raise ValueError(f"the Gaussian has no finite value at z = {z[grows][0]}")
-            m[huge] = 0.0 if self.gauss_rate else m[huge] * z[huge] ** self.parity
-            z = np.where(huge, 1.0, z)
+        c = float(self.gauss_rate) * math.pi + (float(self.tail_scale) if self.tail_start else 0.0)
+        r = (1e304 * min([1.0, *self._factor_poles[:1]])) ** (0.25 if self.quartic else 0.5)
+        reach = min(r, math.sqrt(1e304 / c) if c else math.inf)
+        inside = np.abs(z) <= reach
+        if not inside.all():
+            raise ValueError(f"z = {z[~inside][0]} is past the model's range |z| <= {reach:.3g}")
+        m, e = self._scaled_product(self._s_of(z))
         m2, e2, size = self._smooth_log(z)
         # rounding: half an ulp per retained factor, and a few ulps of each
         # log term summed into the scale, where terms of that size cancel

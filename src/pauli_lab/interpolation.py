@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from . import CheckFailedError, fourier
-from .entire_models import ProductModel, profile_tail_start
+from .entire_models import POINT_RANGE, ProductModel, profile_tail_start
 from .sequences import SampledSet, half_density
 from .thresholds import uniqueness_density_bounds
 
@@ -343,12 +343,14 @@ def solve(problem: InterpolationProblem, tol: float = 1e-10, max_iter: int = 60)
 # -- generator assembly -------------------------------------------------------
 
 
-def _reject_origin(name: str, points: np.ndarray) -> None:
-    """Raise CheckFailedError when the named set holds the point 0, where the
-    even vanishing generators cannot vanish."""
-    if np.any(points == 0.0):
-        raise CheckFailedError(f"the {name} set holds the point 0, where the even "
-                               f"vanishing generators cannot vanish")
+def check_points(name: str, points: np.ndarray, origin: bool = True) -> None:
+    """Raise CheckFailedError when the named set holds a point past POINT_RANGE,
+    or with ``origin`` the point 0, where even generators cannot vanish."""
+    bad = points[(np.abs(points) > POINT_RANGE) | (origin & (points == 0.0))]
+    if bad.size:
+        why = (f"{float(bad[0])!r}, past the range |x| <= {POINT_RANGE:g} of the models"
+               if bad[0] else "0, where the even vanishing generators cannot vanish")
+        raise CheckFailedError(f"the {name} set holds the point {why}")
 
 
 def vanishing_generator(points_pos: np.ndarray, gauss_rate: float,
@@ -379,17 +381,17 @@ def make_problem(lam_set: SampledSet, mu_set: SampledSet, alpha_map, beta_map,
 
     ``alpha_map``/``beta_map`` are callables point -> complex (or None for
     all-zero data).  A set whose generator is made here must not hold the
-    point 0 (``_reject_origin``).
+    point 0 or a point past the range (``check_points``).
     """
     lam_win = lam_set.restricted(inner_cut, outer_radius).points
     mu_win = mu_set.restricted(inner_cut, outer_radius).points
     alpha = np.array([alpha_map(v) for v in lam_win], dtype=complex) if alpha_map else np.zeros(len(lam_win), complex)
     beta = np.array([beta_map(v) for v in mu_win], dtype=complex) if beta_map else np.zeros(len(mu_win), complex)
     if time_gen is None:
-        _reject_origin("time", lam_set.points)
+        check_points("time", lam_set.points)
         time_gen = vanishing_generator(lam_set.symmetrized().positive, weight_a)
     if freq_gen is None:
-        _reject_origin("frequency", mu_set.points)
+        check_points("frequency", mu_set.points)
         freq_gen = vanishing_generator(mu_set.symmetrized().positive, weight_b)
     return InterpolationProblem(
         lam=lam_win, mu=mu_win, alpha=alpha, beta=beta,
@@ -439,8 +441,8 @@ def assemble_vanishing_function(lam_set: SampledSet, mu_set: SampledSet,
     """
     lam_sym = lam_set.symmetrized()
     mu_sym = mu_set.symmetrized()
-    _reject_origin("time", lam_sym.points)
-    _reject_origin("frequency", mu_sym.points)
+    check_points("time", lam_sym.points)
+    check_points("frequency", mu_sym.points)
     d_lam = half_density(lam_sym.positive)
     d_mu = half_density(mu_sym.positive)
     bound_l, bound_m = uniqueness_density_bounds(weight_a, weight_b)

@@ -45,12 +45,14 @@ def weak_pair_threshold(A: float) -> float:
     """Sharp density parameter below which non-weak sampled pairs exist.
 
     Three branches meeting continuously at A = 1/3 and A = sqrt(3)/2; constant 2
-    on the top branch where the plain uniqueness threshold takes over.
+    on the top branch where the plain uniqueness threshold takes over.  The
+    lowest, sqrt((3 - s)^3 / (2 (1 - s))) with s = sqrt(1 - 8 A^2), is taken
+    with 1 - s = 8 A^2 / (1 + s), which does not cancel as A goes to 0.
     """
     A = _check_unit_interval(A)
     if A < 1.0 / 3.0:
         s = np.sqrt(1.0 - 8.0 * A * A)
-        return float(np.sqrt((3.0 - s) ** 3 / (2.0 * (1.0 - s))))
+        return float((3.0 - s) * np.sqrt((3.0 - s) * (1.0 + s)) / (4.0 * A))
     if A < SQRT3_HALF:
         return 4.0 * np.sqrt(1.0 - A * A)
     return 2.0

@@ -21,6 +21,16 @@ def run(argv):
     return cli.main(argv)
 
 
+def run_warnings_as_errors(argv):
+    """The CLI in its own interpreter under -W error::RuntimeWarning, which
+    shows warnings where pytest's warning capture would not."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "pauli_lab.cli",
+                           *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
 @pytest.fixture(scope="module")
 def nonweak_file(tmp_path_factory):
     """The non-weak pair of `construct non-weak --A 0.5 --D 0.9 --seed 3`."""
@@ -108,6 +118,38 @@ class TestConstructVerify:
         assert run(["construct", kind, "--A", str(decay), "--D", str(density), "--seed", "3",
                     "--out", str(pair_file)]) == 0
         assert run(["verify", "--pair", str(pair_file), "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("kind", ["time", "freq-matched", "non-weak"])
+    def test_set_past_the_point_range_exits_1(self, tmp_path, capsys, kind):
+        # at D = 1e-300 the points lie near 1e150, where a quartic zero's pole
+        # rho^4 overflows: such a time pair once exited 0 with parts that read
+        # NaN, and verify --radius 1e200 passed it with NaN gaps
+        out = tmp_path / "pair.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["construct", kind, "--A", "0.5", "--D", "1e-300", "--count", "16",
+                        "--out", str(out)]) == 1
+        found = re.fullmatch(r"check failed: the time set holds the point (\S+), past the range "
+                             r"\|x\| <= 1e\+75 of the models\n", capsys.readouterr().err)
+        assert found and abs(float(found[1])) > 1e75
+        assert not out.exists()
+
+    def test_pair_with_a_zero_past_the_double_range_rejected(self, tmp_path, capsys):
+        # the zero's pole rho^4 overflowed, with numpy warnings and NaN factors
+        pair_file = tmp_path / "pair.json"
+        assert run(["construct", "time", "--A", "0.5", "--count", "16",
+                    "--out", str(pair_file)]) == 0
+        payload = json.loads(pair_file.read_text())
+        payload["phi"]["model"]["zeros"][-1] = 1e100
+        pair_file.write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["verify", "--pair", str(pair_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: the zero 1e+100 has the factor pole inf; a pole and its "
+            "reciprocal must be finite doubles\n")
+        assert not out.exists()
 
     def test_headroom_failure_message_holds(self, tmp_path, capsys):
         code = run(["construct", "time", "--A", "0.5", "--D", "1.9", "--seed", "3",
@@ -240,8 +282,9 @@ class TestModelTools:
         sinc_product(30),
         profile_product(np.sqrt(np.arange(1, 31) / 0.45), 0.45, gauss_rate=0.3),
     ], ids=["sinc", "quartic"])
-    @pytest.mark.parametrize("half_width, code", [("1e150", 0), ("1e160", 2)])
-    def test_ft_half_width_at_most_1e150(self, tmp_path, capsys, model, half_width, code):
+    @pytest.mark.parametrize("half_width, code", [
+        ("1e75", 0), (repr(float(np.nextafter(1e75, np.inf))), 2), ("1e160", 2)])
+    def test_ft_half_width_in_the_point_range(self, tmp_path, capsys, model, half_width, code):
         # the model's Gaussian factor squares the window's points; past 1.3e154
         # the square overflowed with numpy warnings and ft still wrote rows
         path, out = tmp_path / "model.json", tmp_path / "ft.csv"
@@ -252,7 +295,8 @@ class TestModelTools:
                         "--nodes", "64", "--out", str(out)]) == code
         err = capsys.readouterr().err
         if code:
-            assert err == "configuration error: --half-width must be at most 1e150, got 1e+160\n"
+            assert err == (f"configuration error: --half-width must be at most 1e+75, "
+                           f"got {float(half_width)!r}\n")
             assert not out.exists()
         else:
             assert err == "" and len(out.read_text().splitlines()) == 5
@@ -520,10 +564,13 @@ class TestInterp:
             ("inner_cut", float("nan"), "must be a finite double, got nan"),
             ("inner_cut", float("-inf"), "must be a finite double, got -inf"),
             ("inner_cut", False, "must be a number, not bool"),
-            # interpolation.default_quads squares the radius and divides by the rates
-            ("outer_radius", 1e300, "must be at most 1e150, got 1e+300"),
-            ("weight_a", 1e-320, "must be at least 1e-300, got 1e-320"),
-            ("weight_b", 1e-320, "must be at least 1e-300, got 1e-320")]])
+            # interpolation.default_quads squares the radius and divides by the
+            # rates, and its window must lie in the models' point range
+            ("outer_radius", 1e300,
+             "1e+300 widens the quadrature window to |x| <= 1e+300, past 1e+75"),
+            ("weight_a", 1e-320, "1e-320 widens the quadrature window to |x| <= inf, past 1e+75"),
+            ("weight_b", 1e-320,
+             "1e-320 widens the quadrature window to |x| <= inf, past 1e+75")]])
     def test_bad_rate_or_tolerance_rejected(self, tmp_path, capsys, monkeypatch, key, value,
                                             message):
         # weight_a 0 once escaped as a ZeroDivisionError, tol -1 exited 1
@@ -610,8 +657,14 @@ class TestInterp:
         ({"beta": {"": [1, 0]}}, "beta key '' is not a number"),
         ({"lambda": [1.0, -1.0]}, "lambda must be strictly increasing"),
         ({"mu": [-1.5, 1.5, 1.5]}, "mu must be strictly increasing"),
+        # data outside the window once went unmet without a word, with exit 0
+        ({"lambda": [*PROBLEM["lambda"], 3.0], "alpha": {"3.0": [5.0, 0.0]}},
+         "alpha point 3.0 lies outside the window inner_cut 0.0 < |x| <= outer_radius 2.5"),
+        ({"inner_cut": 1.2},
+         "alpha point 1.0 lies outside the window inner_cut 1.2 < |x| <= outer_radius 2.5"),
     ], ids=["alpha-key", "beta-key", "entry", "nodes", "alpha-key-not-a-number",
-            "beta-key-not-a-number", "lambda-unsorted", "mu-repeated"])
+            "beta-key-not-a-number", "lambda-unsorted", "mu-repeated", "alpha-past-the-window",
+            "alpha-inside-the-cut"])
     def test_malformed_problem_rejected(self, tmp_path, capsys, change, message):
         cfg = tmp_path / "problem.json"
         cfg.write_text(json.dumps({**self.PROBLEM, **change}))
@@ -680,23 +733,69 @@ class TestInterp:
         assert capsys.readouterr().err == (
             "configuration error: the problem file must be a JSON object, not int\n")
 
-    @pytest.mark.parametrize("weight", [1e-100, 1e-300])
-    def test_tiny_weight_prints_only_the_check(self, tmp_path, weight):
+    CUT_MESSAGE = ("check failed: the window cut at |x| = 1.75 drops 4 of the {} data points, "
+                   "which the interpolant would not meet\n")
+
+    @pytest.mark.parametrize("weight, code", [pytest.param(1e-100, 1, id="1e-100"),
+                                              pytest.param(1e-300, 2, id="1e-300")])
+    def test_tiny_weight_prints_only_the_check(self, tmp_path, weight, code):
         # the quadrature spans sqrt(38/(w pi)): at 1e-100 a chunk of the
-        # generator's product overflowed in numpy's reduce, at 1e-300 z^4
-        # itself, and numpy's warnings reached stderr; a subprocess shows
-        # them where pytest's warning capture would not
+        # generator's product overflowed in numpy's reduce, and numpy's
+        # warnings reached stderr; at 1e-300 z^4 itself overflowed, and that
+        # window reaches past the models' point range, which interp rejects
         cfg = tmp_path / "problem.json"
         cfg.write_text(json.dumps({**self.README_PROBLEM, "weight_a": weight}))
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "pauli_lab.cli", "interp", "--problem",
-                               str(cfg), "--out-dir", str(tmp_path / "run")],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
-        assert proc.returncode == 1
-        assert proc.stderr == ("check failed: the window cut at |x| = 1.75 drops 4 of the 6 "
-                               "data points, which the interpolant would not meet\n")
+        proc = run_warnings_as_errors(["interp", "--problem", str(cfg),
+                                       "--out-dir", str(tmp_path / "run")])
+        assert proc.returncode == code
+        assert proc.stderr == (self.CUT_MESSAGE.format(6) if code == 1 else (
+            "configuration error: weight_a 1e-300 widens the quadrature window to "
+            "|x| <= 3.477898169151024e+150, past 1e+75\n"))
+
+    @pytest.mark.parametrize("x, code", [(21.0, 1), (22.0, 2)])
+    def test_weight_past_the_double_range_named(self, tmp_path, x, code):
+        # at |x| = 22, weight_a pi x^2 = 760 > 709.8: the weights overflowed,
+        # their NaN columns warned twice more, and under -W error the run
+        # ended in a traceback; at 21 it runs cleanly
+        lam = [-x, -2.0, -1.0, 1.0, 2.0, x]
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps({**self.README_PROBLEM, "lambda": lam, "outer_radius": 25.0}))
+        proc = run_warnings_as_errors(["interp", "--problem", str(cfg),
+                                       "--out-dir", str(tmp_path / "run")])
+        assert proc.returncode == code
+        assert proc.stderr == (self.CUT_MESSAGE.format(8) if code == 1 else (
+            "configuration error: lambda point -22.0 has the weight exp(weight_a pi x^2) = "
+            "exp(760.3) at weight_a 0.5, past the double range\n"))
+
+    PAST_RANGE = float(np.nextafter(1e75, np.inf))
+
+    @pytest.mark.parametrize("change, code, message", [
+        ({"outer_radius": 1e75}, 1, CUT_MESSAGE.format(6)),
+        ({"outer_radius": PAST_RANGE}, 2,
+         f"configuration error: outer_radius {PAST_RANGE!r} widens the quadrature window to "
+         f"|x| <= {PAST_RANGE!r}, past 1e+75\n"),
+        # the window's half-width sqrt(2.5^2 + 38/(w pi)) reaches 1e75 at w = 1.2096e-149
+        ({"weight_b": 1.21e-149}, 1, CUT_MESSAGE.format(6)),
+        ({"weight_b": 1.2e-149}, 2,
+         "configuration error: weight_b 1.2e-149 widens the quadrature window to "
+         "|x| <= 1.0039827220867252e+75, past 1e+75\n"),
+        ({"mu": [-1.5, 1.5, 1e75]}, 0, ""),
+        ({"mu": [-1.5, 1.5, 1e100]}, 1,
+         "check failed: the frequency set holds the point 1e+100, past the range |x| <= 1e+75 "
+         "of the models\n"),
+    ], ids=["radius-at-range", "radius-past-range", "weight-at-range", "weight-past-range",
+            "point-at-range", "point-past-range"])
+    def test_window_and_points_in_the_point_range(self, tmp_path, capsys, change, code,
+                                                  message):
+        # a lambda or mu point past the range once gave the generator NaN factors
+        cfg = tmp_path / "problem.json"
+        cfg.write_text(json.dumps({**self.README_PROBLEM, **change}))
+        out_dir = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["interp", "--problem", str(cfg), "--out-dir", str(out_dir)]) == code
+        assert capsys.readouterr().err == message
+        assert out_dir.exists() == (code == 0)
 
 
 class TestAcceptanceCommand:
@@ -842,7 +941,7 @@ class TestUsageErrors:
         ("--grid-points", "1", "must be >= 2, got 1"),
         ("--grid-radius", "0", "must be > 0, got 0.0"),
         ("--grid-radius", "-3", "must be > 0, got -3.0"),
-        ("--grid-radius", "inf", "must be finite, got inf"),
+        ("--grid-radius", "inf", "must be finite, at most 1e+75, got inf"),
         ("--radius", "0", "must be > 0, got 0.0"),
         ("--radius", "-1", "must be > 0, got -1.0"),
         ("--radius", "nan", "must be > 0, got nan")])
@@ -854,6 +953,24 @@ class TestUsageErrors:
         assert run(["verify", "--pair", str(time_pair), flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"configuration error: {flag} {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("radius, code", [
+        ("1e75", 0), (repr(float(np.nextafter(1e75, np.inf))), 2), ("1e160", 2)])
+    def test_grid_radius_in_the_point_range(self, time_pair, tmp_path, capsys, radius, code):
+        # --grid-radius 1e160 once exited 2 with "the tail's log-Gamma has no
+        # finite value at z = -1e+160", naming no flag
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["verify", "--pair", str(time_pair), "--grid-radius", radius,
+                        "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (f"configuration error: --grid-radius must be finite, at most 1e+75, "
+                           f"got {float(radius)!r}\n")
+            assert not out.exists()
+        else:
+            assert err == "" and out.exists()
 
     @pytest.mark.parametrize("flag", ["--tol-discrete", "--tol-weak"])
     @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])

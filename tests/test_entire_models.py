@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -242,55 +243,79 @@ class TestModelInvariants:
         assert np.isinf(res.value).all()
         assert res.log_magnitude == pytest.approx([log, log], rel=1e-14)
 
-    def test_points_past_the_double_range_of_s(self):
-        # s = z^4 overflows for |z| > 1.2e77, where the product of a quartic
-        # model is (-s)^n / prod R_n to rounding; the Gaussian brings the
-        # value back into range
-        n_log = 8 * math.log(1e100) - math.log(16.0)
-        m = em.ProductModel(zeros=np.array([1.0, 2.0]), quartic=True,
-                            gauss_rate=n_log / (math.pi * 1e200))
-        z = 1e100 * np.exp(1j * np.pi / 8)
+    @staticmethod
+    def _rejects(model, z, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            real = m.eval(np.array([1e100, -1e100]))
-            off = m.eval(np.array([z]))
-        assert real.value == pytest.approx([1.0, 1.0], rel=1e-12)
-        log_f = (2 * (4 * cmath.log(z) + 1j * math.pi) - math.log(16.0)
-                 - m.gauss_rate * math.pi * z * z)
-        assert off.value[0] == pytest.approx(cmath.exp(log_f), rel=1e-9)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                model.eval(np.array(z))
+
+    def test_points_past_the_double_range_of_s(self):
+        # s = z^4 passes the double range for |z| > 1.2e77, where the product
+        # was once taken in logs; such a point, and a NaN, is rejected by name
+        m = em.ProductModel(zeros=np.array([1.0, 2.0]), quartic=True, gauss_rate=0.5)
+        for z, shown in ((-1e100, "-1e+100"), (1e100j, "1e+100j"), (np.nan, "nan")):
+            self._rejects(m, [2.5, z], f"z = {shown} is past the model's range |z| <= 1e+76")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_range = m.eval(np.array([em.POINT_RANGE, -em.POINT_RANGE * 1j, 2.0]))
+        assert (at_range.value[[0, 2]] == 0.0).all() and np.isinf(at_range.value[1])
 
     # z^2 itself overflows for |z| > 1.34e154; z = 2 is a zero of each model
-    PAST_Z2 = np.array([1e160, 2.0])
+    PAST_Z2 = [1e160, 2.0]
 
     def test_product_past_the_double_range_of_z2(self):
         # gauss_rate 0 once made 0 * inf in the Gaussian's log: a warning and NaN
-        m = em.ProductModel(zeros=np.arange(1.0, 31.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = m.eval(self.PAST_Z2)
-        log = 60 * math.log(1e160) - 2 * math.lgamma(31.0)
-        assert res.value[0] == np.inf and res.value[1] == 0.0
-        assert math.copysign(1.0, res.value[1].real) == -1.0
-        assert res.log_magnitude[0] == pytest.approx(log, rel=1e-14)
-        assert res.log_magnitude[1] == -np.inf
+        self._rejects(em.ProductModel(zeros=np.arange(1.0, 31.0)), self.PAST_Z2,
+                      "z = 1e+160 is past the model's range |z| <= 1e+152")
 
     def test_gaussian_past_the_double_range_of_z2(self):
+        # a Gaussian once read 0 there where Re z^2 > 0 and raised where not
         m = em.ProductModel(zeros=np.arange(1.0, 31.0), gauss_rate=0.5, parity=1)
+        for z, shown in ((self.PAST_Z2, "1e+160"), ([2.0, 1e160 + 1e159j], "(1e+160+1e+159j)"),
+                         ([2.0, 1e160j], "1e+160j")):
+            self._rejects(m, z, f"z = {shown} is past the model's range |z| <= 7.98e+151")
+
+    def test_gaussian_exponent_past_the_double_range(self):
+        # z^2 = 1e308 is a double, but gauss_rate pi z^2 at gauss_rate 5 is
+        # not: that once warned "overflow encountered in multiply"
+        m = em.ProductModel(zeros=np.array([1.0]), gauss_rate=5.0)
+        self._rejects(m, [1e154], "z = 1e+154 is past the model's range |z| <= 2.52e+151")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = m.eval(self.PAST_Z2)
-            off = m.eval(np.array([1e160 + 1e159j]))
-        assert (res.value == 0.0).all() and (res.log_magnitude == -np.inf).all()
-        assert off.value[0] == 0.0 and off.log_magnitude[0] == -np.inf
-        # where Re z^2 <= 0 the Gaussian grows past any double
-        with pytest.raises(ValueError, match=r"the Gaussian has no finite value at z = 1e\+160j"):
-            m.eval(np.array([2.0, 1e160j]))
+            res = m.eval(np.array([1e151, -em.POINT_RANGE]))
+        assert (res.value == 0.0).all() and (res.log_magnitude < -1e150).all()
 
     def test_tail_past_the_double_range_of_z2_raises(self):
-        m = em.ProductModel(zeros=np.arange(1.0, 31.0), tail_start=31)
-        with pytest.raises(ValueError,
-                           match=r"the tail's log-Gamma has no finite value at z = 1e\+160"):
-            m.eval(self.PAST_Z2)
+        # this once read "the tail's log-Gamma has no finite value at z = 1e+160"
+        self._rejects(em.ProductModel(zeros=np.arange(1.0, 31.0), tail_start=31), self.PAST_Z2,
+                      "z = 1e+160 is past the model's range |z| <= 1e+152")
+
+    def test_small_first_pole_narrows_the_range(self):
+        # 1 - s/R_1 overflowed at |z| = 1e75 for R_1 = 0.001^4
+        m = em.ProductModel(zeros=np.array([0.001, 1.0]), quartic=True)
+        self._rejects(m, [em.POINT_RANGE], "z = 1e+75 is past the model's range |z| <= 1e+73")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(m.eval(np.array([1e73])).value).all()
+
+    @pytest.mark.parametrize("zeros, quartic, message", [
+        ([1.0, 1e80], True, "the zero 1e+80 has the factor pole inf"),
+        ([1e160], False, "the zero 1e+160 has the factor pole inf"),
+        ([1e-100, 1.0], True, "the zero 1e-100 has the factor pole 0"),
+        ([1e-160], False, "the zero 1e-160 has the factor pole 1e-320"),
+    ], ids=["quartic-inf", "plain-inf", "quartic-0", "plain-subnormal"])
+    def test_zero_whose_pole_leaves_the_double_range(self, zeros, quartic, message):
+        # such poles once made every factor inf or NaN, so that a pair built
+        # on them verified with NaN gaps
+        message += "; a pole and its reciprocal must be finite doubles"
+        obj = em.ProductModel(zeros=np.array([1.0]), quartic=quartic).to_dict()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                em.ProductModel(zeros=np.array(zeros), quartic=quartic)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                em.ProductModel.from_dict({**obj, "zeros": zeros})
 
     def test_tail_rule_soundness(self):
         rng = np.random.default_rng(7)
@@ -845,9 +870,8 @@ def _kernel_calls(model):
     wide = np.concatenate([rng.uniform(-reach, reach, 660), zeros[::20], -zeros[5::20], [0.0]])
     narrow = np.concatenate([rng.uniform(-4.0, 4.0, 400), zeros[zeros <= 4.0],
                              -zeros[zeros <= 4.0]])
-    # far-out points next to ordinary ones; a quartic model's z^4 passes the
-    # double range there
-    huge = np.array([1e80, -3e100, 2.5, zeros[3]] if model.quartic else
+    # far-out points next to ordinary ones, where a chunk holds one factor
+    huge = np.array([1e60, -3e74, 2.5, zeros[3]] if model.quartic else
                     [1e60, -3e100, 2.5, zeros[3]])
     # every retained zero as a skip index, so both sides of every block edge,
     # and a few dozen near ones repeated, whose far factors take the series

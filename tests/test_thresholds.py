@@ -23,6 +23,17 @@ class TestClosedForms:
         assert th.weak_pair_threshold(0.25) == pytest.approx(C2_AT_QUARTER, abs=1e-12)
         assert th.weak_pair_threshold(np.sqrt(3) / 2) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("a", [1e-300, 1e-8, 1e-4, 0.01, 0.05, 0.2, 1 / 3 - 1e-9])
+    def test_weak_pair_low_branch_against_mpmath(self, a):
+        # dividing by 1 - s cancelled as A went to 0: 1e-3 off at A = 1e-7,
+        # 5% at 1e-8, and inf from 1e-9 down
+        mpmath = pytest.importorskip("mpmath")
+        # 700 digits keep 1 - s = 8 A^2 / (1 + s) to 40 of its own at 1e-300
+        with mpmath.workdps(700):
+            s = mpmath.sqrt(1 - 8 * mpmath.mpf(a) ** 2)
+            want = float(mpmath.sqrt((3 - s) ** 3 / (2 * (1 - s))))
+        assert abs(th.weak_pair_threshold(a) - want) <= 4 * np.spacing(want)
+
     def test_pauli_threshold(self):
         assert th.pauli_threshold(0.5) == pytest.approx(4.0, abs=1e-12)
         # 4*sqrt(0.19) ~ 1.7436 < 2, so the floor takes over
