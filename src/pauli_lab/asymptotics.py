@@ -198,8 +198,10 @@ def zero_density_indicator_check(model: ProductModel, density: float) -> tuple[b
     margin = np.inf
     ok = True
     for th in np.linspace(0.0, np.pi / p, 13):
-        hp_est = indicator_estimate(model, th)
-        hm_est = indicator_estimate(model, -th)
+        # at theta = 0 both rays are the real axis, whose estimate is h0: the
+        # rays at +-0 differ only in the sign of zero imaginary parts
+        hp_est, hm_est = ((h0, h0) if th == 0.0 else
+                          (indicator_estimate(model, th), indicator_estimate(model, -th)))
         lhs = density * np.pi * np.sin(p * th) + h0.h_hat * np.cos(p * th)
         rhs = max(hp_est.h_hat, hm_est.h_hat)
         allowance = h0.uncertainty + hp_est.uncertainty + hm_est.uncertainty + slack * max(1.0, abs(rhs))

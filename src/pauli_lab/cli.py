@@ -142,12 +142,14 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--grid-points must be >= 2, got {args.grid_points}")
     if not args.grid_radius > 0:
         raise ValueError(f"--grid-radius must be > 0, got {args.grid_radius}")
-    if not args.grid_radius <= POINT_RANGE:
-        raise ValueError(f"--grid-radius must be finite, at most {POINT_RANGE:g}, "
-                         f"got {args.grid_radius!r}")
     if args.radius is not None and not args.radius > 0:
         raise ValueError(f"--radius must be > 0, got {args.radius}")
     pair = con.pair_from_json(Path(args.pair).read_text())
+    # the parts evaluate their models on the grid
+    bound = min(POINT_RANGE, pair.phi.point_range, pair.psi.point_range)
+    if not args.grid_radius <= bound:
+        raise ValueError(f"--grid-radius must be finite, at most {bound!r}, "
+                         f"got {args.grid_radius!r}")
     # the verdict each kind of pair must pass besides the discrete one
     kind_verdict = {"time_pair": "discrete_pair", "frequency_matched": "weak_pair_freq",
                     "non_weak": "non_weak"}
@@ -184,8 +186,9 @@ def cmd_ft(args) -> int:
     xi = _parse_range(args.xi)
     model = ProductModel.from_dict(json.loads(Path(args.model).read_text()))
     spec = fourier.QuadratureSpec(half_width=args.half_width, nodes=args.nodes)
-    if spec.half_width > POINT_RANGE:
-        raise ValueError(f"--half-width must be at most {POINT_RANGE:g}, got {spec.half_width!r}")
+    bound = min(POINT_RANGE, model.point_range)
+    if spec.half_width > bound:
+        raise ValueError(f"--half-width must be at most {bound!r}, got {spec.half_width!r}")
     res = fourier.transform(model.values, spec, xi)
     rows = zip(xi, res.values.real, res.values.imag, res.error)
     _write(args.out, _csv(args, 0, "xi,re,im,err", rows))

@@ -53,6 +53,11 @@ class ModelEvaluator:
         self.model = model
         self.quad = quad
 
+    @property
+    def point_range(self) -> float:
+        """The largest |z| at which ``eval`` evaluates."""
+        return self.model.point_range
+
     def eval(self, z: np.ndarray) -> np.ndarray:
         """The model at a 1-D array of points."""
         return self.model.values(z)
@@ -174,12 +179,15 @@ def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None =
     Every builder makes phi and psi real on the real line, and the non-weak
     parts' transforms real as well, so |f|^2 - |g|^2 = 4 phi psi.  Raises
     DegeneratePhaseError when the witness max |Re(phi * conj(psi))| vanishes
-    on the time grid and on the frequency grid, when one is supplied.
+    on the time grid and on the frequency grid, when one is supplied; the
+    frequency grid is read only when the time grid shows no witness.
     """
-    cross = [phi.eval(time_grid) * np.conj(psi.eval(time_grid))]
-    if freq_grid is not None:
-        cross.append(phi.eval_hat(freq_grid) * np.conj(psi.eval_hat(freq_grid)))
-    if all(np.max(np.abs(np.real(c))) == 0.0 for c in cross):
+    def witness(a, b) -> float:
+        return np.max(np.abs(np.real(a * np.conj(b))))
+
+    if witness(phi.eval(time_grid), psi.eval(time_grid)) != 0.0:
+        return
+    if freq_grid is None or witness(phi.eval_hat(freq_grid), psi.eval_hat(freq_grid)) == 0.0:
         raise DegeneratePhaseError("the witness Re(phi * conj(psi)) vanishes on every grid")
 
 

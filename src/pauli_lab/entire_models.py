@@ -381,10 +381,10 @@ class ProductModel:
         whole chunks of at most _FACTOR_BLOCK entries (one chunk where a chunk
         alone is larger), so a block is one subtract, one reciprocal multiply
         and one skip fix-up across all its points, and memory stays linear in
-        the points.  Each chunk is reduced by ``np.prod`` over its rows, a
-        C-contiguous slice of the block, which multiplies each point's factors
-        in index order, as a row-wise product would.  The mantissa is then
-        renormalised into preallocated arrays; the ufuncs take a mask only
+        the points.  Each chunk is reduced by ``np.multiply.reduce`` over its
+        rows, a C-contiguous slice of the block, which multiplies each point's
+        factors in index order, as a row-wise product would.  The mantissa is
+        then renormalised into preallocated arrays; the ufuncs take a mask only
         once some mantissa is exactly 0, so that only the nonzero ones take a
         log and a reciprocal.  The factors beyond the reach enter through
         their log series.
@@ -414,10 +414,13 @@ class ProductModel:
                 cols = np.flatnonzero((skip >= start) & (skip < stop))
                 factors[skip[cols] - start, cols] = 1.0
             for first in range(0, stop - start, chunk):
-                m *= np.prod(factors[first:first + chunk], axis=0)
+                # the ufunc reductions behind np.prod and ndarray.min, without
+                # their Python wrappers, which cost more than a few points' work
+                m *= np.multiply.reduce(factors[first:first + chunk], axis=0)
                 np.abs(m, out=a)
                 # a mask only once a mantissa has vanished, at a retained zero
-                live = True if a.min(initial=1.0) > 0.0 else np.greater(a, 0.0, out=mask)
+                positive = np.minimum.reduce(a, initial=1.0) > 0.0
+                live = True if positive else np.greater(a, 0.0, out=mask)
                 np.log(a, out=log_a, where=live)
                 np.add(e, log_a, out=e, where=live)
                 # numpy divides complex by real as a reciprocal multiply; doing
@@ -450,22 +453,28 @@ class ProductModel:
             m = m * z
         return m, log_scale, size
 
+    @cached_property
+    def point_range(self) -> float:
+        """The model's range: the largest |z| at which s/min(1, R_1) and
+        (gauss_rate pi + tail_scale) |z^2|, which bounds the Gaussian's exponent
+        and the tail's argument, stay within 1e304, the largest double less
+        room for sums."""
+        c = float(self.gauss_rate) * math.pi + (float(self.tail_scale) if self.tail_start else 0.0)
+        r = (1e304 * min([1.0, *self._factor_poles[:1]])) ** (0.25 if self.quartic else 0.5)
+        return float(min(r, math.sqrt(1e304 / c) if c else math.inf))
+
     def eval(self, z: np.ndarray) -> EvalResult:
         """Evaluate the model at a 1-D array of real or complex points.
 
         Real points stay in real arithmetic until the value is cast to
         complex, and the values are those at the points cast to complex.
-        Raises ValueError naming the first point (NaN too) where s/min(1, R_1) or
-        (gauss_rate pi + tail_scale) |z^2|, bounding the Gaussian's exponent and
-        the tail's argument, passes 1e304: the largest double less room for sums.
+        Raises ValueError naming the first point (NaN too) past ``point_range``.
         """
         z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
-        c = float(self.gauss_rate) * math.pi + (float(self.tail_scale) if self.tail_start else 0.0)
-        r = (1e304 * min([1.0, *self._factor_poles[:1]])) ** (0.25 if self.quartic else 0.5)
-        reach = min(r, math.sqrt(1e304 / c) if c else math.inf)
-        inside = np.abs(z) <= reach
+        inside = np.abs(z) <= self.point_range
         if not inside.all():
-            raise ValueError(f"z = {z[~inside][0]} is past the model's range |z| <= {reach:.3g}")
+            raise ValueError(f"z = {z[~inside][0]} is past the model's range "
+                             f"|z| <= {self.point_range:.3g}")
         m, e = self._scaled_product(self._s_of(z))
         m2, e2, size = self._smooth_log(z)
         # rounding: half an ulp per retained factor, and a few ulps of each

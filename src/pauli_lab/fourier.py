@@ -6,9 +6,10 @@ is spectrally accurate, so the error estimate is heuristic: a Richardson
 difference between node counts plus a tail bound from the fitted decay
 envelope.  Estimates are diagnostics, not certified bounds.
 
-``phase_sum`` is the one place a phase sum exp(-+2 pi i x t) is taken: the
-transforms here, the interpolation cross matrices, and the assembled
-interpolants all reduce to its quadrature sums.  Uniform target grids go
+``weighted_phase_sum`` is the one place a phase sum exp(-+2 pi i x t) is
+taken: the transforms here and the interpolation cross matrices reach it
+through ``phase_sum``, which weights their node values, and the assembled
+interpolants sum their weighted coefficient rows.  Uniform target grids go
 through a chirp-z convolution (Rabiner-Schafer-Rader 1969, Bluestein 1970) in
 O((nodes + targets) log) time and O(nodes + targets) memory.  Other targets
 get a block-factored dense sum: with the nodes cut into blocks of about
@@ -162,24 +163,28 @@ def _tail_bound(x: np.ndarray, fx: np.ndarray) -> float:
     return float(np.exp(log_tail) / (np.pi * env.rate * t_edge))
 
 
-def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool = False,
-              coeffs: np.ndarray | None = None):
+def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool = False):
     """Quadrature sums sum_n w_n v(x_n) e^{-+2 pi i x_n t} over spec.grid().
 
     ``values`` holds node values on ``spec.grid()``, one function per row
     (shape (nodes+1,) or (k, nodes+1)); each result row holds that function's
     sums at the ``targets`` (real or complex), with the + sign when
-    ``inverse``.  ``coeffs`` (shape (k,), for k rows) first combines the
-    weighted rows into one, coeffs @ (w * values), so a linear combination
-    costs one phase sum and gives one result row.
+    ``inverse``.
+    """
+    return weighted_phase_sum(values * spec.weights(), spec, targets, inverse)
 
-    Real, equally spaced targets (``CHIRP_MIN_TARGETS`` or more) are summed
-    by chirp-z convolution; any other targets by the chunked dense sum.
+
+def weighted_phase_sum(weighted: np.ndarray, spec: QuadratureSpec, targets,
+                       inverse: bool = False):
+    """``phase_sum`` of rows already multiplied by ``spec.weights()``.
+
+    A row may be a combination coeffs @ (w * values) formed once, as an
+    assembled interpolant keeps its two, so that each later sum skips the
+    weighting and the combination.  Real, equally spaced targets
+    (``CHIRP_MIN_TARGETS`` or more) are summed by chirp-z convolution; any
+    other targets by the chunked dense sum.
     """
     sign = 1.0 if inverse else -1.0
-    weighted = values * spec.weights()
-    if coeffs is not None:
-        weighted = coeffs @ weighted
     t = np.ravel(targets)
     uniform = _uniform_targets(t)
     if uniform is None:

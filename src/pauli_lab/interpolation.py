@@ -263,13 +263,31 @@ class AssembledInterpolant:
     The time part evaluates through the generator's cardinal functions; the
     frequency-side basis enters time evaluation through inverse quadrature of
     the problem's node columns and contributes its exact cardinal values on
-    the frequency side (and symmetrically for eval_hat).
+    the frequency side (and symmetrically for eval_hat).  The quadrature
+    enters through one weighted row per side, formed on first use.
     """
 
     def __init__(self, problem: InterpolationProblem, alpha: np.ndarray, beta: np.ndarray):
         self.problem = problem
         self.alpha = np.asarray(alpha, dtype=complex)
         self.beta = np.asarray(beta, dtype=complex)
+
+    @property
+    def point_range(self) -> float:
+        """The largest |x| at which both ``eval`` and ``eval_hat`` evaluate."""
+        return min(self.problem.time_gen.point_range, self.problem.freq_gen.point_range)
+
+    @cached_property
+    def _freq_row(self) -> np.ndarray:
+        """beta @ (w * freq_columns): the frequency part's nodes, for ``eval``."""
+        p = self.problem
+        return self.beta @ (p.freq_columns * p.freq_quad.weights())
+
+    @cached_property
+    def _time_row(self) -> np.ndarray:
+        """alpha @ (w * time_columns): the time part's nodes, for ``eval_hat``."""
+        p = self.problem
+        return self.alpha @ (p.time_columns * p.time_quad.weights())
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         """The interpolant at a 1-D array of real or complex points."""
@@ -278,8 +296,7 @@ class AssembledInterpolant:
         if len(p.lam):
             total += self.alpha @ divided_columns(p.time_gen, p.lam, x, p.time_derivs)
         if len(p.mu):
-            total += fourier.phase_sum(p.freq_columns, p.freq_quad, x, inverse=True,
-                                       coeffs=self.beta)
+            total += fourier.weighted_phase_sum(self._freq_row, p.freq_quad, x, inverse=True)
         return total
 
     def eval_hat(self, xi: np.ndarray) -> np.ndarray:
@@ -287,7 +304,7 @@ class AssembledInterpolant:
         p = self.problem
         total = np.zeros(len(xi), dtype=complex)
         if len(p.lam):
-            total += fourier.phase_sum(p.time_columns, p.time_quad, xi, coeffs=self.alpha)
+            total += fourier.weighted_phase_sum(self._time_row, p.time_quad, xi)
         if len(p.mu):
             total += self.beta @ divided_columns(p.freq_gen, p.mu, xi, p.freq_derivs)
         return total

@@ -179,6 +179,31 @@ class TestZeroDensityIndicator:
         ok, margin = asy.zero_density_indicator_check(ProductModel(gauss_rate=1.0), density=0.0)
         assert ok and margin >= 0.0
 
+    @pytest.mark.parametrize("model, density", [
+        ("quartic", HALF_DENSITY), ("sinc", 0.5), ("gaussian", 0.0)])
+    def test_h0_estimated_once(self, quartic_phi, monkeypatch, model, density):
+        model = {"quartic": quartic_phi, "sinc": sinc_product(200),
+                 "gaussian": ProductModel(gauss_rate=1.0)}[model]
+        # the inequality at 13 angles with both rays estimated at each, as
+        # the check stated it before h(0) was reused at theta = 0
+        h0 = asy.indicator_estimate(model, 0.0)
+        margin, ok = np.inf, True
+        for th in np.linspace(0.0, np.pi / 2.0, 13):
+            hp, hm = asy.indicator_estimate(model, th), asy.indicator_estimate(model, -th)
+            rhs = max(hp.h_hat, hm.h_hat)
+            lhs = density * np.pi * np.sin(2.0 * th) + h0.h_hat * np.cos(2.0 * th)
+            allowance = (h0.uncertainty + hp.uncertainty + hm.uncertainty
+                         + 0.05 * max(1.0, abs(rhs)))
+            gap = rhs + allowance - lhs
+            margin, ok = min(margin, gap), ok and gap >= 0.0
+        calls = []
+        estimate = asy.indicator_estimate
+        monkeypatch.setattr(asy, "indicator_estimate",
+                            lambda m, theta: calls.append(theta) or estimate(m, theta))
+        assert asy.zero_density_indicator_check(model, density) == (ok, margin)
+        # h(0), then both rays at the 12 nonzero angles
+        assert len(calls) == 25 and calls.count(0.0) == 1
+
 
 class TestDecayPredicate:
     def test_pure_gaussian(self):

@@ -972,6 +972,53 @@ class TestUsageErrors:
         else:
             assert err == "" and out.exists()
 
+    @pytest.fixture(scope="class")
+    def small_range_pair(self, tmp_path_factory):
+        # the odd part's quartic model vanishes at 0.001, so its range is
+        # (1e304 * 0.001^4)^(1/4) = 1e73, inside the point range 1e75
+        root = tmp_path_factory.mktemp("small_range")
+        (root / "lam.csv").write_text("0.001\n1.0\n1.7\n2.2\n")
+        assert run(["construct", "freq-matched", "--A", "0.5", "--lam", str(root / "lam.csv"),
+                    "--out", str(root / "pair.json")]) == 0
+        psi = json.loads((root / "pair.json").read_text())["psi"]["model"]
+        (root / "psi.json").write_text(json.dumps(psi))
+        return root
+
+    @pytest.mark.parametrize("radius, code", [("1e75", 2), ("1e74", 2), ("1e73", 1)])
+    def test_grid_radius_in_the_models_range(self, small_range_pair, tmp_path, capsys,
+                                             radius, code):
+        # past 1e73 the flag once passed its 1e75 cap and the model's own
+        # check rejected the point -1e+75, naming no flag
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["verify", "--pair", str(small_range_pair / "pair.json"),
+                        "--grid-radius", radius, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == (f"configuration error: --grid-radius must be finite, at most 1e+73, "
+                           f"got {float(radius)!r}\n")
+            assert not out.exists()
+        else:
+            # the grid is evaluated; the time verdicts fail on it
+            assert err == "" and out.exists()
+
+    @pytest.mark.parametrize("half_width, code", [("1e74", 2), ("1e73", 0)])
+    def test_ft_half_width_in_the_models_range(self, small_range_pair, tmp_path, capsys,
+                                               half_width, code):
+        out = tmp_path / "ft.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["ft", "--model", str(small_range_pair / "psi.json"), "--xi=0:1:0.5",
+                        "--half-width", half_width, "--nodes", "64", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("configuration error: --half-width must be at most 1e+73, "
+                           f"got {float(half_width)!r}\n")
+            assert not out.exists()
+        else:
+            assert err == "" and out.exists()
+
     @pytest.mark.parametrize("flag", ["--tol-discrete", "--tol-weak"])
     @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
     def test_tolerance_out_of_range_rejected(self, time_pair, tmp_path, capsys, flag, value,

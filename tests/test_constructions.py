@@ -376,3 +376,46 @@ class TestSelectPhase:
         assert con.select_phase(phi, psi, X_GRID, XI_GRID) is None
         wit = np.max(np.abs(np.real(phi.eval(X_GRID) * np.conj(psi.eval(X_GRID)))))
         assert wit > 0.01
+
+
+class TestWitnessGrids:
+    """``select_phase`` reads the frequency grid only when the time grid shows no witness."""
+
+    @staticmethod
+    def counted(fn, fn_hat, calls):
+        class Part(_Wrap):
+            def eval_hat(self, xi):
+                calls.append(len(xi))
+                return super().eval_hat(xi)
+
+        return Part(fn, fn_hat)
+
+    def test_no_transform_when_the_time_witness_holds(self):
+        calls = []
+        phi = self.counted(lambda x: np.exp(-np.pi * x * x), None, calls)
+        psi = self.counted(lambda x: x * np.exp(-np.pi * x * x), None, calls)
+        assert con.select_phase(phi, psi, X_GRID, XI_GRID) is None
+        assert calls == []
+
+    def test_raises_when_both_grids_vanish(self):
+        calls = []
+        phi = self.counted(lambda x: np.exp(-np.pi * x * x), None, calls)
+        zero = self.counted(np.zeros_like, None, calls)
+        with pytest.raises(con.DegeneratePhaseError):
+            con.select_phase(phi, zero, X_GRID, XI_GRID)
+        assert calls == [len(XI_GRID)] * 2
+
+    def test_passes_when_only_the_time_grid_vanishes(self):
+        calls = []
+        phi = self.counted(lambda x: np.exp(-np.pi * x * x), None, calls)
+        psi = self.counted(np.zeros_like, lambda xi: xi * np.exp(-np.pi * xi * xi), calls)
+        assert con.select_phase(phi, psi, X_GRID, XI_GRID) is None
+        assert calls == [len(XI_GRID)] * 2
+
+    def test_nonweak_construction_skips_the_frequency_witness(self, interpolant_calls):
+        # each part's residuals take one eval and one eval_hat, and the
+        # witness holds on the time grid, so it adds one eval per part
+        lam = generate_smooth(SmoothSpec(p=2.0, density=0.9, count=64, halves="±", seed=3))
+        mu = generate_smooth(SmoothSpec(p=2.0, density=0.9, count=64, halves="±", seed=4))
+        con.build_nonweak_pair(lam, mu, 0.5, nodes=1024)
+        assert interpolant_calls == {"eval": 4, "eval_hat": 2}

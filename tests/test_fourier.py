@@ -134,7 +134,8 @@ class TestPhaseSum:
     def test_coefficients_combine_rows(self):
         t = np.linspace(-1.0, 1.0, 5) + 0.1j
         coeffs = np.array([1.0 + 0.5j, -2.0, 0.25 - 1.0j])
-        combined = fourier.phase_sum(self.VALUES, self.SMALL, t, inverse=True, coeffs=coeffs)
+        combined = fourier.weighted_phase_sum(coeffs @ (self.VALUES * self.SMALL.weights()),
+                                              self.SMALL, t, inverse=True)
         rows = fourier.phase_sum(self.VALUES, self.SMALL, t, inverse=True)
         assert combined.shape == (5,)
         assert np.max(np.abs(combined - coeffs @ rows)) < 1e-13 * np.max(np.abs(rows))
@@ -229,7 +230,8 @@ class TestUniformPhaseSum:
     def test_stacked_rows_with_coefficients(self):
         t = np.linspace(-4.0, 4.0, 161)
         coeffs = np.array([1.0 + 0.5j, -2.0, 0.25 - 1.0j])
-        combined = fourier.phase_sum(self.ROWS, self.SPEC, t, inverse=True, coeffs=coeffs)
+        combined = fourier.weighted_phase_sum(coeffs @ (self.ROWS * self.SPEC.weights()),
+                                              self.SPEC, t, inverse=True)
         ref = coeffs @ long_double_sums(self.ROWS, self.SPEC, t, 1.0)
         assert combined.shape == (161,)
         assert np.max(np.abs(combined - ref)) < 2e-15 * float(np.max(np.abs(ref)))

@@ -438,6 +438,46 @@ class TestSolve:
         assert drift < 10.0 * tail_scale
 
 
+class TestAssembledRows:
+    """An interpolant forms its two weighted coefficient rows once and sums them per call."""
+
+    @pytest.fixture()
+    def interp(self, small_problem):
+        rng = np.random.default_rng(7)
+        n_l, n_m = len(small_problem.lam), len(small_problem.mu)
+        return itp.AssembledInterpolant(small_problem,
+                                        rng.normal(size=n_l) + 1j * rng.normal(size=n_l),
+                                        rng.normal(size=n_m) + 1j * rng.normal(size=n_m))
+
+    @pytest.mark.parametrize("points", [np.linspace(-2.5, 2.5, 101),
+                                        np.array([-1.3, 0.2, 0.77, 2.1]),
+                                        np.linspace(-1.0, 1.0, 7) + 0.25j],
+                             ids=["uniform", "scattered", "complex"])
+    def test_rows_give_the_fresh_sums_bit_for_bit(self, interp, points):
+        p = interp.problem
+        time_part = interp.alpha @ itp.divided_columns(p.time_gen, p.lam, points, p.time_derivs)
+        freq_part = interp.beta @ itp.divided_columns(p.freq_gen, p.mu, points, p.freq_derivs)
+        # the sums of coeffs @ (columns * w), formed afresh
+        freq_row = interp.beta @ (p.freq_columns * p.freq_quad.weights())
+        time_row = interp.alpha @ (p.time_columns * p.time_quad.weights())
+        from_freq = fourier.weighted_phase_sum(freq_row, p.freq_quad, points, inverse=True)
+        from_time = fourier.weighted_phase_sum(time_row, p.time_quad, points)
+        for _ in range(2):
+            assert np.array_equal(interp.eval(points), time_part + from_freq)
+            assert np.array_equal(interp.eval_hat(points), from_time + freq_part)
+
+    def test_each_row_formed_once(self, interp, monkeypatch):
+        calls = []
+        weights = fourier.QuadratureSpec.weights
+        monkeypatch.setattr(fourier.QuadratureSpec, "weights",
+                            lambda spec: calls.append(spec) or weights(spec))
+        x = np.linspace(-2.0, 2.0, 9)
+        for _ in range(3):
+            interp.eval(x)
+            interp.eval_hat(x)
+        assert calls == [interp.problem.freq_quad, interp.problem.time_quad]
+
+
 @pytest.fixture(scope="module")
 def split_sets():
     lam_all = sym_profile(1.2, seed=3)
