@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +42,12 @@ class ParameterInfeasibleError(ValueError, CheckFailedError):
 
 
 class DegeneratePhaseError(ValueError, CheckFailedError):
-    """The witness Re(phi * conj(psi)) of |f| != |g| vanishes on every grid."""
+    """The witness Re(phi * conj(psi)) of |f| != |g| vanishes on the grid."""
 
 
 class ModelEvaluator:
-    """Product model with a cached-node numerical transform."""
+    """Product model with its quadrature transform: each ``eval_hat`` call
+    evaluates the model on the quadrature grid."""
 
     def __init__(self, model: ProductModel, quad: fourier.QuadratureSpec):
         self.model = model
@@ -62,13 +62,9 @@ class ModelEvaluator:
         """The model at a 1-D array of points."""
         return self.model.values(z)
 
-    @cached_property
-    def _node_values(self) -> np.ndarray:
-        return self.model.values(self.quad.grid())
-
     def eval_hat(self, xi: np.ndarray) -> np.ndarray:
         """The model's quadrature transform at a 1-D array of frequencies."""
-        return fourier.transform_values(self._node_values, self.quad, xi)
+        return fourier.transform_values(self.model.values(self.quad.grid()), self.quad, xi)
 
 
 @dataclass
@@ -173,22 +169,17 @@ def pair_from_json(text: str) -> PairConstruction:
     return PairConstruction(phi=phi, psi=psi, provenance=provenance)
 
 
-def select_phase(phi, psi, time_grid: np.ndarray, freq_grid: np.ndarray | None = None) -> None:
+def select_phase(phi, psi, time_grid: np.ndarray) -> None:
     """Check the witness of the non-identities |f| != |g| of f = phi + psi, g = phi - psi.
 
-    Every builder makes phi and psi real on the real line, and the non-weak
-    parts' transforms real as well, so |f|^2 - |g|^2 = 4 phi psi.  Raises
-    DegeneratePhaseError when the witness max |Re(phi * conj(psi))| vanishes
-    on the time grid and on the frequency grid, when one is supplied; the
-    frequency grid is read only when the time grid shows no witness.
+    Every builder makes phi and psi real on the real line, so
+    |f|^2 - |g|^2 = 4 phi psi there.  Raises DegeneratePhaseError when the
+    witness max |Re(phi * conj(psi))| vanishes on the time grid; whether the
+    frequency moduli differ is ``pauli_verify``'s non-weak verdict.
     """
-    def witness(a, b) -> float:
-        return np.max(np.abs(np.real(a * np.conj(b))))
-
-    if witness(phi.eval(time_grid), psi.eval(time_grid)) != 0.0:
-        return
-    if freq_grid is None or witness(phi.eval_hat(freq_grid), psi.eval_hat(freq_grid)) == 0.0:
-        raise DegeneratePhaseError("the witness Re(phi * conj(psi)) vanishes on every grid")
+    witness = np.real(phi.eval(time_grid) * np.conj(psi.eval(time_grid)))
+    if np.max(np.abs(witness)) == 0.0:
+        raise DegeneratePhaseError("the witness Re(phi * conj(psi)) vanishes on the grid")
 
 
 def _pick_headroom(half_density: float, rate_base: float, freq_rate: float) -> float:
@@ -324,8 +315,7 @@ def build_nonweak_pair(lam: SampledSet, mu: SampledSet, decay: float,
     vf_phi = assemble_vanishing_function(lam1, mu1, a1, b1, nodes=nodes)
     vf_psi = assemble_vanishing_function(lam2, mu2, a2, b2, nodes=nodes)
     phi, psi = vf_phi.interpolant, vf_psi.interpolant
-    grid = np.linspace(-2.5, 2.5, 201)
-    select_phase(phi, psi, grid, grid)
+    select_phase(phi, psi, np.linspace(-2.5, 2.5, 201))
     provenance = {"kind": "non_weak", "decay": decay, "rates": [a1, b1, a2, b2],
                   "threshold": cap, "argmax": x_a,
                   "phi_residuals": [vf_phi.residual_time, vf_phi.residual_freq],

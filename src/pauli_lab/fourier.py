@@ -7,9 +7,9 @@ difference between node counts plus a tail bound from the fitted decay
 envelope.  Estimates are diagnostics, not certified bounds.
 
 ``weighted_phase_sum`` is the one place a phase sum exp(-+2 pi i x t) is
-taken: the transforms here and the interpolation cross matrices reach it
-through ``phase_sum``, which weights their node values, and the assembled
-interpolants sum their weighted coefficient rows.  Uniform target grids go
+taken: the transforms here and the interpolation cross matrices pass it their
+node values times ``QuadratureSpec.weights()``, and the assembled
+interpolants their weighted coefficient rows.  Uniform target grids go
 through a chirp-z convolution (Rabiner-Schafer-Rader 1969, Bluestein 1970) in
 O((nodes + targets) log) time and O(nodes + targets) memory.  Other targets
 get a block-factored dense sum: with the nodes cut into blocks of about
@@ -163,26 +163,16 @@ def _tail_bound(x: np.ndarray, fx: np.ndarray) -> float:
     return float(np.exp(log_tail) / (np.pi * env.rate * t_edge))
 
 
-def phase_sum(values: np.ndarray, spec: QuadratureSpec, targets, inverse: bool = False):
-    """Quadrature sums sum_n w_n v(x_n) e^{-+2 pi i x_n t} over spec.grid().
-
-    ``values`` holds node values on ``spec.grid()``, one function per row
-    (shape (nodes+1,) or (k, nodes+1)); each result row holds that function's
-    sums at the ``targets`` (real or complex), with the + sign when
-    ``inverse``.
-    """
-    return weighted_phase_sum(values * spec.weights(), spec, targets, inverse)
-
-
 def weighted_phase_sum(weighted: np.ndarray, spec: QuadratureSpec, targets,
                        inverse: bool = False):
-    """``phase_sum`` of rows already multiplied by ``spec.weights()``.
+    """Quadrature sums sum_n w_n v(x_n) e^{-+2 pi i x_n t} over spec.grid().
 
-    A row may be a combination coeffs @ (w * values) formed once, as an
-    assembled interpolant keeps its two, so that each later sum skips the
-    weighting and the combination.  Real, equally spaced targets
-    (``CHIRP_MIN_TARGETS`` or more) are summed by chirp-z convolution; any
-    other targets by the chunked dense sum.
+    ``weighted`` holds rows w * v of node values v and w = ``spec.weights()``
+    (shape (nodes+1,) or (k, nodes+1)), or combinations of them such as an
+    assembled interpolant's two rows.  Each result row holds that row's sums
+    at the ``targets`` (real or complex), with the + sign when ``inverse``.
+    Real, equally spaced targets (``CHIRP_MIN_TARGETS`` or more) are summed
+    by chirp-z convolution; any other targets by the chunked dense sum.
     """
     sign = 1.0 if inverse else -1.0
     t = np.ravel(targets)
@@ -371,7 +361,7 @@ def transform_values(fx: np.ndarray, spec: QuadratureSpec, xi: np.ndarray) -> np
 
     Complex frequencies are allowed (the transform of a Gaussian-decaying
     integrand continues analytically off the real axis)."""
-    return phase_sum(fx, spec, np.asarray(xi, dtype=complex))
+    return weighted_phase_sum(fx * spec.weights(), spec, xi)
 
 
 def transform(f, spec: QuadratureSpec, xi) -> TransformResult:

@@ -210,7 +210,7 @@ def _cross(cols: np.ndarray, quad: fourier.QuadratureSpec, targets: np.ndarray,
     """(len(targets), len(cols)) quadrature matrix of the columns at the targets."""
     if not len(cols):
         return np.empty((len(targets), 0), dtype=complex)
-    return fourier.phase_sum(cols, quad, targets, inverse=inverse).T
+    return fourier.weighted_phase_sum(cols * quad.weights(), quad, targets, inverse=inverse).T
 
 
 def build_cross_matrices(problem: InterpolationProblem) -> CrossMatrices:

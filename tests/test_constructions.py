@@ -6,6 +6,7 @@ import pytest
 from pauli_lab import constructions as con
 from pauli_lab import fourier
 from pauli_lab import pauli_verify as pv
+from pauli_lab.entire_models import ProductModel
 from pauli_lab.interpolation import DensityTooHighError, choose_window_cut
 from pauli_lab.sequences import SampledSet, SmoothSpec, generate_smooth
 
@@ -78,6 +79,22 @@ class TestPairEvaluation:
         for part in parts:
             ref = fourier.transform(part.model.values, part.quad, xi).values
             assert np.array_equal(part.eval_hat(xi), ref)
+
+    @pytest.mark.parametrize("kind", ["time_pair", "freq_pair"])
+    def test_eval_hat_evaluates_the_model_once_per_call(self, kind, request, monkeypatch):
+        calls = []
+        model_eval = ProductModel.eval
+
+        def counting(model, z):
+            calls.append(len(z))
+            return model_eval(model, z)
+
+        monkeypatch.setattr(ProductModel, "eval", counting)
+        for part in model_parts(request.getfixturevalue(kind)):
+            calls.clear()
+            first, second = part.eval_hat(XI_GRID), part.eval_hat(XI_GRID)
+            assert np.array_equal(first, second)
+            assert calls == [part.quad.nodes + 1] * 2
 
     @pytest.mark.parametrize("kind", ["time_pair", "freq_pair"])
     def test_eval_hat_builds_no_error_estimate(self, kind, request, monkeypatch):
@@ -358,9 +375,6 @@ class TestSelectPhase:
         psi = _Wrap(lambda x: 1j * x * np.exp(-np.pi * x * x))
         with pytest.raises(con.DegeneratePhaseError):
             con.select_phase(phi, psi, X_GRID)
-        # a frequency grid where the witness holds keeps the check passing
-        real_hat = _Wrap(psi._fn, lambda xi: xi * np.exp(-np.pi * xi * xi))
-        assert con.select_phase(phi, real_hat, X_GRID, XI_GRID) is None
 
     def test_degenerate(self):
         phi = _Wrap(lambda x: np.exp(-np.pi * x * x))
@@ -373,13 +387,13 @@ class TestSelectPhase:
         c1, c2 = rng.normal(size=2) + 1j * rng.normal(size=2)
         phi = _Wrap(lambda x: c1 * np.exp(-np.pi * x * x))
         psi = _Wrap(lambda x: c2 * x * np.exp(-0.8 * np.pi * x * x))
-        assert con.select_phase(phi, psi, X_GRID, XI_GRID) is None
+        assert con.select_phase(phi, psi, X_GRID) is None
         wit = np.max(np.abs(np.real(phi.eval(X_GRID) * np.conj(psi.eval(X_GRID)))))
         assert wit > 0.01
 
 
 class TestWitnessGrids:
-    """``select_phase`` reads the frequency grid only when the time grid shows no witness."""
+    """``select_phase`` reads the time grid only."""
 
     @staticmethod
     def counted(fn, fn_hat, calls):
@@ -394,23 +408,26 @@ class TestWitnessGrids:
         calls = []
         phi = self.counted(lambda x: np.exp(-np.pi * x * x), None, calls)
         psi = self.counted(lambda x: x * np.exp(-np.pi * x * x), None, calls)
-        assert con.select_phase(phi, psi, X_GRID, XI_GRID) is None
+        assert con.select_phase(phi, psi, X_GRID) is None
         assert calls == []
 
     def test_raises_when_both_grids_vanish(self):
+        # the pair vanishes on the time grid; no transform is taken
         calls = []
         phi = self.counted(lambda x: np.exp(-np.pi * x * x), None, calls)
         zero = self.counted(np.zeros_like, None, calls)
         with pytest.raises(con.DegeneratePhaseError):
-            con.select_phase(phi, zero, X_GRID, XI_GRID)
-        assert calls == [len(XI_GRID)] * 2
+            con.select_phase(phi, zero, X_GRID)
+        assert calls == []
 
-    def test_passes_when_only_the_time_grid_vanishes(self):
+    def test_raises_when_the_time_witness_vanishes(self):
+        # a transform where the witness would hold does not rescue the check
         calls = []
         phi = self.counted(lambda x: np.exp(-np.pi * x * x), None, calls)
         psi = self.counted(np.zeros_like, lambda xi: xi * np.exp(-np.pi * xi * xi), calls)
-        assert con.select_phase(phi, psi, X_GRID, XI_GRID) is None
-        assert calls == [len(XI_GRID)] * 2
+        with pytest.raises(con.DegeneratePhaseError, match="vanishes on the grid"):
+            con.select_phase(phi, psi, X_GRID)
+        assert calls == []
 
     def test_nonweak_construction_skips_the_frequency_witness(self, interpolant_calls):
         # each part's residuals take one eval and one eval_hat, and the

@@ -91,7 +91,8 @@ class TestTransformProperties:
         fwd = fourier.transform(f, SPEC, xi_dense)
         x_probe = np.linspace(-2, 2, 21)
         spec_xi = fourier.QuadratureSpec(half_width=8.0, nodes=2048)
-        back = fourier.phase_sum(fwd.values, spec_xi, x_probe, inverse=True)
+        back = fourier.weighted_phase_sum(fwd.values * spec_xi.weights(), spec_xi, x_probe,
+                                          inverse=True)
         assert np.max(np.abs(back - f(x_probe))) < 1e-8
 
 
@@ -114,8 +115,9 @@ class TestPhaseSum:
     def test_fine_and_coarse_match_dense_sums(self, inverse, targets):
         sign = 1.0 if inverse else -1.0
         half = fourier.QuadratureSpec(half_width=4.0, nodes=32)
-        fine, coarse = fourier.phase_sum(with_half_count(self.VALUES), self.SMALL, targets,
-                                         inverse=inverse)
+        fine, coarse = fourier.weighted_phase_sum(
+            with_half_count(self.VALUES) * self.SMALL.weights(), self.SMALL, targets,
+            inverse=inverse)
         assert fine.shape == coarse.shape == (3, 7)
         scale = np.max(np.abs(fine))
         ref = self.dense(self.VALUES, self.SMALL, targets, sign)
@@ -126,9 +128,9 @@ class TestPhaseSum:
 
     def test_one_row_matches_stacked_row(self):
         t = np.linspace(-1.0, 1.0, 5)
-        one = fourier.phase_sum(self.VALUES[1], self.SMALL, t)
+        one = fourier.weighted_phase_sum(self.VALUES[1] * self.SMALL.weights(), self.SMALL, t)
         assert one.shape == (5,)
-        stacked = fourier.phase_sum(self.VALUES, self.SMALL, t)
+        stacked = fourier.weighted_phase_sum(self.VALUES * self.SMALL.weights(), self.SMALL, t)
         assert np.max(np.abs(one - stacked[1])) < 1e-13 * np.max(np.abs(one))
 
     def test_coefficients_combine_rows(self):
@@ -136,7 +138,8 @@ class TestPhaseSum:
         coeffs = np.array([1.0 + 0.5j, -2.0, 0.25 - 1.0j])
         combined = fourier.weighted_phase_sum(coeffs @ (self.VALUES * self.SMALL.weights()),
                                               self.SMALL, t, inverse=True)
-        rows = fourier.phase_sum(self.VALUES, self.SMALL, t, inverse=True)
+        rows = fourier.weighted_phase_sum(self.VALUES * self.SMALL.weights(), self.SMALL, t,
+                                          inverse=True)
         assert combined.shape == (5,)
         assert np.max(np.abs(combined - coeffs @ rows)) < 1e-13 * np.max(np.abs(rows))
 
@@ -156,7 +159,19 @@ class TestPhaseSum:
         # the phase sum of each row, no more: one row and stacked rows alike
         for fx in (self.VALUES[0], self.VALUES):
             fhat = fourier.transform_values(fx, self.SMALL, XI)
-            assert np.array_equal(fhat, fourier.phase_sum(fx, self.SMALL, XI.astype(complex)))
+            assert np.array_equal(fhat, fourier.weighted_phase_sum(
+                fx * self.SMALL.weights(), self.SMALL, XI.astype(complex)))
+
+    @pytest.mark.parametrize("xi, uniform", [(XI, True),
+                                             (np.sqrt(np.linspace(0.0, 9.0, 37)), False)],
+                             ids=["uniform", "scattered"])
+    def test_real_frequencies_match_complex_frequencies(self, xi, uniform):
+        # real frequencies stay real, with the bits of the same ones cast to
+        # complex, on the chirp-z path and on the dense one
+        assert (fourier._uniform_targets(xi) is not None) == uniform
+        real = fourier.transform_values(self.VALUES, self.SMALL, xi)
+        assert np.array_equal(real, fourier.transform_values(self.VALUES, self.SMALL,
+                                                             xi.astype(complex)))
 
     @pytest.mark.parametrize("xi", [XI, np.sqrt(np.linspace(0.0, 9.0, 37)),
                                     np.linspace(-2.0, 2.0, 7) + 0.3j],
@@ -211,8 +226,8 @@ class TestUniformPhaseSum:
     def test_fine_and_coarse_against_long_double(self, inverse, targets):
         sign = 1.0 if inverse else -1.0
         assert fourier._uniform_targets(np.asarray(targets)) is not None
-        fine, coarse = fourier.phase_sum(with_half_count(self.ROWS), self.SPEC, targets,
-                                         inverse=inverse)
+        fine, coarse = fourier.weighted_phase_sum(
+            with_half_count(self.ROWS) * self.SPEC.weights(), self.SPEC, targets, inverse=inverse)
         ref = long_double_sums(self.ROWS, self.SPEC, targets, sign)
         half = fourier.QuadratureSpec(half_width=6.0, nodes=256)
         ref_coarse = long_double_sums(self.ROWS[:, ::2], half, targets, sign)
@@ -235,7 +250,7 @@ class TestUniformPhaseSum:
         ref = coeffs @ long_double_sums(self.ROWS, self.SPEC, t, 1.0)
         assert combined.shape == (161,)
         assert np.max(np.abs(combined - ref)) < 2e-15 * float(np.max(np.abs(ref)))
-        one = fourier.phase_sum(self.ROWS[1], self.SPEC, t)
+        one = fourier.weighted_phase_sum(self.ROWS[1] * self.SPEC.weights(), self.SPEC, t)
         assert one.shape == (161,)
 
     @pytest.mark.parametrize("inverse", [False, True])
@@ -247,7 +262,8 @@ class TestUniformPhaseSum:
         x = spec.grid()
         fx = np.exp(-0.5 * np.pi * x**2) * (1 + 0.3 * np.cos(3 * x)) + 1j * x * np.exp(-np.pi * x**2)
         targets = np.linspace(-6.37, 6.37, 6145)
-        fine = fourier.phase_sum(fx, spec, targets, inverse=inverse)[::12]
+        fine = fourier.weighted_phase_sum(fx * spec.weights(), spec, targets,
+                                          inverse=inverse)[::12]
         ref = long_double_sums(fx, spec, targets[::12], sign)[0]
         naive = naive_sums(fx, spec, targets[::12], sign)
         err = np.max(np.abs(fine - ref))
@@ -266,16 +282,17 @@ class TestUniformPhaseSum:
     ])
     def test_dense_fallback(self, targets):
         assert fourier._uniform_targets(np.asarray(targets)) is None
-        got = fourier.phase_sum(self.ROWS, self.SPEC, targets)
+        got = fourier.weighted_phase_sum(self.ROWS * self.SPEC.weights(), self.SPEC, targets)
         ref = long_double_sums(self.ROWS, self.SPEC, targets, -1.0)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) < 1.5e-15 * float(np.max(np.abs(ref)))
 
     def test_dense_chunks_match_one_matrix(self, monkeypatch):
         t = np.sqrt(np.arange(1.0, 41.0)) + 0.1j
-        whole = fourier.phase_sum(with_half_count(self.ROWS), self.SPEC, t)
+        weighted = with_half_count(self.ROWS) * self.SPEC.weights()
+        whole = fourier.weighted_phase_sum(weighted, self.SPEC, t)
         monkeypatch.setattr(fourier, "DENSE_CHUNK_BYTES", 16 * len(self.X) * 3)
-        chunked = fourier.phase_sum(with_half_count(self.ROWS), self.SPEC, t)
+        chunked = fourier.weighted_phase_sum(weighted, self.SPEC, t)
         for a, b in zip(whole, chunked):
             assert np.max(np.abs(a - b)) < 1e-15 * np.max(np.abs(a))
 
@@ -284,11 +301,12 @@ class TestUniformPhaseSum:
     def test_plan_reuse_is_bit_identical(self, inverse, rows):
         targets = np.linspace(-5.0, 5.0, 301)
         fourier._chirp_plan.cache_clear()
-        cold = fourier.phase_sum(rows, self.SPEC, targets, inverse=inverse)
-        warm = fourier.phase_sum(rows, self.SPEC, targets, inverse=inverse)
+        weighted = rows * self.SPEC.weights()
+        cold = fourier.weighted_phase_sum(weighted, self.SPEC, targets, inverse=inverse)
+        warm = fourier.weighted_phase_sum(weighted, self.SPEC, targets, inverse=inverse)
         # a second grid in between leaves the first plan cached
-        fourier.phase_sum(rows, self.SPEC, np.linspace(0.3, 7.1, 100), inverse=inverse)
-        again = fourier.phase_sum(rows, self.SPEC, targets, inverse=inverse)
+        fourier.weighted_phase_sum(weighted, self.SPEC, np.linspace(0.3, 7.1, 100), inverse=inverse)
+        again = fourier.weighted_phase_sum(weighted, self.SPEC, targets, inverse=inverse)
         assert fourier._chirp_plan.cache_info()[:2] == (2, 2)  # hits, misses
         assert np.array_equal(cold, warm) and np.array_equal(cold, again)
 
@@ -319,8 +337,9 @@ class TestUniformPhaseSum:
         targets = np.linspace(-5.0, 5.0, 301)
         fourier._chirp_plan.cache_clear()
         fourier._chirp_tables.cache_clear()
-        fourier.phase_sum(self.ROWS, self.SPEC, targets)
-        fourier.phase_sum(self.ROWS, self.SPEC, targets, inverse=True)
+        fourier.weighted_phase_sum(self.ROWS * self.SPEC.weights(), self.SPEC, targets)
+        fourier.weighted_phase_sum(self.ROWS * self.SPEC.weights(), self.SPEC, targets,
+                                   inverse=True)
         assert fourier._chirp_plan.cache_info().misses == 2
         assert fourier._chirp_tables.cache_info()[:2] == (1, 1)  # hits, misses
         c, t_c, dt, _ = fourier._uniform_targets(targets)
@@ -337,8 +356,9 @@ class TestUniformPhaseSum:
             assert not factor.flags.writeable
         # one row and stacked rows share the plan of their grid
         fourier._chirp_plan.cache_clear()
-        fourier.phase_sum(self.ROWS[0], self.SPEC, np.linspace(-5.0, 5.0, 301))
-        fourier.phase_sum(self.ROWS, self.SPEC, np.linspace(-5.0, 5.0, 301))
+        targets = np.linspace(-5.0, 5.0, 301)
+        fourier.weighted_phase_sum(self.ROWS[0] * self.SPEC.weights(), self.SPEC, targets)
+        fourier.weighted_phase_sum(self.ROWS * self.SPEC.weights(), self.SPEC, targets)
         assert fourier._chirp_plan.cache_info().misses == 1
 
     def test_memory_stays_linear(self):
@@ -417,7 +437,7 @@ class TestDenseKernel:
         values, spec, t = self.cases(problem)[case]
         sign = 1.0 if inverse else -1.0
         assert fourier._uniform_targets(np.asarray(t)) is None
-        got = fourier.phase_sum(values, spec, t, inverse=inverse)
+        got = fourier.weighted_phase_sum(values * spec.weights(), spec, t, inverse=inverse)
         assert got.shape == np.shape(values)[:-1] + (len(t),)
         ref = long_double_sums(values, spec, t, sign)
         # errors relative to each row's sum of |w v|
@@ -428,8 +448,9 @@ class TestDenseKernel:
 
     def test_zero_targets(self):
         none = np.empty(0)
-        assert fourier.phase_sum(self.SMOOTH, self.SPEC, none).shape == (3, 0)
-        assert fourier.phase_sum(self.SMOOTH[0], self.SPEC, none, inverse=True).shape == (0,)
+        weighted = self.SMOOTH * self.SPEC.weights()
+        assert fourier.weighted_phase_sum(weighted, self.SPEC, none).shape == (3, 0)
+        assert fourier.weighted_phase_sum(weighted[0], self.SPEC, none, inverse=True).shape == (0,)
 
 
 class TestEnvelopeFit:
